@@ -128,19 +128,6 @@ class CurveConfig:
         return cls.from_text(text)
 
 
-# one calibration per (curve, ell, precision); recalibrating is pure waste
-_CAL_CACHE: dict[tuple, CalibratedCurve] = {}
-
-
-def _calibrated(config: CurveConfig, ell: int) -> CalibratedCurve:
-    key = (config.a_invariants, config.conductor, config.root_number,
-           ell, config.precision_digits)
-    if key not in _CAL_CACHE:
-        _CAL_CACHE[key] = calibrate(config.curve(), ell,
-                                    dps=config.precision_digits)
-    return _CAL_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # the vanishing census
 
@@ -256,22 +243,11 @@ class CensusSummary:
         return "\n".join(lines)
 
 
-# per-process cache for pool workers; each process calibrates once
-_TASK_CACHE: dict[tuple, CalibratedCurve] = {}
-
-
-def _census_task(config_data: tuple, ell: int, chi: DirichletChar,
+def _census_task(cal: CalibratedCurve, chi: DirichletChar,
                  ladder: tuple) -> dict:
     """Decide one orbit.  Pure function of its arguments, safe to run in any
     process; failures become undecided rows, never exceptions, so a single
     bad orbit cannot abort a sweep."""
-    label, ai, conductor, root_number, dps = config_data
-    key = (ai, conductor, ell, dps)
-    if key not in _TASK_CACHE:
-        curve = Curve(ai, label=label, conductor=conductor,
-                      root_number=root_number)
-        _TASK_CACHE[key] = calibrate(curve, ell, dps=dps)
-    cal = _TASK_CACHE[key]
     start = time.perf_counter()
     try:
         record = cal.twist_record(chi, ladder=ladder)
@@ -286,6 +262,20 @@ def _census_task(config_data: tuple, ell: int, chi: DirichletChar,
                         error=f"{type(exc).__name__}: {exc}",
                         alarm=type(exc).__name__ == "ConsistencyError")
     return row.to_dict()
+
+
+# the parent's calibration, handed to each pool worker once at start-up so
+# that its twist series and coefficient tables are shared by all its tasks
+_worker_cal: CalibratedCurve | None = None
+
+
+def _init_worker(cal: CalibratedCurve) -> None:
+    global _worker_cal
+    _worker_cal = cal
+
+
+def _worker_task(chi: DirichletChar, ladder: tuple) -> dict:
+    return _census_task(_worker_cal, chi, ladder)
 
 
 def _read_journal(path: Path) -> dict[str, CensusRow]:
@@ -305,6 +295,20 @@ def _read_journal(path: Path) -> dict[str, CensusRow]:
     return done
 
 
+def _loglog_slope(counts, min_points: int) -> float | None:
+    """Least-squares slope of log(count) against log(cutoff) over the
+    nonzero counts, or None with fewer than min_points of them."""
+    points = [(math.log(c), math.log(n)) for c, n in counts if n > 0]
+    if len(points) < min_points:
+        return None
+    xs, ys = zip(*points)
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    denom = sum((x - mx) ** 2 for x in xs)
+    if denom == 0:
+        return None
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
+
+
 def _growth_counts(rows, max_conductor: int):
     """Cumulative vanishing counts down a geometric ladder of cutoffs, and
     the least-squares slope of the log-log growth when there is enough of a
@@ -318,15 +322,7 @@ def _growth_counts(rows, max_conductor: int):
     counts = [(c, sum(1 for r in rows
                       if r.conductor <= c and r.decision == "vanishes"))
               for c in cutoffs]
-    points = [(math.log(c), math.log(n)) for c, n in counts if n > 0]
-    slope = None
-    if len(points) >= 3:
-        xs, ys = zip(*points)
-        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-        denom = sum((x - mx) ** 2 for x in xs)
-        if denom > 0:
-            slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
-    return tuple(counts), slope
+    return tuple(counts), _loglog_slope(counts, 3)
 
 
 def run_census(config: CurveConfig, ell: int, max_conductor: int,
@@ -340,8 +336,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     the run was interrupted and resumed."""
     if resume and out is None:
         raise ConfigError("resume needs an output path to find the journal")
-    curve = config.validated_curve()
-    _calibrated(config, ell)    # fail fast before any journal is touched
+    # fail fast before any journal is touched
+    cal = calibrate(config.validated_curve(), ell,
+                    dps=config.precision_digits)
 
     level = config.conductor
     skipped: list[int] = []
@@ -363,8 +360,6 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
             journal.write_text("")
     pending = [chi for chi in orbits if chi.label() not in done]
 
-    config_data = (config.label, config.a_invariants, config.conductor,
-                   config.root_number, config.precision_digits)
     start = time.perf_counter()
     fresh: list[CensusRow] = []
 
@@ -376,12 +371,14 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
 
     if workers <= 1:
         for chi in pending:
-            _log(_census_task(config_data, ell, chi, ladder))
+            _log(_census_task(cal, chi, ladder))
     else:
         # orbit list is conductor-sorted, so the pool's queue hands
         # conductors out round-robin across the worker processes
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_census_task, config_data, ell, chi, ladder)
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(cal,)) as pool:
+            futures = [pool.submit(_worker_task, chi, ladder)
                        for chi in pending]
             for fut in futures:
                 _log(fut.result())
@@ -431,8 +428,8 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
     chi psi for every admissible pair with conductor product up to the
     bound, the trivial chi included.  psi ranges over single-prime
     conductors only, which is where its multiplier is defined."""
-    _ = config.validated_curve()
-    cal = _calibrated(config, ell)
+    cal = calibrate(config.validated_curve(), ell,
+                    dps=config.precision_digits)
     level = config.conductor
 
     psis = [psi for f in admissible_conductors(ell, bound)
@@ -537,16 +534,10 @@ def run_e37b(max_conductor: int, height_bound: int | None = None,
         cutoffs = [max_conductor]
     counts = [(c, sum(1 for f in census.conductors if f <= c))
               for c in cutoffs]
-    points = [(math.log(c), math.log(n)) for c, n in counts if n > 0]
-    slope = None
-    if len(points) >= 2:
-        xs, ys = zip(*points)
-        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-        denom = sum((x - mx) ** 2 for x in xs)
-        if denom > 0:
-            slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
+    slope = _loglog_slope(counts, 2)
 
-    cal = _calibrated(E37B_CONFIG, 3)
+    cal = calibrate(E37B_CONFIG.validated_curve(), 3,
+                    dps=E37B_CONFIG.precision_digits)
     samples: list[E37bSample] = []
     for f in sorted({r.conductor for r in census.rows if
                      r.conductor <= sample_cap})[:sample_size]:

@@ -67,10 +67,11 @@ class Curve:
     def __eq__(self, other):
         return (isinstance(other, Curve)
                 and self.a_invariants == other.a_invariants
-                and self.conductor == other.conductor)
+                and self.conductor == other.conductor
+                and self.root_number == other.root_number)
 
     def __hash__(self):
-        return hash((self.a_invariants, self.conductor))
+        return hash((self.a_invariants, self.conductor, self.root_number))
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.a_invariants)

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 import mpmath
 
@@ -163,23 +162,19 @@ def hecke_factor(curve: Curve, f: int, ell: int) -> int:
     return out
 
 
-class TwistRows(NamedTuple):
+@dataclass
+class TwistRows:
     """Unscaled lattice rows 2 f L(chi^j) / (Omega tau(chi^j)) plus the raw
-    central value of the orbit representative and its tail bound."""
+    central value of the orbit representative and its tail bound; the exact
+    coset sums are filled in once they have been solved."""
 
     rows: dict
     l_value: complex
     l_err: float
-
-
-# shared between calibration probes and calibrated curves
-_ROWS_CACHE: dict[tuple[Curve, DirichletChar, int], TwistRows] = {}
+    sums: CosetSums | None = None
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
-    key = (curve, chi, dps)
-    if key in _ROWS_CACHE:
-        return _ROWS_CACHE[key]
     ell, f = chi.ell, chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
@@ -199,9 +194,7 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
             if drift > 1e-5:
                 raise ConsistencyError(
                     f"conjugate twists disagree by {float(drift):.3g} at {chi.label()}")
-    out = TwistRows(rows, l1, err_l)
-    _ROWS_CACHE[key] = out
-    return out
+    return TwistRows(rows, l1, err_l)
 
 
 def _solve_coset_sums(rows: dict, a0: int, ell: int, scale: Fraction, dps: int):
@@ -284,20 +277,6 @@ class TwistRecord:
     decision: str                # vanishes | nonzero | undecided
     precision_used: int
 
-    def csv_row(self) -> str:
-        svec = "" if self.coset_sums is None else \
-            "|".join(str(s) for s in self.coset_sums.sums)
-        return ", ".join([
-            self.curve_label,
-            str(self.chi.conductor),
-            self.chi.label(),
-            repr(self.L_value.real),
-            repr(self.L_value.imag),
-            f"{self.error_bound:.3e}",
-            svec,
-            self.decision,
-        ])
-
     def as_dict(self) -> dict:
         return {
             "curve": self.curve_label,
@@ -379,7 +358,9 @@ class CalibratedCurve:
         self.scale = scale
         self.lalg0 = lalg0
         self.base_dps = base_dps
-        self._coset_cache: dict[tuple[DirichletChar, int], CosetSums] = {}
+        # per (canonical chi, dps): the twist series and, once solved, the
+        # coset sums; calibrate seeds it with its probe orbits
+        self._twists: dict[tuple[DirichletChar, int], TwistRows] = {}
 
     def __repr__(self):
         return (f"CalibratedCurve({self.curve!r}, ell={self.ell}, "
@@ -393,21 +374,25 @@ class CalibratedCurve:
         """A_0(f), exactly, by the multiplicative recursion."""
         return self.lalg0 * hecke_factor(self.curve, f, self.ell)
 
+    def _twist(self, chi: DirichletChar, dps: int) -> TwistRows:
+        key = (chi, dps)
+        if key not in self._twists:
+            self._twists[key] = _twist_rows(self.curve, chi, dps)
+        return self._twists[key]
+
     def coset_sums(self, chi: DirichletChar, dps: int | None = None) -> CosetSums:
         """Exact integer coset sums for the orbit of chi, with alarms: the
         rounded sums must recombine to every numeric twist row and total to
         the exact trivial component."""
         chi = chi.canonical()
         dps = dps or self.base_dps
-        key = (chi, dps)
-        if key in self._coset_cache:
-            return self._coset_cache[key]
-        a0 = self.trivial_coset_sum(chi.conductor)
-        rows = _twist_rows(self.curve, chi, dps).rows
-        sums, worst = _solve_coset_sums(rows, a0, self.ell, self.scale, dps)
-        out = CosetSums(chi, sums, a0, self.scale, worst)
-        self._coset_cache[key] = out
-        return out
+        numeric = self._twist(chi, dps)
+        if numeric.sums is None:
+            a0 = self.trivial_coset_sum(chi.conductor)
+            sums, worst = _solve_coset_sums(numeric.rows, a0, self.ell,
+                                            self.scale, dps)
+            numeric.sums = CosetSums(chi, sums, a0, self.scale, worst)
+        return numeric.sums
 
     def twist_record(self, chi: DirichletChar,
                      ladder=(None, 80, 120)) -> TwistRecord:
@@ -417,7 +402,7 @@ class CalibratedCurve:
         record = None
         for rung in ladder:
             dps = rung or self.base_dps
-            numeric = _twist_rows(self.curve, chi, dps)
+            numeric = self._twist(chi, dps)
             try:
                 cs = self.coset_sums(chi, dps)
             except (RecognitionError, ConsistencyError):
@@ -468,6 +453,11 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
+# one calibration per curve (root number and label included), ell,
+# precision and probe parameters, shared by every caller in the process
+_CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
+
+
 def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
               conductor_bound: int = 400, scales=SCALES) -> CalibratedCurve:
     """Freeze the period scale for (curve, ell).
@@ -476,9 +466,13 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
     untwisted algebraic part is integral and, for the first n_orbits
     character orbits prime to the level, all coset sums land on integers
     that recombine and total correctly.  First survivor wins (coarsest
-    usable lattice).  The twist series are computed once and shared across
-    candidates.
+    usable lattice).  The twist series are computed once, shared across
+    candidates and handed to the result.
     """
+    key = (curve, curve.label, ell, dps, n_orbits, conductor_bound,
+           tuple(scales))
+    if key in _CALIBRATIONS:
+        return _CALIBRATIONS[key]
     reps = [r for r in orbit_representatives(ell, conductor_bound)
             if gcd(r.conductor, curve.conductor) == 1][:n_orbits]
     if len(reps) < n_orbits:
@@ -488,7 +482,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))
         base0 = 2 * l1.real / omega
-    all_rows = {rep: _twist_rows(curve, rep, dps).rows for rep in reps}
+    probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
     failures = {}
     for c in scales:
         try:
@@ -496,10 +490,13 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
                                    tol=_S_TOL, err=_S_ERR)
             for rep in reps:
                 a0 = l0 * hecke_factor(curve, rep.conductor, ell)
-                _solve_coset_sums(all_rows[rep], a0, ell, c, dps)
+                _solve_coset_sums(probes[rep].rows, a0, ell, c, dps)
         except (RecognitionError, ConsistencyError) as exc:
             failures[str(c)] = str(exc)
             continue
-        return CalibratedCurve(curve, ell, c, l0, base_dps=dps)
+        cal = CalibratedCurve(curve, ell, c, l0, base_dps=dps)
+        cal._twists.update(((rep, dps), rows) for rep, rows in probes.items())
+        _CALIBRATIONS[key] = cal
+        return cal
     detail = "; ".join(f"{k}: {v}" for k, v in list(failures.items())[:3])
     raise CalibrationError(f"no period scale fits ({detail})")

@@ -12,7 +12,6 @@ import mpmath
 import pytest
 import sympy
 
-import elltwists.census as census
 from elltwists.census import E37B_CONFIG, CurveConfig, run_congruence_sweep, \
     run_e37b
 from elltwists.cubicfield import CubicField
@@ -22,7 +21,7 @@ from elltwists.elliptic import Curve, on_curve
 from elltwists.kummer import (E37B_SLICE, _e37b_pair, conic_norm_test,
                               delta_poly, gamma1, jacobian_curve,
                               torsion_family)
-from elltwists.lvalue import hecke_factor
+from elltwists.lvalue import calibrate, hecke_factor
 from elltwists.numcore import (BiPolyQ, PolyQ, RecognitionError,
                                primes_up_to, recognize_integer)
 
@@ -32,7 +31,7 @@ E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
 
 @pytest.fixture(scope="module")
 def cal37b():
-    return census._calibrated(E37B_CONFIG, 3)
+    return calibrate(E37B_CONFIG.curve(), 3)
 
 
 def slice_quartic_display(A, B) -> BiPolyQ:

@@ -2,14 +2,17 @@
 determinism across worker counts and interruptions, the sweep reports, and
 the command-line exit contract."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import elltwists.census as census
 from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
                               run_congruence_sweep, run_e37b, run_family)
 from elltwists.cli import main
+from elltwists.dirichlet import galois_orbits
 
 GOOD_37B = """\
 label = 37b
@@ -87,6 +90,26 @@ class TestRunCensus:
         summary = run_census(E37B_CONFIG, 3, 37)
         assert summary.skipped_conductors == (37,)
         assert all(r.conductor != 37 for r in summary.rows)
+
+    def test_calibrates_once(self, monkeypatch):
+        real = census.calibrate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(census, "calibrate", counted)
+        run_census(E37B_CONFIG, 3, 13)
+        assert len(calls) == 1
+
+    def test_calibration_pickles_for_workers(self):
+        # pool workers started by spawn receive the calibration by value
+        cal = census.calibrate(E37B_CONFIG.curve(), 3)
+        copy = pickle.loads(pickle.dumps(cal))
+        chi = galois_orbits(91, 3)[0]
+        assert (copy.scale, copy.lalg0) == (cal.scale, cal.lalg0)
+        assert copy.coset_sums(chi) == cal.coset_sums(chi)
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         one = tmp_path / "one.csv"

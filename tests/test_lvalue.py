@@ -90,6 +90,14 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate(E37B, 3, n_orbits=10, conductor_bound=13)
 
+    def test_root_number_is_part_of_the_calibration(self, cal_b):
+        # the true curve's calibration must not stand in for the same model
+        # with the wrong sign, which admits no period scale
+        flipped = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
+        assert flipped != E37B
+        with pytest.raises(CalibrationError):
+            calibrate(flipped, 3)
+
 
 class TestCosetSums:
     def test_frozen_vectors(self, cal_a, cal_b):
