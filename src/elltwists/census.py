@@ -27,7 +27,7 @@ from .kummer import (FamilyFiber, SurfaceError, _e37b_pair, census_37b,
                      torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
                      t_independence)
-from .numcore import factor
+from .numcore import is_squarefree
 
 
 class ConfigError(Exception):
@@ -460,10 +460,6 @@ E37B_CONFIG = CurveConfig("37b", (Fraction(0), Fraction(1), Fraction(1),
                                   Fraction(-3), Fraction(1)), 37, 1)
 
 
-def _strictly_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factor(n).pairs)
-
-
 @dataclass(frozen=True)
 class E37bSample:
     conductor: int
@@ -520,7 +516,7 @@ def run_e37b(max_conductor: int, height_bound: int | None = None,
     by_conductor: dict[int, int] = {}
     for row in census.rows:
         value = row.h1 * row.h2
-        if not _strictly_squarefree(value):
+        if not is_squarefree(value):
             continue
         prev = by_conductor.get(row.conductor)
         if prev is not None and prev != value:

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .dirichlet import DirichletChar, galois_orbits
-from .numcore import (Factorization, PolyQ, factor, is_perfect_square, primes_up_to,
-                      sqrt_mod_prime)
+from .numcore import (Factorization, PolyQ, _fp_divmod, _fp_gcd, _fp_trim, factor,
+                      is_perfect_square, primes_up_to, sqrt_mod_prime)
 
 
 class ReducibleCubicError(ValueError):
@@ -42,36 +42,6 @@ class FieldConsistencyError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over F_p (dense int lists, low degree first)
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        s = len(a) - len(b)
-        q[s] = c
-        for i, bc in enumerate(b):
-            a[s + i] = (a[s + i] - c * bc) % p
-        _fp_trim(a)
-    return q, a
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
 
 def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)

@@ -58,14 +58,6 @@ def _index_table(g: int, m: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def dlog(a: int, g: int, m: int) -> int:
-    """Discrete log of a to base g mod m (unit group assumed cyclic)."""
-    v = _index_table(g, m)[a % m]
-    if v < 0:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    return v
-
-
 @dataclass(frozen=True)
 class DirichletChar:
     """Primitive Dirichlet character of order exactly ell (odd prime)."""

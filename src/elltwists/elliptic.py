@@ -145,40 +145,34 @@ class Curve:
         return -int(legendre[v].sum())
 
     def an_table(self, limit: int) -> list[int]:
-        """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve."""
-        if limit < len(self._an_cache):
-            return self._an_cache[: limit + 1]
-        a = [0] * (limit + 1)
-        a[1] = 1
-        # smallest prime factor sieve
-        spf = list(range(limit + 1))
-        for p in range(2, isqrt(limit) + 1):
-            if spf[p] == p:
-                for m in range(p * p, limit + 1, p):
-                    if spf[m] == m:
-                        spf[m] = p
-        ppow: dict[int, list[int]] = {}
-        for p in primes_up_to(limit):
-            ap = self.ap(p)
-            good = (self.conductor % p != 0) if self.conductor is not None \
-                else (int(self.disc) % p != 0)
-            seq = [1, ap]
-            pk = p * p
-            while pk <= limit:
-                if good:
-                    seq.append(ap * seq[-1] - p * seq[-2])
-                else:
-                    seq.append(ap * seq[-1])
-                pk *= p
-            ppow[p] = seq
-        for n in range(2, limit + 1):
-            p = spf[n]
-            m, e = n, 0
+        """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve.
+
+        Returns the curve's own table, which holds at least limit + 1
+        entries; callers must not modify it.  A larger limit extends the
+        table from its current end, so each a_p is asked for once."""
+        a = self._an_cache
+        start = len(a)
+        # smallest prime factor of each new n, 0 for primes
+        spf = [0] * (limit + 1 - start)
+        for p in primes_up_to(isqrt(limit)):
+            for m in range(max(p * p, -(-start // p) * p), limit + 1, p):
+                if not spf[m - start]:
+                    spf[m - start] = p
+        level = int(self.disc) if self.conductor is None else self.conductor
+        for n in range(start, limit + 1):
+            p = spf[n - start] or n
+            q, m = p, n // p
             while m % p == 0:
-                m //= p
-                e += 1
-            a[n] = a[m] * ppow[p][e]
-        self._an_cache = a
+                q, m = q * p, m // p
+            if m > 1:
+                a.append(a[q] * a[m])
+            elif q == p:
+                a.append(self.ap(p))
+            else:
+                # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last term
+                # at good p only
+                a.append(a[p] * a[q // p]
+                         - (p * a[q // (p * p)] if level % p else 0))
         return a
 
     # -- real period ---------------------------------------------------------

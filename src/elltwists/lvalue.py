@@ -10,6 +10,23 @@ functional equation (t is a free checking parameter, 1 by default):
 with eps = w_E chi(N) tau(chi)^2 / f.  Truncation uses |a_n|/n <= 2, so the
 reported values carry a rigorous tail bound.
 
+The terms (a_n / n) r^n are real and see chi only through the exponent
+k = ind(n) with chi(n) = zeta^k (n prime to f), so one pass over n fills ell
+real buckets
+
+    B_k(r) = sum_{ind(n) = k} (a_n / n) r^n,   r1 = e^(-2 pi t / (f sqrt(N))),
+                                               r2 = e^(-2 pi / (t f sqrt(N))),
+
+and every conjugate twist of the orbit follows without another pass:
+
+    L(E, 1, chi^j) = sum_k zeta^(jk) B_k(r1) + eps_j sum_k zeta^(-jk) B_k(r2),
+
+with eps_j the eps of chi^j.  At t = 1 the two radii coincide and one
+bucket vector serves both series.  Each orbit is also evaluated at t = 6/5
+with the same Gauss sums; a true value moves by at most the sum of the two
+tail bounds, while a wrong root number, chi(N), Gauss sum or exponent table
+moves it by far more, so a larger drift is a consistency alarm.
+
 The algebraic side rescales central values to lattice coordinates
 
     A_j = 2 f L(E, 1, chi^j) / (Omega_eff tau(chi^j)),   Omega_eff = c Omega,
@@ -60,6 +77,7 @@ SCALES = tuple(Fraction(v) for v in (12, 9, 6, 4, 3, 2, 1)) + tuple(
 
 _S_TOL = 1e-4        # recognition tolerance for coset sums
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
+_T_CHECK = Fraction(6, 5)  # second series parameter of the t-drift alarm
 _SCALE_FLOOR = min(SCALES)
 
 
@@ -76,23 +94,27 @@ def _terms_needed(c, eps) -> int:
     return max(1, math.ceil(math.log(2.0 / (float(eps) * (1.0 - q))) / c))
 
 
-_TAU_CACHE: dict[tuple[DirichletChar, int], mpmath.mpc] = {}
+def _buckets(an: list[int], exps: list[int], ell: int, r, M: int) -> list:
+    """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1."""
+    out = [mpmath.mpf(0)] * ell
+    p = mpmath.mpf(1)
+    for n in range(1, M + 1):
+        p *= r
+        k = exps[n]
+        if an[n] and k >= 0:
+            out[k] += an[n] * p / n
+    return out
 
 
-def _tau(chi: DirichletChar):
-    key = (chi, mpmath.mp.dps)
-    if key not in _TAU_CACHE:
-        _TAU_CACHE[key] = chi.gauss_sum()
-    return _TAU_CACHE[key]
+def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
+                   err=1e-15, truncation_scale: int = 1) -> dict:
+    """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
+    tau(chi^j), all from the same real exponent buckets (one pass over n per
+    series radius); absolute error <= err plus roundoff.  chi = None is the
+    trivial character, asked for as taus = {0: 1}.
 
-
-def central_value(curve: Curve, chi: DirichletChar | None = None, t=1, err=1e-15,
-                  truncation_scale: int = 1):
-    """L(E, 1, chi) at the current mpmath precision, absolute error <= err
-    plus roundoff.  chi = None gives the untwisted central value.
-
-    truncation_scale multiplies the computed series length; recomputing with
-    2 and differencing is the soundness check on the tail bound itself."""
+    truncation_scale multiplies the computed series lengths; recomputing
+    with 2 and differencing is the soundness check on the tail bound itself."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -105,38 +127,34 @@ def central_value(curve: Curve, chi: DirichletChar | None = None, t=1, err=1e-15
     sqrt_n = mpmath.sqrt(N)
     c1 = 2 * mpmath.pi * t / (f * sqrt_n)
     c2 = 2 * mpmath.pi / (t * f * sqrt_n)
-    M = max(_terms_needed(c1, err / 2), _terms_needed(c2, err / 2)) * truncation_scale
+    M1 = _terms_needed(c1, err / 2) * truncation_scale
+    M2 = _terms_needed(c2, err / 2) * truncation_scale
+    M = max(M1, M2)
     an = curve.an_table(M)
     if chi is None:
-        exps = None
-        zeta = None
-        eps = mpmath.mpf(w)
+        ell, exps, k_n = 1, [0] * (M + 1), 0
     else:
-        ell = chi.ell
-        exps = chi.exponent_table(M)
-        zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
-        tau = _tau(chi)
-        eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
+        ell, exps, k_n = chi.ell, chi.exponent_table(M), chi.value_exponent(N)
+    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
     r1, r2 = mpmath.exp(-c1), mpmath.exp(-c2)
-    s1 = s2 = mpmath.mpc(0)
-    p1 = p2 = mpmath.mpf(1)
-    for n in range(1, M + 1):
-        p1 *= r1
-        p2 *= r2
-        a = an[n]
-        if a == 0:
-            continue
-        term = mpmath.mpf(a) / n
-        if exps is None:
-            s1 += term * p1
-            s2 += term * p2
-        else:
-            k = exps[n]
-            if k < 0:
-                continue
-            s1 += term * zeta[k] * p1
-            s2 += term * zeta[-k % ell] * p2
-    return s1 + eps * s2
+    b1 = _buckets(an, exps, ell, r1, M1)
+    b2 = b1 if r2 == r1 else _buckets(an, exps, ell, r2, M2)
+    out = {}
+    for j, tau in taus.items():
+        eps = w * zeta[j * k_n % ell] * tau * tau / f
+        out[j] = (mpmath.fsum(zeta[j * k % ell] * b for k, b in enumerate(b1))
+                  + eps * mpmath.fsum(zeta[-j * k % ell] * b
+                                      for k, b in enumerate(b2)))
+    return out
+
+
+def central_value(curve: Curve, chi: DirichletChar | None = None, t=1, err=1e-15,
+                  truncation_scale: int = 1):
+    """L(E, 1, chi) at the current mpmath precision, absolute error <= err
+    plus roundoff.  chi = None gives the untwisted central value."""
+    taus = {0: 1} if chi is None else {1: chi.gauss_sum()}
+    (value,) = central_values(curve, chi, taus, t, err, truncation_scale).values()
+    return value
 
 
 def t_independence(curve: Curve, chi: DirichletChar | None = None,
@@ -175,26 +193,26 @@ class TwistRows:
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
+    """Rows of every conjugate twist from one series pass, each Gauss sum
+    computed once.  A second pass at t = _T_CHECK with the same Gauss sums
+    must agree within the two tail bounds: it tests the root number, chi(N),
+    the Gauss sums and the exponent table of this very orbit."""
     ell, f = chi.ell, chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
         # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
-        rows = {}
-        l1 = None
-        for j in range(1, ell):
-            chij = chi.power(j)
-            lj = central_value(curve, chij, err=err_l)
-            if j == 1:
-                l1 = complex(lj)
-            rows[j] = 2 * f * lj / (omega * _tau(chij))
-        for j in range(1, ell):
-            drift = abs(rows[ell - j] - mpmath.conj(rows[j]))
-            if drift > 1e-5:
-                raise ConsistencyError(
-                    f"conjugate twists disagree by {float(drift):.3g} at {chi.label()}")
-    return TwistRows(rows, l1, err_l)
+        taus = {j: chi.power(j).gauss_sum() for j in range(1, ell)}
+        values = central_values(curve, chi, taus, err=err_l)
+        moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l)
+        drift = max(abs(moved[j] - values[j]) for j in taus)
+        if drift > 2 * err_l:
+            raise ConsistencyError(
+                f"central value of {chi.label()} drifts by {float(drift):.3g} "
+                f"between t = 1 and t = {_T_CHECK}")
+        rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
+    return TwistRows(rows, complex(values[1]), err_l)
 
 
 def _solve_coset_sums(rows: dict, a0: int, ell: int, scale: Fraction, dps: int):
@@ -482,7 +500,10 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))
         base0 = 2 * l1.real / omega
-    probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
+    try:
+        probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
+    except ConsistencyError as exc:
+        raise CalibrationError(f"probe series fail their check: {exc}") from exc
     failures = {}
     for c in scales:
         try:

@@ -548,29 +548,36 @@ def _squarefree_monic(coeffs: list[int]) -> list[int]:
     return [int(c) for c in q.coeffs]
 
 
-def _fp_coprime_to_derivative(coeffs: list[int], p: int) -> bool:
-    """Whether the reduction mod p of a monic integer polynomial stays
-    squarefree, i.e. is coprime to its derivative in F_p[x]."""
+# polynomial arithmetic over F_p (dense int lists, low degree first)
 
-    def trim(v):
-        while v and v[-1] % p == 0:
-            v.pop()
-        return v
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    a = trim([c % p for c in coeffs])
-    b = trim([(i * c) % p for i, c in enumerate(coeffs)][1:])
+
+def _fp_divmod(a: list[int], b: list[int], p: int):
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        s = len(a) - len(b)
+        q[s] = c
+        for i, bc in enumerate(b):
+            a[s + i] = (a[s + i] - c * bc) % p
+        _fp_trim(a)
+    return q, a
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        a = a[:]
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i, bv in enumerate(b):
-                a[off + i] = (a[off + i] - f * bv) % p
-            a.pop()
-            trim(a)
-        a, b = b, trim(a)
-    return len(a) == 1
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 def _monic_integer_roots(coeffs: list[int]) -> list[int]:
@@ -586,7 +593,7 @@ def _monic_integer_roots(coeffs: list[int]) -> list[int]:
         return [-c[0]]
     bound = 1 + max(abs(v) for v in c[:-1])
     p = 3
-    while not _fp_coprime_to_derivative(c, p):
+    while len(_fp_gcd(c, [i * v for i, v in enumerate(c)][1:], p)) != 1:
         p += 2
         while not is_prime(p):
             p += 2

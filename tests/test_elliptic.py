@@ -71,6 +71,21 @@ class TestTraceOfFrobenius:
             if p ** 3 <= 200:
                 assert an[p ** 3] == ap * (ap * ap - p) - p * ap
 
+    def test_table_extends_without_recounting(self, monkeypatch):
+        # growing the limit one step at a time counts each a_p once, and
+        # the grown table equals one built in a single call
+        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1100)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        asked = []
+        ap = Curve.ap
+        monkeypatch.setattr(Curve, "ap",
+                            lambda self, p: asked.append(p) or ap(self, p))
+        for limit in range(1000, 1101):
+            an = curve.an_table(limit)
+            assert len(an) >= limit + 1
+        assert sorted(asked) == list(primes_up_to(1100))
+        assert an[:1101] == fresh[:1101]
+
     def test_nonintegral_model_rejected(self):
         curve = Curve((0, 0, 0, Fraction(1, 4), 0))
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Central-value machinery.
 
 The layout mirrors how the numbers are trusted: the series tail bound is
-checked against a doubled truncation, the functional-equation sign against
-the parameter independence it forces, the exact coset sums against frozen
+checked against a doubled truncation, the bucketed conjugates against a
+per-character oracle series, the functional-equation sign against the
+parameter independence it forces, the exact coset sums against frozen
 lattice data and their seed identity, and the decision policy against
 synthetic records.  The congruence sweep gets a deliberate fault injection
 so a silent pass cannot hide a broken multiplier.
@@ -10,14 +11,16 @@ so a silent pass cannot hide a broken multiplier.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import elltwists.lvalue as lvalue
-from elltwists.dirichlet import galois_orbits
+from elltwists.dirichlet import DirichletChar, galois_orbits
 from elltwists.elliptic import Curve
-from elltwists.lvalue import (CalibrationError, CosetSums, TwistRecord,
-                              calibrate, central_value, hecke_factor,
-                              t_independence, vanishing_decision)
+from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
+                              TwistRecord, calibrate, central_value,
+                              central_values, hecke_factor, t_independence,
+                              vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
@@ -26,6 +29,29 @@ E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
 CHI7 = galois_orbits(7, 3)[0]
 CHI9 = galois_orbits(9, 3)[0]
 CHI13 = galois_orbits(13, 3)[0]
+
+
+def oracle_value(curve, chi, err):
+    """Reference L(E, 1, chi): the per-character series, one complex term
+    at a time, with chi evaluated pointwise, summed until its own tail bound
+    drops below err / 100."""
+    N, w, f, ell = curve.conductor, curve.root_number, chi.conductor, chi.ell
+    r = mpmath.exp(-2 * mpmath.pi / (f * mpmath.sqrt(N)))
+    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+    tau = chi.gauss_sum()
+    eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
+    s1 = s2 = mpmath.mpc(0)
+    p = mpmath.mpf(1)
+    n = 0
+    while 2 * p * r / (1 - r) > err / 100:
+        n += 1
+        p *= r
+        k = chi.value_exponent(n)
+        if k is not None:
+            term = mpmath.mpf(curve.an_table(n)[n]) / n * p
+            s1 += term * zeta[k]
+            s2 += term * zeta[-k % ell]
+    return s1 + eps * s2
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +82,20 @@ class TestCentralValue:
             v2 = central_value(curve, chi, err=1e-13, truncation_scale=2)
             assert abs(v1 - v2) < 1e-13
 
+    @pytest.mark.parametrize("curve", [E37A, E37B], ids=["37a", "37b"])
+    @pytest.mark.parametrize("ell,f", [(3, 7), (3, 63), (5, 11), (5, 25),
+                                       (7, 29), (7, 49)])
+    def test_conjugates_match_oracle(self, curve, ell, f):
+        # every conjugate of one bucketed pass agrees with the per-character
+        # series, tame and wild conductors alike
+        chi = galois_orbits(f, ell)[0]
+        with mpmath.workdps(30):
+            taus = {j: chi.power(j).gauss_sum() for j in range(1, ell)}
+            values = central_values(curve, chi, taus, err=1e-12)
+            for j in range(1, ell):
+                oracle = oracle_value(curve, chi.power(j), 1e-12)
+                assert abs(values[j] - oracle) < 1e-12
+
     def test_t_independence_accepts_true_sign(self):
         assert t_independence(E37B, err=1e-13) < 1e-11
         assert t_independence(E37A, err=1e-13) < 1e-11
@@ -77,6 +117,22 @@ class TestCentralValue:
             central_value(bare)
         with pytest.raises(ValueError):
             t_independence(bare)
+
+
+class TestTDriftAlarm:
+    def test_wrong_root_number_raises(self):
+        # the wrong sign flips eps, so the two-series value moves with t
+        flipped = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
+        with pytest.raises(ConsistencyError):
+            lvalue._twist_rows(flipped, CHI7, 50)
+
+    def test_wrong_gauss_sum_raises(self, monkeypatch):
+        # a conjugated Gauss sum turns eps by a phase on a nonzero twist
+        gauss_sum = DirichletChar.gauss_sum
+        monkeypatch.setattr(DirichletChar, "gauss_sum",
+                            lambda chi: mpmath.conj(gauss_sum(chi)))
+        with pytest.raises(ConsistencyError):
+            lvalue._twist_rows(E37B, CHI9, 50)
 
 
 class TestCalibration:
