@@ -27,7 +27,6 @@ from .kummer import (FamilyFiber, SurfaceError, _e37b_pair, census_37b,
                      torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
                      t_independence)
-from .numcore import is_squarefree
 
 
 class ConfigError(Exception):
@@ -46,8 +45,10 @@ _CONFIG_KEYS = ("label", "a_invariants", "conductor", "root_number",
                 "precision_digits")
 
 # largest central-value spread over the test slice parameters that is still
-# attributable to truncation error rather than a wrong functional equation
+# attributable to truncation error rather than a wrong functional equation,
+# and the truncation error each of those central values is computed to
 _W_TOL = 1e-6
+_W_ERR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,11 @@ class CurveConfig:
         return Curve(self.a_invariants, label=self.label,
                      conductor=self.conductor, root_number=self.root_number)
 
-    def validated_curve(self, err: float = 1e-12) -> Curve:
+    def validated_curve(self) -> Curve:
         """The curve, after checking that the declared root number makes the
         central value independent of the free slice parameter."""
         curve = self.curve()
-        spread = t_independence(curve, err=err)
+        spread = t_independence(curve, err=_W_ERR)
         if spread > _W_TOL:
             raise ConfigError(
                 f"root_number {self.root_number} for {self.label} is "
@@ -213,10 +214,6 @@ class CensusSummary:
     def n_alarms(self) -> int:
         return sum(1 for r in self.rows if r.alarm)
 
-    @property
-    def undecided_rate(self) -> float:
-        return self.n_undecided / len(self.rows) if self.rows else 0.0
-
     def csv(self) -> str:
         lines = [CSV_HEADER]
         lines.extend(r.csv_line() for r in self.rows)
@@ -243,14 +240,13 @@ class CensusSummary:
         return "\n".join(lines)
 
 
-def _census_task(cal: CalibratedCurve, chi: DirichletChar,
-                 ladder: tuple) -> dict:
+def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
     """Decide one orbit.  Pure function of its arguments, safe to run in any
     process; failures become undecided rows, never exceptions, so a single
     bad orbit cannot abort a sweep."""
     start = time.perf_counter()
     try:
-        record = cal.twist_record(chi, ladder=ladder)
+        record = cal.twist_record(chi)
         row = CensusRow(chi.conductor, chi.label(), record.decision,
                         record.L_value, record.error_bound,
                         None if record.coset_sums is None
@@ -274,8 +270,8 @@ def _init_worker(cal: CalibratedCurve) -> None:
     _worker_cal = cal
 
 
-def _worker_task(chi: DirichletChar, ladder: tuple) -> dict:
-    return _census_task(_worker_cal, chi, ladder)
+def _worker_task(chi: DirichletChar) -> dict:
+    return _census_task(_worker_cal, chi)
 
 
 def _read_journal(path: Path) -> dict[str, CensusRow]:
@@ -326,8 +322,7 @@ def _growth_counts(rows, max_conductor: int):
 
 
 def run_census(config: CurveConfig, ell: int, max_conductor: int,
-               workers: int = 1, out=None, resume: bool = False,
-               ladder: tuple = (None, 80, 120)) -> CensusSummary:
+               workers: int = 1, out=None, resume: bool = False) -> CensusSummary:
     """Decide every admissible character orbit with conductor up to the
     bound.  Conductors sharing a factor with the level are counted as
     skipped, not silently dropped.  With an output path the run journals
@@ -355,6 +350,12 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     done: dict[str, CensusRow] = {}
     if journal is not None:
         if resume:
+            if journal.exists():
+                # cut a torn last line, so appended rows start a line of
+                # their own instead of extending it
+                end = journal.read_bytes().rfind(b"\n") + 1
+                with journal.open("r+b") as fh:
+                    fh.truncate(end)
             done = _read_journal(journal)
         else:
             journal.write_text("")
@@ -371,15 +372,14 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
 
     if workers <= 1:
         for chi in pending:
-            _log(_census_task(cal, chi, ladder))
+            _log(_census_task(cal, chi))
     else:
         # orbit list is conductor-sorted, so the pool's queue hands
         # conductors out round-robin across the worker processes
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(cal,)) as pool:
-            futures = [pool.submit(_worker_task, chi, ladder)
-                       for chi in pending]
+            futures = [pool.submit(_worker_task, chi) for chi in pending]
             for fut in futures:
                 _log(fut.result())
 
@@ -459,6 +459,9 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
 E37B_CONFIG = CurveConfig("37b", (Fraction(0), Fraction(1), Fraction(1),
                                   Fraction(-3), Fraction(1)), 37, 1)
 
+# largest conductor whose twist run_e37b samples: the series grow with it
+_SAMPLE_CAP = 2000
+
 
 @dataclass(frozen=True)
 class E37bSample:
@@ -502,28 +505,18 @@ def default_height_bound(max_conductor: int) -> int:
 
 
 def run_e37b(max_conductor: int, height_bound: int | None = None,
-             sample_size: int = 10, sample_cap: int = 2000) -> E37bReport:
-    """Sweep the slice family of the conductor-37 curve, count the distinct
-    cubic-field conductors it constructs, and verify on a sample that the
-    matched twist orbits really vanish.  Each of those vanishings is a
-    theorem, so a failed sample is a hard error, not a census row."""
+             sample_size: int = 10) -> E37bReport:
+    """Count the distinct cubic-field conductors that the slice family of
+    the conductor-37 curve constructs, and verify on a sample that the
+    matched twist orbits really vanish.  The sweep and every rule about its
+    rows (both squarefree rules, the distinctness check) live in
+    kummer.census_37b; this only counts and samples.  The sample takes the
+    smallest sample_size conductors up to _SAMPLE_CAP.  Each sampled
+    vanishing is a theorem, so a failed sample is a hard error, not a
+    census row."""
     if height_bound is None:
         height_bound = default_height_bound(max_conductor)
     census = census_37b(max_conductor, height_bound)
-
-    # distinct squarefree products must construct distinct fields; a
-    # collision would contradict the family's distinctness statement
-    by_conductor: dict[int, int] = {}
-    for row in census.rows:
-        value = row.h1 * row.h2
-        if not is_squarefree(value):
-            continue
-        prev = by_conductor.get(row.conductor)
-        if prev is not None and prev != value:
-            raise TheoryViolation(
-                f"distinct squarefree parameters {prev} and {value} "
-                f"constructed the same conductor {row.conductor}")
-        by_conductor[row.conductor] = value
 
     cutoffs = [10 ** k for k in range(4, 8) if 10 ** k <= max_conductor]
     if not cutoffs:
@@ -536,7 +529,7 @@ def run_e37b(max_conductor: int, height_bound: int | None = None,
                     dps=E37B_CONFIG.precision_digits)
     samples: list[E37bSample] = []
     for f in sorted({r.conductor for r in census.rows if
-                     r.conductor <= sample_cap})[:sample_size]:
+                     r.conductor <= _SAMPLE_CAP})[:sample_size]:
         row = next(r for r in census.rows if r.conductor == f)
         fiber = _e37b_pair(row.a, row.b)
         chi = fiber.field.matching_character()

@@ -40,6 +40,11 @@ class FieldConsistencyError(RuntimeError):
     """An exact invariant of cyclic cubic arithmetic failed."""
 
 
+# prime bounds for telling the character pairs of a conductor apart by
+# splitting: the first pass, then one escalation
+_MATCH_BOUNDS = (200, 500)
+
+
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over F_p (dense int lists, low degree first)
 
@@ -323,12 +328,17 @@ class FieldElt:
 
 class CubicField:
     """A cyclic cubic field Q[x]/(f), f monic integral irreducible with
-    square discriminant.  Build with from_cubic."""
+    square discriminant.  Build with from_cubic, which normalizes the model
+    and rejects reducible cubics before the constructor rejects a
+    discriminant that is not a positive square."""
 
     def __init__(self, poly: PolyQ, disc_factorization: Factorization | None = None):
         self.poly = poly
         self._c = [int(poly.coeff(i)) for i in range(4)]
         d = poly.discriminant()
+        if d <= 0 or not is_perfect_square(int(d)):
+            raise NonCyclicCubicError(
+                f"discriminant {d} is not a positive square: Galois group S3")
         self.poly_disc = int(d)
         self.sqrt_poly_disc = isqrt(self.poly_disc)
         c0, c1, c2 = self._c[0], self._c[1], self._c[2]
@@ -374,10 +384,6 @@ class CubicField:
         if roots:
             raise ReducibleCubicError(
                 f"cubic splits off rational roots {roots}", roots)
-        d = poly.discriminant()
-        if d <= 0 or not is_perfect_square(int(d)):
-            raise NonCyclicCubicError(
-                f"discriminant {d} is not a positive square: Galois group S3")
         return cls(poly, disc_factorization)
 
     def _field_disc_from(self, fac: Factorization) -> int:
@@ -465,14 +471,13 @@ class CubicField:
         raise FieldConsistencyError(
             f"{n} p-adic roots at {p}: impossible for a Galois cubic")
 
-    def matching_character(self, p_bound: int = 200,
-                           escalated_bound: int = 500) -> DirichletChar:
+    def matching_character(self) -> DirichletChar:
         """The canonical representative of the conjugate character pair cut
         out by this field: chi(p) = 1 exactly at split primes.  Tested
-        against all good primes up to p_bound, escalating once if two pairs
-        are still indistinguishable."""
+        against all good primes up to the first of _MATCH_BOUNDS, escalating
+        once if two pairs are still indistinguishable."""
         candidates = galois_orbits(self.conductor, 3)
-        for bound in (p_bound, escalated_bound):
+        for bound in _MATCH_BOUNDS:
             survivors = []
             for chi in candidates:
                 ok = True
@@ -492,7 +497,7 @@ class CubicField:
             candidates = survivors
         raise FieldConsistencyError(
             f"{len(candidates)} character pairs mod {self.conductor} agree up to "
-            f"{escalated_bound}: cannot separate")
+            f"{_MATCH_BOUNDS[-1]}: cannot separate")
 
     def as_dict(self) -> dict:
         return {

@@ -160,11 +160,11 @@ def delta_poly(curve: Curve) -> SurfaceModel:
     return SurfaceModel(curve)
 
 
-def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str]:
+def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str, Fraction]:
     """The monic cubic in x cut out by the line y = t0 x + u, with its
-    splitting type.  On a square-discriminant slice the Galois group is
-    cyclic, so one rational root forces all three; a lone rational root
-    cannot occur."""
+    splitting type and its discriminant.  On a square-discriminant slice the
+    Galois group is cyclic, so one rational root forces all three; a lone
+    rational root cannot occur."""
     t0, u = Fraction(t0), Fraction(u)
     p = curve.a2 - t0 * t0 - curve.a1 * t0
     q = curve.a4 - 2 * t0 * u - curve.a1 * u - curve.a3 * t0
@@ -176,15 +176,15 @@ def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str]:
                 - 4 * q ** 3 - 27 * r * r):
         raise SurfaceError("discriminant routes disagree on a slice cubic")
     if disc == 0:
-        return cubic, "degenerate"
+        return cubic, "degenerate", disc
     roots = cubic.rational_roots()
     if len(roots) == 3:
-        return cubic, "split-over-Q"
+        return cubic, "split-over-Q", disc
     if roots:
         raise SurfaceError("lone rational root on a square-discriminant slice")
     if _sqrt_fraction(disc) is None:
         raise SurfaceError("slice discriminant is not a square")
-    return cubic, "cyclic-cubic"
+    return cubic, "cyclic-cubic", disc
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def extract_cubic(surface: SurfaceModel, fp: FiberPoint) -> tuple[PolyQ, str]:
     checking that its delta really squares to the slice discriminant there."""
     if fp.delta * fp.delta != surface.fiber_quartic(fp.t0)(fp.u):
         raise SurfaceError("fiber point does not lie on the surface")
-    return _slice_cubic(surface.curve, fp.t0, fp.u)
+    cubic, kind, _ = _slice_cubic(surface.curve, fp.t0, fp.u)
+    return cubic, kind
 
 
 def _farey(bound: int):
@@ -250,7 +251,7 @@ def fiber_search(surface: SurfaceModel, t0, height_bound: int) -> list[FiberPoin
         root = _sqrt_fraction(val) if val >= 0 else None
         if root is None:
             continue
-        cubic, kind = _slice_cubic(surface.curve, t0, u)
+        cubic, kind, _ = _slice_cubic(surface.curve, t0, u)
         for d in sorted({root, -root}):
             out.append(FiberPoint(t0, u, d, cubic, kind, good))
     out.sort(key=lambda fp: (fp.u, fp.delta))
@@ -609,6 +610,7 @@ def torsion_base_curve(kind: str, lam) -> Curve:
 # y^2 + 4xy + y = x^3: the conductor-37 curve presented so that its t = 0
 # fiber carries the rational slice points
 E37B_SLICE = (4, 0, 1, 0, 0)
+_E37B_CURVE = Curve(E37B_SLICE, label="37b-slice")
 
 
 @dataclass(frozen=True)
@@ -618,6 +620,7 @@ class E37bFiber:
     delta: Fraction
     h1: int
     h2: int
+    h_factorization: Factorization      # of h1 h2
     poly: PolyQ
     cubic: PolyQ
     field: CubicField
@@ -625,17 +628,20 @@ class E37bFiber:
     point: tuple
 
 
-def _disc_hint(h1: int, h2: int, g: int) -> Factorization:
-    exps = {2: 10}
-    for n in (h1, h2, abs(g)):
-        for p, e in factor(n).pairs:
-            exps[p] = exps.get(p, 0) + 2 * e
+def _product(*powers: tuple[Factorization, int]) -> Factorization:
+    """Factorization of the product of the given factorizations, each
+    raised to its exponent."""
+    exps: dict[int, int] = {}
+    for fac, k in powers:
+        for p, e in fac.pairs:
+            exps[p] = exps.get(p, 0) + k * e
     return Factorization(tuple(sorted(exps.items())))
 
 
 def _e37b_pair(a: int, b: int) -> E37bFiber:
     """Slice data for the coprime parameter pair (a, b); b = 0 is the point
-    at infinity of the parameter line."""
+    at infinity of the parameter line.  Each of h1, h2 and g is factored
+    once; the fiber keeps the factorization of h1 h2 for the census."""
     if gcd(a, b) != 1:
         raise ValueError("parameter pair must be coprime")
     h1 = 7 * a * a + 12 * a * b + 9 * b * b
@@ -643,22 +649,23 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     g = 3 * a * a + a * b - 3 * b * b
     u = Fraction(h1, h2)
     delta = Fraction(32 * h1 * g, h2 * h2)
-    curve = Curve(E37B_SLICE, label="37b-slice")
-    cubic, kind = _slice_cubic(curve, 0, u)
-    if delta * delta != cubic.discriminant():
+    cubic, kind, disc = _slice_cubic(_E37B_CURVE, 0, u)
+    if delta * delta != disc:
         raise SurfaceError("slice point left the discriminant quartic")
     if kind != "cyclic-cubic":
         raise SurfaceError(f"parameter pair ({a}, {b}) gave a {kind} slice")
     poly = PolyQ.of(-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0, 1)
+    hh = _product((factor(h1), 1), (factor(h2), 1))
     # the hint doubles as an exact identity check: the field constructor
     # verifies that 2^10 (h1 h2 g)^2 really is the cubic's discriminant
-    field = CubicField.from_cubic(poly, disc_factorization=_disc_hint(h1, h2, g))
+    hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
+    field = CubicField.from_cubic(poly, disc_factorization=hint)
     xi = field.gen() / h2
     if cubic(xi) != field.zero():
         raise SurfaceError("integral model root does not satisfy the slice cubic")
     point = (xi, field(u))
-    return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2,
-                     poly, cubic, field, curve, point)
+    return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
+                     poly, cubic, field, _E37B_CURVE, point)
 
 
 def e37b_param(r) -> E37bFiber:
@@ -698,27 +705,38 @@ class E37bCensus:
 def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     """Sweep the coprime parameter pairs of height up to height_bound,
     build every slice field, and collect the distinct conductors up to
-    max_conductor.  The squarefree flag records whether h1 h2 is squarefree
+    max_conductor.
+
+    Both squarefree rules read the one factorization of h1 h2 that each
+    fiber carries.  The squarefree flag records whether h1 h2 is squarefree
     away from 2, 3 and 37; only flagged pairs feed the conductor count and
-    the new-field marks, though every pair is kept as a row."""
+    the new-field marks, though every pair is kept as a row.  Pairs whose
+    h1 h2 is squarefree outright must build distinct fields: two different
+    such products with the same conductor contradict the family's
+    distinctness statement and raise SurfaceError."""
     rows = []
     seen: set[int] = set()
+    # conductor -> the strictly squarefree h1 h2 that built it
+    products: dict[int, int] = {}
     params = [(1, 0)] + [(a, b) for b in range(1, height_bound + 1)
                          for a in range(-height_bound, height_bound + 1)
                          if gcd(a, b) == 1]
     for a, b in params:
         fiber = _e37b_pair(a, b)
-        exps: dict[int, int] = {}
-        for n in (fiber.h1, fiber.h2):
-            for p, e in factor(n).pairs:
-                exps[p] = exps.get(p, 0) + e
-        squarefree = all(e == 1 for p, e in exps.items()
-                         if p not in (2, 3, 37))
+        fac = fiber.h_factorization
+        squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
         conductor = fiber.field.conductor
         new = squarefree and conductor not in seen
         rows.append(CensusFieldRow(a, b, fiber.h1, fiber.h2, squarefree,
                                    conductor, new))
         if squarefree:
             seen.add(conductor)
+        if fac.is_squarefree():
+            value = fiber.h1 * fiber.h2
+            prev = products.setdefault(conductor, value)
+            if prev != value:
+                raise SurfaceError(
+                    f"distinct squarefree parameters {prev} and {value} "
+                    f"constructed the same conductor {conductor}")
     conductors = tuple(sorted(c for c in seen if c <= max_conductor))
     return E37bCensus(height_bound, max_conductor, tuple(rows), conductors)

@@ -78,6 +78,11 @@ SCALES = tuple(Fraction(v) for v in (12, 9, 6, 4, 3, 2, 1)) + tuple(
 _S_TOL = 1e-4        # recognition tolerance for coset sums
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
 _T_CHECK = Fraction(6, 5)  # second series parameter of the t-drift alarm
+# series parameters whose central values t_independence compares
+_T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
+# working precisions an undecided orbit is retried at, those above the
+# calibration's base precision only
+_RETRY_DPS = (80, 120)
 _SCALE_FLOOR = min(SCALES)
 
 
@@ -158,10 +163,11 @@ def central_value(curve: Curve, chi: DirichletChar | None = None, t=1, err=1e-15
 
 
 def t_independence(curve: Curve, chi: DirichletChar | None = None,
-                   t_values=(1, Fraction(6, 5), Fraction(3, 4)), err=1e-15) -> float:
-    """Max pairwise deviation of the two-series value across t.  Near zero
-    exactly when the attached root number (and twist epsilon) is right."""
-    vals = [central_value(curve, chi, t=t, err=err) for t in t_values]
+                   err=1e-15) -> float:
+    """Max pairwise deviation of the two-series value across _T_VALUES.
+    Near zero exactly when the attached root number (and twist epsilon) is
+    right."""
+    vals = [central_value(curve, chi, t=t, err=err) for t in _T_VALUES]
     return float(max(abs(a - b) for a in vals for b in vals))
 
 
@@ -412,14 +418,15 @@ class CalibratedCurve:
             numeric.sums = CosetSums(chi, sums, a0, self.scale, worst)
         return numeric.sums
 
-    def twist_record(self, chi: DirichletChar,
-                     ladder=(None, 80, 120)) -> TwistRecord:
+    def twist_record(self, chi: DirichletChar) -> TwistRecord:
         """Decide L(E, 1, chi): exact coset sums where recognition lands,
-        retried up a precision ladder, undecided past the last rung."""
+        retried at each of _RETRY_DPS above the base precision, undecided
+        past the last of them."""
         chi = chi.canonical()
         record = None
-        for rung in ladder:
-            dps = rung or self.base_dps
+        rungs = (self.base_dps,) + tuple(d for d in _RETRY_DPS
+                                         if d > self.base_dps)
+        for dps in rungs:
             numeric = self._twist(chi, dps)
             try:
                 cs = self.coset_sums(chi, dps)
@@ -477,7 +484,7 @@ _CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
 
 
 def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
-              conductor_bound: int = 400, scales=SCALES) -> CalibratedCurve:
+              conductor_bound: int = 400) -> CalibratedCurve:
     """Freeze the period scale for (curve, ell).
 
     Scans candidate scales from the largest down; a scale survives when the
@@ -487,8 +494,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
     usable lattice).  The twist series are computed once, shared across
     candidates and handed to the result.
     """
-    key = (curve, curve.label, ell, dps, n_orbits, conductor_bound,
-           tuple(scales))
+    key = (curve, curve.label, ell, dps, n_orbits, conductor_bound)
     if key in _CALIBRATIONS:
         return _CALIBRATIONS[key]
     reps = [r for r in orbit_representatives(ell, conductor_bound)
@@ -505,7 +511,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
     except ConsistencyError as exc:
         raise CalibrationError(f"probe series fail their check: {exc}") from exc
     failures = {}
-    for c in scales:
+    for c in SCALES:
         try:
             l0 = recognize_integer(base0 * c.denominator / c.numerator,
                                    tol=_S_TOL, err=_S_ERR)

@@ -3,8 +3,8 @@
 Integer factorization (trial division plus deterministic Miller-Rabin and
 Pollard rho, exact for inputs below 2^64), elements of Z[zeta_ell] in the
 power basis, dense polynomials over Q in one and two variables, and the
-float -> integer/rational recognition used when numerically computed
-quantities are known to be algebraic.
+float -> integer recognition used when numerically computed quantities are
+known to be integers.
 """
 from __future__ import annotations
 
@@ -112,12 +112,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
 
-    def radical(self) -> int:
-        out = 1
-        for p, _ in self.pairs:
-            out *= p
-        return out
-
     def valuation(self, p: int) -> int:
         for q, e in self.pairs:
             if q == p:
@@ -170,25 +164,11 @@ def factor(n: int) -> Factorization:
     return Factorization(tuple(sorted(pairs.items())))
 
 
-def is_squarefree(n: int) -> bool:
-    return factor(n).is_squarefree()
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
     r = isqrt(n)
     return r * r == n
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -627,14 +607,6 @@ def _monic_integer_roots(coeffs: list[int]) -> list[int]:
     return sorted(roots)
 
 
-def poly_discriminant(p: PolyQ) -> Fraction:
-    """Discriminant of a polynomial of degree 2, 3 or 4 (the shapes that
-    occur here: conic sections, fiber cubics, quartic models)."""
-    if not 2 <= p.degree <= 4:
-        raise ValueError(f"degree {p.degree} out of supported range [2, 4]")
-    return p.discriminant()
-
-
 class BiPolyQ:
     """Dense-coefficient bivariate polynomial over Q in variables (u, t),
     stored as a dict (deg_u, deg_t) -> coefficient."""
@@ -786,14 +758,3 @@ def recognize_integer(x, tol: float = 1e-4, err=None) -> int:
         )
     return int(m)
 
-
-def recognize_rational(x, max_denominator: int = 64, tol: float = 1e-6) -> Fraction:
-    """Snap a real numeric value to a rational with small denominator."""
-    xf = float(x)
-    cand = Fraction(xf).limit_denominator(max_denominator)
-    if abs(xf - float(cand)) > tol:
-        raise RecognitionError(
-            f"no rational with denominator <= {max_denominator} within {tol:.3g}",
-            value=x, residual=abs(xf - float(cand)),
-        )
-    return cand

@@ -142,7 +142,7 @@ class TestRunCensus:
         assert summary.computed == 0
         assert summary.resumed == 3
 
-    def test_torn_journal_line_ignored(self, tmp_path):
+    def test_torn_journal_line_ignored(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
         journal = tmp_path / "t.csv.log"
@@ -150,6 +150,12 @@ class TestRunCensus:
         journal.write_text("\n".join(lines[:2]) + '\n{"conductor": 13, "cha')
         summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
         assert summary.resumed == 2 and summary.computed == 1
+        # the torn fragment was cut, so the row appended after it is read
+        summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
+        assert summary.resumed == 3 and summary.computed == 0
+        capsys.readouterr()
+        assert main(["report", str(journal)]) == 0
+        assert "orbits: 3 (" in capsys.readouterr().out
 
     def test_resume_without_path_rejected(self):
         with pytest.raises(ConfigError):

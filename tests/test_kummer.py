@@ -6,6 +6,7 @@ exact factorization of its discriminant through the bad locus, and the
 conic criterion against a bounded brute-force point search.
 """
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -34,7 +35,7 @@ from elltwists.kummer import (
     jacobian_curve,
     torsion_family,
 )
-from elltwists.numcore import BiPolyQ, PolyQ
+from elltwists.numcore import BiPolyQ, PolyQ, factor
 
 F = Fraction
 
@@ -457,6 +458,50 @@ class TestCensus37b:
         assert sum(r.new_field for r in census.rows) == len(squarefree)
         first = census.rows[0]
         assert (first.a, first.b, first.conductor) == (1, 0, 63)
+
+    def test_each_pair_built_once(self, monkeypatch):
+        # per pair: one discriminant of the slice cubic, one of the integral
+        # model, and one factorization each of h1, h2 and g
+        import elltwists.numcore as numcore
+        calls = {"discriminant": 0, "factor": 0}
+        real_disc, real_factor = PolyQ.discriminant, numcore.factor
+
+        def disc(self):
+            calls["discriminant"] += 1
+            return real_disc(self)
+
+        def counted_factor(n):
+            calls["factor"] += 1
+            return real_factor(n)
+
+        monkeypatch.setattr(PolyQ, "discriminant", disc)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("elltwists") and \
+                    getattr(module, "factor", None) is real_factor:
+                monkeypatch.setattr(module, "factor", counted_factor)
+        census = census_37b(2000, 8)
+        assert len(census.rows) == 88
+        assert calls["discriminant"] == 2 * 88
+        assert calls["factor"] <= 3 * 88
+
+    def test_squarefree_collision_raises(self, monkeypatch):
+        # hand every strictly squarefree pair the field of the first one:
+        # distinct squarefree products then share a conductor
+        import elltwists.kummer as kummer
+        real = kummer._e37b_pair
+        fields = []
+
+        def colliding(a, b):
+            fiber = real(a, b)
+            if factor(fiber.h1 * fiber.h2).is_squarefree():
+                fields.append(fiber.field)
+                fiber = replace(fiber, field=fields[0])
+            return fiber
+
+        monkeypatch.setattr(kummer, "_e37b_pair", colliding)
+        with pytest.raises(SurfaceError, match="same conductor"):
+            census_37b(2000, 8)
+        assert len(fields) >= 2
 
     def test_csv_shape(self):
         census = census_37b(100, 2)

@@ -217,6 +217,26 @@ class TestTwistDecisions:
         assert record.decision == "nonzero"
         assert abs(record.L_value) > 10 * record.error_bound
 
+    def test_retries_only_above_base_precision(self, cal_b, monkeypatch):
+        # an orbit whose recognition keeps failing is retried at the
+        # precisions above the base one, in rising order, never below it
+        cal = lvalue.CalibratedCurve(E37B, 3, cal_b.scale, cal_b.lalg0,
+                                     base_dps=100)
+        tried = []
+
+        def rows(curve, chi, dps):
+            tried.append(dps)
+            return lvalue.TwistRows({1: 0j, 2: 0j}, 0j, 1e-10)
+
+        def fail(*args):
+            raise RecognitionError("forced")
+
+        monkeypatch.setattr(lvalue, "_twist_rows", rows)
+        monkeypatch.setattr(lvalue, "_solve_coset_sums", fail)
+        record = cal.twist_record(CHI7)
+        assert tried == [100, 120]
+        assert record.decision == "undecided"
+
     def test_decision_policy_truth_table(self):
         def rec(value, err, sums):
             cs = None if sums is None else \

@@ -4,7 +4,6 @@ The resultant is checked against an independent oracle: the product
 formula lc(p)^deg(q) * prod q(r_i) over the roots r_i of p, evaluated on
 factored test polynomials where the roots are known exactly.
 """
-import math
 import random
 from fractions import Fraction
 
@@ -20,13 +19,9 @@ from elltwists.numcore import (
     factor,
     is_perfect_square,
     is_prime,
-    is_squarefree,
-    poly_discriminant,
     primes_up_to,
     recognize_integer,
-    recognize_rational,
     sqrt_mod_prime,
-    xgcd,
 )
 
 
@@ -69,15 +64,14 @@ def test_is_prime_agrees_with_sieve():
 
 
 def test_squarefree_and_square_detection():
-    assert is_squarefree(1) and is_squarefree(37 * 41)
-    assert not is_squarefree(12) and not is_squarefree(49)
+    assert factor(1).is_squarefree() and factor(37 * 41).is_squarefree()
+    assert not factor(12).is_squarefree() and not factor(49).is_squarefree()
     assert is_perfect_square(0) and is_perfect_square(12845056)
     assert not is_perfect_square(2) and not is_perfect_square(-4)
 
 
 def test_factorization_accessors():
     f = factor(360)
-    assert f.radical() == 30
     assert f.valuation(2) == 3 and f.valuation(7) == 0
     assert not f.is_squarefree()
 
@@ -88,15 +82,6 @@ def test_factor_recombines_property(n):
     f = factor(n)
     assert f.n == n
     assert all(is_prime(p) for p in f.primes)
-
-
-def test_xgcd_bezout():
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6)
-        g, x, y = xgcd(a, b)
-        assert a * x + b * y == g
-        assert g == math.gcd(a, b) or g == -math.gcd(a, b)
 
 
 def test_sqrt_mod_prime():
@@ -168,13 +153,6 @@ def test_discriminant_vanishes_iff_repeated_root():
     simple = _poly_from_roots([1, 2, 5])
     assert double.discriminant() == 0
     assert simple.discriminant() != 0
-
-
-def test_poly_discriminant_degree_guard():
-    with pytest.raises(ValueError):
-        poly_discriminant(PolyQ.of(3, 1))
-    with pytest.raises(ValueError):
-        poly_discriminant(PolyQ.of(*([1] * 6)))
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=0, max_size=5),
@@ -342,11 +320,3 @@ def test_recognize_integer_error_bound_guard():
     assert recognize_integer(4.0001, err=1e-3) == 4
     with pytest.raises(RecognitionError):
         recognize_integer(4.0, err=0.3)
-
-
-def test_recognize_rational():
-    assert recognize_rational(0.3333333333) == Fraction(1, 3)
-    assert recognize_rational(-0.1111111111) == Fraction(-1, 9)
-    assert recognize_rational(0.25) == Fraction(1, 4)
-    with pytest.raises(RecognitionError):
-        recognize_rational(0.123456789, max_denominator=8)
