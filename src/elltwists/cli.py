@@ -44,7 +44,7 @@ def _load_config(args) -> CurveConfig:
     if args.curve is None:
         raise ConfigError("--curve is required for this command")
     config = CurveConfig.from_file(args.curve)
-    if getattr(args, "precision", None):
+    if getattr(args, "precision", None) is not None:
         config = CurveConfig(config.label, config.a_invariants,
                              config.conductor, config.root_number,
                              args.precision)

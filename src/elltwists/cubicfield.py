@@ -20,8 +20,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .dirichlet import DirichletChar, galois_orbits
-from .numcore import (Factorization, PolyQ, _fp_divmod, _fp_gcd, _fp_trim, factor,
-                      is_perfect_square, primes_up_to, sqrt_mod_prime)
+from .numcore import (Factorization, PolyQ, _fp_divmod, _fp_gcd, _fp_trim,
+                      cubic_discriminant, factor, is_perfect_square, primes_up_to,
+                      sqrt_mod_prime)
 
 
 class ReducibleCubicError(ValueError):
@@ -282,6 +283,8 @@ class FieldElt:
         return self._wrap(inv.coeff(i) for i in range(3))
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
         return self * self._match(other).inverse()
 
     def __rtruediv__(self, other):
@@ -335,13 +338,13 @@ class CubicField:
     def __init__(self, poly: PolyQ, disc_factorization: Factorization | None = None):
         self.poly = poly
         self._c = [int(poly.coeff(i)) for i in range(4)]
-        d = poly.discriminant()
-        if d <= 0 or not is_perfect_square(int(d)):
+        c0, c1, c2 = self._c[:3]
+        d = cubic_discriminant(c0, c1, c2)
+        if d <= 0 or not is_perfect_square(d):
             raise NonCyclicCubicError(
                 f"discriminant {d} is not a positive square: Galois group S3")
-        self.poly_disc = int(d)
-        self.sqrt_poly_disc = isqrt(self.poly_disc)
-        c0, c1, c2 = self._c[0], self._c[1], self._c[2]
+        self.poly_disc = d
+        self.sqrt_poly_disc = isqrt(d)
         # reduction table: xi^3 and xi^4 in the power basis
         self._xi3 = (Fraction(-c0), Fraction(-c1), Fraction(-c2))
         self._xi4 = (Fraction(c0 * c2), Fraction(c1 * c2 - c0), Fraction(c2 * c2 - c1))

@@ -10,7 +10,12 @@ modulus (q, or ell^2 when q = ell), g generates (Z/m)^* and e in
     chi(a) = zeta_ell ^ sum_i e_i * ind_{g_i}(a mod m_i)   (mod ell),
 
 with chi(a) = 0 whenever gcd(a, f) > 1.  Characters of odd order are
-automatically even.
+automatically even, and f is odd, so c and f - c share an exponent: one pass
+over the real Gaussian periods
+
+    eta_k = 2 sum_{1 <= c < f/2, ind(c) = k} cos(2 pi c / f)
+
+gives every Gauss sum of a Galois orbit as tau(chi^j) = sum_k zeta^(jk) eta_k.
 """
 from __future__ import annotations
 
@@ -199,18 +204,21 @@ class DirichletChar:
 
     # -- analytic ----------------------------------------------------------
 
+    def gauss_sums(self) -> dict:
+        """{j: tau(chi^j)} for j = 1..ell-1, tau(chi) = sum_{c mod f} chi(c)
+        e^(2 pi i c / f), at the current mpmath precision, from one pass."""
+        f, ell = self.conductor, self.ell
+        eta = [mpmath.mpf(0)] * ell
+        for c, k in enumerate(self.exponent_table(f // 2)):
+            if k >= 0:
+                eta[k] += mpmath.cospi(mpmath.mpf(2 * c) / f)
+        zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+        return {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
+                for j in range(1, ell)}
+
     def gauss_sum(self):
-        """tau(chi) = sum_{c mod f} chi(c) e^(2 pi i c / f) at the current
-        mpmath working precision."""
-        f = self.conductor
-        two_pi_i = 2j * mpmath.pi
-        zeta = [mpmath.e ** (two_pi_i * k / self.ell) for k in range(self.ell)]
-        total = mpmath.mpc(0)
-        for c in range(1, f):
-            k = self.value_exponent(c)
-            if k is not None:
-                total += zeta[k] * mpmath.e ** (two_pi_i * c / f)
-        return total
+        """tau(chi) at the current mpmath working precision."""
+        return self.gauss_sums()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import sympy
 
 from .cubicfield import CubicField
 from .elliptic import Curve, is_nontorsion, on_curve
-from .numcore import (BiPolyQ, Factorization, PolyQ, factor, sqrt_mod_prime)
+from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant, factor,
+                      sqrt_mod_prime)
 
 
 class SurfaceError(Exception):
@@ -138,8 +139,7 @@ def _slice_discriminant(curve: Curve) -> BiPolyQ:
     q = (BiPolyQ.const(curve.a4) - 2 * t * u - BiPolyQ.const(curve.a1) * u
          - BiPolyQ.const(curve.a3) * t)
     r = BiPolyQ.const(curve.a6) - u * u - BiPolyQ.const(curve.a3) * u
-    return (18 * p * q * r - 4 * p ** 3 * r + p * p * q * q - 4 * q ** 3
-            - 27 * r * r)
+    return cubic_discriminant(r, q, p)
 
 
 class SurfaceModel:
@@ -172,8 +172,7 @@ def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str, Fraction]:
     cubic = PolyQ.of(r, q, p, 1)
     disc = cubic.discriminant()
     # dual route: resultant-based discriminant against the closed form
-    if disc != (18 * p * q * r - 4 * p ** 3 * r + p * p * q * q
-                - 4 * q ** 3 - 27 * r * r):
+    if disc != cubic_discriminant(r, q, p):
         raise SurfaceError("discriminant routes disagree on a slice cubic")
     if disc == 0:
         return cubic, "degenerate", disc

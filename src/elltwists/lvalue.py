@@ -21,11 +21,11 @@ and every conjugate twist of the orbit follows without another pass:
 
     L(E, 1, chi^j) = sum_k zeta^(jk) B_k(r1) + eps_j sum_k zeta^(-jk) B_k(r2),
 
-with eps_j the eps of chi^j.  At t = 1 the two radii coincide and one
-bucket vector serves both series.  Each orbit is also evaluated at t = 6/5
-with the same Gauss sums; a true value moves by at most the sum of the two
-tail bounds, while a wrong root number, chi(N), Gauss sum or exponent table
-moves it by far more, so a larger drift is a consistency alarm.
+with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
+orbit's real Gaussian periods.  At t = 1 one bucket vector serves both series.
+Each orbit is also evaluated at t = 6/5 with the same Gauss sums; a true value
+moves by at most the sum of the two tail bounds, while a wrong root number,
+chi(N), Gauss sum or exponent table moves it by far more: a consistency alarm.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -199,17 +199,17 @@ class TwistRows:
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
-    """Rows of every conjugate twist from one series pass, each Gauss sum
-    computed once.  A second pass at t = _T_CHECK with the same Gauss sums
+    """Rows of every conjugate twist from one series pass and one Gauss-sum
+    pass.  A second pass at t = _T_CHECK with the same Gauss sums
     must agree within the two tail bounds: it tests the root number, chi(N),
     the Gauss sums and the exponent table of this very orbit."""
-    ell, f = chi.ell, chi.conductor
+    f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
         # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
-        taus = {j: chi.power(j).gauss_sum() for j in range(1, ell)}
+        taus = chi.gauss_sums()
         values = central_values(curve, chi, taus, err=err_l)
         moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l)
         drift = max(abs(moved[j] - values[j]) for j in taus)

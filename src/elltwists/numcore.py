@@ -26,7 +26,6 @@ class RecognitionError(ValueError):
 # ---------------------------------------------------------------------------
 # primes and factorization
 
-_TRIAL_LIMIT = 10 ** 6
 # deterministic Miller-Rabin witness set, sufficient far beyond 2^64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -47,7 +46,7 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -69,12 +68,10 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant).
+    """A nontrivial factor of composite odd n (Floyd's cycle finding).
 
     The increment c is stepped deterministically so results are stable.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -125,7 +122,7 @@ class Factorization:
 def factor(n: int) -> Factorization:
     """Factor a positive integer exactly.
 
-    Trial division by primes up to 10^6, then deterministic Miller-Rabin
+    Trial division by primes below 1000, then deterministic Miller-Rabin
     plus Pollard rho on the cofactor.  Exact for all n < 2^64 and in
     practice far beyond.
     """
@@ -139,28 +136,14 @@ def factor(n: int) -> Factorization:
         while m % p == 0:
             pairs[p] = pairs.get(p, 0) + 1
             m //= p
-    if m > 1 and not is_prime(m):
-        # continue trial division in the mid range before falling back to rho
-        p = 1009
-        while p * p <= m and p <= _TRIAL_LIMIT:
-            if m % p == 0:
-                while m % p == 0:
-                    pairs[p] = pairs.get(p, 0) + 1
-                    m //= p
-                if is_prime(m):
-                    break
-            p += 2
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             pairs[m] = pairs.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack.extend((d, m // d))
     return Factorization(tuple(sorted(pairs.items())))
 
 
@@ -513,6 +496,13 @@ class PolyQ:
             else:
                 parts.append(f"{a}*x^{i}")
         return " + ".join(parts)
+
+
+def cubic_discriminant(c0, c1, c2):
+    """Discriminant of the monic cubic x^3 + c2 x^2 + c1 x + c0, over any
+    ring the coefficients live in."""
+    return (18 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
+            - 4 * c1 ** 3 - 27 * c0 * c0)
 
 
 def _squarefree_monic(coeffs: list[int]) -> list[int]:

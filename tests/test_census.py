@@ -251,6 +251,9 @@ class TestCommandLine:
     def test_usage_error_exits_one(self, capsys):
         assert main(["census", "--curve", "curves/37b.cfg"]) == 1
         assert main(["no-such-command"]) == 1
+        # 0 is a value, not an absent option: below the 15-digit floor
+        assert main(["twist-value", "--curve", "curves/37b.cfg",
+                     "--precision", "0", "7"]) == 1
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

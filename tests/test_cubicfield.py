@@ -12,7 +12,7 @@ from sympy.abc import x as sym_x
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from elltwists.cubicfield import (CubicField, NonCyclicCubicError,
+from elltwists.cubicfield import (CubicField, FieldElt, NonCyclicCubicError,
                                   ReducibleCubicError, _zp_root_count)
 from elltwists.numcore import PolyQ, factor, primes_up_to, recognize_integer
 
@@ -269,6 +269,23 @@ class TestFieldArithmetic:
                 a / b
         else:
             assert (a / b) * b == a
+
+    def test_division_by_rational_scales(self, monkeypatch):
+        # a rational divisor is a scalar: no extended Euclid in Q[x]
+        k = CubicField.from_cubic([-1, -2, 1, 1])
+        x = k(1, 2, 3)
+        expected = x * Fraction(7, 3)
+
+        def no_inverse(self):
+            raise AssertionError("inverse() called for a rational divisor")
+
+        monkeypatch.setattr(FieldElt, "inverse", no_inverse)
+        assert k.gen() / 7 == k.gen() * Fraction(1, 7)
+        assert x / Fraction(3, 7) == expected
+        with pytest.raises(ZeroDivisionError):
+            k.gen() / 0
+        with pytest.raises(ZeroDivisionError):
+            k.gen() / Fraction(0)
 
     def test_minimal_polynomial_satisfied(self):
         k = CubicField.from_cubic([-3584, -448, 0, 1])

@@ -1,6 +1,6 @@
 """Character checks: multiplicativity and primitivity verified by exhaustive
-brute force, counts against the closed form, Gauss sums against the modulus
-identity, and orbit bookkeeping."""
+brute force, counts against the closed form, Gauss sums against the
+per-residue definition and the modulus identity, and orbit bookkeeping."""
 
 from math import gcd
 
@@ -25,6 +25,20 @@ def expected_count(f: int, ell: int) -> int:
         else:
             return 0
     return out
+
+
+def pointwise_gauss_sum(chi):
+    """Reference tau(chi) = sum_{c mod f} chi(c) e^(2 pi i c / f), one
+    complex exponential per residue, chi evaluated pointwise."""
+    f = chi.conductor
+    two_pi_i = 2j * mpmath.pi
+    zeta = [mpmath.e ** (two_pi_i * k / chi.ell) for k in range(chi.ell)]
+    total = mpmath.mpc(0)
+    for c in range(1, f):
+        k = chi.value_exponent(c)
+        if k is not None:
+            total += zeta[k] * mpmath.e ** (two_pi_i * c / f)
+    return total
 
 
 class TestCharacterTable:
@@ -142,6 +156,22 @@ class TestOrbitStructure:
 
 
 class TestGaussSum:
+    @pytest.mark.parametrize("ell,f", [
+        (3, 7), (3, 9), (3, 63), (3, 91), (3, 117),
+        (5, 11), (5, 25), (5, 31), (5, 275),
+        (7, 29), (7, 43), (7, 49),
+    ])
+    def test_periods_match_pointwise_definition(self, ell, f):
+        # every conjugate of the one-pass periods against the per-residue
+        # sum, tame and wild (ell^2 | f) conductors, every orbit
+        with mpmath.workdps(50):
+            for chi in galois_orbits(f, ell):
+                taus = chi.gauss_sums()
+                assert sorted(taus) == list(range(1, ell))
+                for j, tau in taus.items():
+                    assert abs(tau - pointwise_gauss_sum(chi.power(j))) < 1e-45
+                assert chi.gauss_sum() == taus[1]
+
     def test_modulus_squared_is_conductor(self):
         # |tau(chi)|^2 = f for primitive chi, orders 3 and 5
         with mpmath.workdps(30):

@@ -460,8 +460,9 @@ class TestCensus37b:
         assert (first.a, first.b, first.conductor) == (1, 0, 63)
 
     def test_each_pair_built_once(self, monkeypatch):
-        # per pair: one discriminant of the slice cubic, one of the integral
-        # model, and one factorization each of h1, h2 and g
+        # per pair: one resultant discriminant, of the slice cubic (the
+        # integral model takes the closed form), and one factorization each
+        # of h1, h2 and g
         import elltwists.numcore as numcore
         calls = {"discriminant": 0, "factor": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
@@ -481,7 +482,7 @@ class TestCensus37b:
                 monkeypatch.setattr(module, "factor", counted_factor)
         census = census_37b(2000, 8)
         assert len(census.rows) == 88
-        assert calls["discriminant"] == 2 * 88
+        assert calls["discriminant"] == 88
         assert calls["factor"] <= 3 * 88
 
     def test_squarefree_collision_raises(self, monkeypatch):

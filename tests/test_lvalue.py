@@ -22,6 +22,7 @@ from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
                               central_values, hecke_factor, t_independence,
                               vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
+from test_dirichlet import pointwise_gauss_sum
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -33,12 +34,12 @@ CHI13 = galois_orbits(13, 3)[0]
 
 def oracle_value(curve, chi, err):
     """Reference L(E, 1, chi): the per-character series, one complex term
-    at a time, with chi evaluated pointwise, summed until its own tail bound
-    drops below err / 100."""
+    at a time, with chi and its Gauss sum evaluated pointwise, summed until
+    its own tail bound drops below err / 100."""
     N, w, f, ell = curve.conductor, curve.root_number, chi.conductor, chi.ell
     r = mpmath.exp(-2 * mpmath.pi / (f * mpmath.sqrt(N)))
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
-    tau = chi.gauss_sum()
+    tau = pointwise_gauss_sum(chi)
     eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
     s1 = s2 = mpmath.mpc(0)
     p = mpmath.mpf(1)
@@ -90,8 +91,7 @@ class TestCentralValue:
         # series, tame and wild conductors alike
         chi = galois_orbits(f, ell)[0]
         with mpmath.workdps(30):
-            taus = {j: chi.power(j).gauss_sum() for j in range(1, ell)}
-            values = central_values(curve, chi, taus, err=1e-12)
+            values = central_values(curve, chi, chi.gauss_sums(), err=1e-12)
             for j in range(1, ell):
                 oracle = oracle_value(curve, chi.power(j), 1e-12)
                 assert abs(values[j] - oracle) < 1e-12
@@ -127,12 +127,33 @@ class TestTDriftAlarm:
             lvalue._twist_rows(flipped, CHI7, 50)
 
     def test_wrong_gauss_sum_raises(self, monkeypatch):
-        # a conjugated Gauss sum turns eps by a phase on a nonzero twist
-        gauss_sum = DirichletChar.gauss_sum
-        monkeypatch.setattr(DirichletChar, "gauss_sum",
-                            lambda chi: mpmath.conj(gauss_sum(chi)))
+        # conjugated Gauss sums turn eps by a phase on a nonzero twist
+        gauss_sums = DirichletChar.gauss_sums
+        monkeypatch.setattr(DirichletChar, "gauss_sums", lambda chi: {
+            j: mpmath.conj(tau) for j, tau in gauss_sums(chi).items()})
         with pytest.raises(ConsistencyError):
             lvalue._twist_rows(E37B, CHI9, 50)
+
+    def test_one_gauss_sum_pass_per_orbit(self, monkeypatch):
+        # all conjugates come from one gauss_sums() call: no chi^j is built
+        # and chi is evaluated pointwise only for chi(N), once per series t
+        chi = galois_orbits(31, 5)[0]
+        calls = {"gauss_sums": 0, "power": 0, "value_exponent": 0}
+
+        def counted(name):
+            real = getattr(DirichletChar, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(DirichletChar, name, counted(name))
+        lvalue._twist_rows(E37B, chi, 50)
+        assert calls["gauss_sums"] == 1
+        assert calls["power"] == 0
+        assert calls["value_exponent"] <= 2
 
 
 class TestCalibration:

@@ -16,6 +16,7 @@ from elltwists.numcore import (
     CyclotomicInt,
     PolyQ,
     RecognitionError,
+    cubic_discriminant,
     factor,
     is_perfect_square,
     is_prime,
@@ -146,6 +147,19 @@ def test_discriminant_known_values():
     # quadratic ax^2 + bx + c: disc = b^2 - 4ac
     for a, b, c in [(1, 3, 1), (2, -5, 3), (3, 0, -7)]:
         assert PolyQ.of(c, b, a).discriminant() == b * b - 4 * a * c
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=3, max_size=3),
+       st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_cubic_discriminant_matches_resultant(ints, fracs):
+    # the closed form agrees with the resultant route on integers and
+    # fractions alike, and stays in the ring it was given
+    for c0, c1, c2 in (ints, fracs):
+        d = cubic_discriminant(c0, c1, c2)
+        assert d == PolyQ.of(c0, c1, c2, 1).discriminant()
+    assert isinstance(cubic_discriminant(*ints), int)
 
 
 def test_discriminant_vanishes_iff_repeated_root():
