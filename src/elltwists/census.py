@@ -134,9 +134,9 @@ class CurveConfig:
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One character orbit's verdict.  The timing is journal data only; the
-    emitted CSV must be byte-identical across worker counts and resumes, so
-    it never includes elapsed."""
+    """One character orbit's verdict.  The timing and the series engine are
+    journal data only; the emitted CSV must be byte-identical across worker
+    counts and resumes, so it never includes them."""
 
     conductor: int
     character: str
@@ -147,6 +147,7 @@ class CensusRow:
     elapsed: float = 0.0
     error: str | None = None
     alarm: bool = False
+    rung: str | None = None          # series engine: dd | mpmath
 
     @property
     def sort_key(self) -> tuple:
@@ -176,6 +177,7 @@ class CensusRow:
             "elapsed": self.elapsed,
             "error": self.error,
             "alarm": self.alarm,
+            "rung": self.rung,
         }
 
     @classmethod
@@ -187,7 +189,7 @@ class CensusRow:
                    d.get("error_bound"),
                    None if sums is None else tuple(sums),
                    d.get("elapsed", 0.0), d.get("error"),
-                   d.get("alarm", False))
+                   d.get("alarm", False), d.get("rung"))
 
 
 CSV_HEADER = "conductor, character, decision, L_re, L_im, error_bound, coset_sums"
@@ -251,7 +253,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
                         record.L_value, record.error_bound,
                         None if record.coset_sums is None
                         else tuple(record.coset_sums.sums),
-                        time.perf_counter() - start)
+                        time.perf_counter() - start, rung=record.rung)
     except Exception as exc:                      # noqa: BLE001 - journal it
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,

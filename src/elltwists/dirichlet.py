@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 import mpmath
+import numpy as np
 
 from .numcore import factor, is_prime, primes_up_to
 
@@ -121,19 +122,19 @@ class DirichletChar:
             total += e * v
         return total % self.ell
 
-    def exponent_table(self, limit: int) -> list[int]:
-        """value_exponent(n) for n in 0..limit, with -1 for chi(n) = 0.
+    def exponent_table(self, limit: int) -> np.ndarray:
+        """value_exponent(n) for n in 0..limit as an int64 array, with -1 for
+        chi(n) = 0.
 
-        This is the hot path for the twisted Dirichlet series, so the
-        component tables are merged in one pass."""
-        out = [0] * (limit + 1)
+        This is the hot path for the twisted Dirichlet series, so each
+        component's index table is read for a whole period n < f at once,
+        and the period is repeated out to the limit."""
+        n = np.arange(min(self.conductor, limit + 1), dtype=np.int64)
+        total = np.zeros(len(n), dtype=np.int64)
         for _, m, g, e in self.components:
-            ind = _index_table(g, m)
-            for n in range(limit + 1):
-                if out[n] >= 0:
-                    v = ind[n % m]
-                    out[n] = out[n] + e * v if v >= 0 else -1
-        return [v % self.ell if v >= 0 else -1 for v in out]
+            v = np.take(np.array(_index_table(g, m), dtype=np.int64), n % m)
+            total = np.where((total < 0) | (v < 0), -1, total + e * v)
+        return np.resize(np.where(total >= 0, total % self.ell, -1), limit + 1)
 
     def __call__(self, a: int) -> complex:
         k = self.value_exponent(a)
@@ -209,7 +210,7 @@ class DirichletChar:
         e^(2 pi i c / f), at the current mpmath precision, from one pass."""
         f, ell = self.conductor, self.ell
         eta = [mpmath.mpf(0)] * ell
-        for c, k in enumerate(self.exponent_table(f // 2)):
+        for c, k in enumerate(self.exponent_table(f // 2).tolist()):
             if k >= 0:
                 eta[k] += mpmath.cospi(mpmath.mpf(2 * c) / f)
         zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]

@@ -23,9 +23,31 @@ and every conjugate twist of the orbit follows without another pass:
 
 with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
 orbit's real Gaussian periods.  At t = 1 one bucket vector serves both series.
+
 Each orbit is also evaluated at t = 6/5 with the same Gauss sums; a true value
 moves by at most the sum of the two tail bounds, while a wrong root number,
 chi(N), Gauss sum or exponent table moves it by far more: a consistency alarm.
+
+Two engines fill the buckets, chosen by the working precision alone.  At or
+below _DD_MAX_DPS = 50 digits (the default, down to the config's floor of 15)
+a vectorised double-double kernel does: a_n / n is a (hi, lo) pair with an
+exact TwoProduct remainder, formed once per orbit; r^n = r^(qB) r^s is one
+Dekker product of two anchors from fixed-point integer powers of r; each term
+is one more Dekker product.  The terms go in fixed-size chunks; each chunk's
+share of a bucket is summed exactly by math.fsum and rounded to (hi, lo), and
+the chunk pairs are summed exactly and rounded once more.  Every term is
+within about 20 * 2^-106 of its exact value, relatively, and each rounding
+of a pair costs at most 2^-106 of its sum, so
+
+    |B_k^dd - B_k| <= _DD_ROUNDOFF * sum_{ind(n) = k} |(a_n / n) r^n|,
+    _DD_ROUNDOFF = 2^-100,
+
+and a pass whose bound exceeds err / 100 raises ConsistencyError; the bound
+never enters the reported tail bound.  About 31 significant digits lose
+nothing a decision or a printed float can see, since the values are only
+trusted to their tail bound.  Above 50 digits (the retry precisions, or a
+config asking for more) the per-term mpmath loop runs instead, so a retry is
+an independent computation; it is also the double-double kernel's oracle.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -53,9 +75,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import mpmath
+import numpy as np
 
 from .dirichlet import DirichletChar, orbit_representatives
 from .elliptic import Curve
@@ -84,6 +108,14 @@ _T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
 # calibration's base precision only
 _RETRY_DPS = (80, 120)
 _SCALE_FLOOR = min(SCALES)
+# working precisions up to this one sum the series in double-double; above
+# it (the retry precisions, or a config asking for more digits) the mpmath
+# loop does, so a retry is an independent computation
+_DD_MAX_DPS = 50
+# roundoff of a double-double bucket, relative to the sum of |terms|
+_DD_ROUNDOFF = 2.0 ** -100
+_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
+_DD_CHUNK = 8192       # terms per vectorised step of the kernel
 
 
 def _as_mpf(t):
@@ -99,8 +131,9 @@ def _terms_needed(c, eps) -> int:
     return max(1, math.ceil(math.log(2.0 / (float(eps) * (1.0 - q))) / c))
 
 
-def _buckets(an: list[int], exps: list[int], ell: int, r, M: int) -> list:
-    """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1."""
+def _buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
+    """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1,
+    one mpf term at a time: the mpmath rung, and the oracle of the other."""
     out = [mpmath.mpf(0)] * ell
     p = mpmath.mpf(1)
     for n in range(1, M + 1):
@@ -111,15 +144,140 @@ def _buckets(an: list[int], exps: list[int], ell: int, r, M: int) -> list:
     return out
 
 
+def _rung(dps: int) -> str:
+    """The engine that sums the series at working precision dps."""
+    return "dd" if dps <= _DD_MAX_DPS else "mpmath"
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al)(bh + bl) as a normalised double-double pair."""
+    p, e = _two_prod(ah, bh)
+    e += ah * bl + al * bh
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _dd_quotient(a, n):
+    """a / n as double-double pairs, for arrays of exact integers: the
+    remainder a - hi n is exact (TwoProduct, then Sterbenz)."""
+    hi = a / n
+    p, e = _two_prod(hi, n)
+    return hi, ((a - p) - e) / n
+
+
+def _dd_table(values: list[int], K: int):
+    """Fixed-point integers v / 2^K as double-double arrays."""
+    hi = [float(v) for v in values]
+    lo = [float(v - int(h)) for v, h in zip(values, hi)]
+    return np.ldexp(np.array(hi), -K), np.ldexp(np.array(lo), -K)
+
+
+def _dd_anchors(r, M: int):
+    """B and the tables r^s (s < B) and r^(qB) (q <= M // B), B = isqrt(M) + 1,
+    as double-double arrays.  The powers are taken in K-bit fixed point from
+    the one exact floor(r 2^K), with K chosen so that r^M keeps 160 bits:
+    each truncation costs at most 2^-160 relatively, so a table entry is
+    within (M + 2B) 2^-160 of its power of r, far below 2^-106."""
+    B = math.isqrt(M) + 1
+    K = 160 + math.ceil(-M * float(mpmath.log(r, 2)))
+    R = int(mpmath.ldexp(r, K))
+    small = [1 << K]
+    for _ in range(B):
+        small.append(small[-1] * R >> K)
+    RB = small.pop()
+    big = [1 << K]
+    for _ in range(M // B):
+        big.append(big[-1] * RB >> K)
+    return B, _dd_table(small, K), _dd_table(big, K)
+
+
+class _SeriesTerms:
+    """The n <= M with a_n chi(n) != 0, their exponents k = ind(n) and a_n / n
+    as double-double pairs: formed once per orbit and shared by its series
+    passes.  The mpmath rung reads the coefficient and exponent tables."""
+
+    def __init__(self, curve: Curve, chi: DirichletChar | None, M: int):
+        self.M = M
+        self.an = curve.an_table(M)
+        self.exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
+                     else chi.exponent_table(M))
+        an = np.fromiter(islice(self.an, M + 1), dtype=np.int64, count=M + 1)
+        self.n = np.flatnonzero((an != 0) & (self.exps >= 0))
+        self.k = self.exps[self.n]
+        a = an[self.n].astype(np.float64)
+        self.q_hi, self.q_lo = np.empty_like(a), np.empty_like(a)
+        for start in range(0, len(a), _DD_CHUNK):
+            part = slice(start, start + _DD_CHUNK)
+            self.q_hi[part], self.q_lo[part] = _dd_quotient(
+                a[part], self.n[part].astype(np.float64))
+
+
+def _dd_sum(parts: list[float]) -> tuple[float, float]:
+    """The exact sum of parts, rounded once to a double-double pair; parts
+    is extended in the process."""
+    hi = math.fsum(parts)
+    parts.append(-hi)
+    return hi, math.fsum(parts)
+
+
+def _dd_buckets(terms: _SeriesTerms, ell: int, r, M: int) -> tuple[list, float]:
+    """B_k(r) for k = 0..ell-1 in double-double arithmetic, and the bound
+    _DD_ROUNDOFF * sum_{n <= M} |(a_n / n) r^n| on their total roundoff.
+
+    r^n = r^(qB) r^s, one double-double product of two anchors.  The terms
+    go in chunks of _DD_CHUNK, so no temporary grows with M; each chunk's
+    share of a bucket is summed exactly and rounded once to a (hi, lo) pair,
+    and the pairs once more."""
+    B, (sh, sl), (bh, bl) = _dd_anchors(r, M)
+    pairs = [[] for _ in range(ell)]
+    size = 0.0
+    cut = np.searchsorted(terms.n, M, side="right")
+    for start in range(0, cut, _DD_CHUNK):
+        part = slice(start, min(start + _DD_CHUNK, cut))
+        n, k = terms.n[part], terms.k[part]
+        q, s = np.divmod(n, B)
+        ph, pl = _dd_mul(bh[q], bl[q], sh[s], sl[s])
+        th, tl = _dd_mul(terms.q_hi[part], terms.q_lo[part], ph, pl)
+        size += float(np.abs(th).sum())
+        for j, pair in enumerate(pairs):
+            mask = k == j
+            pair.extend(_dd_sum(th[mask].tolist() + tl[mask].tolist()))
+    return ([mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)],
+            _DD_ROUNDOFF * size)
+
+
+def _radii(N: int, f: int, t, err, truncation_scale: int) -> list:
+    """(r, M) for the two series: radius r = e^(-c) and the M terms that
+    bring each tail under err / 2."""
+    sqrt_n = mpmath.sqrt(N)
+    return [(mpmath.exp(-c), _terms_needed(c, err / 2) * truncation_scale)
+            for c in (2 * mpmath.pi * t / (f * sqrt_n),
+                      2 * mpmath.pi / (t * f * sqrt_n))]
+
+
 def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
-                   err=1e-15, truncation_scale: int = 1) -> dict:
+                   err=1e-15, truncation_scale: int = 1,
+                   terms: _SeriesTerms | None = None) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the same real exponent buckets (one pass over n per
     series radius); absolute error <= err plus roundoff.  chi = None is the
     trivial character, asked for as taus = {0: 1}.
 
     truncation_scale multiplies the computed series lengths; recomputing
-    with 2 and differencing is the soundness check on the tail bound itself."""
+    with 2 and differencing is the soundness check on the tail bound itself.
+    terms, built for this chi, lets several calls share one set of a_n / n;
+    it is rebuilt when it is too short."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -129,21 +287,25 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     t = _as_mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
-    sqrt_n = mpmath.sqrt(N)
-    c1 = 2 * mpmath.pi * t / (f * sqrt_n)
-    c2 = 2 * mpmath.pi / (t * f * sqrt_n)
-    M1 = _terms_needed(c1, err / 2) * truncation_scale
-    M2 = _terms_needed(c2, err / 2) * truncation_scale
-    M = max(M1, M2)
-    an = curve.an_table(M)
-    if chi is None:
-        ell, exps, k_n = 1, [0] * (M + 1), 0
+    (r1, M1), (r2, M2) = radii = _radii(N, f, t, err, truncation_scale)
+    if terms is None or terms.M < max(M1, M2):
+        terms = _SeriesTerms(curve, chi, max(M1, M2))
+    ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
+    if r2 == r1:
+        radii = radii[:1]
+    if _rung(mpmath.mp.dps) == "dd":
+        passes = [_dd_buckets(terms, ell, r, M) for r, M in radii]
+        # |zeta| = |eps| = 1, so L moves by at most the two series' bounds
+        bound = passes[0][1] + passes[-1][1]
+        if bound > err / 100:
+            raise ConsistencyError(
+                f"double-double roundoff bound {bound:.3g} exceeds "
+                f"err / 100 = {float(err) / 100:.3g}")
+        buckets = [b for b, _ in passes]
     else:
-        ell, exps, k_n = chi.ell, chi.exponent_table(M), chi.value_exponent(N)
+        buckets = [_buckets(terms.an, terms.exps, ell, r, M) for r, M in radii]
+    b1, b2 = buckets[0], buckets[-1]
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
-    r1, r2 = mpmath.exp(-c1), mpmath.exp(-c2)
-    b1 = _buckets(an, exps, ell, r1, M1)
-    b2 = b1 if r2 == r1 else _buckets(an, exps, ell, r2, M2)
     out = {}
     for j, tau in taus.items():
         eps = w * zeta[j * k_n % ell] * tau * tau / f
@@ -210,8 +372,13 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
         taus = chi.gauss_sums()
-        values = central_values(curve, chi, taus, err=err_l)
-        moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l)
+        # one set of a_n / n, long enough for the longest of the three series
+        longest = max(M for t in (1, _T_CHECK)
+                      for _, M in _radii(curve.conductor, f, _as_mpf(t), err_l, 1))
+        terms = _SeriesTerms(curve, chi, longest)
+        values = central_values(curve, chi, taus, err=err_l, terms=terms)
+        moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l,
+                               terms=terms)
         drift = max(abs(moved[j] - values[j]) for j in taus)
         if drift > 2 * err_l:
             raise ConsistencyError(
@@ -301,6 +468,11 @@ class TwistRecord:
     decision: str                # vanishes | nonzero | undecided
     precision_used: int
 
+    @property
+    def rung(self) -> str:
+        """The engine that summed the series: "dd" or "mpmath"."""
+        return _rung(self.precision_used)
+
     def as_dict(self) -> dict:
         return {
             "curve": self.curve_label,
@@ -310,6 +482,7 @@ class TwistRecord:
             "coset_sums": None if self.coset_sums is None else list(self.coset_sums.sums),
             "decision": self.decision,
             "precision_digits": self.precision_used,
+            "rung": self.rung,
         }
 
 

@@ -2,6 +2,7 @@
 determinism across worker counts and interruptions, the sweep reports, and
 the command-line exit contract."""
 
+import json
 import pickle
 from fractions import Fraction
 
@@ -141,6 +142,24 @@ class TestRunCensus:
         summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
         assert summary.computed == 0
         assert summary.resumed == 3
+
+    def test_journal_records_rung_and_old_rows_resume(self, tmp_path):
+        # the journal names the series engine of each orbit; a journal
+        # written before that field existed still resumes to the same CSV
+        out = tmp_path / "r.csv"
+        run_census(E37B_CONFIG, 3, 13, out=out)
+        reference = out.read_bytes()
+        journal = tmp_path / "r.csv.log"
+        rows = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [row["rung"] for row in rows] == ["dd"] * 3
+        journal.write_text("".join(
+            json.dumps({k: v for k, v in row.items() if k != "rung"}) + "\n"
+            for row in rows))
+        out.unlink()
+        summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
+        assert summary.resumed == 3 and summary.computed == 0
+        assert all(row.rung is None for row in summary.rows)
+        assert out.read_bytes() == reference
 
     def test_torn_journal_line_ignored(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

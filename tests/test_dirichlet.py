@@ -5,6 +5,7 @@ per-residue definition and the modulus identity, and orbit bookkeeping."""
 from math import gcd
 
 import mpmath
+import numpy as np
 import pytest
 
 from elltwists.dirichlet import (DirichletChar, admissible_conductors,
@@ -75,12 +76,15 @@ class TestCharacterTable:
         assert len(characters_of_conductor(f, ell)) == expected_count(f, ell)
 
     def test_exponent_table_matches_pointwise_values(self):
-        for f in (7, 9, 91):
-            chi = galois_orbits(f, 3)[0]
-            table = chi.exponent_table(250)
-            for n in range(251):
-                v = chi.value_exponent(n)
-                assert table[n] == (-1 if v is None else v)
+        # tame conductors, and a wild three-prime one (9 * 7 * 13) read far
+        # past its period, where each component's -1 must carry through
+        for f, limit in ((7, 250), (9, 250), (91, 250), (819, 5000)):
+            for chi in galois_orbits(f, 3)[:2]:
+                table = chi.exponent_table(limit)
+                assert table.dtype == np.int64 and len(table) == limit + 1
+                for n in range(limit + 1):
+                    v = chi.value_exponent(n)
+                    assert table[n] == (-1 if v is None else v)
 
 
 class TestEnumeration:

@@ -2,7 +2,8 @@
 
 The layout mirrors how the numbers are trusted: the series tail bound is
 checked against a doubled truncation, the bucketed conjugates against a
-per-character oracle series, the functional-equation sign against the
+per-character oracle series, the double-double buckets against the mpmath
+loop they replace, the functional-equation sign against the
 parameter independence it forces, the exact coset sums against frozen
 lattice data and their seed identity, and the decision policy against
 synthetic records.  The congruence sweep gets a deliberate fault injection
@@ -12,10 +13,14 @@ so a silent pass cannot hide a broken multiplier.
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elltwists.lvalue as lvalue
-from elltwists.dirichlet import DirichletChar, galois_orbits
+from elltwists.dirichlet import (DirichletChar, galois_orbits,
+                                  orbit_representatives)
 from elltwists.elliptic import Curve
 from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
                               TwistRecord, calibrate, central_value,
@@ -156,6 +161,89 @@ class TestTDriftAlarm:
         assert calls["value_exponent"] <= 2
 
 
+# orbits prime to the level 37 of both curves, conductor <= 600
+DD_ORBITS = {ell: [chi for chi in orbit_representatives(ell, 600)
+                   if chi.conductor % 37] for ell in (3, 5, 7)}
+
+
+def dd_bucket_error(curve, chi, t, err=1e-9):
+    """Worst |B_k^dd - B_k^mpmath| / sum_{ind(n) = k} |(a_n / n) r^n| over the
+    buckets of both series radii at t, at 50 digits."""
+    worst = 0.0
+    with mpmath.workdps(50):
+        radii = lvalue._radii(curve.conductor, chi.conductor,
+                              lvalue._as_mpf(t), err, 1)
+        terms = lvalue._SeriesTerms(curve, chi, max(M for _, M in radii))
+        for r, M in radii:
+            dd, _ = lvalue._dd_buckets(terms, chi.ell, r, M)
+            mp = lvalue._buckets(terms.an, terms.exps, chi.ell, r, M)
+            n = np.arange(M + 1)
+            size = np.abs(terms.an[:M + 1]) / np.maximum(n, 1) * \
+                float(r) ** n.astype(float)
+            for k in range(chi.ell):
+                scale = size[terms.exps[:M + 1] == k].sum()
+                if scale:
+                    worst = max(worst, float(abs(dd[k] - mp[k])) / scale)
+    return worst
+
+
+class TestDoubleDoubleRung:
+    @given(data=st.data(), ell=st.sampled_from((3, 5, 7)),
+           curve=st.sampled_from((E37A, E37B)),
+           t=st.sampled_from((1, Fraction(6, 5), Fraction(3, 4))))
+    @settings(max_examples=8, deadline=None)
+    def test_buckets_match_mpmath_loop(self, data, ell, curve, t):
+        # about 31 digits of every bucket, relative to the size of its terms
+        chi = data.draw(st.sampled_from(DD_ORBITS[ell]))
+        assert dd_bucket_error(curve, chi, t) <= 1e-28
+
+    def test_plain_float64_fails_the_tolerance(self, monkeypatch):
+        # the same kernel with every low word dropped is float64 arithmetic;
+        # the comparison above must reject it
+        chi = galois_orbits(409, 3)[0]
+        assert dd_bucket_error(E37B, chi, 1) <= 1e-28
+        monkeypatch.setattr(lvalue, "_dd_quotient",
+                            lambda a, n: (a / n, 0 * a))
+        monkeypatch.setattr(lvalue, "_dd_mul",
+                            lambda ah, al, bh, bl: (ah * bh, 0 * ah))
+        table = lvalue._dd_table
+
+        def high_words(values, K):
+            hi, lo = table(values, K)
+            return hi, 0 * lo
+        monkeypatch.setattr(lvalue, "_dd_table", high_words)
+        assert dd_bucket_error(E37B, chi, 1) > 1e-28
+
+    def test_rung_follows_working_precision(self, monkeypatch):
+        # three series passes per orbit: all double-double at 50 digits,
+        # all the mpmath loop at 80, and the two agree within the tail bound
+        calls = {"_dd_buckets": 0, "_buckets": 0}
+
+        def counted(name):
+            real = getattr(lvalue, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lvalue, name, counted(name))
+        dd = lvalue._twist_rows(E37B, CHI13, 50)
+        assert calls == {"_dd_buckets": 3, "_buckets": 0}
+        mp = lvalue._twist_rows(E37B, CHI13, 80)
+        assert calls == {"_dd_buckets": 3, "_buckets": 3}
+        assert abs(dd.l_value - mp.l_value) <= dd.l_err + mp.l_err
+        assert lvalue._rung(50) == "dd" and lvalue._rung(80) == "mpmath"
+
+    def test_roundoff_bound_over_budget_raises(self, monkeypatch):
+        # the kernel's stated roundoff bound is checked against err / 100
+        central_value(E37B, CHI7, err=1e-10)
+        monkeypatch.setattr(lvalue, "_DD_ROUNDOFF", 1e-12)
+        with pytest.raises(ConsistencyError, match="roundoff"):
+            central_value(E37B, CHI7, err=1e-10)
+
+
 class TestCalibration:
     def test_frozen_scales_and_trivial_parts(self, cal_a, cal_b):
         assert cal_b.scale == Fraction(1, 9)
@@ -275,6 +363,7 @@ class TestTwistDecisions:
         d = cal_b.twist_record(CHI7).as_dict()
         assert d["decision"] == "vanishes"
         assert d["coset_sums"] == [-2, -2, -2]
+        assert d["precision_digits"] == 50 and d["rung"] == "dd"
 
 
 class TestCongruence:
