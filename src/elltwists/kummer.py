@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-import sympy
-
 from .cubicfield import CubicField
 from .elliptic import Curve, is_nontorsion, on_curve
 from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant, factor,
@@ -310,9 +308,6 @@ def bad_locus(A, B) -> PolyQ:
 # ---------------------------------------------------------------------------
 # the genus-3 slice fiber and its exact smoothness verdict
 
-_XI1, _XI2 = sympy.symbols("xi1 xi2")
-
-
 def _partial(P: BiPolyQ, slot: int) -> BiPolyQ:
     out = {}
     for (i, j), c in P.terms.items():
@@ -323,6 +318,7 @@ def _partial(P: BiPolyQ, slot: int) -> BiPolyQ:
 
 
 def _to_sympy(P: BiPolyQ, x1, x2):
+    import sympy  # deferred: only the genus-3 smoothness verdict needs it
     return sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
                             * x1 ** i * x2 ** j
                             for (i, j), c in P.terms.items()))
@@ -345,21 +341,23 @@ def genus3_curve(A, B, t0) -> Genus3Fiber:
     resultants certifies smoothness outright; when they share a factor the
     candidate locus need not extend to an actual singular point, so a
     Groebner basis settles those cases."""
+    import sympy  # deferred, so commands that never reach here skip it
     A, B, t0 = Fraction(A), Fraction(B), Fraction(t0)
+    xi1, xi2 = sympy.symbols("xi1 xi2")
     x1, x2 = BiPolyQ.u(), BiPolyQ.t()
     tt = t0 * t0
     F = ((x1 * x1 + x1 * x2 + x2 * x2 - tt * (x1 + x2) + A) ** 2
          - 4 * tt * x1 * x2 * (BiPolyQ.const(tt) - x1 - x2) - 4 * B * tt)
-    sF = _to_sympy(F, _XI1, _XI2)
-    sF1 = _to_sympy(_partial(F, 0), _XI1, _XI2)
-    sF2 = _to_sympy(_partial(F, 1), _XI1, _XI2)
+    sF = _to_sympy(F, xi1, xi2)
+    sF1 = _to_sympy(_partial(F, 0), xi1, xi2)
+    sF2 = _to_sympy(_partial(F, 1), xi1, xi2)
     # F is monic of degree 4 in xi2, so the resultants vanish exactly on
     # xi1-coordinates of common zeros; no leading-coefficient artifacts
-    r1 = sympy.resultant(sF, sF1, _XI2)
-    r2 = sympy.resultant(sF, sF2, _XI2)
-    if r1 != 0 and r2 != 0 and sympy.degree(sympy.gcd(r1, r2), _XI1) == 0:
+    r1 = sympy.resultant(sF, sF1, xi2)
+    r2 = sympy.resultant(sF, sF2, xi2)
+    if r1 != 0 and r2 != 0 and sympy.degree(sympy.gcd(r1, r2), xi1) == 0:
         return Genus3Fiber(A, B, t0, F, True, "resultant")
-    basis = sympy.groebner([sF, sF1, sF2], _XI1, _XI2, order="grevlex")
+    basis = sympy.groebner([sF, sF1, sF2], xi1, xi2, order="grevlex")
     smooth = list(basis.exprs) == [sympy.Integer(1)]
     return Genus3Fiber(A, B, t0, F, smooth, "groebner")
 

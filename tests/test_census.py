@@ -3,11 +3,15 @@ determinism across worker counts and interruptions, the sweep reports, and
 the command-line exit contract."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import elltwists
 import elltwists.census as census
 from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
@@ -287,6 +291,16 @@ class TestCommandLine:
                      str(tmp_path / "again.csv")])
         assert code == 0
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+    def test_import_leaves_sympy_out(self):
+        # only the genus-3 smoothness verdict needs sympy, so no command
+        # pays for importing it up front
+        src = os.path.dirname(os.path.dirname(elltwists.__file__))
+        probe = "import sys, elltwists.cli; print('sympy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_theory_violation_exits_two(self, monkeypatch, capsys):
         import elltwists.cli as cli

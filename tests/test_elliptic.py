@@ -1,6 +1,7 @@
 """Curve arithmetic checks.  The Frobenius traces are recounted by a direct
 point enumeration that sweeps the plane in the opposite order from the
-production path, the real period is recomputed by direct numerical
+production path, the baby-step giant-step count is held to the Legendre
+count on every prime it serves up to 2 * 10^4, the real period is recomputed by direct numerical
 integration, and the group law is exercised on the two conductor-37 curves.
 """
 
@@ -11,13 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elltwists.elliptic import (Curve, curve_add, curve_mul, curve_neg,
+import elltwists.elliptic as elliptic
+from elltwists.elliptic import (_BSGS_MIN_P, Curve, PointCountError,
+                                curve_add, curve_mul, curve_neg,
                                 is_nontorsion, on_curve, point_order,
                                 trace_point)
 from elltwists.numcore import primes_up_to
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
+# CM by Z[zeta_3] (j = 0) and by Z[i] (j = 1728): at inert p the group can
+# be non-cyclic, and a point of E alone may leave several orders
+E27A = Curve((0, 0, 1, 0, -7), label="27a", conductor=27)
+E32A = Curve((0, 0, 0, 4, 0), label="32a", conductor=32)
 GEN_A = (Fraction(0), Fraction(0))
 
 
@@ -90,6 +97,83 @@ class TestTraceOfFrobenius:
         curve = Curve((0, 0, 0, Fraction(1, 4), 0))
         with pytest.raises(ValueError):
             curve.ap(5)
+
+
+class TestBabyStepGiantStep:
+    P = 10007  # a prime above the cutoff
+
+    @pytest.mark.parametrize("curve, top", [(E37A, 20000), (E37B, 20000),
+                                            (E27A, 10000), (E32A, 10000)],
+                             ids=["37a", "37b", "27a", "32a"])
+    def test_matches_legendre_count(self, curve, top, monkeypatch):
+        # every prime the search serves, against the O(p) count it replaced
+        drawn = []
+        search = elliptic._annihilators
+        monkeypatch.setattr(elliptic, "_annihilators",
+                            lambda P, *rest: drawn.append(P) or search(P, *rest))
+        several = 0
+        for p in primes_up_to(top):
+            if p < _BSGS_MIN_P or 6 * int(curve.disc) % p == 0:
+                continue
+            drawn.clear()
+            assert curve._ap_bsgs(p) == curve._ap_legendre(p), p
+            several += len(drawn) > 1
+        # the twist had to settle the order at some of these primes
+        assert several
+
+    def test_count_follows_prime_size(self, monkeypatch):
+        used = []
+        for name in ("_ap_legendre", "_ap_bsgs"):
+            monkeypatch.setattr(Curve, name, lambda self, p, name=name:
+                                used.append((name, p)) or 0)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        curve.ap(4999)
+        curve.ap(self.P)
+        assert used == [("_ap_legendre", 4999), ("_ap_bsgs", self.P)]
+
+    def test_wrong_order_is_refused(self, monkeypatch):
+        order = self.P + 1 - E37B._ap_legendre(self.P)
+        monkeypatch.setattr(elliptic, "_bsgs_order",
+                            lambda a, b, p, points: order + 1)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(PointCountError):
+            curve.ap(self.P)
+        assert self.P not in curve._ap_cache
+
+    def test_check_point_off_the_curve_is_refused(self, monkeypatch):
+        # the search runs on true points; the point drawn after it is moved
+        # off the curve, and the true order must not pass it
+        searched = []
+        search, points = elliptic._bsgs_order, elliptic._fp_points
+        monkeypatch.setattr(elliptic, "_bsgs_order",
+                            lambda *args: searched.append(1) or search(*args))
+
+        def shifted(a, b, p):
+            for x, y in points(a, b, p):
+                yield (x, y + 1) if searched else (x, y)
+
+        monkeypatch.setattr(elliptic, "_fp_points", shifted)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(PointCountError):
+            curve.ap(self.P)
+        assert searched and self.P not in curve._ap_cache
+
+    def test_legendre_count_outside_hasse_is_refused(self, monkeypatch):
+        # 21^2 > 4 * 101: an explicit raise, not an assert python -O strips
+        monkeypatch.setattr(Curve, "_ap_legendre", lambda self, p: 21)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(PointCountError):
+            curve.ap(101)
+
+    @pytest.mark.parametrize("found", [lambda lo, hi: set(),
+                                       lambda lo, hi: set(range(lo, hi + 1))],
+                             ids=["no-order", "never-single"])
+    def test_search_never_guesses(self, found, monkeypatch):
+        monkeypatch.setattr(elliptic, "_annihilators",
+                            lambda P, a, p, lo, hi: found(lo, hi))
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(PointCountError):
+            curve.ap(self.P)
 
 
 class TestRealPeriod:
