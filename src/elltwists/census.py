@@ -134,9 +134,9 @@ class CurveConfig:
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One character orbit's verdict.  The timing and the series engine are
-    journal data only; the emitted CSV must be byte-identical across worker
-    counts and resumes, so it never includes them."""
+    """One character orbit's verdict.  Timing, series engine, curve and
+    order are journal data only; the emitted CSV must be byte-identical
+    across worker counts and resumes, so it never includes them."""
 
     conductor: int
     character: str
@@ -148,6 +148,8 @@ class CensusRow:
     error: str | None = None
     alarm: bool = False
     rung: str | None = None          # series engine: dd | mpmath
+    curve: str | None = None         # curve label
+    ell: int | None = None           # character order
 
     @property
     def sort_key(self) -> tuple:
@@ -178,6 +180,8 @@ class CensusRow:
             "error": self.error,
             "alarm": self.alarm,
             "rung": self.rung,
+            "curve": self.curve,
+            "ell": self.ell,
         }
 
     @classmethod
@@ -189,7 +193,8 @@ class CensusRow:
                    d.get("error_bound"),
                    None if sums is None else tuple(sums),
                    d.get("elapsed", 0.0), d.get("error"),
-                   d.get("alarm", False), d.get("rung"))
+                   d.get("alarm", False), d.get("rung"), d.get("curve"),
+                   d.get("ell"))
 
 
 CSV_HEADER = "conductor, character, decision, L_re, L_im, error_bound, coset_sums"
@@ -253,12 +258,14 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
                         record.L_value, record.error_bound,
                         None if record.coset_sums is None
                         else tuple(record.coset_sums.sums),
-                        time.perf_counter() - start, rung=record.rung)
+                        time.perf_counter() - start, rung=record.rung,
+                        curve=cal.label, ell=cal.ell)
     except Exception as exc:                      # noqa: BLE001 - journal it
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",
-                        alarm=type(exc).__name__ == "ConsistencyError")
+                        alarm=type(exc).__name__ == "ConsistencyError",
+                        curve=cal.label, ell=cal.ell)
     return row.to_dict()
 
 
@@ -330,7 +337,8 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     skipped, not silently dropped.  With an output path the run journals
     each orbit as it finishes and the final CSV is regenerated, sorted, so
     the emitted bytes are independent of worker count and of how many times
-    the run was interrupted and resumed."""
+    the run was interrupted and resumed.  A resumed run reuses only its own
+    orbits' journal rows and refuses rows of another curve or order."""
     if resume and out is None:
         raise ConfigError("resume needs an output path to find the journal")
     # fail fast before any journal is touched
@@ -359,6 +367,12 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
                 with journal.open("r+b") as fh:
                     fh.truncate(end)
             done = _read_journal(journal)
+            for row in done.values():
+                if (row.curve or cal.label, row.ell or ell) != (cal.label, ell):
+                    raise ConfigError(f"journal {journal} holds {row.character} "
+                                      f"of curve {row.curve}, order {row.ell}")
+            labels = {chi.label() for chi in orbits}
+            done = {k: row for k, row in done.items() if k in labels}
         else:
             journal.write_text("")
     pending = [chi for chi in orbits if chi.label() not in done]

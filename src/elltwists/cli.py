@@ -20,6 +20,7 @@ from .cubicfield import FieldConsistencyError
 from .dirichlet import galois_orbits
 from .kummer import SurfaceError, delta_poly, fiber_search
 from .lvalue import CalibrationError, ConsistencyError, calibrate
+from .numcore import is_prime
 
 _THEORY_ERRORS = (TheoryViolation, ConsistencyError, SurfaceError,
                   FieldConsistencyError, CalibrationError)
@@ -38,6 +39,12 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational number: {text!r}") from exc
+
+
+def _odd_prime(text: str) -> int:
+    if not (text.isdigit() and int(text) > 2 and is_prime(int(text))):
+        raise argparse.ArgumentTypeError(f"not an odd prime: {text!r}")
+    return int(text)
 
 
 def _load_config(args) -> CurveConfig:
@@ -61,7 +68,7 @@ def _build_parser() -> _Parser:
         if curve:
             p.add_argument("--curve", help="curve configuration file")
         if ell:
-            p.add_argument("--ell", type=int, default=3,
+            p.add_argument("--ell", type=_odd_prime, default=3,
                            help="odd prime twist order (default 3)")
         if precision:
             p.add_argument("--precision", type=int,

@@ -45,9 +45,9 @@ of a pair costs at most 2^-106 of its sum, so
 and a pass whose bound exceeds err / 100 raises ConsistencyError; the bound
 never enters the reported tail bound.  About 31 significant digits lose
 nothing a decision or a printed float can see, since the values are only
-trusted to their tail bound.  Above 50 digits (the retry precisions, or a
-config asking for more) the per-term mpmath loop runs instead, so a retry is
-an independent computation; it is also the double-double kernel's oracle.
+trusted to their tail bound.  Above 50 digits (a config asking for more)
+the per-term mpmath loop runs instead; it is also the double-double kernel's
+oracle.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -83,7 +83,7 @@ import numpy as np
 
 from .dirichlet import DirichletChar, orbit_representatives
 from .elliptic import Curve
-from .numcore import CyclotomicInt, RecognitionError, factor, primes_up_to, recognize_integer
+from .numcore import RecognitionError, factor, primes_up_to, recognize_integer
 
 
 class CalibrationError(RuntimeError):
@@ -104,13 +104,12 @@ _S_ERR = 2e-6        # propagated numeric error budget for coset sums
 _T_CHECK = Fraction(6, 5)  # second series parameter of the t-drift alarm
 # series parameters whose central values t_independence compares
 _T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
-# working precisions an undecided orbit is retried at, those above the
-# calibration's base precision only
-_RETRY_DPS = (80, 120)
 _SCALE_FLOOR = min(SCALES)
+# calibrate probes the first 10 orbits prime to the level below 400
+_PROBE_ORBITS = 10
+_PROBE_BOUND = 400
 # working precisions up to this one sum the series in double-double; above
-# it (the retry precisions, or a config asking for more digits) the mpmath
-# loop does, so a retry is an independent computation
+# it (a config asking for more digits) the mpmath loop does
 _DD_MAX_DPS = 50
 # roundoff of a double-double bucket, relative to the sum of |terms|
 _DD_ROUNDOFF = 2.0 ** -100
@@ -426,28 +425,11 @@ class CosetSums:
     chi: DirichletChar          # canonical orbit representative
     sums: tuple[int, ...]       # S_t for t = 0..ell-1
     a0: int                     # exact trivial-component sum
-    scale: Fraction             # period scale the lattice was computed at
     max_residual: float         # worst rounding residual, an internal health stat
-
-    @property
-    def ell(self) -> int:
-        return self.chi.ell
-
-    @property
-    def conductor(self) -> int:
-        return self.chi.conductor
-
-    def lalg(self, j: int = 1) -> CyclotomicInt:
-        """Algebraic part of L(E, 1, chi^j) as an exact cyclotomic integer."""
-        ell = self.ell
-        out = CyclotomicInt.zero(ell)
-        for t, s in enumerate(self.sums):
-            out = out + s * CyclotomicInt.zeta_pow(ell, (-j * t) % ell)
-        return out
 
     def lalg_mod_ell(self) -> int:
         """Algebraic part reduced at the prime above ell (zeta -> 1)."""
-        return sum(self.sums) % self.ell
+        return sum(self.sums) % self.chi.ell
 
     def is_vanishing(self) -> bool:
         """L(E, 1, chi) = 0 holds exactly when all coset sums agree."""
@@ -457,13 +439,12 @@ class CosetSums:
 @dataclass(frozen=True)
 class TwistRecord:
     """One decided twist: the numeric value, its tail bound, and (when
-    recognition succeeded) the exact algebraic part behind it."""
+    recognition succeeded) the exact coset sums behind it."""
 
     curve_label: str
     chi: DirichletChar
     L_value: complex
     error_bound: float
-    L_alg: CyclotomicInt | None
     coset_sums: CosetSums | None
     decision: str                # vanishes | nonzero | undecided
     precision_used: int
@@ -555,9 +536,9 @@ class CalibratedCurve:
         self.scale = scale
         self.lalg0 = lalg0
         self.base_dps = base_dps
-        # per (canonical chi, dps): the twist series and, once solved, the
-        # coset sums; calibrate seeds it with its probe orbits
-        self._twists: dict[tuple[DirichletChar, int], TwistRows] = {}
+        # per canonical chi: the twist series and, once solved, the coset
+        # sums; calibrate seeds it with its probe orbits
+        self._twists: dict[DirichletChar, TwistRows] = {}
 
     def __repr__(self):
         return (f"CalibratedCurve({self.curve!r}, ell={self.ell}, "
@@ -571,64 +552,55 @@ class CalibratedCurve:
         """A_0(f), exactly, by the multiplicative recursion."""
         return self.lalg0 * hecke_factor(self.curve, f, self.ell)
 
-    def _twist(self, chi: DirichletChar, dps: int) -> TwistRows:
-        key = (chi, dps)
-        if key not in self._twists:
-            self._twists[key] = _twist_rows(self.curve, chi, dps)
-        return self._twists[key]
+    def _twist(self, chi: DirichletChar) -> TwistRows:
+        if chi not in self._twists:
+            self._twists[chi] = _twist_rows(self.curve, chi, self.base_dps)
+        return self._twists[chi]
 
-    def coset_sums(self, chi: DirichletChar, dps: int | None = None) -> CosetSums:
+    def coset_sums(self, chi: DirichletChar) -> CosetSums:
         """Exact integer coset sums for the orbit of chi, with alarms: the
         rounded sums must recombine to every numeric twist row and total to
         the exact trivial component."""
         chi = chi.canonical()
-        dps = dps or self.base_dps
-        numeric = self._twist(chi, dps)
+        numeric = self._twist(chi)
         if numeric.sums is None:
             a0 = self.trivial_coset_sum(chi.conductor)
             sums, worst = _solve_coset_sums(numeric.rows, a0, self.ell,
-                                            self.scale, dps)
-            numeric.sums = CosetSums(chi, sums, a0, self.scale, worst)
+                                            self.scale, self.base_dps)
+            numeric.sums = CosetSums(chi, sums, a0, worst)
         return numeric.sums
 
     def twist_record(self, chi: DirichletChar) -> TwistRecord:
-        """Decide L(E, 1, chi): exact coset sums where recognition lands,
-        retried at each of _RETRY_DPS above the base precision, undecided
-        past the last of them."""
+        """Decide L(E, 1, chi) in one pass at the base precision, exactly
+        where recognition lands.  The error budget, hence the series length,
+        does not depend on the precision: an undecided orbit stays so."""
         chi = chi.canonical()
-        record = None
-        rungs = (self.base_dps,) + tuple(d for d in _RETRY_DPS
-                                         if d > self.base_dps)
-        for dps in rungs:
-            numeric = self._twist(chi, dps)
-            try:
-                cs = self.coset_sums(chi, dps)
-            except (RecognitionError, ConsistencyError):
-                cs = None
-            record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
-                                 cs.lalg(1) if cs is not None else None,
-                                 cs, "undecided", dps)
-            record = replace(record, decision=vanishing_decision(record))
-            if cs is not None and not cs.is_vanishing() and record.decision != "nonzero":
-                raise ConsistencyError(
-                    f"exact part of {chi.label()} is nonzero but |L| is within noise")
-            if record.decision != "undecided":
-                return record
+        numeric = self._twist(chi)
+        try:
+            cs = self.coset_sums(chi)
+        except (RecognitionError, ConsistencyError):
+            cs = None
+        record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
+                             cs, "undecided", self.base_dps)
+        record = replace(record, decision=vanishing_decision(record))
+        if cs is not None and not cs.is_vanishing() and record.decision != "nonzero":
+            raise ConsistencyError(
+                f"exact part of {chi.label()} is nonzero but |L| is within noise")
         return record
 
-    def congruence_check(self, chi: DirichletChar | None, psi: DirichletChar,
-                         dps: int | None = None) -> CongruenceResult:
+    def congruence_check(self, chi: DirichletChar | None,
+                         psi: DirichletChar) -> CongruenceResult:
         """Check L^alg(chi psi) = (exact Euler-type factor) * L^alg(chi) at
         the prime above ell, chi = None meaning the trivial character.  The
         two sides come from independent computations at different conductors."""
         if chi is None:
-            lhs = self.coset_sums(psi, dps).lalg_mod_ell()
+            lhs = self.coset_sums(psi).lalg_mod_ell()
             base = self.lalg0 % self.ell
         else:
             if gcd(chi.conductor, psi.conductor) != 1:
                 raise ValueError("congruence needs coprime twist conductors")
-            lhs = self.coset_sums(chi * psi, dps).lalg_mod_ell()
-            base = self.coset_sums(chi, dps).lalg_mod_ell()
+            lhs = self.coset_sums(chi * psi).lalg_mod_ell()
+            base = self.coset_sums(chi).lalg_mod_ell()
             chi = chi.canonical()
         fac = hecke_factor(self.curve, psi.conductor, self.ell) % self.ell
         rhs = fac * base % self.ell
@@ -651,30 +623,29 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
-# one calibration per curve (root number and label included), ell,
-# precision and probe parameters, shared by every caller in the process
+# one calibration per curve (root number and label included), ell and
+# precision, shared by every caller in the process
 _CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
 
 
-def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
-              conductor_bound: int = 400) -> CalibratedCurve:
+def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
     """Freeze the period scale for (curve, ell).
 
     Scans candidate scales from the largest down; a scale survives when the
-    untwisted algebraic part is integral and, for the first n_orbits
+    untwisted algebraic part is integral and, for the first _PROBE_ORBITS
     character orbits prime to the level, all coset sums land on integers
     that recombine and total correctly.  First survivor wins (coarsest
     usable lattice).  The twist series are computed once, shared across
     candidates and handed to the result.
     """
-    key = (curve, curve.label, ell, dps, n_orbits, conductor_bound)
+    key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
         return _CALIBRATIONS[key]
-    reps = [r for r in orbit_representatives(ell, conductor_bound)
-            if gcd(r.conductor, curve.conductor) == 1][:n_orbits]
-    if len(reps) < n_orbits:
+    reps = [r for r in orbit_representatives(ell, _PROBE_BOUND)
+            if gcd(r.conductor, curve.conductor) == 1][:_PROBE_ORBITS]
+    if len(reps) < _PROBE_ORBITS:
         raise CalibrationError(
-            f"only {len(reps)} orbits below conductor {conductor_bound}; raise the bound")
+            f"only {len(reps)} orbits below conductor {_PROBE_BOUND}")
     with mpmath.workdps(dps):
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))
@@ -695,7 +666,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50, n_orbits: int = 10,
             failures[str(c)] = str(exc)
             continue
         cal = CalibratedCurve(curve, ell, c, l0, base_dps=dps)
-        cal._twists.update(((rep, dps), rows) for rep, rows in probes.items())
+        cal._twists.update(probes)
         _CALIBRATIONS[key] = cal
         return cal
     detail = "; ".join(f"{k}: {v}" for k, v in list(failures.items())[:3])

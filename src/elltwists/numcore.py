@@ -1,10 +1,9 @@
 """Exact arithmetic kernel shared by every other module.
 
 Integer factorization (trial division plus deterministic Miller-Rabin and
-Pollard rho, exact for inputs below 2^64), elements of Z[zeta_ell] in the
-power basis, dense polynomials over Q in one and two variables, and the
-float -> integer recognition used when numerically computed quantities are
-known to be integers.
+Pollard rho, exact for inputs below 2^64), dense polynomials over Q in one
+and two variables, and the float -> integer recognition used when
+numerically computed quantities are known to be integers.
 """
 from __future__ import annotations
 
@@ -181,98 +180,6 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic integers
-
-@dataclass(frozen=True)
-class CyclotomicInt:
-    """Element of Z[zeta] for zeta a primitive ell-th root of unity, ell an
-    odd prime, stored on the power basis 1, zeta, ..., zeta^(ell-2)."""
-
-    ell: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.ell < 3 or not is_prime(self.ell):
-            raise ValueError("ell must be an odd prime")
-        if len(self.coeffs) != self.ell - 1:
-            raise ValueError("power basis has length ell - 1")
-
-    @classmethod
-    def from_int(cls, ell: int, n: int) -> "CyclotomicInt":
-        return cls(ell, (n,) + (0,) * (ell - 2))
-
-    @classmethod
-    def zeta_pow(cls, ell: int, k: int) -> "CyclotomicInt":
-        """zeta^k reduced to the power basis (zeta^(ell-1) = -1-zeta-...)."""
-        k %= ell
-        if k < ell - 1:
-            c = [0] * (ell - 1)
-            c[k] = 1
-            return cls(ell, tuple(c))
-        return cls(ell, (-1,) * (ell - 1))
-
-    @classmethod
-    def zero(cls, ell: int) -> "CyclotomicInt":
-        return cls(ell, (0,) * (ell - 1))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _check(self, other):
-        if self.ell != other.ell:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.ell, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.ell, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.ell, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "CyclotomicInt":
-        if isinstance(other, int):
-            return CyclotomicInt(self.ell, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        ell = self.ell
-        acc = [0] * ell  # coefficients on zeta^0..zeta^(ell-1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[(i + j) % ell] += a * b
-        top = acc[ell - 1]
-        return CyclotomicInt(ell, tuple(acc[i] - top for i in range(ell - 1)))
-
-    __rmul__ = __mul__
-
-    def galois(self, j: int) -> "CyclotomicInt":
-        """Image under zeta -> zeta^j (j coprime to ell)."""
-        if j % self.ell == 0:
-            raise ValueError("j must be coprime to ell")
-        out = CyclotomicInt.zero(self.ell)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + a * CyclotomicInt.zeta_pow(self.ell, i * j)
-        return out
-
-    def conjugate(self) -> "CyclotomicInt":
-        return self.galois(self.ell - 1)
-
-    def reduce_mod_lambda(self) -> int:
-        """Reduction modulo the prime (1 - zeta): send zeta -> 1, land in Z/ell."""
-        return sum(self.coeffs) % self.ell
-
-    def evaluate(self, zeta_powers) -> complex:
-        """Numeric embedding given precomputed powers zeta^0..zeta^(ell-1)."""
-        return sum(a * zeta_powers[i] for i, a in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------

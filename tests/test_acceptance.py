@@ -92,7 +92,7 @@ def test_criterion_03_marked_section_on_family():
 def test_criterion_04_full_conductor_sweep_to_200(cal37b):
     # every order-3 orbit with conductor <= 200 prime to the level: integral
     # coset sums under the rounding budget, the exact seed identity, and a
-    # decision on every orbit after the precision ladder
+    # decision on every orbit from its one pass at the base precision
     checked = 0
     for f in admissible_conductors(3, 200):
         if gcd(f, 37) != 1:

@@ -19,6 +19,9 @@ from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
 from elltwists.cli import main
 from elltwists.dirichlet import galois_orbits
 
+E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
+                                  Fraction(-1), Fraction(0)), 37, -1)
+
 GOOD_37B = """\
 label = 37b
 a_invariants = 0, 1, 1, -3, 1
@@ -148,22 +151,66 @@ class TestRunCensus:
         assert summary.resumed == 3
 
     def test_journal_records_rung_and_old_rows_resume(self, tmp_path):
-        # the journal names the series engine of each orbit; a journal
-        # written before that field existed still resumes to the same CSV
+        # the journal names the series engine, the curve and the order of
+        # each orbit; a journal written before those fields existed still
+        # resumes to the same CSV
         out = tmp_path / "r.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
         reference = out.read_bytes()
         journal = tmp_path / "r.csv.log"
         rows = [json.loads(line) for line in journal.read_text().splitlines()]
         assert [row["rung"] for row in rows] == ["dd"] * 3
+        assert {(row["curve"], row["ell"]) for row in rows} == {("37b", 3)}
         journal.write_text("".join(
-            json.dumps({k: v for k, v in row.items() if k != "rung"}) + "\n"
+            json.dumps({k: v for k, v in row.items()
+                        if k not in ("rung", "curve", "ell")}) + "\n"
             for row in rows))
         out.unlink()
         summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
         assert summary.resumed == 3 and summary.computed == 0
-        assert all(row.rung is None for row in summary.rows)
+        assert all(row.rung is None and row.curve is None
+                   for row in summary.rows)
         assert out.read_bytes() == reference
+
+    def test_resume_keeps_only_this_runs_orbits(self, tmp_path):
+        # a journal that reaches past the bound resumes only the orbits
+        # under it; the rows past it stay in the journal, out of the CSV
+        reference = tmp_path / "ref.csv"
+        run_census(E37B_CONFIG, 3, 13, out=reference)
+        out = tmp_path / "wide.csv"
+        run_census(E37B_CONFIG, 3, 63, out=out)
+        journal = tmp_path / "wide.csv.log"
+        before = journal.read_bytes()
+        summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
+        assert summary.resumed == 3 and summary.computed == 0
+        assert {r.conductor for r in summary.rows} == {7, 9, 13}
+        assert summary.counts == ((13, 2),)
+        assert out.read_bytes() == reference.read_bytes()
+        assert journal.read_bytes() == before
+
+    def test_resume_rejects_rows_of_another_order(self, tmp_path):
+        # the ell-3 orbit (31; 31:1) carries the same label as an ell-5
+        # orbit; an ell-5 run must not take its sums
+        out = tmp_path / "o.csv"
+        run_census(E37B_CONFIG, 3, 31, out=out)
+        journal = tmp_path / "o.csv.log"
+        before = journal.read_bytes()
+        with pytest.raises(ConfigError, match="order 3"):
+            run_census(E37B_CONFIG, 5, 31, out=out, resume=True)
+        assert journal.read_bytes() == before
+
+    def test_resume_rejects_rows_of_another_curve(self, tmp_path, capsys):
+        # 37a and 37b share every orbit label
+        out = tmp_path / "k.csv"
+        run_census(E37B_CONFIG, 3, 13, out=out)
+        journal = tmp_path / "k.csv.log"
+        before = journal.read_bytes()
+        with pytest.raises(ConfigError, match="curve 37b"):
+            run_census(E37A_CONFIG, 3, 13, out=out, resume=True)
+        assert main(["census", "--curve", "curves/37a.cfg", "--max-conductor",
+                     "13", "--out", str(out), "--resume"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert journal.read_bytes() == before
 
     def test_torn_journal_line_ignored(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -277,6 +324,12 @@ class TestCommandLine:
         # 0 is a value, not an absent option: below the 15-digit floor
         assert main(["twist-value", "--curve", "curves/37b.cfg",
                      "--precision", "0", "7"]) == 1
+        # the twist order must be an odd prime
+        for ell in ("1", "2", "4", "9", "-3", "x"):
+            capsys.readouterr()
+            assert main(["twist-value", "--curve", "curves/37b.cfg",
+                         "--ell", ell, "7"]) == 1
+            assert "error: argument --ell" in capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from elltwists.numcore import (
     BiPolyQ,
-    CyclotomicInt,
     PolyQ,
     RecognitionError,
     cubic_discriminant,
@@ -238,83 +237,6 @@ def test_bipoly_specialization_commutes():
     for _ in range(50):
         a, b = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)), Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
         assert f.subs_t(b)(a) == f.subs_u(a)(b) == f.eval(a, b)
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic integers
-
-def test_cyclotomic_norm_of_one_minus_zeta():
-    # prod_{j=1}^{ell-1} (1 - zeta^j) = ell for odd prime ell
-    for ell in (3, 5, 7, 11):
-        one = CyclotomicInt.from_int(ell, 1)
-        acc = one
-        for j in range(1, ell):
-            acc = acc * (one - CyclotomicInt.zeta_pow(ell, j))
-        assert acc == CyclotomicInt.from_int(ell, ell)
-
-
-def test_cyclotomic_power_relation():
-    # zeta^ell = 1 under repeated multiplication
-    for ell in (3, 5, 7):
-        z = CyclotomicInt.zeta_pow(ell, 1)
-        acc = CyclotomicInt.from_int(ell, 1)
-        for _ in range(ell):
-            acc = acc * z
-        assert acc == CyclotomicInt.from_int(ell, 1)
-
-
-def test_cyclotomic_galois_action():
-    ell = 7
-    x = CyclotomicInt(ell, (1, 2, 0, -1, 3, 5))
-    # galois maps compose: sigma_j sigma_k = sigma_{jk}
-    assert x.galois(2).galois(3) == x.galois(6)
-    # conjugation is sigma_{-1} and is an involution
-    assert x.conjugate().conjugate() == x
-    # identity map
-    assert x.galois(1) == x
-
-
-def test_cyclotomic_reduce_mod_lambda():
-    # zeta = 1 mod (1 - zeta), so reduction is coefficient sum mod ell
-    ell = 5
-    x = CyclotomicInt(ell, (2, 7, -3, 1))
-    assert x.reduce_mod_lambda() == (2 + 7 - 3 + 1) % 5
-    one = CyclotomicInt.from_int(ell, 1)
-    assert (one - CyclotomicInt.zeta_pow(ell, 1)).reduce_mod_lambda() == 0
-    # reduction is a ring map
-    y = CyclotomicInt(ell, (1, 0, 4, -2))
-    assert (x * y).reduce_mod_lambda() == x.reduce_mod_lambda() * y.reduce_mod_lambda() % ell
-    assert (x + y).reduce_mod_lambda() == (x.reduce_mod_lambda() + y.reduce_mod_lambda()) % ell
-
-
-def test_cyclotomic_numeric_embedding():
-    import cmath
-    ell = 7
-    zp = [cmath.exp(2j * cmath.pi * k / ell) for k in range(ell)]
-    x = CyclotomicInt(ell, (1, 2, 0, -1, 3, 5))
-    y = CyclotomicInt(ell, (0, 1, 1, 0, -2, 4))
-    assert abs((x * y).evaluate(zp) - x.evaluate(zp) * y.evaluate(zp)) < 1e-9
-
-
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
-       st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
-       st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_cyclotomic_ring_laws(a, b, c):
-    ell = 5
-    x, y, z = (CyclotomicInt(ell, tuple(v)) for v in (a, b, c))
-    assert x * y == y * x
-    assert (x + y) * z == x * z + y * z
-    assert x * (y * z) == (x * y) * z
-
-
-def test_cyclotomic_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        CyclotomicInt(4, (1, 1, 1))
-    with pytest.raises(ValueError):
-        CyclotomicInt(5, (1, 2))
-    with pytest.raises(ValueError):
-        CyclotomicInt.zeta_pow(5, 1).galois(5)
 
 
 # ---------------------------------------------------------------------------
