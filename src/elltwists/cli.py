@@ -47,6 +47,12 @@ def _odd_prime(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _load_config(args) -> CurveConfig:
     if args.curve is None:
         raise ConfigError("--curve is required for this command")
@@ -113,8 +119,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("e37b", help="conductor census of the slice family "
                                     "of the conductor-37 curve")
-    p.add_argument("--max-conductor", type=int, required=True)
-    p.add_argument("--height-bound", type=int)
+    p.add_argument("--max-conductor", type=_positive_int, required=True)
+    p.add_argument("--height-bound", type=_positive_int)
     p.add_argument("--out", help="write the report text here as well")
 
     p = sub.add_parser("family", help="torsion pencil fibers and the cyclic "

@@ -635,6 +635,16 @@ def _product(*powers: tuple[Factorization, int]) -> Factorization:
     return Factorization(tuple(sorted(exps.items())))
 
 
+def _check_model_scale(cubic: PolyQ, poly: PolyQ, h: int) -> None:
+    """Check that xi / h is a root of the monic cubic, for the root xi of
+    the integral model poly, by the identity h^3 cubic(x / h) == poly.
+    Both sides are monic cubics and the left one vanishes at xi exactly
+    when cubic(xi / h) = 0; their difference has degree at most 2, so it
+    vanishes at a root of the irreducible poly only when it is 0."""
+    if [c * h ** (3 - i) for i, c in enumerate(cubic.coeffs)] != list(poly.coeffs):
+        raise SurfaceError("integral model root does not satisfy the slice cubic")
+
+
 def _e37b_pair(a: int, b: int) -> E37bFiber:
     """Slice data for the coprime parameter pair (a, b); b = 0 is the point
     at infinity of the parameter line.  Each of h1, h2 and g is factored
@@ -657,10 +667,8 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     # verifies that 2^10 (h1 h2 g)^2 really is the cubic's discriminant
     hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
     field = CubicField.from_cubic(poly, disc_factorization=hint)
-    xi = field.gen() / h2
-    if cubic(xi) != field.zero():
-        raise SurfaceError("integral model root does not satisfy the slice cubic")
-    point = (xi, field(u))
+    _check_model_scale(cubic, poly, h2)
+    point = (field.gen() / h2, field(u))
     return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
                      poly, cubic, field, _E37B_CURVE, point)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 
 class RecognitionError(ValueError):
@@ -189,6 +189,37 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _integral(coeffs) -> tuple[list[int], int]:
+    """Integer coefficients d * c and the least common denominator d."""
+    d = 1
+    for c in coeffs:
+        d = d * c.denominator // gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968); rows is overwritten.  Every division
+    is exact, so entries stay integers no larger than the matrix's minors.
+    A zero pivot is swapped for a lower row, flipping the sign."""
+    size = len(rows)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
+
+
 @dataclass(frozen=True)
 class PolyQ:
     """Dense univariate polynomial over Q, coefficients low degree first."""
@@ -318,7 +349,11 @@ class PolyQ:
         return a.monic() if not a.is_zero() else a
 
     def resultant(self, other: "PolyQ") -> Fraction:
-        """Resultant via the Sylvester matrix, exact over Q."""
+        """Resultant via the Sylvester matrix, exact over Q.  Each polynomial
+        is scaled to integer coefficients by the lcm of its denominators, the
+        integer determinant is taken by Bareiss's fraction-free elimination,
+        and the scales come back out by homogeneity: Res(P/a, Q/b) =
+        Res(P, Q) / (a^deg Q b^deg P)."""
         m, n = self.degree, other.degree
         if m < 0 or n < 0:
             return Fraction(0)
@@ -326,31 +361,14 @@ class PolyQ:
             return self.coeffs[0] ** n
         if n == 0:
             return other.coeffs[0] ** m
+        pc, a = _integral(self.coeffs)
+        qc, b = _integral(other.coeffs)
         size = m + n
-        rows = []
-        pc = list(reversed(self.coeffs))
-        qc = list(reversed(other.coeffs))
-        for i in range(n):
-            rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - m - 1 - i))
-        for i in range(m):
-            rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - n - 1 - i))
-        # fraction-free enough: plain Gaussian elimination over Fraction
-        det = Fraction(1)
-        for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, size):
-                if rows[r][col]:
-                    f = rows[r][col] * inv
-                    for c in range(col, size):
-                        rows[r][c] -= f * rows[col][c]
-        return det
+        pc.reverse()
+        qc.reverse()
+        rows = [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
+        rows += [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)]
+        return Fraction(_bareiss_det(rows), a ** n * b ** m)
 
     def discriminant(self) -> Fraction:
         """disc(p) = (-1)^(n(n-1)/2) resultant(p, p') / lc(p)."""
@@ -363,16 +381,14 @@ class PolyQ:
     def rational_roots(self) -> list[Fraction]:
         """All rational roots (with multiplicity stripped), exact.  Any
         rational root of the primitive integer model, once scaled by the
-        leading coefficient, is an integer root of a monic companion; those
-        are found by lifting the simple roots modulo a well-chosen prime up
-        past the coefficient bound, so nothing depends on factoring the
-        constant term."""
+        leading coefficient, is an integer root of a monic companion.
+        _monic_integer_roots lifts those from a small prime that certifies
+        the companion squarefree, and takes the rational gcd with the
+        derivative only when no such prime exists, so nothing depends on
+        factoring the constant term."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ic = [int(c * den) for c in self.coeffs]
+        ic = _integral(self.coeffs)[0]
         while ic and ic[0] == 0:
             ic.pop(0)  # factor out x; zero is a root
         roots = set()
@@ -457,23 +473,39 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+# odd primes tried as a squarefree certificate before the rational gcd
+_CERTIFY_PRIME_BOUND = 100
+
+
+def _separating_prime(c: list[int], limit) -> int | None:
+    """Least odd prime p below limit at which the monic c stays squarefree,
+    gcd(c, c') = 1 mod p, or None.  Such a p proves c squarefree over Q:
+    a repeated monic factor of c would survive the reduction."""
+    dc = [i * v for i, v in enumerate(c)][1:]
+    p = 3
+    while p < limit:
+        if is_prime(p) and len(_fp_gcd(c, dc, p)) == 1:
+            return p
+        p += 2
+    return None
+
+
 def _monic_integer_roots(coeffs: list[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial.  The squarefree part is
-    reduced modulo a prime that keeps it squarefree, the simple roots are
+    """Integer roots of a monic integer polynomial, each once.  An odd
+    prime below _CERTIFY_PRIME_BOUND at which the polynomial stays
+    squarefree certifies it squarefree over Q; only when none exists is
+    the squarefree part taken by the rational gcd with the derivative, and
+    a prime sought for that instead.  The simple roots modulo the prime are
     lifted past the root bound by Newton steps, and each survivor is
     checked exactly, so the constant term is never factored."""
-    c = _squarefree_monic(coeffs)
-    if c[0] == 0:
-        return sorted(set(_monic_integer_roots(c[1:]) if len(c) > 2 else [])
-                      | {0})
-    if len(c) == 2:
-        return [-c[0]]
+    c = coeffs
+    p = _separating_prime(c, _CERTIFY_PRIME_BOUND)
+    if p is None:
+        c = _squarefree_monic(coeffs)
+        if len(c) == 2:
+            return [-c[0]]
+        p = _separating_prime(c, inf)
     bound = 1 + max(abs(v) for v in c[:-1])
-    p = 3
-    while len(_fp_gcd(c, [i * v for i, v in enumerate(c)][1:], p)) != 1:
-        p += 2
-        while not is_prime(p):
-            p += 2
 
     def ev(r, m):
         acc = 0

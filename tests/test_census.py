@@ -330,6 +330,18 @@ class TestCommandLine:
             assert main(["twist-value", "--curve", "curves/37b.cfg",
                          "--ell", ell, "7"]) == 1
             assert "error: argument --ell" in capsys.readouterr().err
+        # the slice survey's bounds must be positive integers: -5 used to
+        # crash in default_height_bound, 0 and -1 to survey a single pair
+        for args, option in ((["--max-conductor", "-5"], "--max-conductor"),
+                             (["--max-conductor", "0"], "--max-conductor"),
+                             (["--max-conductor", "x"], "--max-conductor"),
+                             (["--max-conductor", "100", "--height-bound", "0"],
+                              "--height-bound"),
+                             (["--max-conductor", "100", "--height-bound", "-1"],
+                              "--height-bound")):
+            capsys.readouterr()
+            assert main(["e37b", *args]) == 1
+            assert f"error: argument {option}" in capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

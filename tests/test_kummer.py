@@ -21,6 +21,8 @@ from elltwists.kummer import (
     QuadElt,
     SurfaceError,
     SurfaceModel,
+    _check_model_scale,
+    _e37b_pair,
     bad_locus,
     census_37b,
     conic_norm_test,
@@ -444,7 +446,6 @@ class TestSliceFamily37b:
         assert h2.resultant(g) == 4 * 37
 
     def test_non_coprime_rejected(self):
-        from elltwists.kummer import _e37b_pair
         with pytest.raises(ValueError):
             _e37b_pair(2, 4)
 
@@ -461,11 +462,13 @@ class TestCensus37b:
 
     def test_each_pair_built_once(self, monkeypatch):
         # per pair: one resultant discriminant, of the slice cubic (the
-        # integral model takes the closed form), and one factorization each
-        # of h1, h2 and g
+        # integral model takes the closed form), one factorization each of
+        # h1, h2 and g, and no rational squarefree gcd: both cubics are
+        # squarefree, and a small prime certifies it for their roots
         import elltwists.numcore as numcore
-        calls = {"discriminant": 0, "factor": 0}
+        calls = {"discriminant": 0, "factor": 0, "squarefree": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
+        real_squarefree = numcore._squarefree_monic
 
         def disc(self):
             calls["discriminant"] += 1
@@ -475,7 +478,12 @@ class TestCensus37b:
             calls["factor"] += 1
             return real_factor(n)
 
+        def squarefree(coeffs):
+            calls["squarefree"] += 1
+            return real_squarefree(coeffs)
+
         monkeypatch.setattr(PolyQ, "discriminant", disc)
+        monkeypatch.setattr(numcore, "_squarefree_monic", squarefree)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
@@ -484,6 +492,30 @@ class TestCensus37b:
         assert len(census.rows) == 88
         assert calls["discriminant"] == 88
         assert calls["factor"] <= 3 * 88
+        assert calls["squarefree"] == 0
+
+    def test_integral_model_root_oracle(self):
+        # the field-arithmetic evaluation that the integer identity
+        # replaced, kept as an independent check on every pair
+        for row in census_37b(2000, 8).rows:
+            fiber = _e37b_pair(row.a, row.b)
+            assert fiber.cubic(fiber.field.gen() / fiber.h2) == fiber.field.zero()
+            assert fiber.point[0] == fiber.field.gen() / fiber.h2
+
+    def test_wrongly_scaled_model_raises(self):
+        for a, b in ((1, 0), (1, 1), (-1, 6), (5, 3)):
+            fiber = _e37b_pair(a, b)
+            _check_model_scale(fiber.cubic, fiber.poly, fiber.h2)
+            h1, h2 = fiber.h1, fiber.h2
+            for h in (h1, 2 * h2, -h2, h2 + 1):
+                with pytest.raises(SurfaceError, match="integral model"):
+                    _check_model_scale(fiber.cubic, fiber.poly, h)
+            # the model of the same field scaled by h1 instead of h2
+            wrong = PolyQ.of(*(c * h1 ** (3 - i)
+                               for i, c in enumerate(fiber.cubic.coeffs)))
+            assert wrong != fiber.poly
+            with pytest.raises(SurfaceError, match="integral model"):
+                _check_model_scale(fiber.cubic, wrong, h2)
 
     def test_squarefree_collision_raises(self, monkeypatch):
         # hand every strictly squarefree pair the field of the first one:

@@ -1,8 +1,10 @@
 """Exact-arithmetic kernel tests.
 
-The resultant is checked against an independent oracle: the product
+The resultant is checked against two independent oracles: the product
 formula lc(p)^deg(q) * prod q(r_i) over the roots r_i of p, evaluated on
-factored test polynomials where the roots are known exactly.
+factored test polynomials where the roots are known exactly, and plain
+Gaussian elimination of the Sylvester matrix over Fraction.  Rational
+roots are checked against the known roots of products of linear factors.
 """
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elltwists.numcore as numcore
 from elltwists.numcore import (
     BiPolyQ,
     PolyQ,
@@ -22,7 +25,10 @@ from elltwists.numcore import (
     primes_up_to,
     recognize_integer,
     sqrt_mod_prime,
+    _bareiss_det,
 )
+
+F = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +131,86 @@ def test_resultant_matches_root_product_oracle():
         assert p.resultant(q) == _resultant_oracle(roots, lc, q)
 
 
+def _fraction_det(rows):
+    # plain Gaussian elimination over Fraction, the resultant's former route
+    rows = [[Fraction(v) for v in row] for row in rows]
+    size = len(rows)
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                f = rows[r][col] * inv
+                for c in range(col, size):
+                    rows[r][c] -= f * rows[col][c]
+    return det
+
+
+def _sylvester(p: PolyQ, q: PolyQ):
+    m, n = p.degree, q.degree
+    pc, qc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    return ([[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)])
+
+
+def _sylvester_det_oracle(p: PolyQ, q: PolyQ) -> Fraction:
+    return _fraction_det(_sylvester(p, q))
+
+
+def _random_fraction_poly(rng, degree, big):
+    den = 10 ** 30 + 57 if big else 12
+    coeffs = [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, den))
+              for _ in range(degree)]
+    return PolyQ.of(*coeffs, Fraction(rng.choice([-1, 1]) * rng.randrange(1, 50),
+                                      rng.randrange(1, den)))
+
+
+def test_resultant_matches_sylvester_elimination():
+    rng = random.Random(68)
+    for trial in range(150):
+        big = trial % 2 == 1
+        p = _random_fraction_poly(rng, rng.randrange(1, 6), big)
+        q = _random_fraction_poly(rng, rng.randrange(1, 6), big)
+        assert p.resultant(q) == _sylvester_det_oracle(p, q)
+        assert p.discriminant() * p.lc() == (
+            (-1) ** (p.degree * (p.degree - 1) // 2)
+            * _sylvester_det_oracle(p, p.derivative()))
+
+
+def test_resultant_with_a_zero_pivot():
+    # the leading 2x2 minor of this Sylvester matrix vanishes, so the
+    # elimination must swap rows; Res(x^2 + x + 1, x + 1) = 1, and the
+    # scales come out as (1/3)^1 (2/5)^2
+    p = PolyQ.of(1, 1, 1) * Fraction(1, 3)
+    q = PolyQ.of(2, 2) * Fraction(1, 5)
+    rows = _sylvester(p, q)
+    assert _fraction_det([row[:2] for row in rows[:2]]) == 0
+    assert p.resultant(q) == _sylvester_det_oracle(p, q) == Fraction(4, 75)
+    assert PolyQ.of(1, 1, 1).resultant(PolyQ.of(1, 1)) == 1
+
+
+def test_bareiss_matches_fraction_elimination():
+    rng = random.Random(31)
+    for _ in range(200):
+        size = rng.randrange(1, 7)
+        rows = [[rng.choice([0, 0, rng.randrange(-10 ** 12, 10 ** 12)])
+                 for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.2 and size > 1:
+            rows[-1] = [2 * v - w for v, w in zip(rows[0], rows[1])]
+        expect = _fraction_det(rows)
+        got = _bareiss_det([row[:] for row in rows])
+        assert isinstance(got, int) and got == expect
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[0, 1], [0, 1]]) == 0
+
+
 def test_resultant_symmetry_sign():
     rng = random.Random(11)
     for _ in range(80):
@@ -199,6 +285,67 @@ def test_poly_gcd_and_roots():
     assert PolyQ.of(-6, 1, 1).rational_roots() == [Fraction(-3), Fraction(2)]
     assert PolyQ.of(-2, 0, 1).rational_roots() == []
     assert _poly_from_roots([Fraction(7, 9), 0]).rational_roots() == [0, Fraction(7, 9)]
+
+
+def _count_squarefree_calls(monkeypatch):
+    calls = []
+    real = numcore._squarefree_monic
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(numcore, "_squarefree_monic", counted)
+    return calls
+
+
+def test_squarefree_certificate_skips_the_rational_gcd(monkeypatch):
+    calls = _count_squarefree_calls(monkeypatch)
+    assert PolyQ.of(-3584, -448, 0, 1).rational_roots() == []
+    assert _poly_from_roots([1, 2, -3]).rational_roots() == [-3, 1, 2]
+    assert _poly_from_roots([F(1, 2), F(-4, 3), 5]).rational_roots() == \
+        [F(-4, 3), F(1, 2), 5]
+    assert numcore._monic_integer_roots([0, -1, 0, 1]) == [-1, 0, 1]
+    assert calls == []
+
+
+def test_repeated_roots_take_the_rational_gcd(monkeypatch):
+    calls = _count_squarefree_calls(monkeypatch)
+    assert _poly_from_roots([1, 1, -2]).rational_roots() == [-2, 1]
+    assert len(calls) == 1
+    assert _poly_from_roots([0, 0, 3, 3, 3]).rational_roots() == [0, 3]
+    assert len(calls) == 2
+    assert numcore._monic_integer_roots([0, 0, 0, 1]) == [0]
+    assert numcore._monic_integer_roots([0, 9, -6, 1]) == [0, 3]
+    assert len(calls) == 4
+
+
+def test_fallback_agrees_with_the_certificate(monkeypatch):
+    # with no prime below the bound, every polynomial takes the rational
+    # gcd and then the unbounded prime search
+    polys = [PolyQ.of(-3584, -448, 0, 1), _poly_from_roots([1, 2, -3]),
+             _poly_from_roots([F(7, 9), -5, 11]) * 3,
+             PolyQ.of(2, 0, 1) * _poly_from_roots([4])]
+    expected = [p.rational_roots() for p in polys]
+    calls = _count_squarefree_calls(monkeypatch)
+    monkeypatch.setattr(numcore, "_CERTIFY_PRIME_BOUND", 3)
+    assert [p.rational_roots() for p in polys] == expected
+    assert len(calls) == len(polys)
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-30, max_value=30,
+                                       max_denominator=9),
+                          st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=6).map(lambda k: Fraction(k, 7)),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rational_roots_of_products_of_linear_factors(factors, lc, quadratic):
+    roots = [r for r, e in factors for _ in range(e)]
+    p = _poly_from_roots(roots) * lc
+    if quadratic:
+        p = p * PolyQ.of(3, 0, 1)  # x^2 + 3 has no rational root
+    assert p.rational_roots() == sorted({r for r, _ in factors})
 
 
 def test_poly_evaluation_horner():
