@@ -90,8 +90,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("census", help="decide every orbit up to a conductor "
                                       "bound, with journal and resume")
     common(p)
-    p.add_argument("--max-conductor", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--max-conductor", type=_positive_int, required=True)
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes (output is identical for any count)")
     p.add_argument("--out", help="CSV path; a .log journal sits next to it")
     p.add_argument("--resume", action="store_true",
@@ -100,14 +100,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("congruence", help="sweep the residue relation over "
                                           "admissible character pairs")
     common(p)
-    p.add_argument("--max-conductor", type=int, required=True,
+    p.add_argument("--max-conductor", type=_positive_int, required=True,
                    help="bound on the product of the two conductors")
 
     p = sub.add_parser("nonvanishing-set",
                        help="primes where the twisted value provably misses "
                             "zero, from the trivial orbit's residue")
     common(p)
-    p.add_argument("--max-conductor", type=int, required=True,
+    p.add_argument("--max-conductor", type=_positive_int, required=True,
                    help="prime bound for the set")
 
     p = sub.add_parser("kummer-fiber",
@@ -133,7 +133,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="re-emit the summary and sorted CSV "
                                       "from an existing census journal")
     p.add_argument("journal", help="the .log file a census run wrote")
-    p.add_argument("--max-conductor", type=int,
+    p.add_argument("--max-conductor", type=_positive_int,
                    help="ladder cutoff (default: largest conductor present)")
     p.add_argument("--out", help="regenerate the sorted CSV here")
 

@@ -9,9 +9,12 @@ and the conjugate pair of cubic Dirichlet characters that corresponds to K.
 The field discriminant comes from a per-prime ramification test rather than
 a general maximal-order algorithm: for a cubic, p ramifies exactly when the
 polynomial has a triple root mod p whose Newton polygon (after recentering
-and rescaling as needed) is a single segment of non-integral slope.  Prime
-splitting at primes dividing the index is decided by counting p-adic roots
-exactly, again by recursive recentering; no heuristic fallback is needed.
+and rescaling as needed) is a single segment of non-integral slope; the one
+candidate triple root has a closed form, so the test is O(1) per prime.
+Prime splitting is decided by counting p-adic roots exactly: the roots mod
+p are found by trying every residue, a root where the derivative is a unit
+lifts uniquely, and any other is recentered and counted again, which also
+settles the primes dividing the index; no heuristic fallback is needed.
 """
 from __future__ import annotations
 
@@ -20,9 +23,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .dirichlet import DirichletChar, galois_orbits
-from .numcore import (Factorization, PolyQ, _fp_divmod, _fp_gcd, _fp_trim,
-                      cubic_discriminant, factor, is_perfect_square, primes_up_to,
-                      sqrt_mod_prime)
+from .numcore import (Factorization, PolyQ, _fp_eval, _fp_roots,
+                      cubic_discriminant, factor, is_perfect_square, primes_up_to)
 
 
 class ReducibleCubicError(ValueError):
@@ -44,63 +46,6 @@ class FieldConsistencyError(RuntimeError):
 # prime bounds for telling the character pairs of a conductor apart by
 # splitting: the first pass, then one escalation
 _MATCH_BOUNDS = (200, 500)
-
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (dense int lists, low degree first)
-
-def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_divmod(_fp_trim(out), m, p)[1]
-
-
-def _fp_xpow(e: int, m: list[int], p: int) -> list[int]:
-    """x^e mod (m, p) by binary powering."""
-    result = [1]
-    base = _fp_divmod([0, 1], m, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_distinct_roots(f: list[int], p: int) -> int:
-    """Number of distinct roots of f in F_p, via gcd with x^p - x."""
-    f = _fp_trim([c % p for c in f])
-    if len(f) <= 1:
-        return 0
-    xp = _fp_xpow(p, f, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _fp_gcd(f, xp_minus_x, p)
-    return len(g) - 1
-
-
-def _fp_small_roots(f: list[int], p: int) -> list[int]:
-    """All roots in F_p of a polynomial of degree <= 2 (exact formulas)."""
-    f = _fp_trim([c % p for c in f])
-    if len(f) <= 1:
-        return []
-    if len(f) == 2:
-        return [-f[0] * pow(f[1], -1, p) % p]
-    c, b, a = f[0], f[1], f[2]
-    if p == 2:
-        return [r for r in (0, 1) if (a * r * r + b * r + c) % 2 == 0]
-    disc = (b * b - 4 * a * c) % p
-    s = sqrt_mod_prime(disc, p)
-    if s is None:
-        return []
-    inv = pow(2 * a, -1, p)
-    roots = {(-b + s) * inv % p, (-b - s) * inv % p}
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -134,45 +79,22 @@ def _val(n: int, p: int) -> int:
 
 def _zp_root_count(coeffs: list[int], p: int, depth: int = 0) -> int:
     """Exact number of roots in the p-adic integers of an integer polynomial
-    with no repeated roots over Q.  Simple residues lift uniquely; repeated
-    residues are recentered to r + p*x and recursed."""
+    with no repeated roots over Q.  A root r mod p with f'(r) != 0 mod p
+    lifts uniquely; at any other root the disc r + p*Z_p is recentered,
+    f(r + p*x), and counted again."""
     if depth > 64:
         raise FieldConsistencyError("p-adic root isolation failed to terminate")
     f = _primitive(coeffs, p)
-    fbar = _fp_trim([c % p for c in f])
-    if not fbar:
+    if not any(c % p for c in f):
         raise FieldConsistencyError("reduction collapsed after content removal")
-    if len(fbar) == 1:
-        # f is a nonzero constant mod p: nothing in this residue disc lifts
-        return 0
-    dbar = _fp_trim([i * fbar[i] % p for i in range(1, len(fbar))])
-    if dbar:
-        rad = _fp_gcd(fbar, dbar, p)
-        repeated = _fp_small_roots(rad, p) if len(rad) > 1 else []
-    else:
-        # derivative vanished identically: fbar is a unit times the p-th
-        # power of a linear factor (p = 3 cube or p = 2 square); x -> x^p
-        # fixes F_p, so the root is -c0/lc itself
-        r = -fbar[0] * pow(fbar[-1], -1, p) % p
-        if sum(c * pow(r, i, p) for i, c in enumerate(fbar)) % p != 0:
-            raise FieldConsistencyError("inseparable reduction without a root")
-        repeated = [r]
-    count = _fp_distinct_roots(f, p) - len(repeated)
-    for r in repeated:
-        count += _zp_root_count(_compose_shift_scale(f, r, p), p, depth + 1)
+    df = [i * c for i, c in enumerate(f)][1:]
+    count = 0
+    for r in _fp_roots(f, p):
+        if _fp_eval(df, r, p):
+            count += 1
+        else:
+            count += _zp_root_count(_compose_shift_scale(f, r, p), p, depth + 1)
     return count
-
-
-def _triple_root_mod_p(c0: int, c1: int, c2: int, p: int) -> int | None:
-    """r with x^3 + c2 x^2 + c1 x + c0 = (x - r)^3 mod p, else None."""
-    if p == 3:
-        r = -c0 % 3
-    else:
-        r = -c2 * pow(3, -1, p) % p
-    if (3 * r + c2) % p == 0 and (3 * r * r + 2 * c2 * r + c1) % p == 0 \
-            and (r ** 3 + c2 * r * r + c1 * r + c0) % p == 0:
-        return r
-    return None
 
 
 def _is_ramified(c0: int, c1: int, c2: int, p: int, depth: int = 0) -> bool:
@@ -181,15 +103,17 @@ def _is_ramified(c0: int, c1: int, c2: int, p: int, depth: int = 0) -> bool:
     are totally split, inert, and totally ramified."""
     if depth > 64:
         raise FieldConsistencyError("ramification analysis failed to terminate")
-    r = _triple_root_mod_p(c0, c1, c2, p)
-    if r is None:
-        # separable, or a double root next to a simple one: the simple root
-        # lifts, forcing a degree-1 factor over Q_p, hence total splitting
-        return False
-    # recenter the triple root at 0
+    # the only candidate triple root mod p: x^3 + c2 x^2 + ... = (x - r)^3
+    # forces c2 = -3r, or c0 = -r^3 = -r at p = 3
+    r = -c0 % 3 if p == 3 else -c2 * pow(3, -1, p) % p
+    # Taylor coefficients at r: the cubic recentered at r
     d2 = c2 + 3 * r
     d1 = c1 + 2 * c2 * r + 3 * r * r
     d0 = c0 + c1 * r + c2 * r * r + r ** 3
+    if d2 % p or d1 % p or d0 % p:
+        # separable, or a double root next to a simple one: the simple root
+        # lifts, forcing a degree-1 factor over Q_p, hence total splitting
+        return False
     if d0 == 0:
         raise FieldConsistencyError("rational root slipped past irreducibility")
     v0 = _val(d0, p)
@@ -333,7 +257,11 @@ class CubicField:
     """A cyclic cubic field Q[x]/(f), f monic integral irreducible with
     square discriminant.  Build with from_cubic, which normalizes the model
     and rejects reducible cubics before the constructor rejects a
-    discriminant that is not a positive square."""
+    discriminant that is not a positive square.  The constructor itself
+    does not look for rational roots: call it directly only on a model
+    already known to have none, as the slice survey does with a model
+    whose roots are a fixed multiple of those of a cubic it has shown to
+    be irreducible."""
 
     def __init__(self, poly: PolyQ, disc_factorization: Factorization | None = None):
         self.poly = poly

@@ -172,8 +172,10 @@ class DirichletChar:
         return [self.power(j) for j in range(1, self.ell)]
 
     def canonical(self) -> "DirichletChar":
-        """Lex-smallest exponent vector in the orbit; orbit's stable name."""
-        return min(self.orbit(), key=lambda c: tuple(e for _, _, _, e in c.components))
+        """Lex-smallest exponent vector in the orbit; orbit's stable name.
+        chi^j runs the first exponent e_1 over all of 1..ell-1, so the
+        least member is the one with e_1 = 1, chi^(1/e_1 mod ell)."""
+        return self.power(pow(self.components[0][3], -1, self.ell))
 
     def exponents(self) -> tuple[tuple[int, int], ...]:
         return tuple((q, e) for q, _, _, e in self.components)
@@ -275,9 +277,10 @@ def characters_of_conductor(f: int, ell: int) -> list[DirichletChar]:
 
 
 def galois_orbits(f: int, ell: int) -> list[DirichletChar]:
-    """Canonical representatives of the (ell-1)^(k-1) orbits of conductor f."""
-    reps = {chi.canonical() for chi in characters_of_conductor(f, ell)}
-    return sorted(reps, key=lambda c: tuple(e for _, e in c.exponents()))
+    """Canonical representatives of the (ell-1)^(k-1) orbits of conductor f:
+    the characters with first exponent 1, in exponent-vector order."""
+    return [chi for chi in characters_of_conductor(f, ell)
+            if chi.components[0][3] == 1]
 
 
 def orbit_representatives(ell: int, conductor_bound: int) -> list[DirichletChar]:

@@ -155,14 +155,6 @@ class Curve:
         # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
         # so a_p = -sum_x legendre(4x^3 + b2 x^2 + 2 b4 x + b6)
         b2, b4, b6 = (int(self.b2) % p, int(self.b4) % p, int(self.b6) % p)
-        if p < 60:
-            squares = {x * x % p for x in range(1, p)}
-            s = 0
-            for x in range(p):
-                v = (4 * x * x * x + b2 * x * x + 2 * b4 * x + b6) % p
-                if v:
-                    s += 1 if v in squares else -1
-            return -s
         legendre = np.full(p, -1, dtype=np.int64)
         legendre[0] = 0
         idx = np.arange(1, (p + 1) // 2, dtype=np.int64)

@@ -662,12 +662,14 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     if kind != "cyclic-cubic":
         raise SurfaceError(f"parameter pair ({a}, {b}) gave a {kind} slice")
     poly = PolyQ.of(-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0, 1)
+    # poly's roots are h2 times the slice cubic's, which has none in Q, so
+    # the field is built without a second rational-root search
+    _check_model_scale(cubic, poly, h2)
     hh = _product((factor(h1), 1), (factor(h2), 1))
     # the hint doubles as an exact identity check: the field constructor
     # verifies that 2^10 (h1 h2 g)^2 really is the cubic's discriminant
     hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
-    field = CubicField.from_cubic(poly, disc_factorization=hint)
-    _check_model_scale(cubic, poly, h2)
+    field = CubicField(poly, disc_factorization=hint)
     point = (field.gen() / h2, field(u))
     return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
                      poly, cubic, field, _E37B_CURVE, point)

@@ -473,6 +473,21 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _fp_eval(c: list[int], r: int, p: int) -> int:
+    """c(r) mod p, by Horner."""
+    acc = 0
+    for v in reversed(c):
+        acc = (acc * r + v) % p
+    return acc
+
+
+def _fp_roots(c: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of the integer polynomial c, ascending,
+    by trying every residue."""
+    c = [v % p for v in c]
+    return [r for r in range(p) if _fp_eval(c, r, p) == 0]
+
+
 # odd primes tried as a squarefree certificate before the rational gcd
 _CERTIFY_PRIME_BOUND = 100
 
@@ -506,27 +521,13 @@ def _monic_integer_roots(coeffs: list[int]) -> list[int]:
             return [-c[0]]
         p = _separating_prime(c, inf)
     bound = 1 + max(abs(v) for v in c[:-1])
-
-    def ev(r, m):
-        acc = 0
-        for v in reversed(c):
-            acc = (acc * r + v) % m
-        return acc
-
-    def dev(r, m):
-        acc = 0
-        for i in range(len(c) - 1, 0, -1):
-            acc = (acc * r + i * c[i]) % m
-        return acc
-
+    dc = [i * v for i, v in enumerate(c)][1:]
     roots = []
-    for r0 in range(p):
-        if ev(r0, p):
-            continue
-        r, m = r0, p
+    for r in _fp_roots(c, p):
+        m = p
         while m < 2 * bound + 1:
             m *= m
-            r = (r - ev(r, m) * pow(dev(r, m), -1, m)) % m
+            r = (r - _fp_eval(c, r, m) * pow(_fp_eval(dc, r, m), -1, m)) % m
         s = r if r <= m // 2 else r - m
         acc = 0
         for v in reversed(c):

@@ -342,6 +342,25 @@ class TestCommandLine:
             capsys.readouterr()
             assert main(["e37b", *args]) == 1
             assert f"error: argument {option}" in capsys.readouterr().err
+        # so must the L-value commands' bounds and the worker count: these
+        # used to print an empty result and exit 0, or run serially
+        curve = ["--curve", "curves/37b.cfg"]
+        for args, option in (
+                (["census", *curve, "--max-conductor", "0"], "--max-conductor"),
+                (["census", *curve, "--max-conductor", "-7"], "--max-conductor"),
+                (["census", *curve, "--max-conductor", "63", "--threads", "-3"],
+                 "--threads"),
+                (["census", *curve, "--max-conductor", "63", "--threads", "0"],
+                 "--threads"),
+                (["congruence", *curve, "--max-conductor", "-7"], "--max-conductor"),
+                (["congruence", *curve, "--max-conductor", "0"], "--max-conductor"),
+                (["nonvanishing-set", *curve, "--max-conductor", "-1"],
+                 "--max-conductor"),
+                (["report", "run.csv.log", "--max-conductor", "0"],
+                 "--max-conductor")):
+            capsys.readouterr()
+            assert main(args) == 1
+            assert f"error: argument {option}" in capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

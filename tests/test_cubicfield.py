@@ -189,16 +189,11 @@ class TestSplitting:
         # roots equals the number of residues mod p^(D+1) hit by solutions
         # mod p^(3D+4).
         from sympy.ntheory import polynomial_congruence
-        rng = random.Random(4)
-        checked = 0
-        while checked < 40:
-            c = [rng.randint(-8, 8) for _ in range(3)] + [1]
-            f = PolyQ.of(*c)
-            disc = f.discriminant()
-            if disc == 0:
-                continue
+
+        def check(c, primes):
+            disc = PolyQ.of(*c).discriminant()
             expr = sum(int(ci) * sym_x ** i for i, ci in enumerate(c))
-            for p in (2, 3, 5):
+            for p in primes:
                 d = 0
                 t = int(disc)
                 while t % p == 0:
@@ -209,7 +204,34 @@ class TestSplitting:
                 roots = polynomial_congruence(expr, p ** (3 * d + 4))
                 want = len({r % p ** (d + 1) for r in roots})
                 assert _zp_root_count(c, p) == want, (c, p)
+
+        rng = random.Random(4)
+        checked = 0
+        while checked < 40:
+            c = [rng.randint(-8, 8) for _ in range(3)] + [1]
+            if PolyQ.of(*c).discriminant() == 0:
+                continue
+            check(c, (2, 3, 5))
             checked += 1
+
+        def inseparable(f, p):
+            # nonconstant mod p, with derivative identically zero mod p
+            return any(v % p for v in f[1:]) \
+                and all(i * v % p == 0 for i, v in enumerate(f))
+
+        # reductions whose derivative is identically zero: a cube mod 3 at
+        # the top level (0, 1 and 3 roots over Z_3) ...
+        for c in ([1, -3, 0, 1], [-1, 0, 0, 1], [-28, 39, -12, 1]):
+            assert inseparable(c, 3)
+            check(c, (3,))
+        # ... and a square mod 2 met after one recentering at the double
+        # root r mod 2 (1 and 3 roots over Z_2)
+        for c, r in (([-4, 0, 1, 1], 0), ([-6, 1, 0, 1], 1), ([-2, 1, 0, 1], 1)):
+            g = [int(v) for v in PolyQ.of(*c)(PolyQ.of(r, 2)).coeffs]
+            while all(v % 2 == 0 for v in g):
+                g = [v // 2 for v in g]
+            assert inseparable(g, 2), (c, g)
+            check(c, (2,))
 
 
 class TestGaloisAction:

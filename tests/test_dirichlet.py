@@ -125,6 +125,23 @@ class TestOrbitStructure:
         assert len(orbit) == 2
         assert {c.canonical() for c in orbit} == {chi.canonical()}
 
+    def test_canonical_and_orbits_match_the_orbit_minimum(self):
+        # oracle: the old definition, the lex-least exponent vector over
+        # the whole orbit, and the set of those over all characters
+        def exps(c):
+            return tuple(e for _, e in c.exponents())
+
+        checked = 0
+        for ell in (3, 5, 7):
+            for f in admissible_conductors(ell, 3000):
+                chars = characters_of_conductor(f, ell)
+                for chi in chars:
+                    assert chi.canonical() == min(chi.orbit(), key=exps)
+                want = sorted({min(c.orbit(), key=exps) for c in chars}, key=exps)
+                assert galois_orbits(f, ell) == want
+                checked += len(chars)
+        assert checked == 2322
+
     def test_conjugate_is_inverse(self):
         chi = galois_orbits(13, 3)[0]
         for a in range(1, 13):

@@ -462,17 +462,24 @@ class TestCensus37b:
 
     def test_each_pair_built_once(self, monkeypatch):
         # per pair: one resultant discriminant, of the slice cubic (the
-        # integral model takes the closed form), one factorization each of
-        # h1, h2 and g, and no rational squarefree gcd: both cubics are
-        # squarefree, and a small prime certifies it for their roots
+        # integral model takes the closed form), one rational-root search,
+        # also of the slice cubic (the model's roots are h2 times its
+        # roots), one factorization each of h1, h2 and g, and no rational
+        # squarefree gcd: the slice cubic is squarefree, and a small prime
+        # certifies it for the root search
         import elltwists.numcore as numcore
-        calls = {"discriminant": 0, "factor": 0, "squarefree": 0}
+        calls = {"discriminant": 0, "roots": 0, "factor": 0, "squarefree": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
+        real_roots = PolyQ.rational_roots
         real_squarefree = numcore._squarefree_monic
 
         def disc(self):
             calls["discriminant"] += 1
             return real_disc(self)
+
+        def roots(self):
+            calls["roots"] += 1
+            return real_roots(self)
 
         def counted_factor(n):
             calls["factor"] += 1
@@ -483,6 +490,7 @@ class TestCensus37b:
             return real_squarefree(coeffs)
 
         monkeypatch.setattr(PolyQ, "discriminant", disc)
+        monkeypatch.setattr(PolyQ, "rational_roots", roots)
         monkeypatch.setattr(numcore, "_squarefree_monic", squarefree)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
@@ -491,6 +499,7 @@ class TestCensus37b:
         census = census_37b(2000, 8)
         assert len(census.rows) == 88
         assert calls["discriminant"] == 88
+        assert calls["roots"] == 88
         assert calls["factor"] <= 3 * 88
         assert calls["squarefree"] == 0
 
