@@ -186,15 +186,31 @@ class CensusRow:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRow":
-        value = d.get("L_value")
+        """The row to_dict wrote; ValueError or KeyError on other shapes."""
+        if not isinstance(d, dict):
+            raise ValueError("a row is a JSON object")
+        value, bound = d.get("L_value"), d.get("error_bound")
         sums = d.get("coset_sums")
+        if not (_numbers([d["conductor"]], int)
+                and isinstance(d["character"], str)
+                and (value is None or _numbers(value) and len(value) == 2)
+                and (bound is None or _numbers([bound]))
+                and (sums is None or _numbers(sums, int))):
+            raise ValueError("conductor, character, L_value, error_bound or "
+                             "coset_sums has the wrong shape")
         return cls(d["conductor"], d["character"], d["decision"],
                    None if value is None else complex(value[0], value[1]),
-                   d.get("error_bound"),
+                   bound,
                    None if sums is None else tuple(sums),
                    d.get("elapsed", 0.0), d.get("error"),
                    d.get("alarm", False), d.get("rung"), d.get("curve"),
                    d.get("ell"))
+
+
+def _numbers(v, kind=(int, float)) -> bool:
+    """v is a JSON list of numbers of the given kind."""
+    return isinstance(v, list) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in v)
 
 
 CSV_HEADER = "conductor, character, decision, L_re, L_im, error_bound, coset_sums"
@@ -284,18 +300,20 @@ def _worker_task(chi: DirichletChar) -> dict:
 
 
 def _read_journal(path: Path) -> dict[str, CensusRow]:
-    """Rows already decided in an append-only journal.  A torn final line
-    (interrupted write) is ignored rather than fatal."""
+    """Rows already decided in an append-only journal.  An unterminated
+    last line (a torn write) is ignored; any other line that is not a
+    well-formed row raises ConfigError naming it."""
     done: dict[str, CensusRow] = {}
     if not path.exists():
         return done
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_bytes().split(b"\n")[:-1], 1):
         if not line.strip():
             continue
         try:
             row = CensusRow.from_dict(json.loads(line))
-        except (ValueError, KeyError):
-            break
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"journal {path} line {lineno} is not a census "
+                              f"row: {exc}") from exc
         done[row.character] = row
     return done
 
@@ -360,17 +378,17 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     done: dict[str, CensusRow] = {}
     if journal is not None:
         if resume:
+            done = _read_journal(journal)
+            for row in done.values():
+                if (row.curve or cal.label, row.ell or ell) != (cal.label, ell):
+                    raise ConfigError(f"journal {journal} holds {row.character} "
+                                      f"of curve {row.curve}, order {row.ell}")
             if journal.exists():
                 # cut a torn last line, so appended rows start a line of
                 # their own instead of extending it
                 end = journal.read_bytes().rfind(b"\n") + 1
                 with journal.open("r+b") as fh:
                     fh.truncate(end)
-            done = _read_journal(journal)
-            for row in done.values():
-                if (row.curve or cal.label, row.ell or ell) != (cal.label, ell):
-                    raise ConfigError(f"journal {journal} holds {row.character} "
-                                      f"of curve {row.curve}, order {row.ell}")
             labels = {chi.label() for chi in orbits}
             done = {k: row for k, row in done.items() if k in labels}
         else:

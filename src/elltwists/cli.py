@@ -53,6 +53,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _out_path(text: str) -> str:
+    if Path(text).is_dir() or not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
+    return text
+
+
 def _load_config(args) -> CurveConfig:
     if args.curve is None:
         raise ConfigError("--curve is required for this command")
@@ -93,7 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-conductor", type=_positive_int, required=True)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes (output is identical for any count)")
-    p.add_argument("--out", help="CSV path; a .log journal sits next to it")
+    p.add_argument("--out", type=_out_path,
+                   help="CSV path; a .log journal sits next to it")
     p.add_argument("--resume", action="store_true",
                    help="reuse journal rows from an interrupted run")
 
@@ -115,27 +122,29 @@ def _build_parser() -> _Parser:
                             "over one parameter value")
     common(p, ell=False, precision=False)
     p.add_argument("t0", help="slice parameter (a rational number)")
-    p.add_argument("--height-bound", type=int, default=8)
+    p.add_argument("--height-bound", type=_positive_int, default=8)
 
     p = sub.add_parser("e37b", help="conductor census of the slice family "
                                     "of the conductor-37 curve")
     p.add_argument("--max-conductor", type=_positive_int, required=True)
     p.add_argument("--height-bound", type=_positive_int)
-    p.add_argument("--out", help="write the report text here as well")
+    p.add_argument("--out", type=_out_path,
+                   help="write the report text here as well")
 
     p = sub.add_parser("family", help="torsion pencil fibers and the cyclic "
                                       "cubic fields their base surface hits")
     p.add_argument("kind", choices=["six-torsion", "four-two-torsion"])
     p.add_argument("parameters", nargs="+",
                    help="pencil parameters (rational numbers)")
-    p.add_argument("--height-bound", type=int, default=6)
+    p.add_argument("--height-bound", type=_positive_int, default=6)
 
     p = sub.add_parser("report", help="re-emit the summary and sorted CSV "
                                       "from an existing census journal")
     p.add_argument("journal", help="the .log file a census run wrote")
     p.add_argument("--max-conductor", type=_positive_int,
                    help="ladder cutoff (default: largest conductor present)")
-    p.add_argument("--out", help="regenerate the sorted CSV here")
+    p.add_argument("--out", type=_out_path,
+                   help="regenerate the sorted CSV here")
 
     return parser
 

@@ -19,8 +19,8 @@ from math import gcd, isqrt
 
 from .cubicfield import CubicField
 from .elliptic import Curve, is_nontorsion, on_curve
-from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant, factor,
-                      sqrt_mod_prime)
+from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant,
+                      cubic_double_root, factor, sqrt_mod_prime)
 
 
 class SurfaceError(Exception):
@@ -506,13 +506,11 @@ def _nodal_infinite_order(ai, P) -> bool:
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
-    g = PolyQ.of(Fraction(b6, 4), Fraction(b4, 2), Fraction(b2, 4), 1)
-    common = g.gcd(g.derivative())
-    if common.degree != 1:
+    c0, c1, c2 = Fraction(b6, 4), Fraction(b4, 2), Fraction(b2, 4)
+    if cubic_discriminant(c0, c1, c2) != 0:
         raise SurfaceError("fiber is not nodal")
-    x0 = -common.coeff(0) / common.coeff(1)
-    x1 = -g.coeff(2) - 2 * x0
-    d = x0 - x1
+    x0 = cubic_double_root(c0, c1, c2)
+    d = 3 * x0 + c2  # the double root less the simple root -c2 - 2 x0
     if d == 0:
         raise SurfaceError("cusp, not a node")
     x, y = P

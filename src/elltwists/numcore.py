@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 
 class RecognitionError(ValueError):
@@ -339,15 +339,6 @@ class PolyQ:
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         return self.divmod(other)[1]
 
-    def monic(self) -> "PolyQ":
-        return self * (1 / self.lc())
-
-    def gcd(self, other: "PolyQ") -> "PolyQ":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def resultant(self, other: "PolyQ") -> Fraction:
         """Resultant via the Sylvester matrix, exact over Q.  Each polynomial
         is scaled to integer coefficients by the lcm of its denominators, the
@@ -379,31 +370,15 @@ class PolyQ:
         return sign * self.resultant(self.derivative()) / self.lc()
 
     def rational_roots(self) -> list[Fraction]:
-        """All rational roots (with multiplicity stripped), exact.  Any
-        rational root of the primitive integer model, once scaled by the
-        leading coefficient, is an integer root of a monic companion.
-        _monic_integer_roots lifts those from a small prime that certifies
-        the companion squarefree, and takes the rational gcd with the
-        derivative only when no such prime exists, so nothing depends on
-        factoring the constant term."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        ic = _integral(self.coeffs)[0]
-        while ic and ic[0] == 0:
-            ic.pop(0)  # factor out x; zero is a root
-        roots = set()
-        if len(ic) < len(self.coeffs):
-            roots.add(Fraction(0))
-        if len(ic) == 2:
-            roots.add(Fraction(-ic[0], ic[1]))
-        if len(ic) <= 2:
-            return sorted(roots)
-        lead = ic[-1]
-        d = len(ic) - 1
-        monic = [c * lead ** (d - 1 - i) for i, c in enumerate(ic[:-1])] + [1]
-        for r in _monic_integer_roots(monic):
-            roots.add(Fraction(r, lead))
-        return sorted(roots)
+        """The distinct rational roots of a monic cubic, ascending, exact:
+        with d the coefficients' least common denominator, each is 1/d times
+        an integer root of the monic integral companion.  ValueError on any
+        polynomial that is not a monic cubic."""
+        if self.degree != 3 or self.coeffs[3] != 1:
+            raise ValueError("rational roots are found for monic cubics only")
+        (c0, c1, c2, _), d = _integral(self.coeffs)
+        return [Fraction(r, d)
+                for r in _monic_cubic_integer_roots(c0 * d * d, c1 * d, c2)]
 
     def __str__(self):
         if self.is_zero():
@@ -428,50 +403,18 @@ def cubic_discriminant(c0, c1, c2):
             - 4 * c1 ** 3 - 27 * c0 * c0)
 
 
-def _squarefree_monic(coeffs: list[int]) -> list[int]:
-    """Squarefree part of a monic integer polynomial; monic and integral
-    again by Gauss's lemma."""
-    p = PolyQ.of(*coeffs)
-    g = p.gcd(p.derivative())
-    if g.degree <= 0:
-        return coeffs
-    q, r = p.divmod(g)
-    if not r.is_zero() or any(c.denominator != 1 for c in q.coeffs):
-        raise ArithmeticError("squarefree part left the integers")
-    return [int(c) for c in q.coeffs]
+def cubic_double_root(c0, c1, c2) -> Fraction:
+    """The repeated root r of the monic cubic x^3 + c2 x^2 + c1 x + c0,
+    whose discriminant must vanish: (9 c0 - c1 c2) / (2 (c2^2 - 3 c1)),
+    or the triple root -c2 / 3 when c2^2 = 3 c1.  The simple root is
+    -c2 - 2 r.  The coefficients may be integers or fractions."""
+    den = 2 * (c2 * c2 - 3 * c1)
+    if den == 0:
+        return Fraction(-c2, 3)
+    return Fraction(9 * c0 - c1 * c2, den)
 
 
 # polynomial arithmetic over F_p (dense int lists, low degree first)
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        s = len(a) - len(b)
-        q[s] = c
-        for i, bc in enumerate(b):
-            a[s + i] = (a[s + i] - c * bc) % p
-        _fp_trim(a)
-    return q, a
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
 
 def _fp_eval(c: list[int], r: int, p: int) -> int:
     """c(r) mod p, by Horner."""
@@ -488,40 +431,25 @@ def _fp_roots(c: list[int], p: int) -> list[int]:
     return [r for r in range(p) if _fp_eval(c, r, p) == 0]
 
 
-# odd primes tried as a squarefree certificate before the rational gcd
-_CERTIFY_PRIME_BOUND = 100
-
-
-def _separating_prime(c: list[int], limit) -> int | None:
-    """Least odd prime p below limit at which the monic c stays squarefree,
-    gcd(c, c') = 1 mod p, or None.  Such a p proves c squarefree over Q:
-    a repeated monic factor of c would survive the reduction."""
-    dc = [i * v for i, v in enumerate(c)][1:]
+def _monic_cubic_integer_roots(c0: int, c1: int, c2: int) -> list[int]:
+    """Integer roots of x^3 + c2 x^2 + c1 x + c0, each once, ascending.
+    A nonzero discriminant keeps the roots distinct modulo the least odd
+    prime p not dividing it, so each root mod p is Newton-lifted past the
+    root bound and the survivors are checked exactly.  A zero one gives the
+    closed-form repeated and simple roots, whose exact check must pass."""
+    c = [c0, c1, c2, 1]
+    disc = cubic_discriminant(c0, c1, c2)
+    if disc == 0:
+        r = cubic_double_root(c0, c1, c2)
+        roots = {r, -c2 - 2 * r}
+        if any(((x + c2) * x + c1) * x + c0 for x in roots):
+            raise ArithmeticError("closed-form repeated root fails its check")
+        return sorted(int(x) for x in roots)
     p = 3
-    while p < limit:
-        if is_prime(p) and len(_fp_gcd(c, dc, p)) == 1:
-            return p
+    while disc % p == 0 or not is_prime(p):
         p += 2
-    return None
-
-
-def _monic_integer_roots(coeffs: list[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial, each once.  An odd
-    prime below _CERTIFY_PRIME_BOUND at which the polynomial stays
-    squarefree certifies it squarefree over Q; only when none exists is
-    the squarefree part taken by the rational gcd with the derivative, and
-    a prime sought for that instead.  The simple roots modulo the prime are
-    lifted past the root bound by Newton steps, and each survivor is
-    checked exactly, so the constant term is never factored."""
-    c = coeffs
-    p = _separating_prime(c, _CERTIFY_PRIME_BOUND)
-    if p is None:
-        c = _squarefree_monic(coeffs)
-        if len(c) == 2:
-            return [-c[0]]
-        p = _separating_prime(c, inf)
-    bound = 1 + max(abs(v) for v in c[:-1])
-    dc = [i * v for i, v in enumerate(c)][1:]
+    bound = 1 + max(abs(c0), abs(c1), abs(c2))
+    dc = [c1, 2 * c2, 3]
     roots = []
     for r in _fp_roots(c, p):
         m = p
@@ -529,10 +457,7 @@ def _monic_integer_roots(coeffs: list[int]) -> list[int]:
             m *= m
             r = (r - _fp_eval(c, r, m) * pow(_fp_eval(dc, r, m), -1, m)) % m
         s = r if r <= m // 2 else r - m
-        acc = 0
-        for v in reversed(c):
-            acc = acc * s + v
-        if acc == 0:
+        if ((s + c2) * s + c1) * s + c0 == 0:
             roots.append(s)
     return sorted(roots)
 

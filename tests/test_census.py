@@ -227,6 +227,33 @@ class TestRunCensus:
         assert main(["report", str(journal)]) == 0
         assert "orbits: 3 (" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit", [None, {"L_value": 5}, {"conductor": "9"},
+                                      {"coset_sums": [1, "x", 2]}],
+                             ids=["garbage", "L_value", "conductor",
+                                  "coset_sums"])
+    def test_bad_journal_line_refused(self, tmp_path, capsys, edit):
+        # a bad row anywhere but a torn last line fails the command and
+        # leaves the journal as it was: it used to end the read there, so
+        # report showed 1 orbit and resume appended 4 again on every run
+        out = tmp_path / "b.csv"
+        run_census(E37B_CONFIG, 3, 31, out=out)
+        journal = tmp_path / "b.csv.log"
+        rows = journal.read_text().splitlines()
+        assert len(rows) == 5
+        if edit is None:
+            rows.insert(1, "#garbage")
+        else:
+            rows[1] = json.dumps({**json.loads(rows[1]), **edit})
+        journal.write_text("\n".join(rows) + "\n")
+        before = journal.read_bytes()
+        for argv in (["report", str(journal)],
+                     ["census", "--curve", "curves/37b.cfg", "--max-conductor",
+                      "31", "--out", str(out), "--resume"]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert "line 2 is not a census row" in capsys.readouterr().err
+            assert journal.read_bytes() == before
+
     def test_resume_without_path_rejected(self):
         with pytest.raises(ConfigError):
             run_census(E37B_CONFIG, 3, 13, resume=True)
@@ -357,10 +384,42 @@ class TestCommandLine:
                 (["nonvanishing-set", *curve, "--max-conductor", "-1"],
                  "--max-conductor"),
                 (["report", "run.csv.log", "--max-conductor", "0"],
-                 "--max-conductor")):
+                 "--max-conductor"),
+                # the fiber searches' height bounds: these printed no
+                # points and exited 0
+                (["kummer-fiber", *curve, "2", "--height-bound", "-1"],
+                 "--height-bound"),
+                (["kummer-fiber", *curve, "2", "--height-bound", "0"],
+                 "--height-bound"),
+                (["family", "six-torsion", "2", "--height-bound", "-3"],
+                 "--height-bound"),
+                (["family", "six-torsion", "2", "--height-bound", "0"],
+                 "--height-bound")):
             capsys.readouterr()
             assert main(args) == 1
             assert f"error: argument {option}" in capsys.readouterr().err
+
+    def test_output_outside_a_directory_exits_one(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # each used to end in a FileNotFoundError traceback, e37b only after
+        # its whole survey; now the path is refused before any work starts
+        import elltwists.cli as cli
+        journal = tmp_path / "r.csv.log"
+        run_census(E37B_CONFIG, 3, 13, out=tmp_path / "r.csv")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking the output path")
+
+        monkeypatch.setattr(cli, "run_e37b", no_work)
+        monkeypatch.setattr(cli, "run_census", no_work)
+        for out in (tmp_path / "no" / "such.csv", tmp_path):
+            for argv in (["census", "--curve", "curves/37b.cfg",
+                          "--max-conductor", "13"],
+                         ["e37b", "--max-conductor", "2000"],
+                         ["report", str(journal)]):
+                capsys.readouterr()
+                assert main([*argv, "--out", str(out)]) == 1
+                assert "error: argument --out" in capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

@@ -23,6 +23,7 @@ from elltwists.kummer import (
     SurfaceModel,
     _check_model_scale,
     _e37b_pair,
+    _nodal_infinite_order,
     bad_locus,
     census_37b,
     conic_norm_test,
@@ -181,8 +182,7 @@ class TestJacobianFamily:
             assert bad_locus(0, B) == PolyQ.of(0, 0, 108 * B, 0, 0, 0, 0, 0, 1)
 
     def test_bad_locus_squarefree_sample(self):
-        bl = bad_locus(1, 1)
-        assert bl.gcd(bl.derivative()).degree == 0
+        assert bad_locus(1, 1).discriminant() != 0
 
     def test_marked_section_identity(self):
         rng = random.Random(6)
@@ -354,6 +354,16 @@ class TestTorsionPencils:
         assert fiber.point == (F(3, 2), F(0))
         assert fiber.infinite_order
 
+    def test_node_certificate_refuses_cusps_and_smooth_fibers(self):
+        # y^2 = x^3 has a triple root at its singular point, a cusp
+        with pytest.raises(SurfaceError, match="cusp"):
+            _nodal_infinite_order((0, 0, 0, 0, 0), (F(1), F(1)))
+        with pytest.raises(SurfaceError, match="cusp"):
+            _nodal_infinite_order((0, 0, 0, 0, 0), (F(4), F(-8)))
+        # y^2 = x^3 - x is smooth: its discriminant does not vanish
+        with pytest.raises(SurfaceError, match="not nodal"):
+            _nodal_infinite_order((0, 0, 0, -1, 0), (F(0), F(0)))
+
     def test_six_torsion_exclusions(self):
         for lam in (0, -1, F(-1, 9)):
             with pytest.raises(ValueError):
@@ -464,14 +474,11 @@ class TestCensus37b:
         # per pair: one resultant discriminant, of the slice cubic (the
         # integral model takes the closed form), one rational-root search,
         # also of the slice cubic (the model's roots are h2 times its
-        # roots), one factorization each of h1, h2 and g, and no rational
-        # squarefree gcd: the slice cubic is squarefree, and a small prime
-        # certifies it for the root search
+        # roots), and one factorization each of h1, h2 and g
         import elltwists.numcore as numcore
-        calls = {"discriminant": 0, "roots": 0, "factor": 0, "squarefree": 0}
+        calls = {"discriminant": 0, "roots": 0, "factor": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
         real_roots = PolyQ.rational_roots
-        real_squarefree = numcore._squarefree_monic
 
         def disc(self):
             calls["discriminant"] += 1
@@ -485,13 +492,8 @@ class TestCensus37b:
             calls["factor"] += 1
             return real_factor(n)
 
-        def squarefree(coeffs):
-            calls["squarefree"] += 1
-            return real_squarefree(coeffs)
-
         monkeypatch.setattr(PolyQ, "discriminant", disc)
         monkeypatch.setattr(PolyQ, "rational_roots", roots)
-        monkeypatch.setattr(numcore, "_squarefree_monic", squarefree)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
@@ -501,7 +503,6 @@ class TestCensus37b:
         assert calls["discriminant"] == 88
         assert calls["roots"] == 88
         assert calls["factor"] <= 3 * 88
-        assert calls["squarefree"] == 0
 
     def test_integral_model_root_oracle(self):
         # the field-arithmetic evaluation that the integer identity

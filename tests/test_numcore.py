@@ -4,10 +4,12 @@ The resultant is checked against two independent oracles: the product
 formula lc(p)^deg(q) * prod q(r_i) over the roots r_i of p, evaluated on
 factored test polynomials where the roots are known exactly, and plain
 Gaussian elimination of the Sylvester matrix over Fraction.  Rational
-roots are checked against the known roots of products of linear factors.
+roots of monic cubics are checked against the rational root theorem and
+against the known roots of products of linear factors.
 """
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -278,74 +280,109 @@ def test_poly_divmod_roundtrip():
         assert rem.is_zero() or rem.degree < q.degree
 
 
-def test_poly_gcd_and_roots():
-    p = _poly_from_roots([1, 2]) * _poly_from_roots([3])
-    q = _poly_from_roots([2, 3])
-    assert p.gcd(q) == _poly_from_roots([2, 3]).monic()
-    assert PolyQ.of(-6, 1, 1).rational_roots() == [Fraction(-3), Fraction(2)]
-    assert PolyQ.of(-2, 0, 1).rational_roots() == []
-    assert _poly_from_roots([Fraction(7, 9), 0]).rational_roots() == [0, Fraction(7, 9)]
+def test_rational_roots_need_a_monic_cubic():
+    # every caller hands over a monic cubic; anything else is refused
+    for p in (PolyQ.of(), PolyQ.of(5), PolyQ.of(-6, 1), PolyQ.of(-6, 1, 1),
+              _poly_from_roots([1, 2, 3, 4]), _poly_from_roots([1, 2, 3]) * 2,
+              _poly_from_roots([F(1, 2), 0, 5]) * F(1, 3)):
+        with pytest.raises(ValueError):
+            p.rational_roots()
 
 
-def _count_squarefree_calls(monkeypatch):
-    calls = []
-    real = numcore._squarefree_monic
+def test_separable_cubics_lift_from_a_prime_off_the_discriminant(monkeypatch):
+    # a nonzero discriminant keeps the roots apart modulo the least odd
+    # prime that does not divide it, so the closed form is never consulted
+    def unused(*coeffs):
+        raise AssertionError("closed form called on a separable cubic")
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return real(coeffs)
-
-    monkeypatch.setattr(numcore, "_squarefree_monic", counted)
-    return calls
-
-
-def test_squarefree_certificate_skips_the_rational_gcd(monkeypatch):
-    calls = _count_squarefree_calls(monkeypatch)
+    monkeypatch.setattr(numcore, "cubic_double_root", unused)
     assert PolyQ.of(-3584, -448, 0, 1).rational_roots() == []
     assert _poly_from_roots([1, 2, -3]).rational_roots() == [-3, 1, 2]
     assert _poly_from_roots([F(1, 2), F(-4, 3), 5]).rational_roots() == \
         [F(-4, 3), F(1, 2), 5]
-    assert numcore._monic_integer_roots([0, -1, 0, 1]) == [-1, 0, 1]
-    assert calls == []
+    assert numcore._monic_cubic_integer_roots(0, -1, 0) == [-1, 0, 1]
+    # roots that collide modulo 3, 5, 7 and 11: the lift starts at 13
+    assert cubic_discriminant(0, -1155 ** 2, 0) % (3 * 5 * 7 * 11) == 0
+    assert numcore._monic_cubic_integer_roots(0, -1155 ** 2, 0) == \
+        [-1155, 0, 1155]
+    assert (PolyQ.of(3, 0, 1) * _poly_from_roots([F(-7, 4)])).rational_roots() \
+        == [F(-7, 4)]
 
 
-def test_repeated_roots_take_the_rational_gcd(monkeypatch):
-    calls = _count_squarefree_calls(monkeypatch)
+def test_repeated_roots_take_the_closed_form(monkeypatch):
+    real = numcore.cubic_double_root
+    # (x - r)^2 (x - s) and the triple root
+    for r, s in ((2, 5), (5, 2), (F(-1, 3), F(7, 2)), (4, 4), (0, 0)):
+        c0, c1, c2 = _poly_from_roots([r, r, s]).coeffs[:3]
+        assert real(c0, c1, c2) == r
+        assert -c2 - 2 * real(c0, c1, c2) == s
+    calls = []
+
+    def counted(*coeffs):
+        calls.append(coeffs)
+        return real(*coeffs)
+
+    monkeypatch.setattr(numcore, "cubic_double_root", counted)
     assert _poly_from_roots([1, 1, -2]).rational_roots() == [-2, 1]
-    assert len(calls) == 1
-    assert _poly_from_roots([0, 0, 3, 3, 3]).rational_roots() == [0, 3]
-    assert len(calls) == 2
-    assert numcore._monic_integer_roots([0, 0, 0, 1]) == [0]
-    assert numcore._monic_integer_roots([0, 9, -6, 1]) == [0, 3]
-    assert len(calls) == 4
+    assert _poly_from_roots([F(3, 2)] * 3).rational_roots() == [F(3, 2)]
+    assert _poly_from_roots([0, 3, 3]).rational_roots() == [0, 3]
+    assert numcore._monic_cubic_integer_roots(0, 0, 0) == [0]
+    assert numcore._monic_cubic_integer_roots(0, 9, -6) == [0, 3]
+    assert len(calls) == 5
+    # a closed-form root that fails its exact check is an error, not a
+    # missing root
+    for wrong in (F(7), F(1, 2)):
+        monkeypatch.setattr(numcore, "cubic_double_root", lambda *c: wrong)
+        with pytest.raises(ArithmeticError):
+            _poly_from_roots([1, 1, -2]).rational_roots()
 
 
-def test_fallback_agrees_with_the_certificate(monkeypatch):
-    # with no prime below the bound, every polynomial takes the rational
-    # gcd and then the unbounded prime search
-    polys = [PolyQ.of(-3584, -448, 0, 1), _poly_from_roots([1, 2, -3]),
-             _poly_from_roots([F(7, 9), -5, 11]) * 3,
-             PolyQ.of(2, 0, 1) * _poly_from_roots([4])]
-    expected = [p.rational_roots() for p in polys]
-    calls = _count_squarefree_calls(monkeypatch)
-    monkeypatch.setattr(numcore, "_CERTIFY_PRIME_BOUND", 3)
-    assert [p.rational_roots() for p in polys] == expected
-    assert len(calls) == len(polys)
+def _roots_by_the_rational_root_theorem(coeffs):
+    """Rational roots of the polynomial with these coefficients, low degree
+    first, by trying every p/q with p dividing the constant and q the
+    leading coefficient of its integer model; the root 0 is split off
+    first."""
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(F(0))
+        coeffs = coeffs[1:]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    a0, an = abs(ints[0]), abs(ints[-1])
+    for p in (d for d in range(1, a0 + 1) if a0 % d == 0):
+        for q in (d for d in range(1, an + 1) if an % d == 0):
+            for x in (F(p, q), F(-p, q)):
+                if sum(c * x ** i for i, c in enumerate(ints)) == 0:
+                    roots.add(x)
+    return sorted(roots)
 
 
-@given(st.lists(st.tuples(st.fractions(min_value=-30, max_value=30,
-                                       max_denominator=9),
-                          st.integers(min_value=1, max_value=3)),
-                min_size=1, max_size=4),
-       st.integers(min_value=1, max_value=6).map(lambda k: Fraction(k, 7)),
+_small_rational = st.one_of(st.just(F(0)), st.integers(-12, 12).map(F),
+                            st.fractions(min_value=-12, max_value=12,
+                                         max_denominator=6))
+
+
+@given(st.tuples(_small_rational, _small_rational, _small_rational))
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_the_rational_root_theorem(coeffs):
+    c0, c1, c2 = coeffs
+    assert PolyQ.of(c0, c1, c2, 1).rational_roots() == \
+        _roots_by_the_rational_root_theorem([c0, c1, c2, F(1)])
+
+
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=9),
+                min_size=1, max_size=3),
        st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_rational_roots_of_products_of_linear_factors(factors, lc, quadratic):
-    roots = [r for r, e in factors for _ in range(e)]
-    p = _poly_from_roots(roots) * lc
-    if quadratic:
-        p = p * PolyQ.of(3, 0, 1)  # x^2 + 3 has no rational root
-    assert p.rational_roots() == sorted({r for r, _ in factors})
+def test_rational_roots_of_products_of_linear_factors(roots, quadratic):
+    # one, two or three rational factors; the first root is repeated up to
+    # degree three (a double or triple root), or a lone factor takes
+    # x^2 + 3, which has no rational root
+    if quadratic and len(roots) == 1:
+        p = _poly_from_roots(roots) * PolyQ.of(3, 0, 1)
+    else:
+        p = _poly_from_roots(roots + roots[:1] * (3 - len(roots)))
+    assert p.rational_roots() == sorted(set(roots))
 
 
 def test_poly_evaluation_horner():
