@@ -22,9 +22,8 @@ from pathlib import Path
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar, admissible_conductors, galois_orbits
 from .elliptic import Curve
-from .kummer import (FamilyFiber, SurfaceError, _e37b_pair, census_37b,
-                     delta_poly, extract_cubic, fiber_search,
-                     torsion_base_curve, torsion_family)
+from .kummer import (FamilyFiber, _e37b_pair, census_37b, delta_poly,
+                     fiber_search, torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
                      t_independence)
 
@@ -624,8 +623,8 @@ class FamilyReport:
 def run_family(kind: str, parameters, height_bound: int = 6) -> FamilyReport:
     """Report the marked pencil fiber at each parameter and search the base
     curve's slice surface over the pencil's parameter line for cyclic cubic
-    fibers, re-deriving each exported cubic through the surface membership
-    check.  Excluded parameters are reported, not fatal."""
+    fibers, building each field from the slice cubic the search classified.
+    Excluded parameters are reported, not fatal."""
     if kind not in ("six-torsion", "four-two-torsion"):
         raise ValueError(f"unknown pencil kind: {kind!r}")
     entries: list[FamilyEntry] = []
@@ -650,11 +649,7 @@ def run_family(kind: str, parameters, height_bound: int = 6) -> FamilyReport:
                 if fp.classification != "cyclic-cubic" or fp.u in seen_u:
                     continue
                 seen_u.add(fp.u)
-                cubic, split = extract_cubic(surface, fp)
-                if split != "cyclic-cubic":
-                    raise SurfaceError(
-                        "fiber changed splitting type on re-derivation")
-                field = CubicField.from_cubic(cubic)
-                cubics.append((fp.u, tuple(cubic.coeffs), field.conductor))
+                field = CubicField.from_cubic(fp.cubic)
+                cubics.append((fp.u, tuple(fp.cubic.coeffs), field.conductor))
         entries.append(FamilyEntry(lam, None, fiber, tuple(cubics)))
     return FamilyReport(kind, height_bound, tuple(entries))

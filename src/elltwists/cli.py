@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .census import (CensusSummary, ConfigError, CurveConfig, TheoryViolation,
@@ -151,6 +152,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_twist_value(args) -> int:
     config = _load_config(args)
+    if gcd(args.conductor, config.conductor) != 1:
+        raise ConfigError(f"twist conductor {args.conductor} shares a factor "
+                          f"with the level {config.conductor}")
     cal = calibrate(config.validated_curve(), args.ell,
                     dps=config.precision_digits)
     try:
@@ -230,6 +234,9 @@ def _cmd_report(args) -> int:
     journal = Path(args.journal)
     if not journal.exists():
         raise ConfigError(f"no journal at {journal}")
+    out = Path(args.out) if args.out else None
+    if out and out.exists() and out.samefile(journal):
+        raise ConfigError(f"--out {out} is the journal being read")
     rows = sorted(_read_journal(journal).values(),
                   key=lambda r: r.sort_key)
     if not rows:
@@ -240,8 +247,8 @@ def _cmd_report(args) -> int:
                             counts, slope, 0, len(rows),
                             sum(r.elapsed for r in rows))
     print(summary.text())
-    if args.out:
-        Path(args.out).write_text(summary.csv())
+    if out:
+        out.write_text(summary.csv())
     return 2 if summary.n_alarms else 0
 
 

@@ -257,11 +257,9 @@ class CubicField:
     """A cyclic cubic field Q[x]/(f), f monic integral irreducible with
     square discriminant.  Build with from_cubic, which normalizes the model
     and rejects reducible cubics before the constructor rejects a
-    discriminant that is not a positive square.  The constructor itself
-    does not look for rational roots: call it directly only on a model
-    already known to have none, as the slice survey does with a model
-    whose roots are a fixed multiple of those of a cubic it has shown to
-    be irreducible."""
+    discriminant that is not a positive square, or one that differs from
+    a supplied factorization.  The constructor itself does not look for
+    rational roots."""
 
     def __init__(self, poly: PolyQ, disc_factorization: Factorization | None = None):
         self.poly = poly

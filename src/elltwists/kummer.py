@@ -129,15 +129,20 @@ class QuadElt:
 # the slice discriminant
 
 
+def _slice_coefficients(curve: Curve, t, u) -> tuple:
+    """(r, q, p) of the slice cubic x^3 + p x^2 + q x + r cut out by the
+    line y = t x + u, over any ring that holds t and u."""
+    p = curve.a2 - t * t - curve.a1 * t
+    q = curve.a4 - 2 * t * u - curve.a1 * u - curve.a3 * t
+    r = curve.a6 - u * u - curve.a3 * u
+    return r, q, p
+
+
 def _slice_discriminant(curve: Curve) -> BiPolyQ:
     """Discriminant in x of the line slice y = t x + u, as a polynomial in
     (u, t).  Always a quartic in u with top coefficient -27."""
-    u, t = BiPolyQ.u(), BiPolyQ.t()
-    p = BiPolyQ.const(curve.a2) - t * t - BiPolyQ.const(curve.a1) * t
-    q = (BiPolyQ.const(curve.a4) - 2 * t * u - BiPolyQ.const(curve.a1) * u
-         - BiPolyQ.const(curve.a3) * t)
-    r = BiPolyQ.const(curve.a6) - u * u - BiPolyQ.const(curve.a3) * u
-    return cubic_discriminant(r, q, p)
+    return cubic_discriminant(*_slice_coefficients(curve, BiPolyQ.t(),
+                                                   BiPolyQ.u()))
 
 
 class SurfaceModel:
@@ -159,14 +164,11 @@ def delta_poly(curve: Curve) -> SurfaceModel:
 
 
 def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str, Fraction]:
-    """The monic cubic in x cut out by the line y = t0 x + u, with its
-    splitting type and its discriminant.  On a square-discriminant slice the
-    Galois group is cyclic, so one rational root forces all three; a lone
-    rational root cannot occur."""
-    t0, u = Fraction(t0), Fraction(u)
-    p = curve.a2 - t0 * t0 - curve.a1 * t0
-    q = curve.a4 - 2 * t0 * u - curve.a1 * u - curve.a3 * t0
-    r = curve.a6 - u * u - curve.a3 * u
+    """The monic cubic in x cut out by the line y = t0 x + u, with the
+    splitting type and discriminant that fiber_search reports.  On a
+    square-discriminant slice the Galois group is cyclic, so one rational
+    root forces all three; a lone rational root cannot occur."""
+    r, q, p = _slice_coefficients(curve, Fraction(t0), Fraction(u))
     cubic = PolyQ.of(r, q, p, 1)
     disc = cubic.discriminant()
     # dual route: resultant-based discriminant against the closed form
@@ -192,15 +194,6 @@ class FiberPoint:
     cubic: PolyQ
     classification: str
     good_fiber: bool
-
-
-def extract_cubic(surface: SurfaceModel, fp: FiberPoint) -> tuple[PolyQ, str]:
-    """Re-derive the slice cubic and splitting type at a fiber point after
-    checking that its delta really squares to the slice discriminant there."""
-    if fp.delta * fp.delta != surface.fiber_quartic(fp.t0)(fp.u):
-        raise SurfaceError("fiber point does not lie on the surface")
-    cubic, kind, _ = _slice_cubic(surface.curve, fp.t0, fp.u)
-    return cubic, kind
 
 
 def _farey(bound: int):
@@ -645,8 +638,11 @@ def _check_model_scale(cubic: PolyQ, poly: PolyQ, h: int) -> None:
 
 def _e37b_pair(a: int, b: int) -> E37bFiber:
     """Slice data for the coprime parameter pair (a, b); b = 0 is the point
-    at infinity of the parameter line.  Each of h1, h2 and g is factored
-    once; the fiber keeps the factorization of h1 h2 for the census."""
+    at infinity of the parameter line.  The field is classified once, by
+    from_cubic on the integral model poly (h2 times the slice cubic's
+    roots, discriminant 2^10 (h1 h2 g)^2 = delta^2 h2^6); a failed identity
+    raises SurfaceError.  Each of h1, h2 and g is factored once; the fiber
+    keeps the factorization of h1 h2 for the census."""
     if gcd(a, b) != 1:
         raise ValueError("parameter pair must be coprime")
     h1 = 7 * a * a + 12 * a * b + 9 * b * b
@@ -654,20 +650,17 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     g = 3 * a * a + a * b - 3 * b * b
     u = Fraction(h1, h2)
     delta = Fraction(32 * h1 * g, h2 * h2)
-    cubic, kind, disc = _slice_cubic(_E37B_CURVE, 0, u)
-    if delta * delta != disc:
-        raise SurfaceError("slice point left the discriminant quartic")
-    if kind != "cyclic-cubic":
-        raise SurfaceError(f"parameter pair ({a}, {b}) gave a {kind} slice")
+    cubic = PolyQ.of(*_slice_coefficients(_E37B_CURVE, 0, u), 1)
     poly = PolyQ.of(-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0, 1)
-    # poly's roots are h2 times the slice cubic's, which has none in Q, so
-    # the field is built without a second rational-root search
     _check_model_scale(cubic, poly, h2)
     hh = _product((factor(h1), 1), (factor(h2), 1))
-    # the hint doubles as an exact identity check: the field constructor
-    # verifies that 2^10 (h1 h2 g)^2 really is the cubic's discriminant
     hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
-    field = CubicField(poly, disc_factorization=hint)
+    try:
+        field = CubicField.from_cubic(poly, hint)
+    except ValueError as exc:
+        raise SurfaceError(f"parameter pair ({a}, {b}): {exc}") from exc
+    if delta ** 2 * h2 ** 6 != field.poly_disc:
+        raise SurfaceError("slice point left the discriminant quartic")
     point = (field.gen() / h2, field(u))
     return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
                      poly, cubic, field, _E37B_CURVE, point)

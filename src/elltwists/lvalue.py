@@ -256,25 +256,22 @@ def _dd_buckets(terms: _SeriesTerms, ell: int, r, M: int) -> tuple[list, float]:
             _DD_ROUNDOFF * size)
 
 
-def _radii(N: int, f: int, t, err, truncation_scale: int) -> list:
+def _radii(N: int, f: int, t, err) -> list:
     """(r, M) for the two series: radius r = e^(-c) and the M terms that
     bring each tail under err / 2."""
     sqrt_n = mpmath.sqrt(N)
-    return [(mpmath.exp(-c), _terms_needed(c, err / 2) * truncation_scale)
+    return [(mpmath.exp(-c), _terms_needed(c, err / 2))
             for c in (2 * mpmath.pi * t / (f * sqrt_n),
                       2 * mpmath.pi / (t * f * sqrt_n))]
 
 
 def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
-                   err=1e-15, truncation_scale: int = 1,
-                   terms: _SeriesTerms | None = None) -> dict:
+                   err=1e-15, terms: _SeriesTerms | None = None) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the same real exponent buckets (one pass over n per
     series radius); absolute error <= err plus roundoff.  chi = None is the
     trivial character, asked for as taus = {0: 1}.
 
-    truncation_scale multiplies the computed series lengths; recomputing
-    with 2 and differencing is the soundness check on the tail bound itself.
     terms, built for this chi, lets several calls share one set of a_n / n;
     it is rebuilt when it is too short."""
     if curve.conductor is None or curve.root_number is None:
@@ -286,7 +283,7 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     t = _as_mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
-    (r1, M1), (r2, M2) = radii = _radii(N, f, t, err, truncation_scale)
+    (r1, M1), (r2, M2) = radii = _radii(N, f, t, err)
     if terms is None or terms.M < max(M1, M2):
         terms = _SeriesTerms(curve, chi, max(M1, M2))
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
@@ -314,12 +311,12 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     return out
 
 
-def central_value(curve: Curve, chi: DirichletChar | None = None, t=1, err=1e-15,
-                  truncation_scale: int = 1):
+def central_value(curve: Curve, chi: DirichletChar | None = None, t=1,
+                  err=1e-15):
     """L(E, 1, chi) at the current mpmath precision, absolute error <= err
     plus roundoff.  chi = None gives the untwisted central value."""
     taus = {0: 1} if chi is None else {1: chi.gauss_sum()}
-    (value,) = central_values(curve, chi, taus, t, err, truncation_scale).values()
+    (value,) = central_values(curve, chi, taus, t, err).values()
     return value
 
 
@@ -373,7 +370,7 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
         taus = chi.gauss_sums()
         # one set of a_n / n, long enough for the longest of the three series
         longest = max(M for t in (1, _T_CHECK)
-                      for _, M in _radii(curve.conductor, f, _as_mpf(t), err_l, 1))
+                      for _, M in _radii(curve.conductor, f, _as_mpf(t), err_l))
         terms = _SeriesTerms(curve, chi, longest)
         values = central_values(curve, chi, taus, err=err_l, terms=terms)
         moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l,

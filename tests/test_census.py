@@ -351,6 +351,13 @@ class TestCommandLine:
         # 0 is a value, not an absent option: below the 15-digit floor
         assert main(["twist-value", "--curve", "curves/37b.cfg",
                      "--precision", "0", "7"]) == 1
+        # a twist conductor sharing a factor with the level 37 ended in a
+        # ValueError traceback from the series
+        for conductor in ("37", "259"):
+            capsys.readouterr()
+            assert main(["twist-value", "--curve", "curves/37b.cfg",
+                         conductor]) == 1
+            assert "error: twist conductor" in capsys.readouterr().err
         # the twist order must be an odd prime
         for ell in ("1", "2", "4", "9", "-3", "x"):
             capsys.readouterr()
@@ -434,6 +441,22 @@ class TestCommandLine:
                      str(tmp_path / "again.csv")])
         assert code == 0
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+    def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the CSV used to replace the journal it was read from, exit 0
+        out = tmp_path / "r.csv"
+        run_census(E37B_CONFIG, 3, 20, out=out)
+        journal = tmp_path / "r.csv.log"
+        before = journal.read_bytes()
+        link = tmp_path / "link.log"
+        link.symlink_to(journal)
+        monkeypatch.chdir(tmp_path)
+        for target in (str(journal), "./r.csv.log", str(link)):
+            capsys.readouterr()
+            assert main(["report", str(journal), "--out", target]) == 1
+            assert "error:" in capsys.readouterr().err
+            assert journal.read_bytes() == before
 
     def test_import_leaves_sympy_out(self):
         # only the genus-3 smoothness verdict needs sympy, so no command

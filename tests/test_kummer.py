@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elltwists.cli import main
+from elltwists.cubicfield import CubicField
 from elltwists.elliptic import Curve, is_nontorsion, on_curve, trace_point
 from elltwists.kummer import (
     E37B_SLICE,
@@ -29,7 +31,6 @@ from elltwists.kummer import (
     conic_norm_test,
     delta_poly,
     e37b_param,
-    extract_cubic,
     fiber_search,
     gamma1,
     gamma1_at,
@@ -38,7 +39,7 @@ from elltwists.kummer import (
     jacobian_curve,
     torsion_family,
 )
-from elltwists.numcore import BiPolyQ, PolyQ, factor
+from elltwists.numcore import BiPolyQ, Factorization, PolyQ, factor
 
 F = Fraction
 
@@ -141,17 +142,6 @@ class TestFiberSearch:
         assert (F(0), F(-2), "split-over-Q") in flat
         cubic = next(p.cubic for p in pts if p.u == 0)
         assert cubic.rational_roots() == [F(-1), F(0), F(1)]
-
-    def test_extract_cubic_roundtrip(self):
-        surf = delta_poly(Curve(E37B_SLICE))
-        for fp in fiber_search(surf, 0, 9):
-            assert extract_cubic(surf, fp) == (fp.cubic, fp.classification)
-
-    def test_extract_cubic_rejects_off_surface(self):
-        surf = delta_poly(Curve(E37B_SLICE))
-        fp = fiber_search(surf, 0, 9)[0]
-        with pytest.raises(SurfaceError):
-            extract_cubic(surf, replace(fp, delta=fp.delta + 1))
 
     def test_good_fiber_criterion(self):
         assert good_fiber(Curve((0, 0, 0, 1, 1)), 1)
@@ -471,14 +461,14 @@ class TestCensus37b:
         assert (first.a, first.b, first.conductor) == (1, 0, 63)
 
     def test_each_pair_built_once(self, monkeypatch):
-        # per pair: one resultant discriminant, of the slice cubic (the
-        # integral model takes the closed form), one rational-root search,
-        # also of the slice cubic (the model's roots are h2 times its
-        # roots), and one factorization each of h1, h2 and g
+        # per pair: one field classification, on the integral model (its
+        # closed-form discriminant, no resultant), with its one
+        # rational-root search, and one factorization each of h1, h2 and g
         import elltwists.numcore as numcore
-        calls = {"discriminant": 0, "roots": 0, "factor": 0}
+        calls = {"discriminant": 0, "roots": 0, "from_cubic": 0, "factor": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
         real_roots = PolyQ.rational_roots
+        real_from_cubic = CubicField.from_cubic
 
         def disc(self):
             calls["discriminant"] += 1
@@ -488,21 +478,55 @@ class TestCensus37b:
             calls["roots"] += 1
             return real_roots(self)
 
+        def from_cubic(poly, disc_factorization=None):
+            calls["from_cubic"] += 1
+            return real_from_cubic(poly, disc_factorization)
+
         def counted_factor(n):
             calls["factor"] += 1
             return real_factor(n)
 
         monkeypatch.setattr(PolyQ, "discriminant", disc)
         monkeypatch.setattr(PolyQ, "rational_roots", roots)
+        monkeypatch.setattr(CubicField, "from_cubic", from_cubic)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
                 monkeypatch.setattr(module, "factor", counted_factor)
         census = census_37b(2000, 8)
         assert len(census.rows) == 88
-        assert calls["discriminant"] == 88
+        assert calls["discriminant"] == 0
         assert calls["roots"] == 88
+        assert calls["from_cubic"] == 88
         assert calls["factor"] <= 3 * 88
+
+    @pytest.mark.parametrize("fault", ["hint", "rational-root", "quartic"])
+    def test_identity_failure_exits_two(self, monkeypatch, fault, capsys):
+        # each identity _e37b_pair checks raises SurfaceError when broken,
+        # and the survey then ends with the theory-violation exit code
+        import elltwists.kummer as kummer
+        if fault == "hint":
+            # |g| = 3 at the first pair (1, 0); h1 = 7 and h2 = 9 there
+            real_factor = kummer.factor
+            monkeypatch.setattr(kummer, "factor", lambda n: Factorization(
+                ((5, 1),)) if n == 3 else real_factor(n))
+        elif fault == "rational-root":
+            monkeypatch.setattr(PolyQ, "rational_roots",
+                                lambda self: [Fraction(1)])
+        else:
+            real_from_cubic = CubicField.from_cubic
+
+            def skewed(poly, disc_factorization=None):
+                field = real_from_cubic(poly, disc_factorization)
+                field.poly_disc += 1
+                return field
+
+            monkeypatch.setattr(CubicField, "from_cubic", skewed)
+        with pytest.raises(SurfaceError):
+            _e37b_pair(1, 0)
+        assert main(["e37b", "--max-conductor", "100",
+                     "--height-bound", "1"]) == 2
+        assert "SurfaceError" in capsys.readouterr().err
 
     def test_integral_model_root_oracle(self):
         # the field-arithmetic evaluation that the integer identity
