@@ -358,6 +358,11 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     orbits' journal rows and refuses rows of another curve or order."""
     if resume and out is None:
         raise ConfigError("resume needs an output path to find the journal")
+    out_path = None if out is None else Path(out)
+    journal = None if out_path is None else out_path.with_suffix(
+        out_path.suffix + ".log")
+    if journal is not None and journal.is_dir():
+        raise ConfigError(f"the journal path {journal} is a directory")
     # fail fast before any journal is touched
     cal = calibrate(config.validated_curve(), ell,
                     dps=config.precision_digits)
@@ -371,9 +376,6 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
             continue
         orbits.extend(galois_orbits(f, ell))
 
-    out_path = None if out is None else Path(out)
-    journal = None if out_path is None else out_path.with_suffix(
-        out_path.suffix + ".log")
     done: dict[str, CensusRow] = {}
     if journal is not None:
         if resume:

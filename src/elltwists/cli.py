@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("twist-value",
                        help="decide one character orbit's central value")
     common(p)
-    p.add_argument("conductor", type=int)
+    p.add_argument("conductor", type=_positive_int)
     p.add_argument("orbit", type=int, nargs="?", default=0,
                    help="orbit index at that conductor (default 0)")
 
@@ -232,8 +232,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_report(args) -> int:
     journal = Path(args.journal)
-    if not journal.exists():
-        raise ConfigError(f"no journal at {journal}")
+    if not journal.is_file():
+        raise ConfigError(f"no journal file at {journal}")
     out = Path(args.out) if args.out else None
     if out and out.exists() and out.samefile(journal):
         raise ConfigError(f"--out {out} is the journal being read")

@@ -22,7 +22,8 @@ and every conjugate twist of the orbit follows without another pass:
     L(E, 1, chi^j) = sum_k zeta^(jk) B_k(r1) + eps_j sum_k zeta^(-jk) B_k(r2),
 
 with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
-orbit's real Gaussian periods.  At t = 1 one bucket vector serves both series.
+orbit's real Gaussian periods (see Gauss sums below).  At t = 1 one bucket
+vector serves both series.
 
 Each orbit is also evaluated at t = 6/5 with the same Gauss sums; a true value
 moves by at most the sum of the two tail bounds, while a wrong root number,
@@ -48,6 +49,18 @@ nothing a decision or a printed float can see, since the values are only
 trusted to their tail bound.  Above 50 digits (a config asking for more)
 the per-term mpmath loop runs instead; it is also the double-double kernel's
 oracle.
+
+The Gauss sums take the same two rungs.  At or below _DD_MAX_DPS the
+Gaussian periods eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) are summed
+in double-double: e(c/f) = e(qB/f) e(s/f) with B = isqrt(f // 2) + 1, both
+anchor tables are fixed-point Gaussian-integer powers of one value of e(1/f),
+each cosine is two Dekker products, and each period is summed exactly by
+math.fsum; then tau(chi^j) = 2 sum_k zeta^(jk) eta_k at mpmath precision.
+The kernel's bound, _DD_ROUNDOFF times the sum of |terms| plus the anchors'
+fixed-point truncation, reaches L through eps, |d eps| <= 2 |d tau| / sqrt(f)
+times the second series' sum of |terms|, and raises ConsistencyError past
+err / 100 like the series' own bound.  Above 50 digits the mpmath periods of
+DirichletChar.gauss_sums, the kernel's oracle, serve instead.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -75,6 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
@@ -182,22 +196,30 @@ def _dd_table(values: list[int], K: int):
     return np.ldexp(np.array(hi), -K), np.ldexp(np.array(lo), -K)
 
 
+def _fixed_powers(z, one, mul, M: int):
+    """B = isqrt(M) + 1 and the fixed-point powers z^s (s < B) and z^(qB)
+    (q <= M // B), each the truncated product mul of the entry before it
+    and z, or z^B."""
+    B = math.isqrt(M) + 1
+    small = [one]
+    for _ in range(B):
+        small.append(mul(small[-1], z))
+    zB = small.pop()
+    big = [one]
+    for _ in range(M // B):
+        big.append(mul(big[-1], zB))
+    return B, small, big
+
+
 def _dd_anchors(r, M: int):
     """B and the tables r^s (s < B) and r^(qB) (q <= M // B), B = isqrt(M) + 1,
     as double-double arrays.  The powers are taken in K-bit fixed point from
     the one exact floor(r 2^K), with K chosen so that r^M keeps 160 bits:
     each truncation costs at most 2^-160 relatively, so a table entry is
     within (M + 2B) 2^-160 of its power of r, far below 2^-106."""
-    B = math.isqrt(M) + 1
     K = 160 + math.ceil(-M * float(mpmath.log(r, 2)))
-    R = int(mpmath.ldexp(r, K))
-    small = [1 << K]
-    for _ in range(B):
-        small.append(small[-1] * R >> K)
-    RB = small.pop()
-    big = [1 << K]
-    for _ in range(M // B):
-        big.append(big[-1] * RB >> K)
+    B, small, big = _fixed_powers(int(mpmath.ldexp(r, K)), 1 << K,
+                                  lambda a, b: a * b >> K, M)
     return B, _dd_table(small, K), _dd_table(big, K)
 
 
@@ -231,8 +253,9 @@ def _dd_sum(parts: list[float]) -> tuple[float, float]:
 
 
 def _dd_buckets(terms: _SeriesTerms, ell: int, r, M: int) -> tuple[list, float]:
-    """B_k(r) for k = 0..ell-1 in double-double arithmetic, and the bound
-    _DD_ROUNDOFF * sum_{n <= M} |(a_n / n) r^n| on their total roundoff.
+    """B_k(r) for k = 0..ell-1 in double-double arithmetic, and the size
+    sum_{n <= M} |(a_n / n) r^n| of their terms: _DD_ROUNDOFF times it
+    bounds their total roundoff.
 
     r^n = r^(qB) r^s, one double-double product of two anchors.  The terms
     go in chunks of _DD_CHUNK, so no temporary grows with M; each chunk's
@@ -252,8 +275,68 @@ def _dd_buckets(terms: _SeriesTerms, ell: int, r, M: int) -> tuple[list, float]:
         for j, pair in enumerate(pairs):
             mask = k == j
             pair.extend(_dd_sum(th[mask].tolist() + tl[mask].tolist()))
-    return ([mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)],
-            _DD_ROUNDOFF * size)
+    return [mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)], size
+
+
+def _dd_gauss_sums(chi: DirichletChar) -> tuple[dict, float]:
+    """{j: tau(chi^j)} for j = 1..ell-1 from the real Gaussian periods
+    eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) summed in double-double,
+    tau(chi^j) = 2 sum_k zeta^(jk) eta_k, and a bound on every
+    |tau^dd(chi^j) - tau(chi^j)|.
+
+    e(c/f) = e(qB/f) e(s/f) with c = qB + s and B = isqrt(f // 2) + 1, so
+    cos(2 pi c / f) is the difference of two Dekker products of anchors.  The
+    anchors are powers of the one Gaussian integer floor(e(1/f) 2^K) in K-bit
+    fixed point, each within trunc = 4 (f + 2B) 2^-K of its power of e(1/f),
+    so a residue's two products are within 5 trunc of theirs.  Each bucket
+    is summed exactly and rounded once to (hi, lo), so
+
+        |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
+                              + 5 trunc #{c : ind(c) = k},
+
+    and |tau^dd - tau| <= 2 sum_k |eta_k^dd - eta_k|."""
+    f, ell = chi.conductor, chi.ell
+    half = f // 2
+    K = 160 + f.bit_length()
+    with mpmath.workprec(K + 8):
+        e1 = mpmath.expjpi(mpmath.mpf(2) / f)
+        z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
+    # Gaussian integers (x, y) = x + iy, each coordinate truncated
+    B, small, big = _fixed_powers(
+        z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
+                                      (a[0] * b[1] + a[1] * b[0]) >> K), half)
+    (ch, cl), (sh, sl) = (_dd_table([v[i] for v in small], K) for i in (0, 1))
+    (Ch, Cl), (Sh, Sl) = (_dd_table([v[i] for v in big], K) for i in (0, 1))
+    exps = chi.exponent_table(half)
+    c = np.flatnonzero(exps >= 0)
+    exps = exps[c]
+    q, s = np.divmod(c, B)
+    # cos(2 pi c / f) = cos_q cos_s - sin_q sin_s, both exact as (hi, lo)
+    ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
+    mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
+    size = float(np.abs(ph).sum() + np.abs(mh).sum())
+    eta = []
+    for j in range(ell):
+        mask = exps == j
+        hi, lo = _dd_sum(np.concatenate(
+            (ph[mask], pl[mask], -mh[mask], -ml[mask])).tolist())
+        eta.append(mpmath.mpf(hi) + lo)
+    zeta = _roots_of_unity(ell)
+    taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
+            for j in range(1, ell)}
+    trunc = math.ldexp(4 * (f + 2 * B), -K)
+    return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
+
+
+def _roots_of_unity(ell: int) -> tuple:
+    """zeta^k = e^(2 pi i k / ell) for k = 0..ell-1, at the working precision."""
+    return _roots_at(ell, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _roots_at(ell: int, prec: int) -> tuple:
+    with mpmath.workprec(prec):
+        return tuple(mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell))
 
 
 def _radii(N: int, f: int, t, err) -> list:
@@ -266,14 +349,16 @@ def _radii(N: int, f: int, t, err) -> list:
 
 
 def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
-                   err=1e-15, terms: _SeriesTerms | None = None) -> dict:
+                   err=1e-15, terms: _SeriesTerms | None = None,
+                   tau_err: float = 0.0) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the same real exponent buckets (one pass over n per
     series radius); absolute error <= err plus roundoff.  chi = None is the
     trivial character, asked for as taus = {0: 1}.
 
     terms, built for this chi, lets several calls share one set of a_n / n;
-    it is rebuilt when it is too short."""
+    it is rebuilt when it is too short.  tau_err bounds |d tau| of Gauss
+    sums from _dd_gauss_sums, which serve the double-double rung only."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -291,17 +376,22 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
         radii = radii[:1]
     if _rung(mpmath.mp.dps) == "dd":
         passes = [_dd_buckets(terms, ell, r, M) for r, M in radii]
-        # |zeta| = |eps| = 1, so L moves by at most the two series' bounds
-        bound = passes[0][1] + passes[-1][1]
-        if bound > err / 100:
-            raise ConsistencyError(
-                f"double-double roundoff bound {bound:.3g} exceeds "
-                f"err / 100 = {float(err) / 100:.3g}")
+        size1, size2 = passes[0][1], passes[-1][1]
+        # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the
+        # second series; |zeta| = |eps| = 1, so the series' own roundoff
+        # moves L by at most the two series' bounds
+        for what, bound in (
+                ("Gauss-sum", 2 * tau_err / math.sqrt(f) * size2),
+                ("double-double", _DD_ROUNDOFF * (size1 + size2))):
+            if bound > err / 100:
+                raise ConsistencyError(
+                    f"{what} roundoff bound {bound:.3g} exceeds "
+                    f"err / 100 = {float(err) / 100:.3g}")
         buckets = [b for b, _ in passes]
     else:
         buckets = [_buckets(terms.an, terms.exps, ell, r, M) for r, M in radii]
     b1, b2 = buckets[0], buckets[-1]
-    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+    zeta = _roots_of_unity(ell)
     out = {}
     for j, tau in taus.items():
         eps = w * zeta[j * k_n % ell] * tau * tau / f
@@ -358,23 +448,27 @@ class TwistRows:
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
     """Rows of every conjugate twist from one series pass and one Gauss-sum
-    pass.  A second pass at t = _T_CHECK with the same Gauss sums
-    must agree within the two tail bounds: it tests the root number, chi(N),
-    the Gauss sums and the exponent table of this very orbit."""
+    pass, both on the rung _rung(dps) picks: _dd_gauss_sums at or below
+    _DD_MAX_DPS, DirichletChar.gauss_sums above it.  A second pass at
+    t = _T_CHECK with the same Gauss sums must agree within the two tail
+    bounds: it tests the root number, chi(N), the Gauss sums and the
+    exponent table of this very orbit."""
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
         # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
-        taus = chi.gauss_sums()
+        taus, tau_err = (_dd_gauss_sums(chi) if _rung(dps) == "dd"
+                         else (chi.gauss_sums(), 0.0))
         # one set of a_n / n, long enough for the longest of the three series
         longest = max(M for t in (1, _T_CHECK)
                       for _, M in _radii(curve.conductor, f, _as_mpf(t), err_l))
         terms = _SeriesTerms(curve, chi, longest)
-        values = central_values(curve, chi, taus, err=err_l, terms=terms)
+        values = central_values(curve, chi, taus, err=err_l, terms=terms,
+                                tau_err=tau_err)
         moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l,
-                               terms=terms)
+                               terms=terms, tau_err=tau_err)
         drift = max(abs(moved[j] - values[j]) for j in taus)
         if drift > 2 * err_l:
             raise ConsistencyError(
@@ -390,7 +484,7 @@ def _solve_coset_sums(rows: dict, a0: int, ell: int, scale: Fraction, dps: int):
     with mpmath.workdps(dps):
         inv_scale = mpmath.mpf(scale.denominator) / scale.numerator
         a = {j: rows[j] * inv_scale for j in range(1, ell)}
-        zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+        zeta = _roots_of_unity(ell)
         sums = []
         worst = 0.0
         for t in range(ell):

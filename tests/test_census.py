@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from elltwists.dirichlet import galois_orbits
 
 E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(0)), 37, -1)
+REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
+                         / "reference" / "census_ell3.csv")
 
 GOOD_37B = """\
 label = 37b
@@ -268,6 +271,14 @@ class TestRunCensus:
         first = [part.strip() for part in lines[1].split(",", 3)]
         assert first[0] == "7" and first[1].startswith("(7")
 
+    def test_csv_bytes_match_the_benchmark_reference(self, tmp_path):
+        # the other byte checks compare two runs of the same code; this one
+        # pins the CSV contract to the file the benchmark gates against
+        # (no admissible conductor lies between 415 and its bound 420)
+        out = tmp_path / "c.csv"
+        run_census(E37B_CONFIG, 3, 415, out=out)
+        assert out.read_bytes() == REFERENCE_CENSUS_ELL3.read_bytes()
+
 
 class TestCongruenceSweep:
     def test_small_sweep_all_hold(self):
@@ -358,6 +369,13 @@ class TestCommandLine:
             assert main(["twist-value", "--curve", "curves/37b.cfg",
                          conductor]) == 1
             assert "error: twist conductor" in capsys.readouterr().err
+        # 0 and -7 are no conductors: 0 was refused as sharing a factor
+        # with the level
+        for conductor in ("0", "-7"):
+            capsys.readouterr()
+            assert main(["twist-value", "--curve", "curves/37b.cfg",
+                         conductor]) == 1
+            assert "error: argument conductor" in capsys.readouterr().err
         # the twist order must be an odd prime
         for ell in ("1", "2", "4", "9", "-3", "x"):
             capsys.readouterr()
@@ -427,6 +445,28 @@ class TestCommandLine:
                 capsys.readouterr()
                 assert main([*argv, "--out", str(out)]) == 1
                 assert "error: argument --out" in capsys.readouterr().err
+
+    def test_directory_in_place_of_a_file_exits_one(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a directory at the journal path ended in an IsADirectoryError
+        # traceback, the census only after calibrating; now both commands
+        # refuse it before any work starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("calibrated before checking the journal")
+
+        monkeypatch.setattr(census, "calibrate", no_work)
+        journal = tmp_path / "x.csv.log"
+        journal.mkdir()
+        for resume in ([], ["--resume"]):
+            capsys.readouterr()
+            assert main(["census", "--curve", "curves/37b.cfg",
+                         "--max-conductor", "10", "--out",
+                         str(tmp_path / "x.csv"), *resume]) == 1
+            assert "error:" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["report", str(journal)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert journal.is_dir() and not any(journal.iterdir())
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

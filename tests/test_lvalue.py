@@ -134,16 +134,28 @@ class TestTDriftAlarm:
             lvalue._twist_rows(flipped, CHI7, 50)
 
     def test_wrong_gauss_sum_raises(self, monkeypatch):
-        # conjugated Gauss sums turn eps by a phase on a nonzero twist
+        # conjugated Gauss sums turn eps by a phase on a nonzero twist; at
+        # 50 digits they come from the double-double kernel
+        kernel = lvalue._dd_gauss_sums
+
+        def conjugated(chi):
+            taus, bound = kernel(chi)
+            return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
+        monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
+        with pytest.raises(ConsistencyError):
+            lvalue._twist_rows(E37B, CHI9, 50)
+
+    def test_wrong_mpmath_gauss_sum_raises(self, monkeypatch):
+        # the same fault on the mpmath rung, which serves 80 digits
         gauss_sums = DirichletChar.gauss_sums
         monkeypatch.setattr(DirichletChar, "gauss_sums", lambda chi: {
             j: mpmath.conj(tau) for j, tau in gauss_sums(chi).items()})
         with pytest.raises(ConsistencyError):
-            lvalue._twist_rows(E37B, CHI9, 50)
+            lvalue._twist_rows(E37B, CHI9, 80)
 
     def test_one_gauss_sum_pass_per_orbit(self, monkeypatch):
-        # all conjugates come from one gauss_sums() call: no chi^j is built
-        # and chi is evaluated pointwise only for chi(N), once per series t
+        # all conjugates come from one kernel call: no chi^j is built and
+        # chi is evaluated pointwise only for chi(N), once per series t
         chi = galois_orbits(31, 5)[0]
         calls = {"gauss_sums": 0, "power": 0, "value_exponent": 0}
 
@@ -157,8 +169,13 @@ class TestTDriftAlarm:
 
         for name in calls:
             monkeypatch.setattr(DirichletChar, name, counted(name))
+        kernel = lvalue._dd_gauss_sums
+        kernel_calls = []
+        monkeypatch.setattr(lvalue, "_dd_gauss_sums",
+                            lambda chi: kernel_calls.append(chi) or kernel(chi))
         lvalue._twist_rows(E37B, chi, 50)
-        assert calls["gauss_sums"] == 1
+        assert kernel_calls == [chi]
+        assert calls["gauss_sums"] == 0
         assert calls["power"] == 0
         assert calls["value_exponent"] <= 2
 
@@ -244,6 +261,98 @@ class TestDoubleDoubleRung:
         monkeypatch.setattr(lvalue, "_DD_ROUNDOFF", 1e-12)
         with pytest.raises(ConsistencyError, match="roundoff"):
             central_value(E37B, CHI7, err=1e-10)
+
+
+# every orbit of conductor <= 3000, split into tame conductors and wild ones
+# (ell^2 q and ell^2): the Gauss sums do not see the level
+GAUSS_ORBITS = {(ell, wild): [chi for chi in orbit_representatives(ell, 3000)
+                              if (chi.conductor % (ell * ell) == 0) == wild]
+                for ell in (3, 5, 7) for wild in (False, True)}
+
+
+def dd_gauss_error(chi):
+    """Worst |tau^dd(chi^j) - tau(chi^j)| / sqrt(f) against the mpmath
+    periods at 50 digits, and the kernel's stated bound over sqrt(f)."""
+    with mpmath.workdps(50):
+        taus, bound = lvalue._dd_gauss_sums(chi)
+        oracle = chi.gauss_sums()
+        assert sorted(taus) == sorted(oracle)
+        worst = max(abs(taus[j] - oracle[j]) for j in oracle)
+        root_f = mpmath.sqrt(chi.conductor)
+        return float(worst / root_f), bound / float(root_f)
+
+
+class TestDoubleDoubleGaussSums:
+    @given(data=st.data(), ell=st.sampled_from((3, 5, 7)),
+           wild=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_match_mpmath_periods(self, data, ell, wild):
+        # about 31 digits of every conjugate, within the stated bound
+        chi = data.draw(st.sampled_from(GAUSS_ORBITS[ell, wild]))
+        error, bound = dd_gauss_error(chi)
+        assert error <= 1e-30
+        assert error <= bound
+
+    def test_wild_and_largest_conductors(self):
+        # the draws above may miss the edges: the largest wild conductor of
+        # each order and the largest tame one of order 3
+        for chi in [GAUSS_ORBITS[ell, True][-1] for ell in (3, 5, 7)] + \
+                [GAUSS_ORBITS[3, False][-1]]:
+            assert dd_gauss_error(chi)[0] <= 1e-30, chi.label()
+
+    def test_plain_float64_fails_the_tolerance(self, monkeypatch):
+        # the same kernel with every low word dropped is float64 arithmetic;
+        # the comparison above must reject it
+        chi = galois_orbits(409, 3)[0]
+        assert dd_gauss_error(chi)[0] <= 1e-30
+        monkeypatch.setattr(lvalue, "_dd_mul",
+                            lambda ah, al, bh, bl: (ah * bh, 0 * ah))
+        table = lvalue._dd_table
+
+        def high_words(values, K):
+            hi, lo = table(values, K)
+            return hi, 0 * lo
+        monkeypatch.setattr(lvalue, "_dd_table", high_words)
+        assert dd_gauss_error(chi)[0] > 1e-30
+
+    def test_rung_follows_working_precision(self, monkeypatch):
+        # one kernel call per orbit at 50 digits, one call of the mpmath
+        # periods at 80, and the two L values agree within their tail bounds
+        calls = {"kernel": 0, "mpmath": 0}
+        kernel, periods = lvalue._dd_gauss_sums, DirichletChar.gauss_sums
+
+        def counted_kernel(chi):
+            calls["kernel"] += 1
+            return kernel(chi)
+
+        def counted_periods(chi):
+            calls["mpmath"] += 1
+            return periods(chi)
+
+        monkeypatch.setattr(lvalue, "_dd_gauss_sums", counted_kernel)
+        monkeypatch.setattr(DirichletChar, "gauss_sums", counted_periods)
+        dd = lvalue._twist_rows(E37B, CHI13, 50)
+        assert calls == {"kernel": 1, "mpmath": 0}
+        mp = lvalue._twist_rows(E37B, CHI13, 80)
+        assert calls == {"kernel": 1, "mpmath": 1}
+        assert abs(dd.l_value - mp.l_value) <= dd.l_err + mp.l_err
+
+    def test_roundoff_bound_over_budget_raises(self, monkeypatch):
+        # the kernel's bound, carried into L through eps, is checked against
+        # err / 100 ahead of the series' own bound
+        lvalue._twist_rows(E37B, CHI13, 50)
+        monkeypatch.setattr(lvalue, "_DD_ROUNDOFF", 1e-6)
+        with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
+            lvalue._twist_rows(E37B, CHI13, 50)
+
+    def test_gauss_bound_alone_is_checked(self, monkeypatch):
+        # with the series' roundoff in budget, an inflated Gauss-sum bound
+        # still raises
+        kernel = lvalue._dd_gauss_sums
+        monkeypatch.setattr(lvalue, "_dd_gauss_sums",
+                            lambda chi: (kernel(chi)[0], 1e-6))
+        with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
+            lvalue._twist_rows(E37B, CHI13, 50)
 
 
 class TestCalibration:
