@@ -241,9 +241,15 @@ def _cmd_report(args) -> int:
                   key=lambda r: r.sort_key)
     if not rows:
         raise ConfigError(f"journal {journal} holds no complete rows")
+    # rows written before the journal named its curve and order carry neither
+    runs = {(r.curve, r.ell) for r in rows} - {(None, None)}
+    if len(runs) > 1:
+        named = "; ".join(f"curve {c}, order {e}" for c, e in sorted(runs, key=str))
+        raise ConfigError(f"journal {journal} mixes the rows of {named}")
+    label, ell = runs.pop() if runs else ("(journal)", 0)
     bound = args.max_conductor or max(r.conductor for r in rows)
     counts, slope = _growth_counts(rows, bound)
-    summary = CensusSummary("(journal)", 0, bound, tuple(rows), (),
+    summary = CensusSummary(label, ell, bound, tuple(rows), (),
                             counts, slope, 0, len(rows),
                             sum(r.elapsed for r in rows))
     print(summary.text())

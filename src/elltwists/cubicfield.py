@@ -1,4 +1,10 @@
-"""Cyclic cubic number fields.
+"""Number fields, and cyclic cubic fields in particular.
+
+NumberField is Q[x]/(m) for a monic m irreducible over Q, and FieldElt is
+its one exact element type in any degree: coefficients in the power basis
+of the generator, products and inverses computed in Q[x] modulo m, the norm
+as a resultant.  The cubic fields below and the quadratic field of the
+slice family's marked section (in kummer) both run on it.
 
 A monic integral cubic that is irreducible with square discriminant cuts
 out a degree-3 Galois extension K of Q.  This module computes the exact
@@ -129,7 +135,7 @@ def _is_ramified(c0: int, c1: int, c2: int, p: int, depth: int = 0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field elements
+# number fields and their elements
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -141,21 +147,27 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class FieldElt:
-    """Element c0 + c1*xi + c2*xi^2 of a cyclic cubic field with fixed
-    generator xi.  Full exact field arithmetic, including division."""
+    """Element c0 + c1*xi + ... + c(n-1)*xi^(n-1) of a number field of
+    degree n with fixed generator xi.  Full exact field arithmetic,
+    including division."""
 
-    field: "CubicField"
-    coeffs: tuple[Fraction, Fraction, Fraction]
+    field: "NumberField"
+    coeffs: tuple[Fraction, ...]
 
     def _wrap(self, cs) -> "FieldElt":
         return FieldElt(self.field, tuple(cs))
+
+    def _reduce(self, g: PolyQ) -> "FieldElt":
+        """The element g(xi): g reduced modulo the defining polynomial."""
+        r = g % self.field.poly
+        return self._wrap(r.coeff(i) for i in range(len(self.coeffs)))
 
     def _match(self, other):
         if isinstance(other, FieldElt):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        return self._wrap((_as_fraction(other), Fraction(0), Fraction(0)))
+        return self.field(other)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -179,13 +191,8 @@ class FieldElt:
         if isinstance(other, (int, Fraction)):
             v = _as_fraction(other)
             return self._wrap(v * a for a in self.coeffs)
-        other = self._match(other)
-        a0, a1, a2 = self.coeffs
-        b0, b1, b2 = other.coeffs
-        raw = [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-               a1 * b2 + a2 * b1, a2 * b2]
-        r3, r4 = self.field._xi3, self.field._xi4
-        return self._wrap(raw[i] + raw[3] * r3[i] + raw[4] * r4[i] for i in range(3))
+        return self._reduce(PolyQ.of(*self.coeffs)
+                            * PolyQ.of(*self._match(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -193,7 +200,7 @@ class FieldElt:
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
         g = PolyQ.of(*self.coeffs)
-        # extended Euclid in Q[x] against the defining cubic
+        # extended Euclid in Q[x] against the defining polynomial
         r0, r1 = self.field.poly, g
         t0, t1 = PolyQ.of(), PolyQ.of(1)
         while not r1.is_zero():
@@ -201,10 +208,8 @@ class FieldElt:
             r0, r1 = r1, r
             t0, t1 = t1, t0 - q * t1
         if r0.degree != 0:
-            raise FieldConsistencyError("defining cubic is not irreducible")
-        inv = t0 * PolyQ.const(1 / r0.coeff(0))
-        inv = inv % self.field.poly
-        return self._wrap(inv.coeff(i) for i in range(3))
+            raise FieldConsistencyError("defining polynomial is not irreducible")
+        return self._reduce(t0 * PolyQ.const(1 / r0.coeff(0)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,8 +242,10 @@ class FieldElt:
         return hash((self.field.poly, self.coeffs))
 
     def trace(self) -> Fraction:
-        p1, p2 = self.field._power_traces
-        return 3 * self.coeffs[0] + p1 * self.coeffs[1] + p2 * self.coeffs[2]
+        """Trace of multiplication by self: the sum over i of the xi^i
+        coefficient of self * xi^i."""
+        xi = self.field.gen()
+        return sum((self * xi ** i).coeffs[i] for i in range(len(self.coeffs)))
 
     def norm(self) -> Fraction:
         g = PolyQ.of(*self.coeffs)
@@ -247,13 +254,50 @@ class FieldElt:
         return self.field.poly.resultant(g)
 
     def __repr__(self):
-        return f"FieldElt({self.coeffs[0]} + {self.coeffs[1]}*xi + {self.coeffs[2]}*xi^2)"
+        terms = " + ".join(f"{c}*xi^{i}" if i else str(c)
+                           for i, c in enumerate(self.coeffs))
+        return f"FieldElt({terms})"
+
+
+class NumberField:
+    """Q[x]/(poly), poly monic and irreducible over Q; its elements are
+    written in the power basis of the generator xi, the class of x."""
+
+    def __init__(self, poly: PolyQ):
+        if poly.degree < 2 or poly.lc() != 1:
+            raise ValueError("expected a monic polynomial of degree >= 2")
+        self.poly = poly
+
+    def __call__(self, *coeffs) -> FieldElt:
+        n = self.poly.degree
+        if len(coeffs) > n:
+            raise ValueError(f"a degree-{n} field element has {n} coefficients")
+        return FieldElt(self, tuple(_as_fraction(c) for c in coeffs)
+                        + (Fraction(0),) * (n - len(coeffs)))
+
+    def gen(self) -> FieldElt:
+        return self(0, 1)
+
+    def zero(self) -> FieldElt:
+        return self(0)
+
+    def one(self) -> FieldElt:
+        return self(1)
+
+    def __eq__(self, other):
+        return isinstance(other, NumberField) and self.poly == other.poly
+
+    def __hash__(self):
+        return hash(self.poly)
+
+    def __repr__(self):
+        return f"NumberField({self.poly})"
 
 
 # ---------------------------------------------------------------------------
-# the field itself
+# the cyclic cubic field itself
 
-class CubicField:
+class CubicField(NumberField):
     """A cyclic cubic field Q[x]/(f), f monic integral irreducible with
     square discriminant.  Build with from_cubic, which normalizes the model
     and rejects reducible cubics before the constructor rejects a
@@ -262,7 +306,7 @@ class CubicField:
     rational roots."""
 
     def __init__(self, poly: PolyQ, disc_factorization: Factorization | None = None):
-        self.poly = poly
+        super().__init__(poly)
         self._c = [int(poly.coeff(i)) for i in range(4)]
         c0, c1, c2 = self._c[:3]
         d = cubic_discriminant(c0, c1, c2)
@@ -271,10 +315,6 @@ class CubicField:
                 f"discriminant {d} is not a positive square: Galois group S3")
         self.poly_disc = d
         self.sqrt_poly_disc = isqrt(d)
-        # reduction table: xi^3 and xi^4 in the power basis
-        self._xi3 = (Fraction(-c0), Fraction(-c1), Fraction(-c2))
-        self._xi4 = (Fraction(c0 * c2), Fraction(c1 * c2 - c0), Fraction(c2 * c2 - c1))
-        self._power_traces = (Fraction(-c2), Fraction(c2 * c2 - 2 * c1))
         if disc_factorization is not None and disc_factorization.n != self.poly_disc:
             raise ValueError("supplied factorization does not match the discriminant")
         fac = disc_factorization if disc_factorization is not None \
@@ -333,26 +373,6 @@ class CubicField:
                     raise FieldConsistencyError(
                         f"prime {p} = 2 mod 3 cannot ramify in a cyclic cubic")
         return out
-
-    # -- elements ------------------------------------------------------------
-
-    def __call__(self, c0, c1=0, c2=0) -> FieldElt:
-        return FieldElt(self, (_as_fraction(c0), _as_fraction(c1), _as_fraction(c2)))
-
-    def gen(self) -> FieldElt:
-        return self(0, 1)
-
-    def zero(self) -> FieldElt:
-        return self(0)
-
-    def one(self) -> FieldElt:
-        return self(1)
-
-    def __eq__(self, other):
-        return isinstance(other, CubicField) and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
 
     def __repr__(self):
         return f"CubicField({self.poly}, conductor={self.conductor})"

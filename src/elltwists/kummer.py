@@ -10,6 +10,9 @@ jacobian family with its marked section over Q(sqrt(-3)), decides
 solvability of the fiber conic by the norm criterion, carries the two
 torsion pencils with their infinite-order certificates, and sweeps the
 parameter grid of the conductor-37 slice family into a conductor census.
+Q(sqrt(-3)), where the marked section and the nodal fiber's certificate
+live, is a cubicfield.NumberField: this module does no field arithmetic of
+its own.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .cubicfield import CubicField
+from .cubicfield import CubicField, FieldElt, NumberField
 from .elliptic import Curve, is_nontorsion, on_curve
 from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant,
                       cubic_double_root, factor, sqrt_mod_prime)
@@ -38,91 +41,9 @@ def _sqrt_fraction(x: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-# ---------------------------------------------------------------------------
-# arithmetic in Q(sqrt(-3)), just enough to drive the generic group law
-
-
-class QuadElt:
-    """a + b sqrt(-3) with rational parts."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QuadElt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadElt(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElt(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElt(self.a * o.a - 3 * self.b * o.b,
-                       self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Fraction:
-        return self.a * self.a + 3 * self.b * self.b
-
-    def conjugate(self) -> "QuadElt":
-        return QuadElt(self.a, -self.b)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(-3))")
-        return self * o.conjugate() * Fraction(1, n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"QuadElt({self.a!r}, {self.b!r})"
+# Q(sqrt(-3)) = Q[x]/(x^2 + 3), whose generator is sqrt(-3): the field of
+# the jacobian family's marked section and of the conjugate node tangents
+Q_SQRT_MINUS_3 = NumberField(PolyQ.of(3, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +202,14 @@ def gamma1(A, B) -> tuple[PolyQ, PolyQ]:
     return X, Y
 
 
-def gamma1_at(A, B, t0) -> tuple[Curve, tuple[Fraction, QuadElt]]:
+def gamma1_at(A, B, t0) -> tuple[Curve, tuple[Fraction, FieldElt]]:
     """The jacobian fiber over t0 with the marked point specialized, the
     y-coordinate landing in Q(sqrt(-3))."""
     aj, bj = jacobian_curve(A, B)
     X, Y = gamma1(A, B)
     t0 = Fraction(t0)
     curve = Curve((0, 0, 0, aj(t0), bj(t0)))
-    return curve, (X(t0), QuadElt(0, Y(t0)))
+    return curve, (X(t0), Q_SQRT_MINUS_3(0, Y(t0)))
 
 
 def bad_locus(A, B) -> PolyQ:
@@ -478,13 +399,10 @@ def _on_cubic(ai, P) -> bool:
             == x ** 3 + a2 * x * x + a4 * x + a6)
 
 
-_NORM_ONE_UNITS = (
-    QuadElt(1), QuadElt(-1),
-    QuadElt(Fraction(1, 2), Fraction(1, 2)),
-    QuadElt(Fraction(1, 2), Fraction(-1, 2)),
-    QuadElt(Fraction(-1, 2), Fraction(1, 2)),
-    QuadElt(Fraction(-1, 2), Fraction(-1, 2)),
-)
+# the six units (a + b sqrt(-3)) / 2
+_NORM_ONE_UNITS = tuple(
+    Q_SQRT_MINUS_3(Fraction(a, 2), Fraction(b, 2))
+    for a, b in ((2, 0), (-2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 def _nodal_infinite_order(ai, P) -> bool:
@@ -518,7 +436,7 @@ def _nodal_infinite_order(ai, P) -> bool:
     c = _sqrt_fraction(-d / 3)
     if c is None:
         raise SurfaceError("node tangents lie outside Q and Q(sqrt(-3))")
-    root = QuadElt(0, c)
+    root = Q_SQRT_MINUS_3(0, c)
     eta = (y0 - root * dx) / (y0 + root * dx)
     return eta not in _NORM_ONE_UNITS
 
@@ -613,7 +531,12 @@ class E37bFiber:
     cubic: PolyQ
     field: CubicField
     curve: Curve
-    point: tuple
+
+    @property
+    def point(self) -> tuple[FieldElt, FieldElt]:
+        """The trace-zero slice point (xi / h2, u), xi the generator of the
+        integral model; built on access, since the census never reads it."""
+        return self.field.gen() / self.h2, self.field(self.u)
 
 
 def _product(*powers: tuple[Factorization, int]) -> Factorization:
@@ -661,9 +584,8 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
         raise SurfaceError(f"parameter pair ({a}, {b}): {exc}") from exc
     if delta ** 2 * h2 ** 6 != field.poly_disc:
         raise SurfaceError("slice point left the discriminant quartic")
-    point = (field.gen() / h2, field(u))
     return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
-                     poly, cubic, field, _E37B_CURVE, point)
+                     poly, cubic, field, _E37B_CURVE)
 
 
 def e37b_param(r) -> E37bFiber:

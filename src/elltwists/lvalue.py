@@ -664,12 +664,14 @@ class CalibratedCurve:
     def twist_record(self, chi: DirichletChar) -> TwistRecord:
         """Decide L(E, 1, chi) in one pass at the base precision, exactly
         where recognition lands.  The error budget, hence the series length,
-        does not depend on the precision: an undecided orbit stays so."""
+        does not depend on the precision: an undecided orbit stays so.
+        Coset sums that do not round leave the orbit to |L| alone; sums
+        that fail their exact checks raise ConsistencyError."""
         chi = chi.canonical()
         numeric = self._twist(chi)
         try:
             cs = self.coset_sums(chi)
-        except (RecognitionError, ConsistencyError):
+        except RecognitionError:
             cs = None
         record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
                              cs, "undecided", self.base_dps)

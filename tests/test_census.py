@@ -14,11 +14,13 @@ import pytest
 
 import elltwists
 import elltwists.census as census
+import elltwists.lvalue as lvalue
 from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
                               run_congruence_sweep, run_e37b, run_family)
 from elltwists.cli import main
 from elltwists.dirichlet import galois_orbits
+from test_lvalue import skewed_twist_rows
 
 E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(0)), 37, -1)
@@ -32,6 +34,11 @@ conductor = 37
 root_number = 1
 precision_digits = 50
 """
+
+
+def _rewrite_journal(journal: Path, edit) -> None:
+    rows = [json.loads(line) for line in journal.read_text().splitlines()]
+    journal.write_text("".join(json.dumps(edit(row)) + "\n" for row in rows))
 
 
 class TestCurveConfig:
@@ -481,6 +488,52 @@ class TestCommandLine:
                      str(tmp_path / "again.csv")])
         assert code == 0
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+    def test_report_names_the_curve_and_order(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        run_census(E37B_CONFIG, 3, 13, out=out)
+        journal = tmp_path / "n.csv.log"
+        capsys.readouterr()
+        assert main(["report", str(journal)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "census: curve 37b, order 3, conductors <= 13\n")
+        # rows written before the journal named their run keep the old header
+        _rewrite_journal(journal, lambda row: {
+            k: v for k, v in row.items() if k not in ("curve", "ell")})
+        assert main(["report", str(journal)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "census: curve (journal), order 0, conductors <= 13\n")
+
+    def test_report_refuses_rows_of_two_runs(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        run_census(E37B_CONFIG, 3, 13, out=out)
+        journal = tmp_path / "m.csv.log"
+        _rewrite_journal(journal, lambda row: {
+            **row, "curve": "37a" if row["conductor"] == 9 else row["curve"]})
+        capsys.readouterr()
+        assert main(["report", str(journal)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "curve 37a, order 3; curve 37b, order 3" in captured.err
+
+    def test_failed_cross_check_is_an_alarm(self, tmp_path, monkeypatch):
+        # conjugate twist rows that disagree fail the exact coset-sum
+        # checks: the census journals an alarm row and exits 2
+        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
+                                       real.base_dps)
+        monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
+        monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
+        out = tmp_path / "a.csv"
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "9", "--out", str(out)]) == 2
+        rows = {row["conductor"]: row for row in map(
+            json.loads, (tmp_path / "a.csv.log").read_text().splitlines())}
+        assert rows[9]["alarm"] and rows[9]["decision"] == "undecided"
+        assert rows[9]["error"].startswith("ConsistencyError: ")
+        # the vanishing orbit's rows are 0, so turning one changes nothing
+        assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):

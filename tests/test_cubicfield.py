@@ -13,7 +13,8 @@ from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
 from elltwists.cubicfield import (CubicField, FieldElt, NonCyclicCubicError,
-                                  ReducibleCubicError, _zp_root_count)
+                                  NumberField, ReducibleCubicError,
+                                  _zp_root_count)
 from elltwists.numcore import PolyQ, factor, primes_up_to, recognize_integer
 
 
@@ -314,6 +315,40 @@ class TestFieldArithmetic:
         xi = k.gen()
         assert xi ** 3 - 448 * xi - 3584 == k.zero()
         assert xi ** 3 == 448 * xi + 3584
+
+
+class TestNumberField:
+    # one element type serves every degree
+    def test_quadratic_field(self):
+        k = NumberField(PolyQ.of(3, 0, 1))
+        root = k.gen()
+        assert root * root == -3
+        e = k(Fraction(1, 2), 5)
+        conj = k(Fraction(1, 2), -5)
+        assert e.trace() == 1 and e + conj == 1
+        assert e.norm() == Fraction(301, 4) and e * conj == e.norm()
+
+    def test_quartic_field(self):
+        # x^4 - 2: products reach xi^6, past the cubic's reduction rows
+        k = NumberField(PolyQ.of(-2, 0, 0, 0, 1))
+        xi = k.gen()
+        assert xi ** 4 == 2 and xi ** 6 == k(0, 0, 2)
+        assert [(xi ** i).trace() for i in range(5)] == [4, 0, 0, 0, 8]
+        assert xi.norm() == -2 and k(3).norm() == 81
+        e, f = k(1, -1, Fraction(2, 3), 5), k(0, 2, 0, -1)
+        assert (e * f).norm() == e.norm() * f.norm()
+        assert (e / f) * f == e and (1 / e) * e == 1
+
+    def test_shape_checks(self):
+        for poly in (PolyQ.of(1, 1), PolyQ.of(3, 0, 2)):
+            with pytest.raises(ValueError):
+                NumberField(poly)
+        k = NumberField(PolyQ.of(3, 0, 1))
+        with pytest.raises(ValueError):
+            k(1, 2, 3)
+        with pytest.raises(ValueError):
+            k.gen() + CubicField.from_cubic([-1, -2, 1, 1]).gen()
+        assert NumberField(PolyQ.of(3, 0, 1)) == k
 
 
 class TestMatchingCharacter:

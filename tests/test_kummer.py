@@ -20,7 +20,7 @@ from elltwists.cubicfield import CubicField
 from elltwists.elliptic import Curve, is_nontorsion, on_curve, trace_point
 from elltwists.kummer import (
     E37B_SLICE,
-    QuadElt,
+    Q_SQRT_MINUS_3 as K,
     SurfaceError,
     SurfaceModel,
     _check_model_scale,
@@ -191,8 +191,8 @@ class TestJacobianFamily:
 
     def test_marked_section_at_zero(self):
         curve, P = gamma1_at(2, 5, 0)
-        assert P == (F(-9 * 5), QuadElt(0, 0))
-        assert on_curve(curve, (P[0], QuadElt(0, 0)))
+        assert P == (F(-9 * 5), K(0, 0))
+        assert on_curve(curve, (P[0], K(0, 0)))
 
     def test_marked_point_nontorsion_on_a_fiber(self):
         curve, P = gamma1_at(0, 1, 1)
@@ -353,6 +353,16 @@ class TestTorsionPencils:
         # y^2 = x^3 - x is smooth: its discriminant does not vanish
         with pytest.raises(SurfaceError, match="not nodal"):
             _nodal_infinite_order((0, 0, 0, -1, 0), (F(0), F(0)))
+
+    def test_node_certificate_outcomes(self):
+        # y^2 = x^3 - 3x^2: conjugate node tangents over Q(sqrt(-3)); eta is
+        # -1 at (3, 0) and a primitive cube root of unity at (4, 4)
+        assert not _nodal_infinite_order((0, -3, 0, 0, 0), (F(3), F(0)))
+        assert not _nodal_infinite_order((0, -3, 0, 0, 0), (F(4), F(4)))
+        # y^2 = x^3 + x^2: rational tangents; eta = -1 at (-1, 0), while
+        # (3, 6) has infinite order
+        assert not _nodal_infinite_order((0, 1, 0, 0, 0), (F(-1), F(0)))
+        assert _nodal_infinite_order((0, 1, 0, 0, 0), (F(3), F(6)))
 
     def test_six_torsion_exclusions(self):
         for lam in (0, -1, F(-1, 9)):
@@ -594,14 +604,14 @@ class TestQuadArithmetic:
            st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
     def test_norm_is_multiplicative(self, a, b, c, d):
-        x, y = QuadElt(a, b), QuadElt(c, d)
+        x, y = K(a, b), K(c, d)
         assert (x * y).norm() == x.norm() * y.norm()
 
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40),
            st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
     def test_division_round_trip(self, a, b, c, d):
-        x, y = QuadElt(a, b), QuadElt(c, d)
+        x, y = K(a, b), K(c, d)
         if y.norm() == 0:
             with pytest.raises(ZeroDivisionError):
                 x / y
@@ -609,7 +619,7 @@ class TestQuadArithmetic:
             assert (x / y) * y == x
 
     def test_scalar_mixing(self):
-        x = QuadElt(F(1, 2), 3)
-        assert 2 * x == QuadElt(1, 6)
-        assert x + 1 == QuadElt(F(3, 2), 3)
-        assert (1 / QuadElt(1, 1)) * QuadElt(1, 1) == 1
+        x = K(F(1, 2), 3)
+        assert 2 * x == K(1, 6)
+        assert x + 1 == K(F(3, 2), 3)
+        assert (1 / K(1, 1)) * K(1, 1) == 1

@@ -60,6 +60,17 @@ def oracle_value(curve, chi, err):
     return s1 + eps * s2
 
 
+def skewed_twist_rows(curve, chi, dps):
+    """The twist rows with the first conjugate turned by 1e-3 radians, so
+    that the rows of the orbit no longer agree with one another."""
+    out = REAL_TWIST_ROWS(curve, chi, dps)
+    out.rows[1] *= 1 + 1e-3j
+    return out
+
+
+REAL_TWIST_ROWS = lvalue._twist_rows
+
+
 @pytest.fixture(scope="module")
 def cal_b():
     return calibrate(E37B, 3)
@@ -479,6 +490,14 @@ class TestTwistDecisions:
         assert tried == [50]
         assert record.decision == "undecided"
         assert record.coset_sums is None and record.precision_used == 50
+
+    def test_failed_cross_check_raises(self, cal_b, monkeypatch):
+        # conjugate rows that disagree fail the coset-sum solve's exact
+        # cross-check: an alarm, not a decision from |L| alone
+        cal = lvalue.CalibratedCurve(E37B, 3, cal_b.scale, cal_b.lalg0)
+        monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
+        with pytest.raises(ConsistencyError, match="imaginary part"):
+            cal.twist_record(CHI9)
 
     def test_decision_policy_truth_table(self):
         def rec(value, err, sums):
