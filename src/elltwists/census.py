@@ -22,8 +22,8 @@ from pathlib import Path
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar, admissible_conductors, galois_orbits
 from .elliptic import Curve
-from .kummer import (FamilyFiber, _e37b_pair, census_37b, delta_poly,
-                     fiber_search, torsion_base_curve, torsion_family)
+from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
+                     torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
                      t_independence)
 
@@ -271,8 +271,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
         record = cal.twist_record(chi)
         row = CensusRow(chi.conductor, chi.label(), record.decision,
                         record.L_value, record.error_bound,
-                        None if record.coset_sums is None
-                        else tuple(record.coset_sums.sums),
+                        tuple(record.coset_sums.sums),
                         time.perf_counter() - start, rung=record.rung,
                         curve=cal.label, ell=cal.ell)
     except Exception as exc:                      # noqa: BLE001 - journal it
@@ -496,6 +495,8 @@ E37B_CONFIG = CurveConfig("37b", (Fraction(0), Fraction(1), Fraction(1),
 
 # largest conductor whose twist run_e37b samples: the series grow with it
 _SAMPLE_CAP = 2000
+# how many of the smallest conductors run_e37b samples
+_SAMPLE_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -539,14 +540,14 @@ def default_height_bound(max_conductor: int) -> int:
     return max(8, math.ceil((max_conductor / 3.7) ** 0.25) + 1)
 
 
-def run_e37b(max_conductor: int, height_bound: int | None = None,
-             sample_size: int = 10) -> E37bReport:
+def run_e37b(max_conductor: int,
+             height_bound: int | None = None) -> E37bReport:
     """Count the distinct cubic-field conductors that the slice family of
     the conductor-37 curve constructs, and verify on a sample that the
     matched twist orbits really vanish.  The sweep and every rule about its
     rows (both squarefree rules, the distinctness check) live in
     kummer.census_37b; this only counts and samples.  The sample takes the
-    smallest sample_size conductors up to _SAMPLE_CAP.  Each sampled
+    smallest _SAMPLE_SIZE conductors up to _SAMPLE_CAP.  Each sampled
     vanishing is a theorem, so a failed sample is a hard error, not a
     census row."""
     if height_bound is None:
@@ -564,7 +565,7 @@ def run_e37b(max_conductor: int, height_bound: int | None = None,
                     dps=E37B_CONFIG.precision_digits)
     samples: list[E37bSample] = []
     for f in sorted({r.conductor for r in census.rows if
-                     r.conductor <= _SAMPLE_CAP})[:sample_size]:
+                     r.conductor <= _SAMPLE_CAP})[:_SAMPLE_SIZE]:
         row = next(r for r in census.rows if r.conductor == f)
         fiber = _e37b_pair(row.a, row.b)
         chi = fiber.field.matching_character()
@@ -643,10 +644,9 @@ def run_family(kind: str, parameters, height_bound: int = 6) -> FamilyReport:
         except ValueError:
             base = None
         if base is not None:
-            surface = delta_poly(base)
             t0 = lam if kind == "six-torsion" else Fraction(1)
             seen_u: set[Fraction] = set()
-            for fp in fiber_search(surface, t0, height_bound):
+            for fp in fiber_search(base, t0, height_bound):
                 # the two square roots give the same fiber; keep one
                 if fp.classification != "cyclic-cubic" or fp.u in seen_u:
                     continue

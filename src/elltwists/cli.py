@@ -19,7 +19,7 @@ from .census import (CensusSummary, ConfigError, CurveConfig, TheoryViolation,
                      run_congruence_sweep, run_e37b, run_family)
 from .cubicfield import FieldConsistencyError
 from .dirichlet import galois_orbits
-from .kummer import SurfaceError, delta_poly, fiber_search
+from .kummer import SurfaceError, fiber_search
 from .lvalue import CalibrationError, ConsistencyError, calibrate
 from .numcore import is_prime
 
@@ -202,9 +202,8 @@ def _cmd_nonvanishing(args) -> int:
 
 def _cmd_kummer_fiber(args) -> int:
     config = _load_config(args)
-    surface = delta_poly(config.curve())
     t0 = _fraction(args.t0)
-    points = fiber_search(surface, t0, args.height_bound)
+    points = fiber_search(config.curve(), t0, args.height_bound)
     print(f"fiber points of {config.label} over t0 = {t0}, "
           f"height <= {args.height_bound}: {len(points)}")
     for fp in points:

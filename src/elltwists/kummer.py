@@ -5,11 +5,13 @@ leaves a monic cubic in x whose discriminant is a quartic in u.  Parameters
 (t0, u) where that quartic is a rational square cut the curve in a
 Galois-stable triple of points, so each such slice hands us a cyclic cubic
 field together with a trace-zero point.  This module builds the slice
-discriminant, searches fibers for square values, tracks the associated
-jacobian family with its marked section over Q(sqrt(-3)), decides
-solvability of the fiber conic by the norm criterion, carries the two
-torsion pencils with their infinite-order certificates, and sweeps the
-parameter grid of the conductor-37 slice family into a conductor census.
+discriminant one fiber t0 at a time, as a quartic over Q in u, and searches
+those fibers for square values.  It tracks the associated jacobian family
+with its marked section over Q(sqrt(-3)), decides the smoothness of the
+genus-3 fiber in sympy and the solvability of the fiber conic by the norm
+criterion, carries the two torsion pencils with their infinite-order
+certificates, and sweeps the parameter grid of the conductor-37 slice
+family into a conductor census.
 Q(sqrt(-3)), where the marked section and the nodal fiber's certificate
 live, is a cubicfield.NumberField: this module does no field arithmetic of
 its own.
@@ -22,7 +24,7 @@ from math import gcd, isqrt
 
 from .cubicfield import CubicField, FieldElt, NumberField
 from .elliptic import Curve, is_nontorsion, on_curve
-from .numcore import (BiPolyQ, Factorization, PolyQ, cubic_discriminant,
+from .numcore import (Factorization, PolyQ, cubic_discriminant,
                       cubic_double_root, factor, sqrt_mod_prime)
 
 
@@ -59,36 +61,21 @@ def _slice_coefficients(curve: Curve, t, u) -> tuple:
     return r, q, p
 
 
-def _slice_discriminant(curve: Curve) -> BiPolyQ:
-    """Discriminant in x of the line slice y = t x + u, as a polynomial in
-    (u, t).  Always a quartic in u with top coefficient -27."""
-    return cubic_discriminant(*_slice_coefficients(curve, BiPolyQ.t(),
-                                                   BiPolyQ.u()))
+def fiber_quartic(curve: Curve, t0) -> PolyQ:
+    """Discriminant in x of the line slice y = t0 x + u, as a polynomial in
+    u.  Always a quartic with top coefficient -27."""
+    quartic = cubic_discriminant(*_slice_coefficients(curve, Fraction(t0),
+                                                      PolyQ.x()))
+    if quartic.degree != 4 or quartic.lc() != -27:
+        raise SurfaceError("slice discriminant is not a (-27)-quartic in u")
+    return quartic
 
 
-class SurfaceModel:
-    """A Weierstrass curve bundled with its slice discriminant."""
-
-    def __init__(self, curve: Curve):
-        self.curve = curve
-        self.delta = _slice_discriminant(curve)
-        if self.delta.deg_u != 4 or self.delta.coeff_u(4) != PolyQ.of(-27):
-            raise SurfaceError("slice discriminant is not a (-27)-quartic in u")
-
-    def fiber_quartic(self, t0) -> PolyQ:
-        return self.delta.subs_t(Fraction(t0))
-
-
-def delta_poly(curve: Curve) -> SurfaceModel:
-    """Surface swept out by the slice discriminant of the given curve."""
-    return SurfaceModel(curve)
-
-
-def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str, Fraction]:
+def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str]:
     """The monic cubic in x cut out by the line y = t0 x + u, with the
-    splitting type and discriminant that fiber_search reports.  On a
-    square-discriminant slice the Galois group is cyclic, so one rational
-    root forces all three; a lone rational root cannot occur."""
+    splitting type that fiber_search reports.  On a square-discriminant
+    slice the Galois group is cyclic, so one rational root forces all
+    three; a lone rational root cannot occur."""
     r, q, p = _slice_coefficients(curve, Fraction(t0), Fraction(u))
     cubic = PolyQ.of(r, q, p, 1)
     disc = cubic.discriminant()
@@ -96,15 +83,15 @@ def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str, Fraction]:
     if disc != cubic_discriminant(r, q, p):
         raise SurfaceError("discriminant routes disagree on a slice cubic")
     if disc == 0:
-        return cubic, "degenerate", disc
+        return cubic, "degenerate"
     roots = cubic.rational_roots()
     if len(roots) == 3:
-        return cubic, "split-over-Q", disc
+        return cubic, "split-over-Q"
     if roots:
         raise SurfaceError("lone rational root on a square-discriminant slice")
     if _sqrt_fraction(disc) is None:
         raise SurfaceError("slice discriminant is not a square")
-    return cubic, "cyclic-cubic", disc
+    return cubic, "cyclic-cubic"
 
 
 @dataclass(frozen=True)
@@ -149,20 +136,20 @@ def good_fiber(curve: Curve, t0) -> bool:
     return tau != 0 and bad_locus(A, B)(tau) != 0
 
 
-def fiber_search(surface: SurfaceModel, t0, height_bound: int) -> list[FiberPoint]:
+def fiber_search(curve: Curve, t0, height_bound: int) -> list[FiberPoint]:
     """All slice points (t0, u, delta) with u of height at most height_bound
     and delta^2 equal to the slice discriminant.  Both square roots are
     reported; points on degenerate fibers are kept but flagged."""
     t0 = Fraction(t0)
-    quartic = surface.fiber_quartic(t0)
-    good = good_fiber(surface.curve, t0)
+    quartic = fiber_quartic(curve, t0)
+    good = good_fiber(curve, t0)
     out = []
     for u in _rational_heights(height_bound):
         val = quartic(u)
         root = _sqrt_fraction(val) if val >= 0 else None
         if root is None:
             continue
-        cubic, kind, _ = _slice_cubic(surface.curve, t0, u)
+        cubic, kind = _slice_cubic(curve, t0, u)
         for d in sorted({root, -root}):
             out.append(FiberPoint(t0, u, d, cubic, kind, good))
     out.sort(key=lambda fp: (fp.u, fp.delta))
@@ -222,56 +209,37 @@ def bad_locus(A, B) -> PolyQ:
 # ---------------------------------------------------------------------------
 # the genus-3 slice fiber and its exact smoothness verdict
 
-def _partial(P: BiPolyQ, slot: int) -> BiPolyQ:
-    out = {}
-    for (i, j), c in P.terms.items():
-        k = (i, j)[slot]
-        if k:
-            out[(i - 1, j) if slot == 0 else (i, j - 1)] = k * c
-    return BiPolyQ(out)
-
-
-def _to_sympy(P: BiPolyQ, x1, x2):
-    import sympy  # deferred: only the genus-3 smoothness verdict needs it
-    return sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
-                            * x1 ** i * x2 ** j
-                            for (i, j), c in P.terms.items()))
-
-
 @dataclass(frozen=True)
 class Genus3Fiber:
     A: Fraction
     B: Fraction
     t0: Fraction
-    equation: BiPolyQ
+    equation: object        # a sympy expression in xi1 and xi2
     smooth: bool
     method: str
 
 
 def genus3_curve(A, B, t0) -> Genus3Fiber:
     """Plane quartic fiber over t0 with an exact smoothness verdict.  The
-    equation is a bivariate polynomial in the two slice roots, reusing the
-    (u, t) container slots for them.  A coprime pair of elimination
-    resultants certifies smoothness outright; when they share a factor the
-    candidate locus need not extend to an actual singular point, so a
-    Groebner basis settles those cases."""
+    equation is a sympy polynomial in the two slice roots xi1 and xi2.  A
+    coprime pair of elimination resultants certifies smoothness outright;
+    when they share a factor the candidate locus need not extend to an
+    actual singular point, so a Groebner basis settles those cases."""
     import sympy  # deferred, so commands that never reach here skip it
     A, B, t0 = Fraction(A), Fraction(B), Fraction(t0)
     xi1, xi2 = sympy.symbols("xi1 xi2")
-    x1, x2 = BiPolyQ.u(), BiPolyQ.t()
-    tt = t0 * t0
-    F = ((x1 * x1 + x1 * x2 + x2 * x2 - tt * (x1 + x2) + A) ** 2
-         - 4 * tt * x1 * x2 * (BiPolyQ.const(tt) - x1 - x2) - 4 * B * tt)
-    sF = _to_sympy(F, xi1, xi2)
-    sF1 = _to_sympy(_partial(F, 0), xi1, xi2)
-    sF2 = _to_sympy(_partial(F, 1), xi1, xi2)
+    a, b, tt = (sympy.Rational(c) for c in (A, B, t0 * t0))
+    F = sympy.expand(
+        (xi1 ** 2 + xi1 * xi2 + xi2 ** 2 - tt * (xi1 + xi2) + a) ** 2
+        - 4 * tt * xi1 * xi2 * (tt - xi1 - xi2) - 4 * b * tt)
+    F1, F2 = sympy.diff(F, xi1), sympy.diff(F, xi2)
     # F is monic of degree 4 in xi2, so the resultants vanish exactly on
     # xi1-coordinates of common zeros; no leading-coefficient artifacts
-    r1 = sympy.resultant(sF, sF1, xi2)
-    r2 = sympy.resultant(sF, sF2, xi2)
+    r1 = sympy.resultant(F, F1, xi2)
+    r2 = sympy.resultant(F, F2, xi2)
     if r1 != 0 and r2 != 0 and sympy.degree(sympy.gcd(r1, r2), xi1) == 0:
         return Genus3Fiber(A, B, t0, F, True, "resultant")
-    basis = sympy.groebner([sF, sF1, sF2], xi1, xi2, order="grevlex")
+    basis = sympy.groebner([F, F1, F2], xi1, xi2, order="grevlex")
     smooth = list(basis.exprs) == [sympy.Integer(1)]
     return Genus3Fiber(A, B, t0, F, smooth, "groebner")
 

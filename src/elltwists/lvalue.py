@@ -650,33 +650,35 @@ class CalibratedCurve:
 
     def coset_sums(self, chi: DirichletChar) -> CosetSums:
         """Exact integer coset sums for the orbit of chi, with alarms: the
-        rounded sums must recombine to every numeric twist row and total to
-        the exact trivial component."""
+        numeric sums must round to integers that recombine to every numeric
+        twist row and total to the exact trivial component.  Calibration
+        fixed the scale, so a sum that will not round is an alarm too."""
         chi = chi.canonical()
         numeric = self._twist(chi)
         if numeric.sums is None:
             a0 = self.trivial_coset_sum(chi.conductor)
-            sums, worst = _solve_coset_sums(numeric.rows, a0, self.ell,
-                                            self.scale, self.base_dps)
+            try:
+                sums, worst = _solve_coset_sums(numeric.rows, a0, self.ell,
+                                                self.scale, self.base_dps)
+            except RecognitionError as exc:
+                raise ConsistencyError(f"coset sums of {chi.label()} do not "
+                                       f"round: {exc}") from exc
             numeric.sums = CosetSums(chi, sums, a0, worst)
         return numeric.sums
 
     def twist_record(self, chi: DirichletChar) -> TwistRecord:
         """Decide L(E, 1, chi) in one pass at the base precision, exactly
         where recognition lands.  The error budget, hence the series length,
-        does not depend on the precision: an undecided orbit stays so.
-        Coset sums that do not round leave the orbit to |L| alone; sums
-        that fail their exact checks raise ConsistencyError."""
+        does not depend on the precision, so a second pass could not change
+        the decision.  Coset sums that do not round or fail their exact
+        checks raise ConsistencyError."""
         chi = chi.canonical()
         numeric = self._twist(chi)
-        try:
-            cs = self.coset_sums(chi)
-        except RecognitionError:
-            cs = None
+        cs = self.coset_sums(chi)
         record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
                              cs, "undecided", self.base_dps)
         record = replace(record, decision=vanishing_decision(record))
-        if cs is not None and not cs.is_vanishing() and record.decision != "nonzero":
+        if not cs.is_vanishing() and record.decision != "nonzero":
             raise ConsistencyError(
                 f"exact part of {chi.label()} is nonzero but |L| is within noise")
         return record

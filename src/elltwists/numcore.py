@@ -2,8 +2,8 @@
 
 Integer factorization (trial division plus deterministic Miller-Rabin and
 Pollard rho, exact for inputs below 2^64), dense polynomials over Q in one
-and two variables, and the float -> integer recognition used when
-numerically computed quantities are known to be integers.
+variable, and the float -> integer recognition used when numerically
+computed quantities are known to be integers.
 """
 from __future__ import annotations
 
@@ -460,134 +460,6 @@ def _monic_cubic_integer_roots(c0: int, c1: int, c2: int) -> list[int]:
         if ((s + c2) * s + c1) * s + c0 == 0:
             roots.append(s)
     return sorted(roots)
-
-
-class BiPolyQ:
-    """Dense-coefficient bivariate polynomial over Q in variables (u, t),
-    stored as a dict (deg_u, deg_t) -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {k: _frac(v) for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def const(cls, v) -> "BiPolyQ":
-        return cls({(0, 0): _frac(v)})
-
-    @classmethod
-    def u(cls) -> "BiPolyQ":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def t(cls) -> "BiPolyQ":
-        return cls({(0, 1): Fraction(1)})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPolyQ.const(other)
-        return isinstance(other, BiPolyQ) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @staticmethod
-    def _coerce(v) -> "BiPolyQ":
-        if isinstance(v, BiPolyQ):
-            return v
-        return BiPolyQ.const(v)
-
-    def __add__(self, other) -> "BiPolyQ":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BiPolyQ(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPolyQ":
-        return BiPolyQ({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "BiPolyQ":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "BiPolyQ":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "BiPolyQ":
-        if isinstance(other, (int, Fraction)):
-            return BiPolyQ({k: v * other for k, v in self.terms.items()})
-        other = self._coerce(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return BiPolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPolyQ":
-        out = BiPolyQ.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @property
-    def deg_u(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    @property
-    def deg_t(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
-    def coeff_u(self, i: int) -> PolyQ:
-        """Coefficient of u^i as a polynomial in t."""
-        out = [Fraction(0)] * (self.deg_t + 1 or 1)
-        for (iu, jt), v in self.terms.items():
-            if iu == i:
-                out[jt] = v
-        return PolyQ.of(*out)
-
-    def subs_t(self, t0) -> PolyQ:
-        """Specialize t = t0, returning a polynomial in u."""
-        t0 = _frac(t0)
-        out = [Fraction(0)] * (self.deg_u + 1 or 1)
-        for (iu, jt), v in self.terms.items():
-            out[iu] += v * t0 ** jt
-        return PolyQ.of(*out)
-
-    def subs_u(self, u0) -> PolyQ:
-        u0 = _frac(u0)
-        out = [Fraction(0)] * (self.deg_t + 1 or 1)
-        for (iu, jt), v in self.terms.items():
-            out[jt] += v * u0 ** iu
-        return PolyQ.of(*out)
-
-    def eval(self, u0, t0) -> Fraction:
-        u0, t0 = _frac(u0), _frac(t0)
-        return sum((v * u0 ** i * t0 ** j for (i, j), v in self.terms.items()), Fraction(0))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), v in sorted(self.terms.items()):
-            mon = "".join([f"u^{i}" if i > 1 else "u" if i == 1 else "",
-                           f"t^{j}" if j > 1 else "t" if j == 1 else ""])
-            bits.append(f"{v}{'*' + mon if mon else ''}")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------

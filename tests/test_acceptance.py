@@ -19,11 +19,11 @@ from elltwists.dirichlet import (admissible_conductors, galois_orbits,
                                  orbit_representatives)
 from elltwists.elliptic import Curve, on_curve
 from elltwists.kummer import (E37B_SLICE, _e37b_pair, conic_norm_test,
-                              delta_poly, gamma1, jacobian_curve,
+                              fiber_quartic, gamma1, jacobian_curve,
                               torsion_family)
 from elltwists.lvalue import calibrate, hecke_factor
-from elltwists.numcore import (BiPolyQ, PolyQ, RecognitionError,
-                               primes_up_to, recognize_integer)
+from elltwists.numcore import (PolyQ, RecognitionError, primes_up_to,
+                               recognize_integer)
 
 E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(0)), 37, -1)
@@ -34,16 +34,17 @@ def cal37b():
     return calibrate(E37B_CONFIG.curve(), 3)
 
 
-def slice_quartic_display(A, B) -> BiPolyQ:
+def slice_quartic_display(A, B) -> dict:
     """The closed form of the slice discriminant of y^2 = x^3 + A x + B,
-    written out term by term as the independent oracle."""
+    written out term by term as the independent oracle: the coefficient of
+    u^i t^j under the key (i, j)."""
     A, B = Fraction(A), Fraction(B)
-    return BiPolyQ({
+    return {
         (4, 0): Fraction(-27), (3, 3): Fraction(-4), (2, 2): -30 * A,
         (2, 0): 54 * B, (1, 5): -4 * A, (1, 3): 36 * B, (1, 1): 24 * A * A,
         (0, 6): 4 * B, (0, 4): A * A, (0, 2): -18 * A * B,
         (0, 0): -4 * A ** 3 - 27 * B * B,
-    })
+    }
 
 
 def test_criterion_01_gauss_sum_modulus():
@@ -66,10 +67,17 @@ def test_criterion_02_slice_discriminant_display():
         if 4 * A ** 3 + 27 * B ** 2 == 0:
             continue
         seen += 1
-        surface = delta_poly(Curve((0, 0, 0, A, B)))
-        assert surface.delta == slice_quartic_display(A, B), (A, B)
+        display = slice_quartic_display(A, B)
+        # both sides have degree <= 6 in t: seven agreeing fibers prove the
+        # identity in (u, t)
+        for t0 in range(-3, 4):
+            coeffs = [Fraction(0)] * 5
+            for (i, j), c in display.items():
+                coeffs[i] += c * t0 ** j
+            assert fiber_quartic(Curve((0, 0, 0, A, B)), t0) == \
+                PolyQ.of(*coeffs), (A, B, t0)
     # the conductor-37 presentation pins the t = 0 fiber exactly
-    quartic = delta_poly(Curve(E37B_SLICE)).fiber_quartic(Fraction(0))
+    quartic = fiber_quartic(Curve(E37B_SLICE), 0)
     assert quartic == PolyQ.of(0, 0, -27, 202, -27)
 
 
@@ -175,7 +183,7 @@ def test_criterion_08_cubic_field_catalogue(cal37b):
         assert sympy.sqrt(disc).is_rational, (a, b)
 
     # ten sampled fields with conductor <= 2000: the matched twist vanishes
-    report = run_e37b(2000, height_bound=8, sample_size=10)
+    report = run_e37b(2000, height_bound=8)
     assert len(report.samples) == 10
     assert all(s.decision == "vanishes" for s in report.samples)
 

@@ -305,8 +305,9 @@ class TestCongruenceSweep:
 
 
 class TestE37bSurvey:
-    def test_small_survey(self):
-        report = run_e37b(2000, height_bound=8, sample_size=3)
+    def test_small_survey(self, monkeypatch):
+        monkeypatch.setattr(census, "_SAMPLE_SIZE", 3)
+        report = run_e37b(2000, height_bound=8)
         assert report.n_conductors == 8
         assert report.counts == ((2000, 8),)
         assert [s.conductor for s in report.samples] == [7, 13, 63]
@@ -535,6 +536,41 @@ class TestCommandLine:
         # the vanishing orbit's rows are 0, so turning one changes nothing
         assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
+    @staticmethod
+    def _miscount_trivial_sums(monkeypatch):
+        # a wrong A_0 leaves coset sums that no longer round to integers;
+        # a fresh calibration keeps the cached sums out of it
+        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
+                                       real.base_dps)
+        monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
+        monkeypatch.setattr(lvalue, "hecke_factor", lambda *args: 1)
+
+    def test_unrounded_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
+        # each orbit whose sums miss an integer is an alarm row, never a
+        # quiet decision from |L| alone
+        self._miscount_trivial_sums(monkeypatch)
+        out = tmp_path / "r.csv"
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "60", "--out", str(out)]) == 2
+        rows = {row["conductor"]: row for row in map(
+            json.loads, (tmp_path / "r.csv.log").read_text().splitlines())}
+        for f in (7, 13, 19, 31, 43):
+            assert rows[f]["alarm"] and rows[f]["decision"] == "undecided"
+            assert rows[f]["error"].startswith("ConsistencyError: ")
+            assert "do not round" in rows[f]["error"]
+        assert all(row["alarm"] or row["coset_sums"]
+                   for row in rows.values())
+
+    def test_unrounded_coset_sums_fail_the_congruence_sweep(
+            self, monkeypatch, capsys):
+        # the miss ends the sweep with the theory-violation exit code
+        self._miscount_trivial_sums(monkeypatch)
+        assert main(["congruence", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("theory violation: ConsistencyError: ")
+
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):
         # the CSV used to replace the journal it was read from, exit 0
@@ -553,13 +589,21 @@ class TestCommandLine:
 
     def test_import_leaves_sympy_out(self):
         # only the genus-3 smoothness verdict needs sympy, so no command
-        # pays for importing it up front
+        # pays for importing it up front, and the slice-family commands
+        # never load it
         src = os.path.dirname(os.path.dirname(elltwists.__file__))
-        probe = "import sys, elltwists.cli; print('sympy' in sys.modules)"
+        probe = ("import contextlib, io, sys, elltwists.cli as cli\n"
+                 "loaded = 'sympy' in sys.modules\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    codes = [cli.main(['family', 'six-torsion', '--', '1',"
+                 " '-1/2']), cli.main(['kummer-fiber', '--curve',"
+                 " 'curves/37a.cfg', '2'])]\n"
+                 "print(loaded, 'sympy' in sys.modules, *codes)")
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True,
+                             cwd=os.path.dirname(src),
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False", "0", "0"]
 
     def test_theory_violation_exits_two(self, monkeypatch, capsys):
         import elltwists.cli as cli

@@ -22,15 +22,14 @@ from elltwists.kummer import (
     E37B_SLICE,
     Q_SQRT_MINUS_3 as K,
     SurfaceError,
-    SurfaceModel,
     _check_model_scale,
     _e37b_pair,
     _nodal_infinite_order,
     bad_locus,
     census_37b,
     conic_norm_test,
-    delta_poly,
     e37b_param,
+    fiber_quartic,
     fiber_search,
     gamma1,
     gamma1_at,
@@ -39,15 +38,16 @@ from elltwists.kummer import (
     jacobian_curve,
     torsion_family,
 )
-from elltwists.numcore import BiPolyQ, Factorization, PolyQ, factor
+from elltwists.numcore import Factorization, PolyQ, factor
 
 F = Fraction
 
 
-def short_model_quartic(A, B) -> BiPolyQ:
-    # independent expansion of the slice discriminant of y^2 = x^3 + Ax + B
+def short_model_quartic(A, B) -> dict:
+    # independent expansion of the slice discriminant of y^2 = x^3 + Ax + B,
+    # keyed by (degree in u, degree in t)
     A, B = F(A), F(B)
-    return BiPolyQ({
+    return {
         (4, 0): F(-27),
         (3, 3): F(-4),
         (2, 2): -30 * A,
@@ -59,7 +59,15 @@ def short_model_quartic(A, B) -> BiPolyQ:
         (0, 4): A * A,
         (0, 2): -18 * A * B,
         (0, 0): -4 * A ** 3 - 27 * B * B,
-    })
+    }
+
+
+def specialise(table: dict, t0) -> PolyQ:
+    """The polynomial in u that a (u, t) coefficient table gives at t0."""
+    coeffs = [F(0)] * 5
+    for (i, j), c in table.items():
+        coeffs[i] += c * F(t0) ** j
+    return PolyQ.of(*coeffs)
 
 
 class TestSliceDiscriminant:
@@ -67,29 +75,31 @@ class TestSliceDiscriminant:
         rng = random.Random(2)
         for _ in range(20):
             A, B = rng.randint(-10, 10), rng.randint(-10, 10)
-            surf = delta_poly(Curve((0, 0, 0, A, B)))
-            assert surf.delta == short_model_quartic(A, B)
+            curve, table = Curve((0, 0, 0, A, B)), short_model_quartic(A, B)
+            # both sides have degree <= 6 in t, so seven fibers agreeing
+            # prove the identity in (u, t)
+            for t0 in range(-3, 4):
+                assert fiber_quartic(curve, t0) == specialise(table, t0)
 
     def test_t0_zero_is_cubic_discriminant(self):
         # over t = 0 the slice is x^3 + Ax + (B - u^2)
         rng = random.Random(3)
         for _ in range(10):
             A, B = rng.randint(-9, 9), rng.randint(-9, 9)
-            quartic = delta_poly(Curve((0, 0, 0, A, B))).fiber_quartic(0)
+            quartic = fiber_quartic(Curve((0, 0, 0, A, B)), 0)
             for u in (F(0), F(1), F(-2), F(3, 5)):
                 assert quartic(u) == -4 * F(A) ** 3 - 27 * (F(B) - u * u) ** 2
 
     def test_37b_slice_fiber(self):
-        surf = delta_poly(Curve(E37B_SLICE))
         # -u^2 (27u^2 - 202u + 27)
-        assert surf.fiber_quartic(0) == PolyQ.of(0, 0, -27, 202, -27)
+        assert fiber_quartic(Curve(E37B_SLICE), 0) == \
+            PolyQ.of(0, 0, -27, 202, -27)
 
     def test_full_model_matches_cubic_discriminant(self):
         rng = random.Random(4)
         for _ in range(12):
             ai = tuple(rng.randint(-4, 4) for _ in range(5))
             curve = Curve(ai)
-            surf = delta_poly(curve)
             t0 = F(rng.randint(-3, 3), rng.randint(1, 3))
             u = F(rng.randint(-3, 3), rng.randint(1, 3))
             p = curve.a2 - t0 * t0 - curve.a1 * t0
@@ -97,18 +107,23 @@ class TestSliceDiscriminant:
             r = curve.a6 - u * u - curve.a3 * u
             cubic = PolyQ.of(r, q, p, 1)
             want = 0 if cubic.degree < 1 else cubic.discriminant()
-            assert surf.fiber_quartic(t0)(u) == want
+            assert fiber_quartic(curve, t0)(u) == want
 
-    def test_quartic_shape_enforced(self):
-        surf = SurfaceModel(Curve((1, -2, 3, 0, 5)))
-        assert surf.delta.deg_u == 4
-        assert surf.delta.coeff_u(4) == PolyQ.of(-27)
+    def test_quartic_shape_enforced(self, monkeypatch):
+        import elltwists.kummer as kummer
+        curve = Curve((1, -2, 3, 0, 5))
+        for t0 in (F(0), F(1), F(-2), F(3, 5), F(-7, 4)):
+            quartic = fiber_quartic(curve, t0)
+            assert quartic.degree == 4 and quartic.lc() == -27
+        # a discriminant of any other shape is refused, fiber by fiber
+        monkeypatch.setattr(kummer, "cubic_discriminant", lambda r, q, p: r)
+        with pytest.raises(SurfaceError, match="quartic"):
+            fiber_quartic(curve, 1)
 
 
 class TestFiberSearch:
     def test_37b_catalogue(self):
-        surf = delta_poly(Curve(E37B_SLICE))
-        pts = fiber_search(surf, 0, 10)
+        pts = fiber_search(Curve(E37B_SLICE), 0, 10)
         table = {(p.u, p.delta): p.classification for p in pts}
         assert table[(F(7, 9), F(224, 27))] == "cyclic-cubic"
         assert table[(F(7, 9), F(-224, 27))] == "cyclic-cubic"
@@ -120,23 +135,23 @@ class TestFiberSearch:
 
     def test_37b_fiber_is_flagged(self):
         # the t = 0 fiber of this presentation sits over a bad-locus root
-        surf = delta_poly(Curve(E37B_SLICE))
-        assert not good_fiber(surf.curve, 0)
-        assert all(not p.good_fiber for p in fiber_search(surf, 0, 4))
+        curve = Curve(E37B_SLICE)
+        assert not good_fiber(curve, 0)
+        assert all(not p.good_fiber for p in fiber_search(curve, 0, 4))
 
     def test_height_window(self):
-        surf = delta_poly(Curve(E37B_SLICE))
-        pts = fiber_search(surf, 0, 8)
+        curve = Curve(E37B_SLICE)
+        pts = fiber_search(curve, 0, 8)
         assert all(max(abs(p.u.numerator), p.u.denominator) <= 8 for p in pts)
         assert {p.u for p in pts} == {F(0), F(1, 7), F(7)}  # 7/9 has height 9
-        assert F(7, 9) in {p.u for p in fiber_search(surf, 0, 9)}
+        assert F(7, 9) in {p.u for p in fiber_search(curve, 0, 9)}
 
     def test_negative_quartic_is_empty(self):
-        assert fiber_search(delta_poly(Curve((0, 0, 0, 0, -2))), 1, 10) == []
+        assert fiber_search(Curve((0, 0, 0, 0, -2)), 1, 10) == []
 
     def test_split_slice(self):
         # y = 0 meets y^2 = x^3 - x in three rational points
-        pts = fiber_search(delta_poly(Curve((0, 0, 0, -1, 0))), 0, 1)
+        pts = fiber_search(Curve((0, 0, 0, -1, 0)), 0, 1)
         flat = {(p.u, p.delta, p.classification) for p in pts}
         assert (F(0), F(2), "split-over-Q") in flat
         assert (F(0), F(-2), "split-over-Q") in flat
@@ -151,6 +166,55 @@ class TestFiberSearch:
         B = F(27 * A * A - 18 * A - 1, 108)
         assert bad_locus(A, B)(1) == 0
         assert not good_fiber(Curve((0, 0, 0, A, B)), 1)
+
+
+# the stdout of three slice-family commands, byte for byte
+KUMMER_FIBER_37A = (
+    "fiber points of 37a over t0 = 2, height <= 30: 2\n"
+    "  u = -2, delta = 0: degenerate [good fiber]\n"
+    "  u = 2, delta = 0: degenerate [good fiber]\n"
+)
+
+SIX_TORSION = (
+    "torsion pencil six-torsion, fiber search height <= 6\n"
+    "  lambda = 1: point (-12, 0) on the fiber with a-invariants "
+    "(12, 12, 128, 432, 5184) [infinite order]\n"
+    "    cyclic cubic fiber at u = 1: (1) x^3 + (-3) x^2 + (0) x^1 "
+    "+ (1) = 0, conductor 9\n"
+    "  lambda = 2: point (24, 0) on the fiber with a-invariants "
+    "(26, -24, 0, 15552, -373248) [infinite order]\n"
+    "    cyclic cubic fiber at u = -1: (1) x^3 + (-8) x^2 + (15) "
+    "x^1 + (-7) = 0, conductor 19\n"
+    "  lambda = -1/2: point (3/2, 0) on the fiber with "
+    "a-invariants (-3/2, -3/2, 25/8, 27/16, -81/32) [nodal, "
+    "certified through the node]\n"
+)
+
+FOUR_TWO_TORSION = (
+    "torsion pencil four-two-torsion, fiber search height <= 8\n"
+    "  lambda = 2: point (249, 4077) on the fiber with "
+    "a-invariants (0, 0, 0, 4428, 81108) [infinite order]\n"
+    "    cyclic cubic fiber at u = 8/7: (1) x^3 + (4) x^2 + (12/7) "
+    "x^1 + (-64/49) = 0, conductor 133\n"
+    "  lambda = 3: point (684, 17712) on the fiber with "
+    "a-invariants (0, 0, 0, -34992, 17635968) [infinite order]\n"
+    "  lambda = 5/2: point (6819/16, 144693/16) on the fiber with "
+    "a-invariants (0, 0, 0, 1449225/256, 4009855725/2048) "
+    "[infinite order]\n"
+)
+
+
+class TestSliceCommands:
+    @pytest.mark.parametrize("argv, want", [
+        (["kummer-fiber", "--curve", "curves/37a.cfg", "2",
+          "--height-bound", "30"], KUMMER_FIBER_37A),
+        (["family", "six-torsion", "--", "1", "2", "-1/2"], SIX_TORSION),
+        (["family", "four-two-torsion", "2", "3", "5/2",
+          "--height-bound", "8"], FOUR_TWO_TORSION),
+    ], ids=["kummer-fiber", "six-torsion", "four-two-torsion"])
+    def test_output_is_pinned(self, argv, want, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestJacobianFamily:
@@ -221,12 +285,15 @@ class TestGenus3:
             assert (t0 != 0 and bad_locus(A, B)(t0) != 0) is want
 
     def test_equation_shape(self):
-        fiber = genus3_curve(1, 1, 1)
-        eq = fiber.equation
-        assert eq.deg_u == 4 and eq.deg_t == 4
-        assert eq.coeff(0, 4) == 1 and eq.coeff(4, 0) == 1
+        import sympy
+        xi1, xi2 = sympy.symbols("xi1 xi2")
+        eq = sympy.Poly(genus3_curve(1, 1, 1).equation, xi1, xi2)
+        assert eq.degree(xi1) == 4 and eq.degree(xi2) == 4
+        assert eq.coeff_monomial(xi2 ** 4) == 1
+        assert eq.coeff_monomial(xi1 ** 4) == 1
         # symmetric under swapping the two roots
-        assert all(eq.coeff(j, i) == c for (i, j), c in eq.terms.items())
+        terms = dict(eq.terms())
+        assert all(terms.get((j, i)) == c for (i, j), c in terms.items())
 
 
 def brute_conic_points(q: Fraction, max_den: int):

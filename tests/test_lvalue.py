@@ -470,9 +470,10 @@ class TestTwistDecisions:
             assert lvalue._solve_coset_sums(dd.rows, a0, ell, cal.scale, 50)[0] \
                 == lvalue._solve_coset_sums(mp.rows, a0, ell, cal.scale, 80)[0]
 
-    def test_undecided_orbit_is_not_recomputed(self, cal_b, monkeypatch):
-        # an orbit whose recognition fails is decided from its one series
-        # pass at the base precision, and stays undecided
+    def test_unrounded_orbit_alarms_after_one_pass(self, cal_b, monkeypatch):
+        # an orbit whose recognition fails is judged from its one series
+        # pass at the base precision: the calibrated scale admits no such
+        # orbit, so it is an alarm, not an undecided record
         cal = lvalue.CalibratedCurve(E37B, 3, cal_b.scale, cal_b.lalg0)
         real = lvalue._twist_rows
         tried = []
@@ -486,10 +487,9 @@ class TestTwistDecisions:
 
         monkeypatch.setattr(lvalue, "_twist_rows", rows)
         monkeypatch.setattr(lvalue, "_solve_coset_sums", fail)
-        record = cal.twist_record(CHI7)
+        with pytest.raises(ConsistencyError, match="do not round: forced"):
+            cal.twist_record(CHI7)
         assert tried == [50]
-        assert record.decision == "undecided"
-        assert record.coset_sums is None and record.precision_used == 50
 
     def test_failed_cross_check_raises(self, cal_b, monkeypatch):
         # conjugate rows that disagree fail the coset-sum solve's exact

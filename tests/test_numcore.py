@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import elltwists.numcore as numcore
 from elltwists.numcore import (
-    BiPolyQ,
     PolyQ,
     RecognitionError,
     cubic_discriminant,
@@ -390,37 +389,6 @@ def test_poly_evaluation_horner():
     assert p(Fraction(1, 2)) == Fraction(-1, 4)
     assert p(0) == 1
     assert p.derivative() == PolyQ.of(-3, 0, 6)
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials
-
-def test_bipoly_algebra():
-    u, t = BiPolyQ.u(), BiPolyQ.t()
-    assert (u + t) ** 2 - 4 * u * t == (u - t) ** 2
-    g = (u - t) ** 2
-    assert g.eval(5, 3) == 4
-    assert g.subs_t(3)(Fraction(5)) == 4
-    assert g.subs_u(5)(Fraction(3)) == 4
-    assert g.coeff(1, 1) == -2
-    assert g.deg_u == 2 and g.deg_t == 2
-
-
-def test_bipoly_coeff_extraction():
-    u, t = BiPolyQ.u(), BiPolyQ.t()
-    f = u ** 2 * (t ** 3 - 1) + u * (2 * t) + BiPolyQ.const(7)
-    assert f.coeff_u(2) == PolyQ.of(-1, 0, 0, 1)
-    assert f.coeff_u(1) == PolyQ.of(0, 2)
-    assert f.coeff_u(0) == PolyQ.of(7)
-
-
-def test_bipoly_specialization_commutes():
-    rng = random.Random(13)
-    u, t = BiPolyQ.u(), BiPolyQ.t()
-    f = 3 * u ** 2 * t - 5 * u * t ** 2 + 7 * u - t + 2
-    for _ in range(50):
-        a, b = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)), Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-        assert f.subs_t(b)(a) == f.subs_u(a)(b) == f.eval(a, b)
 
 
 # ---------------------------------------------------------------------------
