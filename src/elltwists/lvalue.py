@@ -25,10 +25,6 @@ with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
 orbit's real Gaussian periods (see Gauss sums below).  At t = 1 one bucket
 vector serves both series.
 
-Each orbit is also evaluated at t = 6/5 with the same Gauss sums; a true value
-moves by at most the sum of the two tail bounds, while a wrong root number,
-chi(N), Gauss sum or exponent table moves it by far more: a consistency alarm.
-
 Two engines fill the buckets, chosen by the working precision alone.  At or
 below _DD_MAX_DPS = 50 digits (the default, down to the config's floor of 15)
 a vectorised double-double kernel does: a_n / n is a (hi, lo) pair with an
@@ -79,6 +75,16 @@ algebraic part.  The scale c is calibrated once per curve by demanding
 integrality across the first several character orbits, scanning candidate
 scales from the largest down.
 
+Every solved orbit is then checked exactly against the curve's plus modular
+symbols (modsym): S_t = r M_t, where M_t sums the plus eigen-functional over
+{oo, a/f} for the a of exponent t, and r is one rational per (curve, ell),
+read off the calibration's probe orbits and tied to L0 = r phi((1:0)), the
+conductor-1 case of the same identity.  A mismatch is a consistency alarm.
+A wrong root number, chi(N), Gauss sum, exponent table, A_0 or eigenline
+parts the solved sums from r M_t (an exponent table shifted by one parts
+every orbit but those with constant sums, whose decision it leaves right),
+so each orbit takes one series pass, at t = 1.
+
 Everything downstream is exact: the twisted central value vanishes iff all
 ell coset sums are equal, and reducing the algebraic part at the prime
 above ell is just summing the coset sums mod ell.
@@ -97,6 +103,7 @@ import numpy as np
 
 from .dirichlet import DirichletChar, orbit_representatives
 from .elliptic import Curve
+from .modsym import plus_symbols
 from .numcore import RecognitionError, factor, primes_up_to, recognize_integer
 
 
@@ -115,7 +122,6 @@ SCALES = tuple(Fraction(v) for v in (12, 9, 6, 4, 3, 2, 1)) + tuple(
 
 _S_TOL = 1e-4        # recognition tolerance for coset sums
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
-_T_CHECK = Fraction(6, 5)  # second series parameter of the t-drift alarm
 # series parameters whose central values t_independence compares
 _T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
 _SCALE_FLOOR = min(SCALES)
@@ -225,11 +231,11 @@ def _dd_anchors(r, M: int):
 
 class _SeriesTerms:
     """The n <= M with a_n chi(n) != 0, their exponents k = ind(n) and a_n / n
-    as double-double pairs: formed once per orbit and shared by its series
-    passes.  The mpmath rung reads the coefficient and exponent tables."""
+    as double-double pairs: formed once per call of central_values and shared
+    by its series radii.  The mpmath rung reads the coefficient and exponent
+    tables."""
 
     def __init__(self, curve: Curve, chi: DirichletChar | None, M: int):
-        self.M = M
         self.an = curve.an_table(M)
         self.exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
                      else chi.exponent_table(M))
@@ -349,16 +355,13 @@ def _radii(N: int, f: int, t, err) -> list:
 
 
 def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
-                   err=1e-15, terms: _SeriesTerms | None = None,
-                   tau_err: float = 0.0) -> dict:
+                   err=1e-15, tau_err: float = 0.0) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the same real exponent buckets (one pass over n per
     series radius); absolute error <= err plus roundoff.  chi = None is the
-    trivial character, asked for as taus = {0: 1}.
-
-    terms, built for this chi, lets several calls share one set of a_n / n;
-    it is rebuilt when it is too short.  tau_err bounds |d tau| of Gauss
-    sums from _dd_gauss_sums, which serve the double-double rung only."""
+    trivial character, asked for as taus = {0: 1}.  tau_err bounds |d tau|
+    of Gauss sums from _dd_gauss_sums, which serve the double-double rung
+    only."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -369,8 +372,7 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     if not t > 0:
         raise ValueError("t must be positive")
     (r1, M1), (r2, M2) = radii = _radii(N, f, t, err)
-    if terms is None or terms.M < max(M1, M2):
-        terms = _SeriesTerms(curve, chi, max(M1, M2))
+    terms = _SeriesTerms(curve, chi, max(M1, M2))
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
     if r2 == r1:
         radii = radii[:1]
@@ -447,12 +449,9 @@ class TwistRows:
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
-    """Rows of every conjugate twist from one series pass and one Gauss-sum
-    pass, both on the rung _rung(dps) picks: _dd_gauss_sums at or below
-    _DD_MAX_DPS, DirichletChar.gauss_sums above it.  A second pass at
-    t = _T_CHECK with the same Gauss sums must agree within the two tail
-    bounds: it tests the root number, chi(N), the Gauss sums and the
-    exponent table of this very orbit."""
+    """Rows of every conjugate twist from one series pass at t = 1 and one
+    Gauss-sum pass, both on the rung _rung(dps) picks: _dd_gauss_sums at or
+    below _DD_MAX_DPS, DirichletChar.gauss_sums above it."""
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
@@ -461,19 +460,7 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
         taus, tau_err = (_dd_gauss_sums(chi) if _rung(dps) == "dd"
                          else (chi.gauss_sums(), 0.0))
-        # one set of a_n / n, long enough for the longest of the three series
-        longest = max(M for t in (1, _T_CHECK)
-                      for _, M in _radii(curve.conductor, f, _as_mpf(t), err_l))
-        terms = _SeriesTerms(curve, chi, longest)
-        values = central_values(curve, chi, taus, err=err_l, terms=terms,
-                                tau_err=tau_err)
-        moved = central_values(curve, chi, taus, t=_T_CHECK, err=err_l,
-                               terms=terms, tau_err=tau_err)
-        drift = max(abs(moved[j] - values[j]) for j in taus)
-        if drift > 2 * err_l:
-            raise ConsistencyError(
-                f"central value of {chi.label()} drifts by {float(drift):.3g} "
-                f"between t = 1 and t = {_T_CHECK}")
+        values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
         rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
     return TwistRows(rows, complex(values[1]), err_l)
 
@@ -529,14 +516,14 @@ class CosetSums:
 
 @dataclass(frozen=True)
 class TwistRecord:
-    """One decided twist: the numeric value, its tail bound, and (when
-    recognition succeeded) the exact coset sums behind it."""
+    """One decided twist: the numeric value, its tail bound, and the exact
+    coset sums behind it."""
 
     curve_label: str
     chi: DirichletChar
     L_value: complex
     error_bound: float
-    coset_sums: CosetSums | None
+    coset_sums: CosetSums
     decision: str                # vanishes | nonzero | undecided
     precision_used: int
 
@@ -551,7 +538,7 @@ class TwistRecord:
             "character": self.chi.label(),
             "L_value": [self.L_value.real, self.L_value.imag],
             "error_bound": self.error_bound,
-            "coset_sums": None if self.coset_sums is None else list(self.coset_sums.sums),
+            "coset_sums": list(self.coset_sums.sums),
             "decision": self.decision,
             "precision_digits": self.precision_used,
             "rung": self.rung,
@@ -562,7 +549,7 @@ def vanishing_decision(record: TwistRecord) -> str:
     """Classify a twist record.  Vanishing is an exact statement (constant
     coset-sum vector); nonzero needs the numeric value to clear its error
     bound by a factor of 10; anything else stays undecided."""
-    if record.coset_sums is not None and record.coset_sums.is_vanishing():
+    if record.coset_sums.is_vanishing():
         return "vanishes"
     if abs(record.L_value) > 10 * record.error_bound:
         return "nonzero"
@@ -621,11 +608,13 @@ class CalibratedCurve:
     be pinned down exactly."""
 
     def __init__(self, curve: Curve, ell: int, scale: Fraction, lalg0: int,
-                 base_dps: int = 50):
+                 r: Fraction, base_dps: int = 50):
         self.curve = curve
         self.ell = ell
         self.scale = scale
         self.lalg0 = lalg0
+        self.r = r                      # S_t = r M_t on every orbit
+        self.symbols = plus_symbols(curve)
         self.base_dps = base_dps
         # per canonical chi: the twist series and, once solved, the coset
         # sums; calibrate seeds it with its probe orbits
@@ -633,7 +622,7 @@ class CalibratedCurve:
 
     def __repr__(self):
         return (f"CalibratedCurve({self.curve!r}, ell={self.ell}, "
-                f"scale={self.scale}, L0={self.lalg0})")
+                f"scale={self.scale}, L0={self.lalg0}, r={self.r})")
 
     @property
     def label(self) -> str:
@@ -651,8 +640,9 @@ class CalibratedCurve:
     def coset_sums(self, chi: DirichletChar) -> CosetSums:
         """Exact integer coset sums for the orbit of chi, with alarms: the
         numeric sums must round to integers that recombine to every numeric
-        twist row and total to the exact trivial component.  Calibration
-        fixed the scale, so a sum that will not round is an alarm too."""
+        twist row, total to the exact trivial component and equal r M_t,
+        the orbit's plus modular symbols.  Calibration fixed the scale, so a
+        sum that will not round is an alarm too."""
         chi = chi.canonical()
         numeric = self._twist(chi)
         if numeric.sums is None:
@@ -663,6 +653,11 @@ class CalibratedCurve:
             except RecognitionError as exc:
                 raise ConsistencyError(f"coset sums of {chi.label()} do not "
                                        f"round: {exc}") from exc
+            symbolic = tuple(self.r * m for m in self.symbols.orbit_sums(chi))
+            if sums != symbolic:
+                raise ConsistencyError(
+                    f"coset sums {sums} of {chi.label()} differ from r M_t = "
+                    f"({', '.join(map(str, symbolic))})")
             numeric.sums = CosetSums(chi, sums, a0, worst)
         return numeric.sums
 
@@ -718,20 +713,36 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
+def _symbol_ratio(symbols, sums: dict, l0: int) -> Fraction:
+    """The one rational r with S_t = r M_t on every probe orbit and
+    L0 = r phi((1:0)), the same identity at conductor 1."""
+    pairs = [(S, symbols.orbit_sums(chi)) for chi, S in sums.items()]
+    pairs.append(((l0,), (symbols(1, 0),)))
+    r = next((Fraction(s, m) for S, M in pairs for s, m in zip(S, M) if m),
+             None)
+    for S, M in pairs:
+        if r is None or S != tuple(r * m for m in M):
+            raise CalibrationError(
+                f"probe coset sums {S} are not r times their plus modular "
+                f"symbols {M} for one rational r")
+    return r
+
+
 # one calibration per curve (root number and label included), ell and
 # precision, shared by every caller in the process
 _CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
 
 
 def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
-    """Freeze the period scale for (curve, ell).
+    """Freeze the period scale and the symbol ratio r for (curve, ell).
 
     Scans candidate scales from the largest down; a scale survives when the
     untwisted algebraic part is integral and, for the first _PROBE_ORBITS
     character orbits prime to the level, all coset sums land on integers
     that recombine and total correctly.  First survivor wins (coarsest
-    usable lattice).  The twist series are computed once, shared across
-    candidates and handed to the result.
+    usable lattice).  Its probe sums fix r, which must then give
+    S_t = r M_t on every probe and L0 = r phi((1:0)).  The twist series are
+    computed once, shared across candidates and handed to the result.
     """
     key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
@@ -746,6 +757,10 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
         l1 = central_value(curve, None, err=1e-10 * float(omega))
         base0 = 2 * l1.real / omega
     try:
+        symbols = plus_symbols(curve)
+    except ArithmeticError as exc:
+        raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
+    try:
         probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
     except ConsistencyError as exc:
         raise CalibrationError(f"probe series fail their check: {exc}") from exc
@@ -754,13 +769,14 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
         try:
             l0 = recognize_integer(base0 * c.denominator / c.numerator,
                                    tol=_S_TOL, err=_S_ERR)
-            for rep in reps:
-                a0 = l0 * hecke_factor(curve, rep.conductor, ell)
-                _solve_coset_sums(probes[rep].rows, a0, ell, c, dps)
+            sums = {rep: _solve_coset_sums(
+                probes[rep].rows, l0 * hecke_factor(curve, rep.conductor, ell),
+                ell, c, dps)[0] for rep in reps}
         except (RecognitionError, ConsistencyError) as exc:
             failures[str(c)] = str(exc)
             continue
-        cal = CalibratedCurve(curve, ell, c, l0, base_dps=dps)
+        r = _symbol_ratio(symbols, sums, l0)
+        cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
         cal._twists.update(probes)
         _CALIBRATIONS[key] = cal
         return cal

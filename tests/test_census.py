@@ -22,6 +22,8 @@ from elltwists.cli import main
 from elltwists.dirichlet import galois_orbits
 from test_lvalue import skewed_twist_rows
 
+REAL_HECKE_FACTOR = lvalue.hecke_factor
+
 E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(0)), 37, -1)
 REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -523,7 +525,7 @@ class TestCommandLine:
         # checks: the census journals an alarm row and exits 2
         real = census.calibrate(E37B_CONFIG.curve(), 3)
         fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
-                                       real.base_dps)
+                                       real.r, real.base_dps)
         monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
         monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
         out = tmp_path / "a.csv"
@@ -537,14 +539,20 @@ class TestCommandLine:
         assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
     @staticmethod
-    def _miscount_trivial_sums(monkeypatch):
-        # a wrong A_0 leaves coset sums that no longer round to integers;
-        # a fresh calibration keeps the cached sums out of it
+    def _miscount_trivial_sums(monkeypatch, wrong_factor=lambda *args: 1):
+        # a wrong A_0 (by default one that leaves coset sums off the
+        # integers); a fresh calibration keeps the cached sums out of it
         real = census.calibrate(E37B_CONFIG.curve(), 3)
         fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
-                                       real.base_dps)
+                                       real.r, real.base_dps)
         monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
-        monkeypatch.setattr(lvalue, "hecke_factor", lambda *args: 1)
+        monkeypatch.setattr(lvalue, "hecke_factor", wrong_factor)
+
+    @staticmethod
+    def _factor_plus_ell(curve, f, ell):
+        # A_0 off by L0 ell shifts every coset sum by the integer L0: the
+        # sums still round, recombine and total to the wrong A_0
+        return REAL_HECKE_FACTOR(curve, f, ell) + ell
 
     def test_unrounded_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
         # each orbit whose sums miss an integer is an alarm row, never a
@@ -570,6 +578,30 @@ class TestCommandLine:
                      "--max-conductor", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("theory violation: ConsistencyError: ")
+
+    def test_shifted_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
+        # sums that round but are shifted off r M_t alarm on every orbit;
+        # the rounding checks alone passed 19, 31 and 43 as nonzero
+        self._miscount_trivial_sums(monkeypatch, self._factor_plus_ell)
+        out = tmp_path / "s.csv"
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "60", "--out", str(out)]) == 2
+        rows = [json.loads(line) for line in
+                (tmp_path / "s.csv.log").read_text().splitlines()]
+        assert sorted(row["conductor"] for row in rows) == [7, 9, 13, 19, 31, 43]
+        for row in rows:
+            assert row["alarm"] and row["decision"] == "undecided"
+            assert row["error"].startswith("ConsistencyError: coset sums ")
+            assert "differ from r M_t" in row["error"]
+
+    def test_shifted_coset_sums_fail_the_congruence_sweep(
+            self, monkeypatch, capsys):
+        self._miscount_trivial_sums(monkeypatch, self._factor_plus_ell)
+        assert main(["congruence", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("theory violation: ConsistencyError: ")
+        assert "differ from r M_t" in err
 
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -5,9 +5,11 @@ checked against a doubled truncation, the bucketed conjugates against a
 per-character oracle series, the double-double buckets against the mpmath
 loop they replace, the functional-equation sign against the
 parameter independence it forces, the exact coset sums against frozen
-lattice data and their seed identity, and the decision policy against
-synthetic records.  The congruence sweep gets a deliberate fault injection
-so a silent pass cannot hide a broken multiplier.
+lattice data and their seed identity, the faults of a wrong sign, chi(N),
+Gauss sum, exponent table or eigenline against the modular-symbol check,
+and the decision policy against synthetic records.  The congruence sweep
+gets a deliberate fault injection so a silent pass cannot hide a broken
+multiplier.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ import elltwists.lvalue as lvalue
 from elltwists.dirichlet import (DirichletChar, galois_orbits,
                                   orbit_representatives)
 from elltwists.elliptic import Curve
+from elltwists.modsym import PlusSymbols
 from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
                               TwistRecord, calibrate, central_value,
                               central_values, hecke_factor, t_independence,
@@ -137,14 +140,26 @@ class TestCentralValue:
             t_independence(bare)
 
 
-class TestTDriftAlarm:
-    def test_wrong_root_number_raises(self):
-        # the wrong sign flips eps, so the two-series value moves with t
-        flipped = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
-        with pytest.raises(ConsistencyError):
-            lvalue._twist_rows(flipped, CHI7, 50)
+def fresh_calibration(cal, curve=E37B, dps=50):
+    """cal's scale, L0 and symbol ratio on a new calibrated curve, so that
+    no cached sums answer for a fault."""
+    return lvalue.CalibratedCurve(curve, cal.ell, cal.scale, cal.lalg0, cal.r,
+                                  base_dps=dps)
 
-    def test_wrong_gauss_sum_raises(self, monkeypatch):
+
+class TestTDriftAlarm:
+    """The faults that a second series pass at t = 6/5 used to catch, each
+    now caught by the exact check S_t = r M_t of the orbit's coset sums."""
+
+    def test_wrong_root_number_raises(self, cal_b):
+        # the wrong sign flips eps, so the rows leave the symbols' lattice
+        flipped = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
+        cal = fresh_calibration(cal_b, flipped)
+        for chi in (CHI7, CHI9, CHI13):
+            with pytest.raises(ConsistencyError):
+                cal.twist_record(chi)
+
+    def test_wrong_gauss_sum_raises(self, cal_b, monkeypatch):
         # conjugated Gauss sums turn eps by a phase on a nonzero twist; at
         # 50 digits they come from the double-double kernel
         kernel = lvalue._dd_gauss_sums
@@ -154,19 +169,69 @@ class TestTDriftAlarm:
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
         monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
-            lvalue._twist_rows(E37B, CHI9, 50)
+            fresh_calibration(cal_b).twist_record(CHI9)
 
-    def test_wrong_mpmath_gauss_sum_raises(self, monkeypatch):
+    def test_wrong_mpmath_gauss_sum_raises(self, cal_b, monkeypatch):
         # the same fault on the mpmath rung, which serves 80 digits
         gauss_sums = DirichletChar.gauss_sums
         monkeypatch.setattr(DirichletChar, "gauss_sums", lambda chi: {
             j: mpmath.conj(tau) for j, tau in gauss_sums(chi).items()})
         with pytest.raises(ConsistencyError):
-            lvalue._twist_rows(E37B, CHI9, 80)
+            fresh_calibration(cal_b, dps=80).twist_record(CHI9)
+
+    def test_wrong_chi_of_level_raises(self, cal_b, monkeypatch):
+        # chi(N) one exponent off turns eps by a root of unity
+        value_exponent = DirichletChar.value_exponent
+        monkeypatch.setattr(DirichletChar, "value_exponent", lambda chi, a: (
+            (value_exponent(chi, a) + 1) % chi.ell if a == 37
+            else value_exponent(chi, a)))
+        cal = fresh_calibration(cal_b)
+        for chi in (CHI7, CHI9, CHI13):
+            with pytest.raises(ConsistencyError):
+                cal.twist_record(chi)
+
+    def test_shifted_exponent_table(self, cal_b, monkeypatch):
+        # every exponent one too high turns L(chi^j) and tau(chi^j) by the
+        # same zeta^j, so the rows and the solved sums do not move and no
+        # choice of t could see it; the symbol sums M_t do move, and every
+        # nonvanishing orbit alarms.  A constant vector is unmoved
+        # by the shift, so the vanishing orbits keep their decision.
+        orbits = [chi for chi in orbit_representatives(3, 73)
+                  if chi.conductor != 37]
+        truth = {chi: cal_b.twist_record(chi) for chi in orbits}
+        table = DirichletChar.exponent_table
+        monkeypatch.setattr(DirichletChar, "exponent_table", lambda chi, n: (
+            np.where(table(chi, n) >= 0, (table(chi, n) + 1) % chi.ell, -1)))
+        cal = fresh_calibration(cal_b)
+        alarms = 0
+        for chi in orbits:
+            try:
+                record = cal.twist_record(chi)
+            except ConsistencyError as exc:
+                assert "differ from r M_t" in str(exc)
+                assert truth[chi].decision == "nonzero"
+                alarms += 1
+                continue
+            assert record.decision == truth[chi].decision == "vanishes"
+            assert record.coset_sums.sums == truth[chi].coset_sums.sums
+            assert abs(abs(record.L_value) - abs(truth[chi].L_value)) <= \
+                record.error_bound
+        assert (len(orbits), alarms) == (11, 8)
+
+    def test_wrong_eigenline_fails_calibration(self, monkeypatch):
+        # 37a's a_2 = -2 on 37b cuts out 37a's plus line, which no rational
+        # multiple of 37b's coset sums can match
+        def wrong_line(curve):
+            return PlusSymbols(curve.conductor,
+                               lambda q: -2 if q == 2 else curve.ap(q))
+        monkeypatch.setattr(lvalue, "plus_symbols", wrong_line)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        with pytest.raises(CalibrationError, match="plus modular symbols"):
+            calibrate(E37B, 3)
 
     def test_one_gauss_sum_pass_per_orbit(self, monkeypatch):
         # all conjugates come from one kernel call: no chi^j is built and
-        # chi is evaluated pointwise only for chi(N), once per series t
+        # chi is evaluated pointwise only for chi(N), in the one series pass
         chi = galois_orbits(31, 5)[0]
         calls = {"gauss_sums": 0, "power": 0, "value_exponent": 0}
 
@@ -188,7 +253,7 @@ class TestTDriftAlarm:
         assert kernel_calls == [chi]
         assert calls["gauss_sums"] == 0
         assert calls["power"] == 0
-        assert calls["value_exponent"] <= 2
+        assert calls["value_exponent"] == 1
 
 
 # orbits prime to the level 37 of both curves, conductor <= 600
@@ -245,8 +310,8 @@ class TestDoubleDoubleRung:
         assert dd_bucket_error(E37B, chi, 1) > 1e-28
 
     def test_rung_follows_working_precision(self, monkeypatch):
-        # three series passes per orbit: all double-double at 50 digits,
-        # all the mpmath loop at 80, and the two agree within the tail bound
+        # one series pass per orbit: double-double at 50 digits, the mpmath
+        # loop at 80, and the two agree within the tail bound
         calls = {"_dd_buckets": 0, "_buckets": 0}
 
         def counted(name):
@@ -260,9 +325,9 @@ class TestDoubleDoubleRung:
         for name in calls:
             monkeypatch.setattr(lvalue, name, counted(name))
         dd = lvalue._twist_rows(E37B, CHI13, 50)
-        assert calls == {"_dd_buckets": 3, "_buckets": 0}
+        assert calls == {"_dd_buckets": 1, "_buckets": 0}
         mp = lvalue._twist_rows(E37B, CHI13, 80)
-        assert calls == {"_dd_buckets": 3, "_buckets": 3}
+        assert calls == {"_dd_buckets": 1, "_buckets": 1}
         assert abs(dd.l_value - mp.l_value) <= dd.l_err + mp.l_err
         assert lvalue._rung(50) == "dd" and lvalue._rung(80) == "mpmath"
 
@@ -474,7 +539,7 @@ class TestTwistDecisions:
         # an orbit whose recognition fails is judged from its one series
         # pass at the base precision: the calibrated scale admits no such
         # orbit, so it is an alarm, not an undecided record
-        cal = lvalue.CalibratedCurve(E37B, 3, cal_b.scale, cal_b.lalg0)
+        cal = fresh_calibration(cal_b)
         real = lvalue._twist_rows
         tried = []
 
@@ -494,20 +559,22 @@ class TestTwistDecisions:
     def test_failed_cross_check_raises(self, cal_b, monkeypatch):
         # conjugate rows that disagree fail the coset-sum solve's exact
         # cross-check: an alarm, not a decision from |L| alone
-        cal = lvalue.CalibratedCurve(E37B, 3, cal_b.scale, cal_b.lalg0)
+        cal = fresh_calibration(cal_b)
         monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
         with pytest.raises(ConsistencyError, match="imaginary part"):
             cal.twist_record(CHI9)
 
     def test_decision_policy_truth_table(self):
         def rec(value, err, sums):
-            cs = None if sums is None else \
-                CosetSums(CHI7, sums, sum(sums), 0.0)
+            cs = CosetSums(CHI7, sums, sum(sums), 0.0)
             return TwistRecord("x", CHI7, value, err, cs, "undecided", 50)
 
         assert vanishing_decision(rec(0j, 1e-10, (3, 3, 3))) == "vanishes"
         assert vanishing_decision(rec(1.0 + 0j, 1e-10, (1, 2, 3))) == "nonzero"
-        assert vanishing_decision(rec(1e-11 + 0j, 1e-10, None)) == "undecided"
+        # an exactly nonzero part with a value inside its noise, which
+        # twist_record turns into an alarm
+        assert vanishing_decision(rec(1e-11 + 0j, 1e-10, (1, 2, 3))) == \
+            "undecided"
         # exact route wins even when the numeric value alone would decide
         assert vanishing_decision(rec(1.0 + 0j, 1e-10, (5, 5, 5))) == "vanishes"
 

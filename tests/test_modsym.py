@@ -1,0 +1,141 @@
+"""Plus modular symbols.
+
+The eigen-functional is checked against the relations and Hecke operators
+written out symbol by symbol, independently of the matrix the solver
+builds; the lockstep symbol sums against one continued fraction at a time
+over every residue; and S_t = r M_t against coset sums frozen from the
+series census of the benchmark reference, and across six curves of
+prime and composite level.
+"""
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from elltwists.dirichlet import DirichletChar, galois_orbits
+from elltwists.elliptic import Curve
+from elltwists.lvalue import calibrate
+from elltwists.modsym import PlusSymbols, _merel_set, plus_symbols
+
+E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
+E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
+# Cremona's 14a1, 15a1, 19a1 (rank 0) and 43a1 (rank 1)
+E14A = Curve((1, 0, 1, 4, -6), label="14a1", conductor=14, root_number=1)
+E15A = Curve((1, 1, 1, -10, -10), label="15a1", conductor=15, root_number=1)
+E19A = Curve((0, 1, 1, -9, -15), label="19a1", conductor=19, root_number=1)
+E43A = Curve((0, 1, 1, 0, 0), label="43a1", conductor=43, root_number=-1)
+
+REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
+                         / "reference" / "census_ell3.csv")
+
+
+def symbol_oo_to(sym, a, f):
+    """phi({oo, a/f}) from the convergents p_j / q_j of a/f, one at a time,
+    signs kept: {p_(j-1)/q_(j-1), p_j/q_j} is the Manin symbol
+    ((-1)^(j-1) q_j : q_(j-1))."""
+    total = sym(-1, 0)
+    x, q0, q1, j = Fraction(f, a), 0, 1, 0
+    while True:
+        j += 1
+        k = x.numerator // x.denominator
+        q0, q1 = q1, k * q1 + q0
+        total += sym((-1) ** (j - 1) * q1, q0)
+        if x == k:
+            assert q1 == f
+            return total
+        x = 1 / (x - k)
+
+
+class TestEigenFunctional:
+    @pytest.mark.parametrize("curve", [E37A, E37B, E14A, E15A, E19A, E43A],
+                             ids=lambda c: c.label)
+    def test_relations_and_hecke_operators(self, curve):
+        # every relation and T_q, q = 2, 3, 5, 7 prime to N, holds symbol by
+        # symbol; the solver's rank mod p leaves exactly one line
+        sym = plus_symbols(curve)
+        N = curve.conductor
+        assert sym.rank == len(sym.phi) - 1 and any(sym.phi)
+        pairs = [(c, d) for c in range(N) for d in range(N)
+                 if gcd(gcd(c, d), N) == 1]
+        for c, d in pairs:
+            assert sym(c, d) + sym(d, -c) == 0
+            assert sym(c, d) + sym(d, -c - d) + sym(-c - d, c) == 0
+            assert sym(c, d) == sym(-c, d)
+            for q in (2, 3, 5, 7):
+                if N % q:
+                    image = sum(sym(c * a + d * cc, c * b + d * dd)
+                                for a, b, cc, dd in _merel_set(q))
+                    assert image == curve.ap(q) * sym(c, d), (c, d, q)
+
+    def test_merel_set_of_two(self):
+        assert sorted(_merel_set(2)) == sorted(
+            [(2, 0, 0, 1), (1, 0, 0, 2), (2, 1, 0, 1), (1, 0, 1, 2)])
+
+    def test_unit_symbol_is_the_untwisted_part(self):
+        # phi((1:0)) = phi({oo, 0}): L0 for 37b, and 0 on the rank-one 37a
+        assert plus_symbols(E37B)(1, 0) == 2
+        assert plus_symbols(E37A)(1, 0) == 0
+
+    def test_primitive_with_positive_last_coordinate(self):
+        for curve in (E37A, E37B):
+            phi = [int(v) for v in plus_symbols(curve).phi]
+            assert gcd(*phi) == 1
+            # the last nonzero coordinate, the free one of the solve, is > 0
+            assert [v for v in phi if v][-1] > 0
+
+    def test_eigenvalues_off_the_line_are_refused(self):
+        # a_2 = 1 is no eigenvalue at level 37: the kernel is empty
+        with pytest.raises(ArithmeticError, match="leave 0 dimensions"):
+            PlusSymbols(37, lambda q: 1 if q == 2 else E37B.ap(q))
+
+    def test_other_eigenline(self):
+        # 37a's a_2 on 37b's other eigenvalues still cuts out 37a's line
+        wrong = PlusSymbols(37, lambda q: -2 if q == 2 else E37B.ap(q))
+        assert list(wrong.phi) == list(plus_symbols(E37A).phi)
+
+
+class TestSymbolSums:
+    @pytest.mark.parametrize("ell,f", [(3, 7), (3, 63), (3, 91), (5, 11),
+                                       (5, 25), (7, 29), (7, 49)])
+    def test_lockstep_matches_one_fraction_at_a_time(self, ell, f):
+        # every a < f, both halves, with the signs of the symbols kept
+        for chi in galois_orbits(f, ell):
+            for curve in (E37A, E37B):
+                sym = plus_symbols(curve)
+                brute = [0] * ell
+                for a in range(1, f):
+                    k = chi.value_exponent(a)
+                    if k is not None:
+                        brute[k] += symbol_oo_to(sym, a, f)
+                assert sym.orbit_sums(chi) == tuple(brute), chi.label()
+
+    def test_reference_census_sums(self):
+        # all 60 orbits of the benchmark's frozen census of 37b, ell = 3,
+        # to conductor 415, which covers acceptance criterion 04: r = 1
+        sym = plus_symbols(E37B)
+        rows = REFERENCE_CENSUS_ELL3.read_text().splitlines()[1:]
+        assert len(rows) == 60
+        for row in rows:
+            label = row[row.index("("):row.index(")") + 1]
+            sums = row.rsplit(", ", 1)[1]
+            chi = DirichletChar.from_label(3, label)
+            assert sym.orbit_sums(chi) == tuple(map(int, sums.split("|"))), \
+                label
+
+    def test_frozen_vector_of_37a(self):
+        # 37a's coset sums (1, -1, 0) at r = -1/2
+        chi7 = galois_orbits(7, 3)[0]
+        assert plus_symbols(E37A).orbit_sums(chi7) == (-2, 2, 0)
+
+
+class TestSymbolRatio:
+    @pytest.mark.parametrize("curve,r", [
+        (E37B, 1), (E37A, Fraction(-1, 2)), (E19A, 1), (E14A, -1),
+        (E15A, -1), (E43A, Fraction(-1, 2))], ids=lambda v: str(v))
+    def test_calibrated_ratio(self, curve, r):
+        # one rational per curve, prime and composite levels alike, and
+        # L0 = r phi((1:0)) ties it to the untwisted part
+        cal = calibrate(curve, 3)
+        assert cal.r == r
+        assert cal.lalg0 == r * plus_symbols(curve)(1, 0)
