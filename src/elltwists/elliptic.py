@@ -5,10 +5,14 @@ enough to run over Q, quadratic fields and cubic fields.
 a_p at a good odd prime p comes from one of two point counts.  Below
 _BSGS_MIN_P, and at any p dividing 6 disc, a Legendre-symbol sum in O(p)
 numpy work counts the points; it is also the tests' oracle.  Above it a
-Shanks-Mestre baby-step giant-step search over the Hasse interval on the
-short model and its quadratic twist finds the group order in O(p^(1/4))
-group operations (Cohen, A Course in Computational Algebraic Number
-Theory, 7.4.3), and a point the search did not use must confirm it.
+Shanks-Mestre baby-step giant-step search over the Hasse interval finds
+the group order in O(p^(1/4)) group operations (Cohen, A Course in
+Computational Algebraic Number Theory, 7.4.3) for a whole batch of primes
+at once: one numpy lane per (prime, point), all lanes stepping together,
+on points of the short model and of its quadratic twists drawn without a
+square root.  A point the search did not use must confirm each a_p.
+an_table counts its new primes, and those up to 3/2 of its limit, in one
+batch; ap(p) alone is a batch of one.
 
 Points are (x, y) pairs whose coordinates live in any field-like type
 supporting +, -, *, / and equality with each other; None is the origin.
@@ -21,16 +25,26 @@ from math import gcd, isqrt
 import mpmath
 import numpy as np
 
-from .numcore import factor, primes_up_to, sqrt_mod_prime
+from .numcore import factor, primes_up_to
 
-# primes from here on are counted by baby-step giant-step.  Timed one call
-# per prime on 2 vCPUs (11a, 37a, 37b), the Legendre count takes 60 us at
-# p = 1000, 145 us at 5000 and 280 us at 10^4; the search takes 100, 140
-# and 170 us, so they cross near 5000.  Mestre's theorem, on which the
-# search relies to single out the order, needs p > 229.
-_BSGS_MIN_P = 5000
-# points of E and its twist the search may draw before giving up
+# primes from here on are counted by the batched search.  On 2 vCPUs, for
+# batches of the primes in [q, 3q/2], the search costs 98, 64, 44 and 41 us
+# a prime at q = 1000, 2000, 5000 and 10^4 (fixed costs weigh on small
+# batches) and the Legendre count 50, 77, 153 and 290 us.  Replaying the
+# an_table limits of 37b's census to 415, slice survey and ell = 5
+# calibration, thresholds 1000 and 2000 tie on the first two (67.5 and
+# 67.7 ms, 114.6 and 115.5 ms, medians of 31) and 1000 wins the third (27.4
+# against 35.1 ms).  Mestre's theorem, on which the search relies to single
+# out the order, needs p > 229.
+_BSGS_MIN_P = 1000
+# points of E and its twists a prime may draw before the search gives up
 _BSGS_MAX_POINTS = 64
+# points each unsettled prime draws per round after its first
+_BSGS_REDRAW = 8
+# lanes, and primes, walked together: bounds the search's memory
+_BSGS_LANES = 512
+# residues below this multiply inside int64
+_BSGS_MAX_P = 2 ** 31
 
 
 class PointCountError(ArithmeticError):
@@ -145,7 +159,7 @@ class Curve:
 
     def _ap_odd_good(self, p: int) -> int:
         if p >= _BSGS_MIN_P and 6 * int(self.disc) % p:
-            return self._ap_bsgs(p)
+            return self._ap_batch([p])[p]
         a = self._ap_legendre(p)
         if a * a > 4 * p:
             raise PointCountError(f"Hasse bound violated at {p}: a_p = {a}")
@@ -164,18 +178,22 @@ class Curve:
         v = (4 * (x2 * x % p) + b2 * x2 + 2 * b4 * x + b6) % p
         return -int(legendre[v].sum())
 
-    def _ap_bsgs(self, p: int) -> int:
-        """a_p at a good prime p > 229 not dividing 6 disc, from the group
-        order of the short model y^2 = x^3 - 27 c4 x - 54 c6 over F_p."""
-        a, b = -27 * int(self.c4) % p, -54 * int(self.c6) % p
-        points = _fp_points(a, b, p)
-        n = _bsgs_order(a, b, p, points)
-        P = next(points)  # a point of E the search never saw
-        x, y = P
-        if (y * y - (x * x + a) * x - b) % p or _fp_mul(n, P, a, p) is not None:
-            raise PointCountError(
-                f"order {n} at {p} does not annihilate the check point {P}")
-        return p + 1 - n
+    def _ap_batch(self, primes: list[int]) -> dict[int, int]:
+        """a_p at good primes p >= _BSGS_MIN_P not dividing 6 disc, all
+        counted in one batch on the short model y^2 = x^3 - 27 c4 x - 54 c6."""
+        if not self.is_integral():
+            raise ValueError("a_p needs an integral model")
+        return dict(zip(primes, _frobenius_traces(
+            -27 * int(self.c4), -54 * int(self.c6), primes)))
+
+    def count_primes(self, primes) -> None:
+        """Count a_p, in one batch, at every uncached prime of the list that
+        baby-step giant-step serves; ap then reads them from its cache."""
+        six_disc = 6 * int(self.disc)
+        new = [p for p in primes
+               if p >= _BSGS_MIN_P and six_disc % p and p not in self._ap_cache]
+        if new:
+            self._ap_cache.update(self._ap_batch(new))
 
     def an_table(self, limit: int) -> list[int]:
         """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve.
@@ -185,12 +203,18 @@ class Curve:
         table from its current end, so each a_p is asked for once."""
         a = self._an_cache
         start = len(a)
-        # smallest prime factor of each new n, 0 for primes
-        spf = [0] * (limit + 1 - start)
-        for p in primes_up_to(isqrt(limit)):
-            for m in range(max(p * p, -(-start // p) * p), limit + 1, p):
-                if not spf[m - start]:
-                    spf[m - start] = p
+        if limit < start:
+            return a
+        # least prime factor of each new n, 0 for primes
+        spf = _least_prime_factors(start, limit)
+        fresh = [n for n, f in enumerate(spf, start)
+                 if not f and n not in self._ap_cache]
+        if fresh and fresh[-1] >= _BSGS_MIN_P:
+            # one batch up to 3 limit / 2: a table that keeps growing then
+            # meets whole runs of counted primes
+            ahead = _least_prime_factors(limit + 1, 3 * limit // 2)
+            self.count_primes(fresh + [n for n, f in enumerate(ahead, limit + 1)
+                                       if not f])
         level = int(self.disc) if self.conductor is None else self.conductor
         for n in range(start, limit + 1):
             p = spf[n - start] or n
@@ -241,92 +265,231 @@ class Curve:
         return omega
 
 
+def _least_prime_factors(lo: int, hi: int) -> list[int]:
+    """The least prime factor of each composite n in [lo, hi] (lo >= 2),
+    0 at the primes."""
+    spf = [0] * (hi + 1 - lo)
+    for p in primes_up_to(isqrt(hi)):
+        for m in range(max(p * p, -(-lo // p) * p), hi + 1, p):
+            if not spf[m - lo]:
+                spf[m - lo] = p
+    return spf
+
+
 # ---------------------------------------------------------------------------
-# baby-step giant-step group order over F_p, for y^2 = x^3 + a x + b with
-# p > 3 prime; points are (x, y) int pairs and None is the origin
+# batched baby-step giant-step over F_p.  A lane is one point of one curve
+# Y^2 Z = X^3 + A X Z^2 + B Z^3 over its own prime p, and all lanes of a
+# block step together.  A point is a triple (X, Y, Z) of int64 arrays with
+# Z = 0 the origin; residues stay below p < 2^31, so products fit in int64.
 
-def _fp_add(P, Q, a: int, p: int):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
+def _pow_mod(x, e, p):
+    """x^e mod p elementwise, for e >= 0."""
+    x, r = x % p, np.ones_like(x)
+    while e.any():
+        r = np.where(e & 1, r * x % p, r)
+        x, e = x * x % p, e >> 1
+    return r
 
 
-def _fp_mul(n: int, P, a: int, p: int):
-    R = None
-    while n:
-        if n & 1:
-            R = _fp_add(R, P, a, p)
-        P = _fp_add(P, P, a, p)
-        n >>= 1
+def _double(P, A, p):
+    X, Y, Z = P
+    w = (A * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = Y * Z % p
+    ss = s * s % p
+    b = X * Y % p * s % p
+    h = (w * w - 8 * b) % p
+    return (2 * (h * s % p) % p,
+            (w * ((4 * b - h) % p) - 8 * (Y * Y % p * ss % p)) % p,
+            8 * (ss * s % p) % p)
+
+
+def _add(P, Q, A, p):
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    x1, y1 = X1 * Z2 % p, Y1 * Z2 % p
+    u = (Y2 * Z1 - y1) % p
+    v = (X2 * Z1 - x1) % p
+    w = Z1 * Z2 % p
+    vv = v * v % p
+    vvv = vv * v % p
+    r = vv * x1 % p
+    h = (u * u % p * w - vvv - 2 * r) % p
+    # Q = -P leaves v = 0, hence Z = 0: the origin, as it should
+    R = (v * h % p, (u * ((r - h) % p) - vvv * y1) % p, vvv * w % p)
+    # every origin made here is (0 : y : 0), so v = 0 on any lane where P
+    # or Q is the origin or Q = P
+    if v.all():
+        return R
+    # Q = P doubles, and an origin on either side gives the other point
+    o1, o2 = Z1 == 0, Z2 == 0
+    same = np.flatnonzero((u == 0) & (v == 0) & ~o1 & ~o2)
+    for lanes, S in ((same, None), (np.flatnonzero(o2), P),
+                     (np.flatnonzero(o1), Q)):
+        if lanes.size:
+            part = (_double(tuple(c[lanes] for c in P), A[lanes], p[lanes])
+                    if S is None else (c[lanes] for c in S))
+            for c, d in zip(R, part):
+                c[lanes] = d
     return R
 
 
-def _fp_points(a: int, b: int, p: int):
-    """The affine points with x = 1, 2, ... in turn, one y for each x."""
-    for x in range(1, p):
-        y = sqrt_mod_prime((x * x + a) * x + b, p)
-        if y is not None:
-            yield (x, y)
+def _mul(n, P, A, p):
+    """n P lane by lane for n >= 0, by double-and-add from the top bit."""
+    R = (np.zeros_like(p), np.ones_like(p), np.zeros_like(p))
+    for bit in reversed(range(int(n.max()).bit_length())):
+        R = _double(R, A, p)
+        R = tuple(np.where((n >> bit) & 1, c, d)
+                  for c, d in zip(_add(R, P, A, p), R))
+    return R
 
 
-def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
-    """Every N in [lo, hi] with N P = O: baby steps j P for 0 <= j < m go
-    into a dict, giant steps walk (lo + i m) P and look up its negative."""
-    m = isqrt(hi - lo + 1) + 1
-    baby = {}
-    R = None
-    for j in range(m):
-        if R is None and j:
-            # P has order j < m: the answer is every multiple of j
-            return set(range(-(-lo // j) * j, hi + 1, j))
-        baby[R] = j
-        R = _fp_add(R, P, a, p)
-    step = R  # m P; from here the baby steps are distinct
-    found = set()
-    T = _fp_mul(lo, P, a, p)
-    for base in range(lo, hi + 1, m):
-        j = baby.get(None if T is None else (T[0], -T[1] % p))
-        if j is not None and base + j <= hi:
-            found.add(base + j)
-        T = _fp_add(T, step, a, p)
-    return found
+def _points(a, b, p, x):
+    """One point per lane without a square root: with v = x^3 + a x + b,
+    (v x, v^2) lies on Y^2 = X^3 + A X + B for A = a v^2, B = b v^3, which
+    is E when v is a square mod p and its quadratic twist otherwise.
+    Returns the point, A, B, chi(v) (+1 or -1) and the lanes with v != 0."""
+    v = ((x * x % p + a) % p * x + b) % p
+    vv = v * v % p
+    chi = np.where(_pow_mod(v, (p - 1) // 2, p) == 1, 1, -1)
+    return ((v * x % p, vv, np.ones_like(p)), a * vv % p, b * vv % p * v % p,
+            chi, v != 0)
 
 
-def _bsgs_order(a: int, b: int, p: int, points) -> int:
-    """#E(F_p), drawing points of E from the iterator `points` and points
-    of the twist by the least non-residue d in turn: a point P of E keeps
-    the N in the Hasse interval with N P = O, a twist point Q those with
-    (2p + 2 - N) Q = O.  By Mestre's theorem (p > 229) one point of E or
-    of the twist has a single such N; raises rather than guess."""
-    s = isqrt(4 * p)
-    lo, hi = p + 1 - s, p + 1 + s
-    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
-    ad, bd = a * d * d % p, b * d * d * d % p
-    twist_points = _fp_points(ad, bd, p)
-    candidates = set(range(lo, hi + 1))
-    for k in range(_BSGS_MAX_POINTS):
-        if k % 2 == 0:
-            candidates &= _annihilators(next(points), a, p, lo, hi)
-        else:
-            candidates &= {2 * p + 2 - n for n in _annihilators(
-                next(twist_points), ad, p, lo, hi)}
-        if len(candidates) == 1:
-            return candidates.pop()
-        if not candidates:
-            raise PointCountError(f"no group order in the Hasse interval at {p}")
-    raise PointCountError(
-        f"{_BSGS_MAX_POINTS} points left {len(candidates)} orders at {p}")
+def _annihilators(p, A, P, lo, width):
+    """Every N in [lo, lo + width) with N P = O, lane by lane, as two
+    arrays: the lanes and their N.  Baby steps j P for j <= m are
+    normalized with one Fermat inverse (of their product); giant steps
+    c P, c = lo + m + i (2m + 1), meet them on x.  c P = +-j P gives
+    (c -+ j) P = O, both when y(j P) = 0, and a baby step at O matches a
+    giant step at O."""
+    wide = int(width.max())
+    m = isqrt(wide // 2) + 1
+    baby = [(np.zeros_like(p), np.ones_like(p), np.zeros_like(p)), P]
+    for _ in range(m - 1):
+        baby.append(_add(baby[-1], P, A, p))
+    step = _add(_double(baby[m], A, p), P, A, p)
+    X, Y, Z = (np.stack(c, axis=1) for c in zip(*baby))
+    lane = np.arange(p.size)
+    # (lo + m) P in base 2^w, the digits read off the baby table
+    w = (m + 1).bit_length() - 1
+    c0 = lo + m
+    shift = (int(c0.max()).bit_length() - 1) // w * w
+    T = tuple(c[lane, c0 >> shift] for c in (X, Y, Z))
+    for shift in range(shift - w, -1, -w):
+        for _ in range(w):
+            T = _double(T, A, p)
+        d = (c0 >> shift) & ((1 << w) - 1)
+        T = _add(T, tuple(c[lane, d] for c in (X, Y, Z)), A, p)
+    # Montgomery's trick: one inverse of the product of the nonzero Z
+    origin = Z == 0
+    Z = np.where(origin, 1, Z)
+    below = np.empty_like(Z)
+    acc = np.ones_like(p)
+    for j in range(m + 1):
+        below[:, j], acc = acc, acc * Z[:, j] % p
+    acc = _pow_mod(acc, p - 2, p)
+    for j in range(m, -1, -1):
+        below[:, j], acc = below[:, j] * acc % p, acc * Z[:, j] % p
+    col = p[:, None]
+    x, y = X * below % col, Y * below % col
+    lanes, found = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for c in range(m, wide + m, 2 * m + 1):
+        X, Y, Z = T
+        at_o = Z == 0
+        hit = np.where(at_o[:, None], origin,
+                       (x * Z[:, None] % col == X[:, None]) & ~origin)
+        i, j = np.nonzero(hit)
+        if i.size:
+            yz = y[i, j] * Z[i] % p[i]
+            down = at_o[i] | (yz == Y[i])
+            up = (at_o[i] & (j > 0)) | ((yz + Y[i]) % p[i] == 0)
+            lanes += [i[down], i[up]]
+            found += [lo[i[down]] + c - j[down], lo[i[up]] + c + j[up]]
+        if c + m + 1 < wide:
+            T = _add(T, step, A, p)
+    i, n = np.concatenate(lanes), np.concatenate(found)
+    keep = n < lo[i] + width[i]
+    return i[keep], n[keep]
+
+
+def _search(a, b, p):
+    """a_p at each prime of the array p (p > 229, good, prime to 6) for
+    y^2 = x^3 + a x + b, a and b given mod p.  Each drawn point leaves the
+    a_p = chi(v) (p + 1 - N) over its annihilators N in the Hasse
+    interval; a prime settles when the intersection over its points has
+    one element, which Mestre's theorem guarantees some point of E or of
+    its twist gives.  The first round draws one point per prime, the later
+    ones _BSGS_REDRAW per unsettled prime, pooled over the whole batch.
+    Raises rather than guess.  Returns a_p and each prime's next unused x."""
+    s = np.array([isqrt(4 * int(q)) for q in p])
+    top = int(s.max())
+    traces = np.arange(-top, top + 1)
+    ap, x = np.zeros_like(p), np.ones_like(p)
+    # the unsettled primes and, after the first round, their candidates
+    todo, rows = np.arange(p.size), None
+    k, drawn = 1, 0
+    while todo.size:
+        k = min(k, _BSGS_MAX_POINTS - drawn)
+        drawn += k
+        per = _BSGS_LANES // k
+        left, kept = [], []
+        for at in range(0, todo.size, per):
+            ids = todo[at:at + per]
+            alive = (np.abs(traces) <= s[ids, None] if rows is None
+                     else rows[at:at + per])
+            who = np.repeat(ids, k)
+            draw = np.tile(np.arange(k), ids.size)
+            P, A, _, chi, ok = _points(a[who], b[who], p[who], x[who] + draw)
+            i, n = _annihilators(p[who], A, P, p[who] + 1 - s[who],
+                                 2 * s[who] + 1)
+            col = chi[i] * (p[who[i]] + 1 - n) + top
+            for d in range(k):
+                seen = np.zeros_like(alive)
+                sel = draw[i] == d
+                seen[i[sel] // k, col[sel]] = True
+                seen[~ok[d::k]] = True      # v = 0: the lane has no point
+                alive &= seen
+            count = alive.sum(axis=1)
+            if not count.all():
+                raise PointCountError("no group order in the Hasse interval "
+                                      f"at {p[ids[count == 0][0]]}")
+            one = count == 1
+            ap[ids[one]] = traces[alive[one].argmax(axis=1)]
+            left.append(ids[~one])
+            kept.append(alive[~one])
+        x[todo] += k
+        todo, rows = np.concatenate(left), np.concatenate(kept)
+        if todo.size and drawn >= _BSGS_MAX_POINTS:
+            raise PointCountError(f"{_BSGS_MAX_POINTS} points left "
+                                  f"{rows[0].sum()} orders at {p[todo[0]]}")
+        k = _BSGS_REDRAW
+    return ap, x
+
+
+def _frobenius_traces(a: int, b: int, primes) -> list[int]:
+    """a_p of the short model y^2 = x^3 + a x + b at each prime p > 229 in
+    the list, good and prime to 6, all counted in one batch.  A point drawn
+    after the search, one it never used, must lie on its curve and be
+    annihilated by p + 1 - chi(v) a_p, or the whole call raises
+    PointCountError."""
+    if any(q >= _BSGS_MAX_P for q in primes):
+        raise ValueError(f"baby-step giant-step needs p < {_BSGS_MAX_P}")
+    p = np.array(primes, dtype=np.int64)
+    a = np.array([a % q for q in primes], dtype=np.int64)
+    b = np.array([b % q for q in primes], dtype=np.int64)
+    ap, x = _search(a, b, p)
+    for _ in range(3):                  # the cubic has at most three roots
+        x += ((x * x % p + a) % p * x + b) % p == 0
+    P, A, B, chi, _ = _points(a, b, p, x)
+    X, Y, _ = P
+    off = (Y * Y - ((X * X % p + A) % p * X + B)) % p != 0
+    off |= _mul(p + 1 - chi * ap, P, A, p)[2] != 0
+    if off.any():
+        i = np.flatnonzero(off)[0]
+        raise PointCountError(
+            f"a_p = {ap[i]} at {p[i]} fails the check point "
+            f"({X[i]}, {Y[i]}) of the twist by {chi[i]}")
+    return ap.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -707,16 +707,17 @@ class CalibratedCurve:
         l0 = self.lalg0 % self.ell
         if l0 == 0:
             return NonvanishingResult(False, 0, bound, (), len(residue))
+        self.curve.count_primes(residue)
         ps = tuple(p for p in residue
                    if self.curve.conductor % p != 0
                    and (self.curve.ap(p) - 2) % self.ell != 0)
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
-def _symbol_ratio(symbols, sums: dict, l0: int) -> Fraction:
-    """The one rational r with S_t = r M_t on every probe orbit and
-    L0 = r phi((1:0)), the same identity at conductor 1."""
-    pairs = [(S, symbols.orbit_sums(chi)) for chi, S in sums.items()]
+def _symbol_ratio(symbols, probes, l0: int) -> Fraction:
+    """The one rational r with S_t = r M_t on the coset sums of every probe
+    orbit and L0 = r phi((1:0)), the same identity at conductor 1."""
+    pairs = [(cs.sums, symbols.orbit_sums(cs.chi)) for cs in probes]
     pairs.append(((l0,), (symbols(1, 0),)))
     r = next((Fraction(s, m) for S, M in pairs for s, m in zip(S, M) if m),
              None)
@@ -742,7 +743,8 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
     that recombine and total correctly.  First survivor wins (coarsest
     usable lattice).  Its probe sums fix r, which must then give
     S_t = r M_t on every probe and L0 = r phi((1:0)).  The twist series are
-    computed once, shared across candidates and handed to the result.
+    computed once, shared across candidates and handed to the result with
+    the winning scale's solved sums, which coset_sums then reuses.
     """
     key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
@@ -769,13 +771,18 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
         try:
             l0 = recognize_integer(base0 * c.denominator / c.numerator,
                                    tol=_S_TOL, err=_S_ERR)
-            sums = {rep: _solve_coset_sums(
-                probes[rep].rows, l0 * hecke_factor(curve, rep.conductor, ell),
-                ell, c, dps)[0] for rep in reps}
+            solved = []
+            for rep in reps:
+                a0 = l0 * hecke_factor(curve, rep.conductor, ell)
+                sums, worst = _solve_coset_sums(probes[rep].rows, a0, ell, c, dps)
+                solved.append(CosetSums(rep, sums, a0, worst))
         except (RecognitionError, ConsistencyError) as exc:
             failures[str(c)] = str(exc)
             continue
-        r = _symbol_ratio(symbols, sums, l0)
+        r = _symbol_ratio(symbols, solved, l0)
+        # the probes passed every check coset_sums makes, r M_t included
+        for cs in solved:
+            probes[cs.chi].sums = cs
         cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
         cal._twists.update(probes)
         _CALIBRATIONS[key] = cal

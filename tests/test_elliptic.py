@@ -1,13 +1,17 @@
 """Curve arithmetic checks.  The Frobenius traces are recounted by a direct
 point enumeration that sweeps the plane in the opposite order from the
-production path, the baby-step giant-step count is held to the Legendre
-count on every prime it serves up to 2 * 10^4, the real period is recomputed by direct numerical
-integration, and the group law is exercised on the two conductor-37 curves.
-"""
+production path, the batched baby-step giant-step count is held to the
+Legendre count on every prime from 230 to 2 * 10^4 and its annihilator sets
+to a scalar affine group law, the real period is recomputed by direct
+numerical integration, and the group law is exercised on the two
+conductor-37 curves."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,7 @@ from elltwists.elliptic import (_BSGS_MIN_P, Curve, PointCountError,
                                 curve_add, curve_mul, curve_neg,
                                 is_nontorsion, on_curve, point_order,
                                 trace_point)
-from elltwists.numcore import primes_up_to
+from elltwists.numcore import factor, primes_up_to
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -79,19 +83,26 @@ class TestTraceOfFrobenius:
                 assert an[p ** 3] == ap * (ap * ap - p) - p * ap
 
     def test_table_extends_without_recounting(self, monkeypatch):
-        # growing the limit one step at a time counts each a_p once, and
-        # the grown table equals one built in a single call
-        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1100)
+        # growing the limit one step at a time counts each odd good prime
+        # once, by the Legendre sum or in one batch, the primes counted
+        # ahead of the limit included; the grown table equals one built in
+        # a single call
+        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1600)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
-        asked = []
-        ap = Curve.ap
-        monkeypatch.setattr(Curve, "ap",
-                            lambda self, p: asked.append(p) or ap(self, p))
-        for limit in range(1000, 1101):
+        summed, batches = [], []
+        legendre, batch = Curve._ap_legendre, Curve._ap_batch
+        monkeypatch.setattr(Curve, "_ap_legendre", lambda self, p:
+                            summed.append(p) or legendre(self, p))
+        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
+                            batches.append(ps) or batch(self, ps))
+        for limit in range(1000, 1601):
             an = curve.an_table(limit)
             assert len(an) >= limit + 1
-        assert sorted(asked) == list(primes_up_to(1100))
-        assert an[:1101] == fresh[:1101]
+        counted = summed + [p for ps in batches for p in ps]
+        assert len(batches) == 2 and max(counted) > 1600
+        assert sorted(counted) == [p for p in primes_up_to(max(counted))
+                                   if p not in (2, 37)]
+        assert an[:1601] == fresh[:1601]
 
     def test_nonintegral_model_rejected(self):
         curve = Curve((0, 0, 0, Fraction(1, 4), 0))
@@ -99,64 +110,194 @@ class TestTraceOfFrobenius:
             curve.ap(5)
 
 
+def _fp_add(P, Q, a: int, p: int):
+    """The affine group law on y^2 = x^3 + a x + b over F_p, None the
+    origin: the scalar oracle for the batched search."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _fp_mul(n: int, P, a: int, p: int):
+    R = None
+    while n:
+        if n & 1:
+            R = _fp_add(R, P, a, p)
+        P = _fp_add(P, P, a, p)
+        n >>= 1
+    return R
+
+
+def _order(P, a: int, p: int, n: int) -> int:
+    """The order of P in a group of order n."""
+    d = n
+    for q in factor(n).primes:
+        while d % q == 0 and _fp_mul(d // q, P, a, p) is None:
+            d //= q
+    return d
+
+
+def _short(curve: Curve):
+    return -27 * int(curve.c4), -54 * int(curve.c6)
+
+
 class TestBabyStepGiantStep:
     P = 10007  # a prime above the cutoff
 
-    @pytest.mark.parametrize("curve, top", [(E37A, 20000), (E37B, 20000),
-                                            (E27A, 10000), (E32A, 10000)],
+    @pytest.mark.parametrize("curve", [E37A, E37B, E27A, E32A],
                              ids=["37a", "37b", "27a", "32a"])
-    def test_matches_legendre_count(self, curve, top, monkeypatch):
-        # every prime the search serves, against the O(p) count it replaced
-        drawn = []
-        search = elliptic._annihilators
-        monkeypatch.setattr(elliptic, "_annihilators",
-                            lambda P, *rest: drawn.append(P) or search(P, *rest))
-        several = 0
-        for p in primes_up_to(top):
-            if p < _BSGS_MIN_P or 6 * int(curve.disc) % p == 0:
+    def test_matches_legendre_count(self, curve):
+        # every good prime from 230 to 2 * 10^4 against the O(p) count, in
+        # one batch and again in random batches of 1 to 40 primes
+        primes = [p for p in primes_up_to(20000)
+                  if p > 229 and 6 * int(curve.disc) % p]
+        want = [curve._ap_legendre(p) for p in primes]
+        assert elliptic._frobenius_traces(*_short(curve), primes) == want
+        rng, got = random.Random(len(primes)), []
+        while len(got) < len(primes):
+            got += elliptic._frobenius_traces(
+                *_short(curve), primes[len(got):len(got) + rng.randint(1, 40)])
+        assert got == want
+
+    def test_annihilators_match_the_scalar_group_law(self):
+        # each lane's N in the Hasse interval with N P = O, against the
+        # multiples of its order found by the scalar group law: the points
+        # of x = 1..20 at every prime from 230 to 1500, plus multiples of
+        # them of order at most m and of order exactly 2m, where a baby step
+        # lands on O or on a point with y = 0.  Primes that share m share
+        # one call.
+        a, b = _short(E37B)
+        groups = {}
+        for p in primes_up_to(1500):
+            if p < 230 or 6 * int(E37B.disc) % p == 0:
                 continue
-            drawn.clear()
-            assert curve._ap_bsgs(p) == curve._ap_legendre(p), p
-            several += len(drawn) > 1
-        # the twist had to settle the order at some of these primes
-        assert several
+            s = isqrt(4 * p)
+            m = isqrt(s) + 1        # the search's isqrt(width // 2) + 1
+            ap = E37B._ap_legendre(p)
+            for x in range(1, 21):
+                v = (x ** 3 + a * x + b) % p
+                if not v:
+                    continue
+                chi = 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+                A, P = a * v * v % p, (v * x % p, v * v % p)
+                d = _order(P, A, p, p + 1 - chi * ap)
+                lanes = groups.setdefault(m, [])
+                lanes.append((p, A, P, d))
+                low = max((t for t in range(2, m + 1) if d % t == 0), default=0)
+                for t in (low, 2 * m):
+                    if t and d % t == 0:
+                        lanes.append((p, A, _fp_mul(d // t, P, A, p), t))
+        small = double = 0
+        for m, lanes in groups.items():
+            small += sum(d <= m for *_, d in lanes)
+            double += sum(d == 2 * m for *_, d in lanes)
+            p = np.array([q for q, *_ in lanes])
+            s = np.array([isqrt(4 * q) for q in p.tolist()])
+            i, N = elliptic._annihilators(
+                p, np.array([A for _, A, _, _ in lanes]),
+                (np.array([P[0] for *_, P, _ in lanes]),
+                 np.array([P[1] for *_, P, _ in lanes]), np.ones_like(p)),
+                p + 1 - s, 2 * s + 1)
+            for k, (q, _, _, d) in enumerate(lanes):
+                lo, hi = q + 1 - s[k], q + 1 + s[k]
+                assert set(N[i == k].tolist()) == \
+                    set(range(-(-lo // d) * d, hi + 1, d)), (q, d)
+        assert small and double
+
+    def test_single_prime_matches_legendre_count(self):
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        assert curve.ap(self.P) == E37B._ap_legendre(self.P)
+
+    def test_twist_settles_some_primes(self, monkeypatch):
+        # x = 1 gives a point of E or of its twist: at some primes a first
+        # point on the twist settles a_p alone, and some need more rounds.
+        # The primes fit one block, so the first call is the first round
+        # and the last one draws the check points.
+        rounds = []
+        points = elliptic._points
+
+        def recorded(a, b, p, x):
+            out = points(a, b, p, x)
+            rounds.append(dict(zip(p.tolist(), out[3].tolist())))
+            return out
+
+        monkeypatch.setattr(elliptic, "_points", recorded)
+        primes = [p for p in primes_up_to(3500) if p > 229]
+        assert len(primes) <= elliptic._BSGS_LANES
+        elliptic._frobenius_traces(*_short(E37B), primes)
+        first, later = rounds[0], set().union(*rounds[1:-1])
+        assert later and len(rounds) > 2
+        assert any(chi == -1 and p not in later for p, chi in first.items())
 
     def test_count_follows_prime_size(self, monkeypatch):
         used = []
-        for name in ("_ap_legendre", "_ap_bsgs"):
-            monkeypatch.setattr(Curve, name, lambda self, p, name=name:
-                                used.append((name, p)) or 0)
+        monkeypatch.setattr(Curve, "_ap_legendre", lambda self, p:
+                            used.append(("_ap_legendre", p)) or 0)
+        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
+                            used.append(("_ap_batch", ps)) or dict.fromkeys(ps, 0))
+        below = max(primes_up_to(_BSGS_MIN_P - 1))
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
-        curve.ap(4999)
+        curve.ap(below)
         curve.ap(self.P)
-        assert used == [("_ap_legendre", 4999), ("_ap_bsgs", self.P)]
+        assert used == [("_ap_legendre", below), ("_ap_batch", [self.P])]
 
     def test_wrong_order_is_refused(self, monkeypatch):
-        order = self.P + 1 - E37B._ap_legendre(self.P)
-        monkeypatch.setattr(elliptic, "_bsgs_order",
-                            lambda a, b, p, points: order + 1)
+        # the settled a_p shifted by one: the check point refuses it
+        search = elliptic._search
+        monkeypatch.setattr(elliptic, "_search",
+                            lambda *args: (lambda ap, x: (ap + 1, x))(*search(*args)))
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
-        with pytest.raises(PointCountError):
+        with pytest.raises(PointCountError, match=f"at {self.P}"):
             curve.ap(self.P)
         assert self.P not in curve._ap_cache
 
     def test_check_point_off_the_curve_is_refused(self, monkeypatch):
         # the search runs on true points; the point drawn after it is moved
-        # off the curve, and the true order must not pass it
+        # off its curve, and the true a_p must not pass it
         searched = []
-        search, points = elliptic._bsgs_order, elliptic._fp_points
-        monkeypatch.setattr(elliptic, "_bsgs_order",
+        search, points = elliptic._search, elliptic._points
+        monkeypatch.setattr(elliptic, "_search",
                             lambda *args: searched.append(1) or search(*args))
 
-        def shifted(a, b, p):
-            for x, y in points(a, b, p):
-                yield (x, y + 1) if searched else (x, y)
+        def shifted(a, b, p, x):
+            (X, Y, Z), *rest = points(a, b, p, x)
+            return ((X, Y + 1, Z) if searched else (X, Y, Z)), *rest
 
-        monkeypatch.setattr(elliptic, "_fp_points", shifted)
+        monkeypatch.setattr(elliptic, "_points", shifted)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
-        with pytest.raises(PointCountError):
+        with pytest.raises(PointCountError, match="check point"):
             curve.ap(self.P)
         assert searched and self.P not in curve._ap_cache
+
+    def test_failed_batch_caches_nothing(self, monkeypatch):
+        # one prime's check point fails: no a_p of the batch is kept
+        points = elliptic._points
+        searched = []
+        search = elliptic._search
+        monkeypatch.setattr(elliptic, "_search",
+                            lambda *args: searched.append(1) or search(*args))
+
+        def shifted(a, b, p, x):
+            (X, Y, Z), *rest = points(a, b, p, x)
+            return ((X, np.where(p == self.P, Y + 1, Y), Z) if searched
+                    else (X, Y, Z)), *rest
+
+        monkeypatch.setattr(elliptic, "_points", shifted)
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(PointCountError, match=f"at {self.P}"):
+            curve.an_table(self.P + 10)
+        assert all(p < _BSGS_MIN_P for p in curve._ap_cache)
 
     def test_legendre_count_outside_hasse_is_refused(self, monkeypatch):
         # 21^2 > 4 * 101: an explicit raise, not an assert python -O strips
@@ -165,15 +306,27 @@ class TestBabyStepGiantStep:
         with pytest.raises(PointCountError):
             curve.ap(101)
 
-    @pytest.mark.parametrize("found", [lambda lo, hi: set(),
-                                       lambda lo, hi: set(range(lo, hi + 1))],
-                             ids=["no-order", "never-single"])
+    @pytest.mark.parametrize("found", [
+        lambda lo, width: (np.zeros(0, np.int64), np.zeros(0, np.int64)),
+        lambda lo, width: np.nonzero(np.arange(int(width.max()))
+                                     < width[:, None])],
+        ids=["no-order", "never-single"])
     def test_search_never_guesses(self, found, monkeypatch):
-        monkeypatch.setattr(elliptic, "_annihilators",
-                            lambda P, a, p, lo, hi: found(lo, hi))
+        def every(p, A, P, lo, width):
+            i, k = found(lo, width)
+            return i, lo[i] + k
+
+        monkeypatch.setattr(elliptic, "_annihilators", every)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
         with pytest.raises(PointCountError):
             curve.ap(self.P)
+        assert self.P not in curve._ap_cache
+
+    def test_prime_past_int64_products_is_refused(self):
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        with pytest.raises(ValueError, match="p < 2147483648"):
+            curve.ap(2 ** 31 + 11)
+        assert not curve._ap_cache
 
 
 class TestRealPeriod:

@@ -462,6 +462,28 @@ class TestCosetSums:
         assert cal_b.coset_sums(CHI13).sums == (-4, -4, -4)
         assert cal_a.coset_sums(CHI7).sums == (1, -1, 0)
 
+    def test_probe_sums_are_not_solved_again(self, monkeypatch):
+        # calibrate solved the probes' sums at the winning scale and held
+        # them to r M_t: asking for a probe orbit solves nothing, while any
+        # other orbit is still solved and checked
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        cal = calibrate(E37B, 3)
+        probes = [chi for chi in orbit_representatives(3, lvalue._PROBE_BOUND)
+                  if chi.conductor % 37][:lvalue._PROBE_ORBITS]
+        solved = []
+        real = lvalue._solve_coset_sums
+        monkeypatch.setattr(lvalue, "_solve_coset_sums",
+                            lambda *args: solved.append(args) or real(*args))
+        for chi in probes:
+            cs = cal.coset_sums(chi)
+            assert cs.a0 == cal.trivial_coset_sum(chi.conductor)
+            assert cs.sums == tuple(cal.r * m for m in cal.symbols.orbit_sums(chi))
+        assert solved == []
+        other = next(chi for chi in orbit_representatives(3, 200)
+                     if chi.conductor % 37 and chi not in probes)
+        cal.coset_sums(other)
+        assert len(solved) == 1
+
     def test_seed_identity(self, cal_b):
         # the trivial coset component is the untwisted part times the exact
         # multiplier; the solved lattice must reproduce it
