@@ -17,6 +17,8 @@ a general maximal-order algorithm: for a cubic, p ramifies exactly when the
 polynomial has a triple root mod p whose Newton polygon (after recentering
 and rescaling as needed) is a single segment of non-integral slope; the one
 candidate triple root has a closed form, so the test is O(1) per prime.
+field_invariants applies it to a factored discriminant, for CubicField and
+for the integer survey rows of the slice family in kummer alike.
 Prime splitting is decided by counting p-adic roots exactly: the roots mod
 p are found by trying every residue, a root where the derivative is a unit
 lifts uniquely, and any other is recentered and counted again, which also
@@ -132,6 +134,41 @@ def _is_ramified(c0: int, c1: int, c2: int, p: int, depth: int = 0) -> bool:
         return _is_ramified(d0 // p ** 3, d1 // p ** 2, d2 // p, p, depth + 1)
     raise FieldConsistencyError(
         f"Newton polygon at {p} splits 1+2: discriminant cannot be square")
+
+
+def field_invariants(c0: int, c1: int, c2: int, disc: int,
+                     fac: Factorization) -> tuple[int, int, int]:
+    """Field discriminant, conductor and index of the cyclic cubic field
+    Q[x]/(x^3 + c2 x^2 + c1 x + c0), for an irreducible integral cubic with
+    square discriminant disc whose factorization is fac.  Each prime of fac
+    is tested by _is_ramified: a ramified p = 1 mod 3 contributes p^2, a
+    ramified 3 contributes 3^4 (wild, so its valuation in disc is >= 4),
+    and a ramified p = 2 mod 3 is impossible.  The field discriminant must
+    be a square and divide disc by a square index; any failure raises
+    FieldConsistencyError."""
+    field_disc = 1
+    for p, e in fac.pairs:
+        if e % 2 != 0:
+            raise FieldConsistencyError(
+                f"square discriminant has odd valuation {e} at {p}")
+        if _is_ramified(c0, c1, c2, p):
+            if p == 3:
+                if e < 4:
+                    raise FieldConsistencyError(
+                        "wild ramification at 3 needs valuation >= 4")
+                field_disc *= 81
+            elif p % 3 == 1:
+                field_disc *= p * p
+            else:
+                raise FieldConsistencyError(
+                    f"prime {p} = 2 mod 3 cannot ramify in a cyclic cubic")
+    conductor = isqrt(field_disc)
+    if conductor ** 2 != field_disc:
+        raise FieldConsistencyError("field discriminant is not a square")
+    index = isqrt(disc // field_disc)
+    if index ** 2 * field_disc != disc:
+        raise FieldConsistencyError("index^2 does not divide the discriminant cleanly")
+    return field_disc, conductor, index
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +356,8 @@ class CubicField(NumberField):
             raise ValueError("supplied factorization does not match the discriminant")
         fac = disc_factorization if disc_factorization is not None \
             else factor(self.poly_disc)
-        self.field_disc = self._field_disc_from(fac)
-        self.conductor = isqrt(self.field_disc)
-        if self.conductor ** 2 != self.field_disc:
-            raise FieldConsistencyError("field discriminant is not a square")
-        self.index = isqrt(self.poly_disc // self.field_disc)
-        if self.index ** 2 * self.field_disc != self.poly_disc:
-            raise FieldConsistencyError("index^2 does not divide the discriminant cleanly")
+        self.field_disc, self.conductor, self.index = field_invariants(
+            c0, c1, c2, self.poly_disc, fac)
         self._sigma_xi: FieldElt | None = None
 
     # -- construction -------------------------------------------------------
@@ -354,25 +386,6 @@ class CubicField(NumberField):
             raise ReducibleCubicError(
                 f"cubic splits off rational roots {roots}", roots)
         return cls(poly, disc_factorization)
-
-    def _field_disc_from(self, fac: Factorization) -> int:
-        out = 1
-        for p, e in fac.pairs:
-            if e % 2 != 0:
-                raise FieldConsistencyError(
-                    f"square discriminant has odd valuation {e} at {p}")
-            if _is_ramified(self._c[0], self._c[1], self._c[2], p):
-                if p == 3:
-                    if e < 4:
-                        raise FieldConsistencyError(
-                            "wild ramification at 3 needs valuation >= 4")
-                    out *= 81
-                elif p % 3 == 1:
-                    out *= p * p
-                else:
-                    raise FieldConsistencyError(
-                        f"prime {p} = 2 mod 3 cannot ramify in a cyclic cubic")
-        return out
 
     def __repr__(self):
         return f"CubicField({self.poly}, conductor={self.conductor})"

@@ -11,7 +11,7 @@ with its marked section over Q(sqrt(-3)), decides the smoothness of the
 genus-3 fiber in sympy and the solvability of the fiber conic by the norm
 criterion, carries the two torsion pencils with their infinite-order
 certificates, and sweeps the parameter grid of the conductor-37 slice
-family into a conductor census.
+family into a conductor census, one row of Python ints per parameter pair.
 Q(sqrt(-3)), where the marked section and the nodal fiber's certificate
 live, is a cubicfield.NumberField: this module does no field arithmetic of
 its own.
@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
-from .cubicfield import CubicField, FieldElt, NumberField
+from .cubicfield import CubicField, FieldElt, NumberField, field_invariants
 from .elliptic import Curve, is_nontorsion, on_curve
-from .numcore import (Factorization, PolyQ, cubic_discriminant,
-                      cubic_double_root, factor, sqrt_mod_prime)
+from .numcore import (Factorization, PolyQ, _monic_cubic_integer_roots,
+                      cubic_discriminant, cubic_double_root, factor,
+                      is_perfect_square, sqrt_mod_prime)
 
 
 class SurfaceError(Exception):
@@ -52,20 +54,22 @@ Q_SQRT_MINUS_3 = NumberField(PolyQ.of(3, 0, 1))
 # the slice discriminant
 
 
-def _slice_coefficients(curve: Curve, t, u) -> tuple:
+def _slice_coefficients(ai, t, u) -> tuple:
     """(r, q, p) of the slice cubic x^3 + p x^2 + q x + r cut out by the
-    line y = t x + u, over any ring that holds t and u."""
-    p = curve.a2 - t * t - curve.a1 * t
-    q = curve.a4 - 2 * t * u - curve.a1 * u - curve.a3 * t
-    r = curve.a6 - u * u - curve.a3 * u
+    line y = t x + u from the curve with a-invariants ai = (a1, a2, a3, a4,
+    a6), over any ring that holds t, u and the a-invariants."""
+    a1, a2, a3, a4, a6 = ai
+    p = a2 - t * t - a1 * t
+    q = a4 - 2 * t * u - a1 * u - a3 * t
+    r = a6 - u * u - a3 * u
     return r, q, p
 
 
 def fiber_quartic(curve: Curve, t0) -> PolyQ:
     """Discriminant in x of the line slice y = t0 x + u, as a polynomial in
     u.  Always a quartic with top coefficient -27."""
-    quartic = cubic_discriminant(*_slice_coefficients(curve, Fraction(t0),
-                                                      PolyQ.x()))
+    quartic = cubic_discriminant(*_slice_coefficients(
+        curve.a_invariants, Fraction(t0), PolyQ.x()))
     if quartic.degree != 4 or quartic.lc() != -27:
         raise SurfaceError("slice discriminant is not a (-27)-quartic in u")
     return quartic
@@ -76,7 +80,8 @@ def _slice_cubic(curve: Curve, t0, u) -> tuple[PolyQ, str]:
     splitting type that fiber_search reports.  On a square-discriminant
     slice the Galois group is cyclic, so one rational root forces all
     three; a lone rational root cannot occur."""
-    r, q, p = _slice_coefficients(curve, Fraction(t0), Fraction(u))
+    r, q, p = _slice_coefficients(curve.a_invariants, Fraction(t0),
+                                  Fraction(u))
     cubic = PolyQ.of(r, q, p, 1)
     disc = cubic.discriminant()
     # dual route: resultant-based discriminant against the closed form
@@ -507,6 +512,17 @@ class E37bFiber:
         return self.field.gen() / self.h2, self.field(self.u)
 
 
+class E37bRow(NamedTuple):
+    """The integer data of one slice-family pair that the survey reads."""
+    h1: int
+    h2: int
+    g: int
+    h_factorization: Factorization      # of h1 h2
+    disc_factorization: Factorization   # of the model's 2^10 (h1 h2 g)^2
+    model: tuple[int, int, int]         # (c0, c1, c2) of the integral model
+    conductor: int
+
+
 def _product(*powers: tuple[Factorization, int]) -> Factorization:
     """Factorization of the product of the given factorizations, each
     raised to its exponent."""
@@ -517,43 +533,80 @@ def _product(*powers: tuple[Factorization, int]) -> Factorization:
     return Factorization(tuple(sorted(exps.items())))
 
 
-def _check_model_scale(cubic: PolyQ, poly: PolyQ, h: int) -> None:
-    """Check that xi / h is a root of the monic cubic, for the root xi of
-    the integral model poly, by the identity h^3 cubic(x / h) == poly.
-    Both sides are monic cubics and the left one vanishes at xi exactly
-    when cubic(xi / h) = 0; their difference has degree at most 2, so it
-    vanishes at a root of the irreducible poly only when it is 0."""
-    if [c * h ** (3 - i) for i, c in enumerate(cubic.coeffs)] != list(poly.coeffs):
+def _check_model_scale(ai, h1: int, h2: int, model) -> None:
+    """Check that xi / h2 is a root of the slice cubic at t = 0, u = h1 / h2
+    of the curve with a-invariants ai, for the root xi of the integral
+    model x^3 + m2 x^2 + m1 x + m0, by the identity h2^(3-i) c_i == m_i on
+    the slice coefficients c_i.  It is checked in ints: the curve rescaled
+    by weight h2 (a_i -> h2^i a_i) meets the line y = h1 h2^2 in the slice
+    cubic with x scaled by h2^2, whose coefficients are h2^(2(3-i)) c_i.
+    Both sides of the identity are monic cubics and the left one vanishes
+    at xi exactly when the slice cubic vanishes at xi / h2; their difference
+    has degree at most 2, so it vanishes at a root of the irreducible model
+    only when it is 0."""
+    weighted = [c * h2 ** w for c, w in zip(ai, (1, 2, 3, 4, 6))]
+    scaled = _slice_coefficients(weighted, 0, h1 * h2 * h2)
+    if any(s != h2 ** (3 - i) * m
+           for i, (s, m) in enumerate(zip(scaled, model))):
         raise SurfaceError("integral model root does not satisfy the slice cubic")
 
 
-def _e37b_pair(a: int, b: int) -> E37bFiber:
-    """Slice data for the coprime parameter pair (a, b); b = 0 is the point
-    at infinity of the parameter line.  The field is classified once, by
-    from_cubic on the integral model poly (h2 times the slice cubic's
-    roots, discriminant 2^10 (h1 h2 g)^2 = delta^2 h2^6); a failed identity
-    raises SurfaceError.  Each of h1, h2 and g is factored once; the fiber
-    keeps the factorization of h1 h2 for the census."""
+def _e37b_row(a: int, b: int) -> E37bRow:
+    """The survey row of the coprime parameter pair (a, b), in Python ints;
+    b = 0 is the point at infinity of the parameter line.  The integral
+    model x^3 - 4 h1 h2 x - 16 (a^2 + b^2) h1 h2 has h2 times the slice
+    cubic's roots; it must have no rational root and the discriminant
+    2^10 (h1 h2 g)^2 = delta^2 h2^6, which is then factored from one
+    factorization each of h1, h2 and g.  The conductor comes from the
+    ramification rule of cubicfield.field_invariants.  A failed identity
+    raises SurfaceError, a failed field invariant FieldConsistencyError."""
     if gcd(a, b) != 1:
         raise ValueError("parameter pair must be coprime")
     h1 = 7 * a * a + 12 * a * b + 9 * b * b
     h2 = 9 * a * a - 12 * a * b + 7 * b * b
     g = 3 * a * a + a * b - 3 * b * b
-    u = Fraction(h1, h2)
-    delta = Fraction(32 * h1 * g, h2 * h2)
-    cubic = PolyQ.of(*_slice_coefficients(_E37B_CURVE, 0, u), 1)
-    poly = PolyQ.of(-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0, 1)
-    _check_model_scale(cubic, poly, h2)
+    model = (-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0)
+    _check_model_scale(E37B_SLICE, h1, h2, model)
+    c0, c1, c2 = model
+    if _monic_cubic_integer_roots(c0, c1, c2):
+        raise SurfaceError(f"parameter pair ({a}, {b}): the integral model "
+                           f"has a rational root")
+    disc = cubic_discriminant(c0, c1, c2)
+    if disc <= 0 or not is_perfect_square(disc):
+        raise SurfaceError(f"parameter pair ({a}, {b}): discriminant {disc} "
+                           f"is not a positive square")
+    if (32 * h1 * g) ** 2 * h2 * h2 != disc:
+        raise SurfaceError("slice point left the discriminant quartic")
     hh = _product((factor(h1), 1), (factor(h2), 1))
     hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
+    if hint.n != disc:
+        raise SurfaceError(f"parameter pair ({a}, {b}): the factored "
+                           f"discriminant does not match the model's")
+    _, conductor, _ = field_invariants(c0, c1, c2, disc, hint)
+    return E37bRow(h1, h2, g, hh, hint, model, conductor)
+
+
+def _e37b_pair(a: int, b: int) -> E37bFiber:
+    """Slice data for the coprime parameter pair (a, b): its survey row,
+    then the exact fiber built from it.  The field is classified by
+    from_cubic on the integral model with the row's factored discriminant,
+    and must report the row's conductor; a failure raises SurfaceError."""
+    row = _e37b_row(a, b)
+    h1, h2 = row.h1, row.h2
+    u = Fraction(h1, h2)
+    cubic = PolyQ.of(*_slice_coefficients(E37B_SLICE, 0, u), 1)
+    poly = PolyQ.of(*row.model, 1)
     try:
-        field = CubicField.from_cubic(poly, hint)
+        field = CubicField.from_cubic(poly, row.disc_factorization)
     except ValueError as exc:
         raise SurfaceError(f"parameter pair ({a}, {b}): {exc}") from exc
-    if delta ** 2 * h2 ** 6 != field.poly_disc:
-        raise SurfaceError("slice point left the discriminant quartic")
-    return E37bFiber(Fraction(a, b) if b else None, u, delta, h1, h2, hh,
-                     poly, cubic, field, _E37B_CURVE)
+    if field.conductor != row.conductor:
+        raise SurfaceError(
+            f"parameter pair ({a}, {b}): the field has conductor "
+            f"{field.conductor}, the survey row {row.conductor}")
+    return E37bFiber(Fraction(a, b) if b else None, u,
+                     Fraction(32 * h1 * row.g, h2 * h2), h1, h2,
+                     row.h_factorization, poly, cubic, field, _E37B_CURVE)
 
 
 def e37b_param(r) -> E37bFiber:
@@ -592,11 +645,11 @@ class E37bCensus:
 
 def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     """Sweep the coprime parameter pairs of height up to height_bound,
-    build every slice field, and collect the distinct conductors up to
-    max_conductor.
+    build the integer row of every slice field, and collect the distinct
+    conductors up to max_conductor.
 
     Both squarefree rules read the one factorization of h1 h2 that each
-    fiber carries.  The squarefree flag records whether h1 h2 is squarefree
+    row carries.  The squarefree flag records whether h1 h2 is squarefree
     away from 2, 3 and 37; only flagged pairs feed the conductor count and
     the new-field marks, though every pair is kept as a row.  Pairs whose
     h1 h2 is squarefree outright must build distinct fields: two different
@@ -610,17 +663,16 @@ def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
                          for a in range(-height_bound, height_bound + 1)
                          if gcd(a, b) == 1]
     for a, b in params:
-        fiber = _e37b_pair(a, b)
-        fac = fiber.h_factorization
+        row = _e37b_row(a, b)
+        fac, conductor = row.h_factorization, row.conductor
         squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
-        conductor = fiber.field.conductor
         new = squarefree and conductor not in seen
-        rows.append(CensusFieldRow(a, b, fiber.h1, fiber.h2, squarefree,
+        rows.append(CensusFieldRow(a, b, row.h1, row.h2, squarefree,
                                    conductor, new))
         if squarefree:
             seen.add(conductor)
         if fac.is_squarefree():
-            value = fiber.h1 * fiber.h2
+            value = row.h1 * row.h2
             prev = products.setdefault(conductor, value)
             if prev != value:
                 raise SurfaceError(

@@ -1,9 +1,10 @@
 """Exact arithmetic kernel shared by every other module.
 
-Integer factorization (trial division plus deterministic Miller-Rabin and
-Pollard rho, exact for inputs below 2^64), dense polynomials over Q in one
-variable, and the float -> integer recognition used when numerically
-computed quantities are known to be integers.
+Integer factorization (trial division, which proves the cofactor prime
+once the divisors pass its square root, then deterministic Miller-Rabin and
+Pollard rho on a larger cofactor, exact for inputs below 2^64), dense
+polynomials over Q in one variable, and the float -> integer recognition
+used when numerically computed quantities are known to be integers.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ class RecognitionError(ValueError):
 
 # deterministic Miller-Rabin witness set, sufficient far beyond 2^64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factor() divides by every prime below this bound before it tests primality
+_TRIAL_BOUND = 1000
 
 
 @lru_cache(maxsize=8)
@@ -121,21 +125,28 @@ class Factorization:
 def factor(n: int) -> Factorization:
     """Factor a positive integer exactly.
 
-    Trial division by primes below 1000, then deterministic Miller-Rabin
-    plus Pollard rho on the cofactor.  Exact for all n < 2^64 and in
-    practice far beyond.
+    Trial division by the primes below _TRIAL_BOUND, stopping early once
+    the next divisor passes the square root of the cofactor.  Either way a
+    cofactor below _TRIAL_BOUND^2 has no prime factor at or below its
+    square root, so it is 1 or proven prime.  A larger cofactor is split
+    by deterministic Miller-Rabin plus Pollard rho.  Exact for all
+    n < 2^64 and in practice far beyond.
     """
     if n <= 0:
         raise ValueError("factor() expects a positive integer")
     pairs: dict[int, int] = {}
     m = n
-    for p in primes_up_to(1000):
+    for p in primes_up_to(_TRIAL_BOUND):
         if p * p > m:
             break
         while m % p == 0:
             pairs[p] = pairs.get(p, 0) + 1
             m //= p
-    stack = [m] if m > 1 else []
+    if m < _TRIAL_BOUND * _TRIAL_BOUND:
+        if m > 1:
+            pairs[m] = 1
+        return Factorization(tuple(sorted(pairs.items())))
+    stack = [m]
     while stack:
         m = stack.pop()
         if is_prime(m):

@@ -5,9 +5,9 @@ hardcoded expansion on the short model, the jacobian family against the
 exact factorization of its discriminant through the bad locus, and the
 conic criterion against a bounded brute-force point search.
 """
+import hashlib
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -24,6 +24,7 @@ from elltwists.kummer import (
     SurfaceError,
     _check_model_scale,
     _e37b_pair,
+    _e37b_row,
     _nodal_infinite_order,
     bad_locus,
     census_37b,
@@ -538,14 +539,17 @@ class TestCensus37b:
         assert (first.a, first.b, first.conductor) == (1, 0, 63)
 
     def test_each_pair_built_once(self, monkeypatch):
-        # per pair: one field classification, on the integral model (its
-        # closed-form discriminant, no resultant), with its one
-        # rational-root search, and one factorization each of h1, h2 and g
+        # per pair: one integer row, with no field object, no resultant and
+        # no PolyQ root search, one integer root search on the integral
+        # model, and one factorization each of h1, h2 and g
+        import elltwists.kummer as kummer
         import elltwists.numcore as numcore
-        calls = {"discriminant": 0, "roots": 0, "from_cubic": 0, "factor": 0}
+        calls = {"discriminant": 0, "roots": 0, "from_cubic": 0, "factor": 0,
+                 "integer_roots": 0}
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
         real_roots = PolyQ.rational_roots
         real_from_cubic = CubicField.from_cubic
+        real_integer_roots = kummer._monic_cubic_integer_roots
 
         def disc(self):
             calls["discriminant"] += 1
@@ -563,9 +567,14 @@ class TestCensus37b:
             calls["factor"] += 1
             return real_factor(n)
 
+        def integer_roots(c0, c1, c2):
+            calls["integer_roots"] += 1
+            return real_integer_roots(c0, c1, c2)
+
         monkeypatch.setattr(PolyQ, "discriminant", disc)
         monkeypatch.setattr(PolyQ, "rational_roots", roots)
         monkeypatch.setattr(CubicField, "from_cubic", from_cubic)
+        monkeypatch.setattr(kummer, "_monic_cubic_integer_roots", integer_roots)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
@@ -573,37 +582,85 @@ class TestCensus37b:
         census = census_37b(2000, 8)
         assert len(census.rows) == 88
         assert calls["discriminant"] == 0
-        assert calls["roots"] == 88
-        assert calls["from_cubic"] == 88
+        assert calls["roots"] == 0
+        assert calls["from_cubic"] == 0
+        assert calls["integer_roots"] == 88
         assert calls["factor"] <= 3 * 88
 
-    @pytest.mark.parametrize("fault", ["hint", "rational-root", "quartic"])
+    @pytest.mark.parametrize(
+        "fault", ["hint", "rational-root", "quartic", "model-scale"])
     def test_identity_failure_exits_two(self, monkeypatch, fault, capsys):
-        # each identity _e37b_pair checks raises SurfaceError when broken,
-        # and the survey then ends with the theory-violation exit code
+        # each identity the survey row checks raises SurfaceError when
+        # broken, both for the exact fiber and for the survey, which then
+        # ends with the theory-violation exit code
         import elltwists.kummer as kummer
+        message = {"hint": "factored discriminant",
+                   "rational-root": "rational root",
+                   "quartic": "discriminant quartic",
+                   "model-scale": "integral model"}[fault]
         if fault == "hint":
             # |g| = 3 at the first pair (1, 0); h1 = 7 and h2 = 9 there
             real_factor = kummer.factor
             monkeypatch.setattr(kummer, "factor", lambda n: Factorization(
                 ((5, 1),)) if n == 3 else real_factor(n))
         elif fault == "rational-root":
-            monkeypatch.setattr(PolyQ, "rational_roots",
-                                lambda self: [Fraction(1)])
+            monkeypatch.setattr(kummer, "_monic_cubic_integer_roots",
+                                lambda c0, c1, c2: [1])
+        elif fault == "quartic":
+            # still a positive square, but not the slice point's
+            real_disc = kummer.cubic_discriminant
+            monkeypatch.setattr(kummer, "cubic_discriminant",
+                                lambda c0, c1, c2: 4 * real_disc(c0, c1, c2))
         else:
-            real_from_cubic = CubicField.from_cubic
-
-            def skewed(poly, disc_factorization=None):
-                field = real_from_cubic(poly, disc_factorization)
-                field.poly_disc += 1
-                return field
-
-            monkeypatch.setattr(CubicField, "from_cubic", skewed)
-        with pytest.raises(SurfaceError):
+            # a wrong a4: the model no longer scales the slice cubic
+            monkeypatch.setattr(kummer, "E37B_SLICE", (4, 0, 1, 1, 0))
+        with pytest.raises(SurfaceError, match=message):
             _e37b_pair(1, 0)
         assert main(["e37b", "--max-conductor", "100",
                      "--height-bound", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_field_conductor_cross_check(self, monkeypatch, capsys):
+        # the exact fiber's field must report its survey row's conductor
+        real_from_cubic = CubicField.from_cubic
+
+        def skewed(poly, disc_factorization=None):
+            field = real_from_cubic(poly, disc_factorization)
+            field.conductor += 1
+            return field
+
+        monkeypatch.setattr(CubicField, "from_cubic", skewed)
+        with pytest.raises(SurfaceError, match="conductor"):
+            _e37b_pair(1, 0)
+        # the survey builds no field, but its sampled fibers do
+        assert census_37b(100, 1).conductors == (7, 63)
+        assert main(["e37b", "--max-conductor", "100",
+                     "--height-bound", "1"]) == 2
         assert "SurfaceError" in capsys.readouterr().err
+
+    def test_rows_match_the_exact_route(self):
+        # every pair up to height 12: the integer row against the exact
+        # fiber, and against a field classified from the model alone, with
+        # its own factorization of the discriminant
+        pairs = [(1, 0)] + [(a, b) for b in range(1, 13)
+                            for a in range(-12, 13) if gcd(a, b) == 1]
+        for a, b in pairs:
+            row = _e37b_row(a, b)
+            fiber = _e37b_pair(a, b)
+            alone = CubicField.from_cubic(PolyQ.of(*row.model, 1))
+            assert (row.h1, row.h2) == (fiber.h1, fiber.h2)
+            assert F(row.h1, row.h2) == fiber.u
+            assert row.h_factorization == fiber.h_factorization \
+                == factor(row.h1 * row.h2)
+            assert row.conductor == fiber.field.conductor == alone.conductor
+            assert alone.poly == fiber.poly
+
+    def test_survey_csv_is_pinned(self):
+        # sha256 of census_37b(10**7, 40).csv() from the Fraction, PolyQ
+        # and CubicField route that the integer rows replaced
+        csv = census_37b(10 ** 7, 40).csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "a28d2a2b888f6237981f20c08a78bfc3645af5627e3b23721c46c1cdf8b900b0"
 
     def test_integral_model_root_oracle(self):
         # the field-arithmetic evaluation that the integer identity
@@ -616,36 +673,44 @@ class TestCensus37b:
     def test_wrongly_scaled_model_raises(self):
         for a, b in ((1, 0), (1, 1), (-1, 6), (5, 3)):
             fiber = _e37b_pair(a, b)
-            _check_model_scale(fiber.cubic, fiber.poly, fiber.h2)
             h1, h2 = fiber.h1, fiber.h2
+            model = fiber.poly.coeffs[:3]
+            _check_model_scale(E37B_SLICE, h1, h2, model)
+            # the slice cubic scaled by a wrong factor, h1 among them: the
+            # model of the same field, but not of the slice point xi / h2
             for h in (h1, 2 * h2, -h2, h2 + 1):
+                wrong = [c * h ** (3 - i)
+                         for i, c in enumerate(fiber.cubic.coeffs[:3])]
+                assert wrong != list(model)
                 with pytest.raises(SurfaceError, match="integral model"):
-                    _check_model_scale(fiber.cubic, fiber.poly, h)
-            # the model of the same field scaled by h1 instead of h2
-            wrong = PolyQ.of(*(c * h1 ** (3 - i)
-                               for i, c in enumerate(fiber.cubic.coeffs)))
-            assert wrong != fiber.poly
+                    _check_model_scale(E37B_SLICE, h1, h2, wrong)
+            # the right model against another slice height or another curve
             with pytest.raises(SurfaceError, match="integral model"):
-                _check_model_scale(fiber.cubic, wrong, h2)
+                _check_model_scale(E37B_SLICE, h1 + 1, h2, model)
+            for k in range(5):
+                ai = list(E37B_SLICE)
+                ai[k] += 1
+                with pytest.raises(SurfaceError, match="integral model"):
+                    _check_model_scale(ai, h1, h2, model)
 
     def test_squarefree_collision_raises(self, monkeypatch):
-        # hand every strictly squarefree pair the field of the first one:
-        # distinct squarefree products then share a conductor
+        # hand every strictly squarefree pair the conductor of the first
+        # one: distinct squarefree products then share a conductor
         import elltwists.kummer as kummer
-        real = kummer._e37b_pair
-        fields = []
+        real = kummer._e37b_row
+        conductors = []
 
         def colliding(a, b):
-            fiber = real(a, b)
-            if factor(fiber.h1 * fiber.h2).is_squarefree():
-                fields.append(fiber.field)
-                fiber = replace(fiber, field=fields[0])
-            return fiber
+            row = real(a, b)
+            if row.h_factorization.is_squarefree():
+                conductors.append(row.conductor)
+                row = row._replace(conductor=conductors[0])
+            return row
 
-        monkeypatch.setattr(kummer, "_e37b_pair", colliding)
+        monkeypatch.setattr(kummer, "_e37b_row", colliding)
         with pytest.raises(SurfaceError, match="same conductor"):
             census_37b(2000, 8)
-        assert len(fields) >= 2
+        assert len(conductors) >= 2
 
     def test_csv_shape(self):
         census = census_37b(100, 2)

@@ -57,6 +57,73 @@ def test_factor_large_semiprime():
     assert factor(p * q).pairs == ((p, 1), (q, 1))
 
 
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by plain trial division: 2, then every odd d
+    with d * d <= n."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_factor_matches_trial_division_below_2e5():
+    got = [factor(n).pairs for n in range(1, 2 * 10 ** 5)]
+    want = [_trial_division(n) for n in range(1, 2 * 10 ** 5)]
+    bad = [n for n, g, w in zip(range(1, 2 * 10 ** 5), got, want) if g != w]
+    assert bad == []
+
+
+def test_factor_matches_trial_division_below_2_64():
+    # random n < 2^64 multiplied together from random primes of 4 to 32
+    # bits, some of them repeated; trial division certifies every prime, so
+    # the factorization is known by construction
+    rng = random.Random(64)
+    certified: set[int] = set()
+
+    def random_prime(bits: int) -> int:
+        p = rng.getrandbits(bits) | 1
+        while not is_prime(p):
+            p += 2
+        if p not in certified:
+            assert _trial_division(p) == ((p, 1),), p
+            certified.add(p)
+        return p
+
+    for _ in range(40):
+        n, want = 1, {}
+        while True:
+            p = random_prime(rng.choice((4, 10, 16, 24, 32)))
+            k = rng.choice((1, 1, 2))
+            if n * p ** k >= 2 ** 64:
+                break
+            n *= p ** k
+            want[p] = want.get(p, 0) + k
+        assert factor(n).pairs == tuple(sorted(want.items())), n
+
+
+def test_factor_proves_small_cofactors_prime(monkeypatch):
+    # a trial-division cofactor below _TRIAL_BOUND^2 = 10^6 is 1 or proven
+    # prime, so Miller-Rabin never runs below 10^6.  Checked on every prime
+    # (the longest trial division), every n past the square of the last
+    # trial prime 997 (where the divisors run out before their square
+    # passes the cofactor) and a seeded sample of the rest
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called while factoring")
+
+    assert numcore._TRIAL_BOUND ** 2 == 10 ** 6
+    rng = random.Random(6)
+    ns = set(primes_up_to(10 ** 6)) | set(range(997 ** 2, 10 ** 6)) \
+        | {rng.randrange(1, 10 ** 6) for _ in range(50000)}
+    monkeypatch.setattr(numcore, "is_prime", refuse)
+    assert all(factor(n).n == n for n in ns)
+
+
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor(0)
