@@ -141,12 +141,12 @@ def field_invariants(c0: int, c1: int, c2: int, disc: int,
     """Field discriminant, conductor and index of the cyclic cubic field
     Q[x]/(x^3 + c2 x^2 + c1 x + c0), for an irreducible integral cubic with
     square discriminant disc whose factorization is fac.  Each prime of fac
-    is tested by _is_ramified: a ramified p = 1 mod 3 contributes p^2, a
-    ramified 3 contributes 3^4 (wild, so its valuation in disc is >= 4),
-    and a ramified p = 2 mod 3 is impossible.  The field discriminant must
-    be a square and divide disc by a square index; any failure raises
-    FieldConsistencyError."""
-    field_disc = 1
+    is tested by _is_ramified: the conductor is the product of 9 for a
+    ramified 3 (wild, so its valuation in disc is >= 4) and of each ramified
+    p = 1 mod 3, a ramified p = 2 mod 3 is impossible, and the field
+    discriminant is the conductor squared.  It must divide disc by a square
+    index; any failure raises FieldConsistencyError."""
+    conductor = 1
     for p, e in fac.pairs:
         if e % 2 != 0:
             raise FieldConsistencyError(
@@ -156,15 +156,13 @@ def field_invariants(c0: int, c1: int, c2: int, disc: int,
                 if e < 4:
                     raise FieldConsistencyError(
                         "wild ramification at 3 needs valuation >= 4")
-                field_disc *= 81
+                conductor *= 9
             elif p % 3 == 1:
-                field_disc *= p * p
+                conductor *= p
             else:
                 raise FieldConsistencyError(
                     f"prime {p} = 2 mod 3 cannot ramify in a cyclic cubic")
-    conductor = isqrt(field_disc)
-    if conductor ** 2 != field_disc:
-        raise FieldConsistencyError("field discriminant is not a square")
+    field_disc = conductor * conductor
     index = isqrt(disc // field_disc)
     if index ** 2 * field_disc != disc:
         raise FieldConsistencyError("index^2 does not divide the discriminant cleanly")

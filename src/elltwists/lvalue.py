@@ -63,27 +63,32 @@ The algebraic side rescales central values to lattice coordinates
     A_j = 2 f L(E, 1, chi^j) / (Omega_eff tau(chi^j)),   Omega_eff = c Omega,
 
 which are integer combinations of ell-th roots of unity.  Sorting residues
-mod f by character exponent splits A_j into ell integer coset sums
-S_0..S_{ell-1}, recovered here by the inverse finite Fourier transform over
-j, seeded at j = 0 by the exact multiplicative recursion
+mod f by character exponent splits A_j = sum_t zeta^(-jt) S_t into ell
+integer coset sums S_0..S_{ell-1}, and the curve's plus modular symbols
+(modsym) give them exactly: S_t = r M_t, where M_t sums the plus
+eigen-functional over {oo, a/f} for the a of exponent t, and r is one
+rational per (curve, ell).  The sums must be integers that total the exact
+multiplicative recursion
 
     A_0(f) = L0 * prod_{p || f} (a_p - 1 - delta(p))
                 * [ (a_ell - 1)(a_ell - delta(ell)) - delta(ell) ell  if ell^2 | f ]
 
 where delta(p) = 1 iff p is prime to the conductor and L0 is the untwisted
-algebraic part.  The scale c is calibrated once per curve by demanding
-integrality across the first several character orbits, scanning candidate
-scales from the largest down.
-
-Every solved orbit is then checked exactly against the curve's plus modular
-symbols (modsym): S_t = r M_t, where M_t sums the plus eigen-functional over
-{oo, a/f} for the a of exponent t, and r is one rational per (curve, ell),
-read off the calibration's probe orbits and tied to L0 = r phi((1:0)), the
-conductor-1 case of the same identity.  A mismatch is a consistency alarm.
-A wrong root number, chi(N), Gauss sum, exponent table, A_0 or eigenline
-parts the solved sums from r M_t (an exponent table shifted by one parts
+algebraic part.  The series is their check: the inverse finite Fourier
+transform of the rows over j, seeded at j = 0 by A_0, must land within
+_S_TOL of every S_t.  A miss is a consistency alarm.  A wrong root number,
+chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
+and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
 so each orbit takes one series pass, at t = 1.
+
+The scale c and the ratio r are calibrated once per curve from the first
+several character orbits.  Their rows give the product c r, read off the
+largest exact transform sum_t zeta^(-jt) M_t.  With g the gcd of
+phi((1:0)) and the probes' M_t, c is the largest candidate scale for which
+r g = c r g / c is an integer: the coarsest lattice on which every probe
+sum and L0 = r phi((1:0)) are integers.  The untwisted series must then
+give L0 at scale c, and every probe must pass the checks above.
 
 Everything downstream is exact: the twisted central value vanishes iff all
 ell coset sums are equal, and reducing the algebraic part at the prime
@@ -120,7 +125,7 @@ class ConsistencyError(RuntimeError):
 SCALES = tuple(Fraction(v) for v in (12, 9, 6, 4, 3, 2, 1)) + tuple(
     Fraction(1, v) for v in (2, 3, 4, 6, 9, 12))
 
-_S_TOL = 1e-4        # recognition tolerance for coset sums
+_S_TOL = 1e-4        # tolerance of the series coset sums against r M_t
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
 # series parameters whose central values t_independence compares
 _T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
@@ -440,7 +445,7 @@ def hecke_factor(curve: Curve, f: int, ell: int) -> int:
 class TwistRows:
     """Unscaled lattice rows 2 f L(chi^j) / (Omega tau(chi^j)) plus the raw
     central value of the orbit representative and its tail bound; the exact
-    coset sums are filled in once they have been solved."""
+    coset sums are filled in once they have been checked."""
 
     rows: dict
     l_value: complex
@@ -465,35 +470,18 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
     return TwistRows(rows, complex(values[1]), err_l)
 
 
-def _solve_coset_sums(rows: dict, a0: int, ell: int, scale: Fraction, dps: int):
-    """Invert the finite Fourier transform and snap to integers, alarming on
-    any inconsistency.  Returns (sums, worst residual)."""
+def _series_residual(rows: dict, sums: tuple[int, ...], scale: Fraction,
+                     dps: int) -> float:
+    """max_t |S^num_t - S_t|, S^num_t the inverse finite Fourier transform
+    of the rows at scale, seeded at j = 0 by the exact total sum(sums)."""
+    ell = len(sums)
     with mpmath.workdps(dps):
         inv_scale = mpmath.mpf(scale.denominator) / scale.numerator
-        a = {j: rows[j] * inv_scale for j in range(1, ell)}
         zeta = _roots_of_unity(ell)
-        sums = []
-        worst = 0.0
-        for t in range(ell):
-            val = mpmath.mpc(a0)
-            for j in range(1, ell):
-                val += zeta[j * t % ell] * a[j]
-            val /= ell
-            if abs(val.imag) > _S_TOL:
-                raise ConsistencyError(
-                    f"coset sum {t} has imaginary part {float(val.imag):.3g}")
-            s = recognize_integer(val.real, tol=_S_TOL, err=_S_ERR)
-            worst = max(worst, abs(float(val.real) - s), abs(float(val.imag)))
-            sums.append(s)
-        if sum(sums) != a0:
-            raise ConsistencyError(
-                f"coset sums total {sum(sums)} but the exact recursion gives {a0}")
-        back_tol = ell * (_S_TOL + _S_ERR)
-        for j in range(1, ell):
-            back = sum(zeta[(-j * t) % ell] * s for t, s in enumerate(sums))
-            if abs(back - a[j]) > back_tol:
-                raise ConsistencyError(f"rounded sums fail to recombine to twist {j}")
-    return tuple(sums), worst
+        return max(float(abs(
+            (sum(sums) + inv_scale * mpmath.fsum(
+                zeta[j * t % ell] * rows[j] for j in range(1, ell))) / ell - s))
+            for t, s in enumerate(sums))
 
 
 @dataclass(frozen=True)
@@ -503,7 +491,7 @@ class CosetSums:
     chi: DirichletChar          # canonical orbit representative
     sums: tuple[int, ...]       # S_t for t = 0..ell-1
     a0: int                     # exact trivial-component sum
-    max_residual: float         # worst rounding residual, an internal health stat
+    max_residual: float         # worst |S^num_t - S_t|, an internal health stat
 
     def lalg_mod_ell(self) -> int:
         """Algebraic part reduced at the prime above ell (zeta -> 1)."""
@@ -524,7 +512,7 @@ class TwistRecord:
     L_value: complex
     error_bound: float
     coset_sums: CosetSums
-    decision: str                # vanishes | nonzero | undecided
+    decision: str                # vanishes | nonzero
     precision_used: int
 
     @property
@@ -547,13 +535,14 @@ class TwistRecord:
 
 def vanishing_decision(record: TwistRecord) -> str:
     """Classify a twist record.  Vanishing is an exact statement (constant
-    coset-sum vector); nonzero needs the numeric value to clear its error
-    bound by a factor of 10; anything else stays undecided."""
+    coset-sum vector); an exactly nonzero part whose numeric value does not
+    clear its error bound by a factor of 10 raises ConsistencyError."""
     if record.coset_sums.is_vanishing():
         return "vanishes"
     if abs(record.L_value) > 10 * record.error_bound:
         return "nonzero"
-    return "undecided"
+    raise ConsistencyError(f"exact part of {record.chi.label()} is nonzero "
+                           f"but |L| is within noise")
 
 
 @dataclass(frozen=True)
@@ -638,45 +627,44 @@ class CalibratedCurve:
         return self._twists[chi]
 
     def coset_sums(self, chi: DirichletChar) -> CosetSums:
-        """Exact integer coset sums for the orbit of chi, with alarms: the
-        numeric sums must round to integers that recombine to every numeric
-        twist row, total to the exact trivial component and equal r M_t,
-        the orbit's plus modular symbols.  Calibration fixed the scale, so a
-        sum that will not round is an alarm too."""
+        """Exact integer coset sums S_t = r M_t for the orbit of chi, from
+        its plus modular symbols, with alarms: they must be integers that
+        total the exact trivial component, and the series' inverse
+        transform at the calibrated scale must land within _S_TOL of each."""
         chi = chi.canonical()
         numeric = self._twist(chi)
         if numeric.sums is None:
             a0 = self.trivial_coset_sum(chi.conductor)
-            try:
-                sums, worst = _solve_coset_sums(numeric.rows, a0, self.ell,
-                                                self.scale, self.base_dps)
-            except RecognitionError as exc:
-                raise ConsistencyError(f"coset sums of {chi.label()} do not "
-                                       f"round: {exc}") from exc
-            symbolic = tuple(self.r * m for m in self.symbols.orbit_sums(chi))
-            if sums != symbolic:
+            exact = [self.r * m for m in self.symbols.orbit_sums(chi)]
+            shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
+            if any(s.denominator != 1 for s in exact):
+                raise ConsistencyError(f"coset sums {shown} are not integers")
+            if sum(exact) != a0:
                 raise ConsistencyError(
-                    f"coset sums {sums} of {chi.label()} differ from r M_t = "
-                    f"({', '.join(map(str, symbolic))})")
+                    f"coset sums {shown} total {sum(exact)} but the exact "
+                    f"recursion gives {a0}")
+            sums = tuple(int(s) for s in exact)
+            worst = _series_residual(numeric.rows, sums, self.scale,
+                                     self.base_dps)
+            if worst > _S_TOL:
+                raise ConsistencyError(
+                    f"series coset sums of {chi.label()} differ from {shown} "
+                    f"by {worst:.3g}")
             numeric.sums = CosetSums(chi, sums, a0, worst)
         return numeric.sums
 
     def twist_record(self, chi: DirichletChar) -> TwistRecord:
-        """Decide L(E, 1, chi) in one pass at the base precision, exactly
-        where recognition lands.  The error budget, hence the series length,
-        does not depend on the precision, so a second pass could not change
-        the decision.  Coset sums that do not round or fail their exact
-        checks raise ConsistencyError."""
+        """Decide L(E, 1, chi) from its exact coset sums; the orbit's one
+        series pass at the base precision gives the value and its tail
+        bound.  The error budget, hence the series length, does not depend
+        on the precision, so a second pass could not change the decision.
+        Coset sums that fail their checks, and an exactly nonzero part with
+        |L| within noise, raise ConsistencyError."""
         chi = chi.canonical()
         numeric = self._twist(chi)
-        cs = self.coset_sums(chi)
         record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
-                             cs, "undecided", self.base_dps)
-        record = replace(record, decision=vanishing_decision(record))
-        if not cs.is_vanishing() and record.decision != "nonzero":
-            raise ConsistencyError(
-                f"exact part of {chi.label()} is nonzero but |L| is within noise")
-        return record
+                             self.coset_sums(chi), "", self.base_dps)
+        return replace(record, decision=vanishing_decision(record))
 
     def congruence_check(self, chi: DirichletChar | None,
                          psi: DirichletChar) -> CongruenceResult:
@@ -714,37 +702,22 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
-def _symbol_ratio(symbols, probes, l0: int) -> Fraction:
-    """The one rational r with S_t = r M_t on the coset sums of every probe
-    orbit and L0 = r phi((1:0)), the same identity at conductor 1."""
-    pairs = [(cs.sums, symbols.orbit_sums(cs.chi)) for cs in probes]
-    pairs.append(((l0,), (symbols(1, 0),)))
-    r = next((Fraction(s, m) for S, M in pairs for s, m in zip(S, M) if m),
-             None)
-    for S, M in pairs:
-        if r is None or S != tuple(r * m for m in M):
-            raise CalibrationError(
-                f"probe coset sums {S} are not r times their plus modular "
-                f"symbols {M} for one rational r")
-    return r
-
-
 # one calibration per curve (root number and label included), ell and
 # precision, shared by every caller in the process
 _CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
 
 
 def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
-    """Freeze the period scale and the symbol ratio r for (curve, ell).
+    """Freeze the period scale c and the symbol ratio r for (curve, ell).
 
-    Scans candidate scales from the largest down; a scale survives when the
-    untwisted algebraic part is integral and, for the first _PROBE_ORBITS
-    character orbits prime to the level, all coset sums land on integers
-    that recombine and total correctly.  First survivor wins (coarsest
-    usable lattice).  Its probe sums fix r, which must then give
-    S_t = r M_t on every probe and L0 = r phi((1:0)).  The twist series are
-    computed once, shared across candidates and handed to the result with
-    the winning scale's solved sums, which coset_sums then reuses.
+    The first _PROBE_ORBITS character orbits prime to the level give c r,
+    read off the probe row whose exact transform T_j = sum_t zeta^(-jt) M_t
+    is largest.  With g the gcd of phi((1:0)) and every probe M_t, c is the
+    first of SCALES (the coarsest usable lattice) for which c r g / c is an
+    integer n; then r = n / g and L0 = r phi((1:0)).  The untwisted series
+    must give L0 at scale c within _S_TOL, and every probe must pass the
+    checks of coset_sums, which the probes' twist series and sums are
+    handed to.
     """
     key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
@@ -766,26 +739,51 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
         probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
     except ConsistencyError as exc:
         raise CalibrationError(f"probe series fail their check: {exc}") from exc
-    failures = {}
+    sums = {rep: symbols.orbit_sums(rep) for rep in reps}
+    g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
+    with mpmath.workdps(dps):
+        zeta = _roots_of_unity(ell)
+        T, row = max(((mpmath.fsum(zeta[-j * t % ell] * m
+                                   for t, m in enumerate(M)),
+                       probes[rep].rows[j])
+                      for rep, M in sums.items() for j in range(1, ell)),
+                     key=lambda pair: abs(pair[0]))
+        if abs(T) < 0.5:
+            raise CalibrationError("every probe's plus modular symbols are "
+                                   "constant: no row gives c r")
+        # T / g is a nonzero algebraic integer and T the largest of its
+        # conjugates, so |T| >= g and c r g / c is as accurate as a row
+        crg = (row / T).real * g
+    failures = []
     for c in SCALES:
         try:
-            l0 = recognize_integer(base0 * c.denominator / c.numerator,
-                                   tol=_S_TOL, err=_S_ERR)
-            solved = []
-            for rep in reps:
-                a0 = l0 * hecke_factor(curve, rep.conductor, ell)
-                sums, worst = _solve_coset_sums(probes[rep].rows, a0, ell, c, dps)
-                solved.append(CosetSums(rep, sums, a0, worst))
-        except (RecognitionError, ConsistencyError) as exc:
-            failures[str(c)] = str(exc)
-            continue
-        r = _symbol_ratio(symbols, solved, l0)
-        # the probes passed every check coset_sums makes, r M_t included
-        for cs in solved:
-            probes[cs.chi].sums = cs
-        cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
-        cal._twists.update(probes)
-        _CALIBRATIONS[key] = cal
-        return cal
-    detail = "; ".join(f"{k}: {v}" for k, v in list(failures.items())[:3])
-    raise CalibrationError(f"no period scale fits ({detail})")
+            n = recognize_integer(crg * c.denominator / c.numerator,
+                                  tol=_S_TOL, err=_S_ERR)
+            break
+        except RecognitionError as exc:
+            failures.append(f"{c}: {exc}")
+    else:
+        raise CalibrationError(
+            f"no period scale fits ({'; '.join(failures[:3])})")
+    if n == 0:
+        # r = 0 would make every orbit vanish
+        raise CalibrationError(f"probe rows vanish (c r g = {float(crg):.3g}) "
+                               f"where their plus modular symbols do not")
+    r = Fraction(n, g)
+    l0 = int(r * symbols(1, 0))
+    untwisted = base0 * c.denominator / c.numerator
+    if abs(untwisted - l0) > _S_TOL:
+        raise CalibrationError(
+            f"untwisted part {float(untwisted):.6g} at scale {c} is not "
+            f"L0 = r phi((1:0)) = {l0} of the plus modular symbols, r = {r}")
+    cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
+    cal._twists.update(probes)
+    for rep in reps:
+        try:
+            cal.coset_sums(rep)
+        except ConsistencyError as exc:
+            raise CalibrationError(f"probe {rep.label()} fails its check "
+                                   f"against the plus modular symbols: "
+                                   f"{exc}") from exc
+    _CALIBRATIONS[key] = cal
+    return cal

@@ -540,8 +540,8 @@ class TestCommandLine:
 
     @staticmethod
     def _miscount_trivial_sums(monkeypatch, wrong_factor=lambda *args: 1):
-        # a wrong A_0 (by default one that leaves coset sums off the
-        # integers); a fresh calibration keeps the cached sums out of it
+        # a wrong A_0 (by default 1 for every factor); a fresh calibration
+        # keeps the cached sums out of it
         real = census.calibrate(E37B_CONFIG.curve(), 3)
         fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
                                        real.r, real.base_dps)
@@ -550,13 +550,13 @@ class TestCommandLine:
 
     @staticmethod
     def _factor_plus_ell(curve, f, ell):
-        # A_0 off by L0 ell shifts every coset sum by the integer L0: the
-        # sums still round, recombine and total to the wrong A_0
+        # A_0 off by L0 ell, a wrong total in the right residue class mod
+        # ell, which the rounded series sums once took on unseen
         return REAL_HECKE_FACTOR(curve, f, ell) + ell
 
     def test_unrounded_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
-        # each orbit whose sums miss an integer is an alarm row, never a
-        # quiet decision from |L| alone
+        # each orbit whose r M_t miss the wrong A_0 is an alarm row, never
+        # a quiet decision from |L| alone
         self._miscount_trivial_sums(monkeypatch)
         out = tmp_path / "r.csv"
         assert main(["census", "--curve", "curves/37b.cfg",
@@ -566,7 +566,7 @@ class TestCommandLine:
         for f in (7, 13, 19, 31, 43):
             assert rows[f]["alarm"] and rows[f]["decision"] == "undecided"
             assert rows[f]["error"].startswith("ConsistencyError: ")
-            assert "do not round" in rows[f]["error"]
+            assert "exact recursion gives" in rows[f]["error"]
         assert all(row["alarm"] or row["coset_sums"]
                    for row in rows.values())
 
@@ -580,8 +580,8 @@ class TestCommandLine:
         assert err.startswith("theory violation: ConsistencyError: ")
 
     def test_shifted_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
-        # sums that round but are shifted off r M_t alarm on every orbit;
-        # the rounding checks alone passed 19, 31 and 43 as nonzero
+        # a wrong A_0 in the right residue class alarms on every orbit; the
+        # rounding checks of the series sums alone passed 19, 31 and 43
         self._miscount_trivial_sums(monkeypatch, self._factor_plus_ell)
         out = tmp_path / "s.csv"
         assert main(["census", "--curve", "curves/37b.cfg",
@@ -592,7 +592,7 @@ class TestCommandLine:
         for row in rows:
             assert row["alarm"] and row["decision"] == "undecided"
             assert row["error"].startswith("ConsistencyError: coset sums ")
-            assert "differ from r M_t" in row["error"]
+            assert "exact recursion gives" in row["error"]
 
     def test_shifted_coset_sums_fail_the_congruence_sweep(
             self, monkeypatch, capsys):
@@ -601,7 +601,7 @@ class TestCommandLine:
                      "--max-conductor", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("theory violation: ConsistencyError: ")
-        assert "differ from r M_t" in err
+        assert "exact recursion gives" in err
 
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):

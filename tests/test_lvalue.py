@@ -29,7 +29,7 @@ from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
                               TwistRecord, calibrate, central_value,
                               central_values, hecke_factor, t_independence,
                               vanishing_decision)
-from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
+from elltwists.numcore import primes_up_to
 from test_dirichlet import pointwise_gauss_sum
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
@@ -138,6 +138,12 @@ class TestCentralValue:
             central_value(bare)
         with pytest.raises(ValueError):
             t_independence(bare)
+
+
+def probe_orbits(ell, level=37):
+    """The orbits calibrate probes at order ell for a curve of this level."""
+    return [chi for chi in orbit_representatives(ell, lvalue._PROBE_BOUND)
+            if chi.conductor % level][:lvalue._PROBE_ORBITS]
 
 
 def fresh_calibration(cal, curve=E37B, dps=50):
@@ -454,6 +460,37 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate(flipped, 3)
 
+    def test_untwisted_value_is_checked(self, monkeypatch):
+        # L0 = r phi((1:0)) holds by construction, so the untwisted series
+        # is its independent check: one percent off fails calibration
+        real = lvalue.central_value
+        monkeypatch.setattr(lvalue, "central_value",
+                            lambda *args, **kw: 1.01 * real(*args, **kw))
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        with pytest.raises(CalibrationError, match="untwisted part"):
+            calibrate(E37B, 3)
+
+    def test_vanishing_probe_rows_fail_calibration(self, monkeypatch):
+        # rows shrunk a millionfold round to r = 0 at the largest scale;
+        # on 37a (L0 = 0) that r would pass every probe and make every
+        # orbit vanish, so the symbols' nonzero transform refuses it
+        def tiny(curve, chi, dps):
+            out = REAL_TWIST_ROWS(curve, chi, dps)
+            out.rows = {j: 1e-6 * row for j, row in out.rows.items()}
+            return out
+        monkeypatch.setattr(lvalue, "_twist_rows", tiny)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        with pytest.raises(CalibrationError, match="probe rows vanish"):
+            calibrate(E37A, 3)
+
+    def test_constant_probe_symbols_fail_calibration(self, monkeypatch):
+        # constant M_t have a zero transform, so no probe row gives c r
+        monkeypatch.setattr(PlusSymbols, "orbit_sums",
+                            lambda sym, chi: (2,) * chi.ell)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        with pytest.raises(CalibrationError, match="constant"):
+            calibrate(E37B, 3)
+
 
 class TestCosetSums:
     def test_frozen_vectors(self, cal_a, cal_b):
@@ -463,26 +500,27 @@ class TestCosetSums:
         assert cal_a.coset_sums(CHI7).sums == (1, -1, 0)
 
     def test_probe_sums_are_not_solved_again(self, monkeypatch):
-        # calibrate solved the probes' sums at the winning scale and held
-        # them to r M_t: asking for a probe orbit solves nothing, while any
-        # other orbit is still solved and checked
+        # calibrate checked the probes' sums against their series at the
+        # winning scale: asking for a probe orbit computes no symbol sums,
+        # while any other orbit is still computed and checked
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3)
-        probes = [chi for chi in orbit_representatives(3, lvalue._PROBE_BOUND)
-                  if chi.conductor % 37][:lvalue._PROBE_ORBITS]
-        solved = []
-        real = lvalue._solve_coset_sums
-        monkeypatch.setattr(lvalue, "_solve_coset_sums",
-                            lambda *args: solved.append(args) or real(*args))
+        probes = probe_orbits(3)
+        real = PlusSymbols.orbit_sums
+        expected = {chi: tuple(cal.r * m for m in real(cal.symbols, chi))
+                    for chi in probes}
+        asked = []
+        monkeypatch.setattr(PlusSymbols, "orbit_sums",
+                            lambda sym, chi: asked.append(chi) or real(sym, chi))
         for chi in probes:
             cs = cal.coset_sums(chi)
             assert cs.a0 == cal.trivial_coset_sum(chi.conductor)
-            assert cs.sums == tuple(cal.r * m for m in cal.symbols.orbit_sums(chi))
-        assert solved == []
+            assert cs.sums == expected[chi]
+        assert asked == []
         other = next(chi for chi in orbit_representatives(3, 200)
                      if chi.conductor % 37 and chi not in probes)
         cal.coset_sums(other)
-        assert len(solved) == 1
+        assert asked == [other]
 
     def test_seed_identity(self, cal_b):
         # the trivial coset component is the untwisted part times the exact
@@ -542,25 +580,26 @@ class TestTwistDecisions:
     def test_rows_do_not_depend_on_precision(self, curve, ell):
         # the error budget and the series length do not depend on the
         # working precision, so the double-double rows at 50 digits and the
-        # mpmath rows at 80 solve to the same sums: more digits cannot
-        # decide an orbit that the base precision left undecided
+        # mpmath rows at 80 miss r M_t by the same residual: more digits
+        # cannot change the check of any orbit
         cal = calibrate(curve, ell)
         orbits = [chi for chi in orbit_representatives(ell, 200)
                   if chi.conductor % 37][:2]
         for chi in orbits:
-            dd = lvalue._twist_rows(curve, chi, 50)
-            mp = lvalue._twist_rows(curve, chi, 80)
-            assert dd.l_err == mp.l_err
-            for j in dd.rows:
-                assert abs(dd.rows[j] - mp.rows[j]) <= 1e-25, (chi.label(), j)
-            a0 = cal.trivial_coset_sum(chi.conductor)
-            assert lvalue._solve_coset_sums(dd.rows, a0, ell, cal.scale, 50)[0] \
-                == lvalue._solve_coset_sums(mp.rows, a0, ell, cal.scale, 80)[0]
+            dd, mp = (fresh_calibration(cal, curve, dps) for dps in (50, 80))
+            assert dd._twist(chi).l_err == mp._twist(chi).l_err
+            for j, row in dd._twist(chi).rows.items():
+                assert abs(row - mp._twist(chi).rows[j]) <= 1e-25, \
+                    (chi.label(), j)
+            low, high = dd.coset_sums(chi), mp.coset_sums(chi)
+            assert low.sums == high.sums
+            assert low.max_residual < 1e-4
+            assert abs(low.max_residual - high.max_residual) <= 1e-20
 
     def test_unrounded_orbit_alarms_after_one_pass(self, cal_b, monkeypatch):
-        # an orbit whose recognition fails is judged from its one series
-        # pass at the base precision: the calibrated scale admits no such
-        # orbit, so it is an alarm, not an undecided record
+        # an orbit whose series misses r M_t (forced here by a zero
+        # tolerance) is judged from its one series pass at the base
+        # precision: an alarm, not a retry at more digits
         cal = fresh_calibration(cal_b)
         real = lvalue._twist_rows
         tried = []
@@ -569,34 +608,45 @@ class TestTwistDecisions:
             tried.append(dps)
             return real(curve, chi, dps)
 
-        def fail(*args):
-            raise RecognitionError("forced")
-
         monkeypatch.setattr(lvalue, "_twist_rows", rows)
-        monkeypatch.setattr(lvalue, "_solve_coset_sums", fail)
-        with pytest.raises(ConsistencyError, match="do not round: forced"):
+        monkeypatch.setattr(lvalue, "_S_TOL", 0.0)
+        with pytest.raises(ConsistencyError, match="differ from r M_t"):
             cal.twist_record(CHI7)
         assert tried == [50]
 
+    def test_non_integral_symbol_sums_raise(self, cal_a, monkeypatch):
+        # r = -1/2 on 37a, so an odd M_0 leaves r M_0 off the integers
+        chi = next(chi for chi in orbit_representatives(3, 200)
+                   if chi.conductor % 37 and chi not in probe_orbits(3))
+        real = PlusSymbols.orbit_sums
+        assert real(cal_a.symbols, chi)[0] % 2 == 0
+
+        def odd_first(sym, psi):
+            sums = real(sym, psi)
+            return (sums[0] + 1,) + sums[1:] if psi == chi else sums
+        monkeypatch.setattr(PlusSymbols, "orbit_sums", odd_first)
+        assert cal_a.r == Fraction(-1, 2)
+        with pytest.raises(ConsistencyError, match="are not integers"):
+            fresh_calibration(cal_a, E37A).coset_sums(chi)
+
     def test_failed_cross_check_raises(self, cal_b, monkeypatch):
-        # conjugate rows that disagree fail the coset-sum solve's exact
-        # cross-check: an alarm, not a decision from |L| alone
+        # conjugate rows that disagree miss the exact sums r M_t: an
+        # alarm, not a decision from |L| alone
         cal = fresh_calibration(cal_b)
         monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
-        with pytest.raises(ConsistencyError, match="imaginary part"):
+        with pytest.raises(ConsistencyError, match="differ from r M_t"):
             cal.twist_record(CHI9)
 
     def test_decision_policy_truth_table(self):
         def rec(value, err, sums):
             cs = CosetSums(CHI7, sums, sum(sums), 0.0)
-            return TwistRecord("x", CHI7, value, err, cs, "undecided", 50)
+            return TwistRecord("x", CHI7, value, err, cs, "", 50)
 
         assert vanishing_decision(rec(0j, 1e-10, (3, 3, 3))) == "vanishes"
         assert vanishing_decision(rec(1.0 + 0j, 1e-10, (1, 2, 3))) == "nonzero"
-        # an exactly nonzero part with a value inside its noise, which
-        # twist_record turns into an alarm
-        assert vanishing_decision(rec(1e-11 + 0j, 1e-10, (1, 2, 3))) == \
-            "undecided"
+        # an exactly nonzero part with a value inside its noise is an alarm
+        with pytest.raises(ConsistencyError, match="within noise"):
+            vanishing_decision(rec(1e-11 + 0j, 1e-10, (1, 2, 3)))
         # exact route wins even when the numeric value alone would decide
         assert vanishing_decision(rec(1.0 + 0j, 1e-10, (5, 5, 5))) == "vanishes"
 
@@ -664,21 +714,3 @@ class TestNonvanishingSet:
         result = cal_a.nonvanishing_prime_set(100)
         assert not result.hypothesis_ok
         assert result.primes == ()
-
-
-class TestRecognition:
-    def test_snaps_and_faults(self):
-        assert recognize_integer(2.0000000001) == 2
-        assert recognize_integer(-7 + 1e-9) == -7
-        with pytest.raises(RecognitionError):
-            recognize_integer(2.4)
-        with pytest.raises(RecognitionError):
-            recognize_integer(2.0, err=0.3)
-        with pytest.raises(RecognitionError):
-            recognize_integer(2.0 ** 60)
-
-    def test_fault_injection_perturbed_lattice(self, cal_b):
-        # feeding the solver a value displaced beyond tolerance must raise,
-        # not round to the nearest integer
-        with pytest.raises(RecognitionError):
-            recognize_integer(1.001, tol=1e-4)

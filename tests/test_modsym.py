@@ -15,16 +15,18 @@ import pytest
 
 from elltwists.dirichlet import DirichletChar, galois_orbits
 from elltwists.elliptic import Curve
-from elltwists.lvalue import calibrate
+import elltwists.lvalue as lvalue
+from elltwists.lvalue import CalibrationError, calibrate
 from elltwists.modsym import PlusSymbols, _merel_set, plus_symbols
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
-# Cremona's 14a1, 15a1, 19a1 (rank 0) and 43a1 (rank 1)
+# Cremona's 11a1, 14a1, 15a1, 19a1 (rank 0) and 43a1 (rank 1)
 E14A = Curve((1, 0, 1, 4, -6), label="14a1", conductor=14, root_number=1)
 E15A = Curve((1, 1, 1, -10, -10), label="15a1", conductor=15, root_number=1)
 E19A = Curve((0, 1, 1, -9, -15), label="19a1", conductor=19, root_number=1)
 E43A = Curve((0, 1, 1, 0, 0), label="43a1", conductor=43, root_number=-1)
+E11A = Curve((0, -1, 1, -10, -20), label="11a1", conductor=11, root_number=1)
 
 REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
                          / "reference" / "census_ell3.csv")
@@ -129,13 +131,38 @@ class TestSymbolSums:
         assert plus_symbols(E37A).orbit_sums(chi7) == (-2, 2, 0)
 
 
+# the scale and L0 that calibration freezes with each curve's ratio r, the
+# same at orders 3, 5 and 7
+SCALE_AND_L0 = {"37a": (Fraction(2), 0), "37b": (Fraction(1, 9), 2),
+                "19a1": (Fraction(1, 3), 2), "14a1": (Fraction(1, 3), 1),
+                "15a1": (Fraction(1, 4), 1), "43a1": (Fraction(2), 0)}
+
+
 class TestSymbolRatio:
     @pytest.mark.parametrize("curve,r", [
         (E37B, 1), (E37A, Fraction(-1, 2)), (E19A, 1), (E14A, -1),
         (E15A, -1), (E43A, Fraction(-1, 2))], ids=lambda v: str(v))
     def test_calibrated_ratio(self, curve, r):
-        # one rational per curve, prime and composite levels alike, and
-        # L0 = r phi((1:0)) ties it to the untwisted part
-        cal = calibrate(curve, 3)
-        assert cal.r == r
-        assert cal.lalg0 == r * plus_symbols(curve)(1, 0)
+        # one scale and one rational per curve, prime and composite levels
+        # alike, and L0 = r phi((1:0)) ties r to the untwisted part
+        scale, l0 = SCALE_AND_L0[curve.label]
+        for ell in (3, 5, 7):
+            cal = calibrate(curve, ell)
+            assert (cal.scale, cal.r, cal.lalg0) == (scale, r, l0), ell
+        assert l0 == r * plus_symbols(curve)(1, 0)
+
+    @pytest.mark.parametrize("ell", (3, 5, 7))
+    def test_scale_outside_the_candidates_is_refused(self, ell):
+        # 11a1's L0 needs the scale 1/5, which SCALES does not offer
+        with pytest.raises(CalibrationError, match="no period scale fits"):
+            calibrate(E11A, ell)
+
+    @pytest.mark.parametrize("orbits", (5, 15))
+    def test_calibration_does_not_depend_on_the_probes(self, orbits,
+                                                       monkeypatch):
+        # fewer or more probe orbits freeze the same scale, r and L0; the
+        # memo is emptied so the cached calibration does not answer
+        monkeypatch.setattr(lvalue, "_PROBE_ORBITS", orbits)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        cal = calibrate(E37B, 3)
+        assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)

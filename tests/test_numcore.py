@@ -469,6 +469,8 @@ def test_recognize_integer_snaps_and_refuses():
         recognize_integer(2.9)
     with pytest.raises(RecognitionError):
         recognize_integer(0.5, tol=1e-4)
+    with pytest.raises(RecognitionError):
+        recognize_integer(2.0 ** 60)
 
 
 def test_recognize_integer_error_bound_guard():
