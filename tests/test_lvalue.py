@@ -29,7 +29,7 @@ from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
                               TwistRecord, calibrate, central_value,
                               central_values, hecke_factor, t_independence,
                               vanishing_decision)
-from elltwists.numcore import primes_up_to
+from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
 from test_dirichlet import pointwise_gauss_sum
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
@@ -490,6 +490,24 @@ class TestCalibration:
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="constant"):
             calibrate(E37B, 3)
+
+
+class TestRecognition:
+    def test_snaps_and_faults(self):
+        assert recognize_integer(2.0000000001) == 2
+        assert recognize_integer(-7 + 1e-9) == -7
+        with pytest.raises(RecognitionError):
+            recognize_integer(2.4)
+        with pytest.raises(RecognitionError):
+            recognize_integer(2.0, err=0.3)
+        with pytest.raises(RecognitionError):
+            recognize_integer(2.0 ** 60)
+
+    def test_fault_injection_perturbed_lattice(self, cal_b):
+        # feeding the solver a value displaced beyond tolerance must raise,
+        # not round to the nearest integer
+        with pytest.raises(RecognitionError):
+            recognize_integer(1.001, tol=1e-4)
 
 
 class TestCosetSums:
