@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -133,9 +134,9 @@ class CurveConfig:
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One character orbit's verdict.  Timing, series engine, curve and
-    order are journal data only; the emitted CSV must be byte-identical
-    across worker counts and resumes, so it never includes them."""
+    """One character orbit's verdict.  Timing, curve and order are journal
+    data only; the emitted CSV must be byte-identical across worker counts
+    and resumes, so it never includes them."""
 
     conductor: int
     character: str
@@ -146,7 +147,6 @@ class CensusRow:
     elapsed: float = 0.0
     error: str | None = None
     alarm: bool = False
-    rung: str | None = None          # series engine: dd | mpmath
     curve: str | None = None         # curve label
     ell: int | None = None           # character order
 
@@ -178,32 +178,40 @@ class CensusRow:
             "elapsed": self.elapsed,
             "error": self.error,
             "alarm": self.alarm,
-            "rung": self.rung,
             "curve": self.curve,
             "ell": self.ell,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRow":
-        """The row to_dict wrote; ValueError or KeyError on other shapes."""
+        """The row to_dict wrote; ValueError naming the misshapen fields, or
+        KeyError, on other shapes.  A field that older journals lack takes
+        its default, and their "rung" key is ignored."""
         if not isinstance(d, dict):
             raise ValueError("a row is a JSON object")
-        value, bound = d.get("L_value"), d.get("error_bound")
-        sums = d.get("coset_sums")
-        if not (_numbers([d["conductor"]], int)
-                and isinstance(d["character"], str)
-                and (value is None or _numbers(value) and len(value) == 2)
-                and (bound is None or _numbers([bound]))
-                and (sums is None or _numbers(sums, int))):
-            raise ValueError("conductor, character, L_value, error_bound or "
-                             "coset_sums has the wrong shape")
-        return cls(d["conductor"], d["character"], d["decision"],
+        conductor, character = d["conductor"], d["character"]
+        decision, value = d["decision"], d.get("L_value")
+        bound, sums = d.get("error_bound"), d.get("coset_sums")
+        elapsed, error = d.get("elapsed", 0.0), d.get("error")
+        alarm, curve, ell = d.get("alarm", False), d.get("curve"), d.get("ell")
+        bad = [name for name, ok in (
+            ("conductor", _numbers([conductor], int)),
+            ("character", isinstance(character, str)),
+            ("decision", decision in _DECISIONS),
+            ("L_value", value is None or _numbers(value) and len(value) == 2),
+            ("error_bound", bound is None or _numbers([bound])),
+            ("coset_sums", sums is None or _numbers(sums, int)),
+            ("elapsed", _numbers([elapsed])),
+            ("error", error is None or isinstance(error, str)),
+            ("alarm", isinstance(alarm, bool)),
+            ("curve", curve is None or isinstance(curve, str)),
+            ("ell", ell is None or _numbers([ell], int))) if not ok]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} has the wrong shape")
+        return cls(conductor, character, decision,
                    None if value is None else complex(value[0], value[1]),
-                   bound,
-                   None if sums is None else tuple(sums),
-                   d.get("elapsed", 0.0), d.get("error"),
-                   d.get("alarm", False), d.get("rung"), d.get("curve"),
-                   d.get("ell"))
+                   bound, None if sums is None else tuple(sums),
+                   elapsed, error, alarm, curve, ell)
 
 
 def _numbers(v, kind=(int, float)) -> bool:
@@ -211,6 +219,8 @@ def _numbers(v, kind=(int, float)) -> bool:
     return isinstance(v, list) and all(
         isinstance(x, kind) and not isinstance(x, bool) for x in v)
 
+
+_DECISIONS = ("vanishes", "nonzero", "undecided")
 
 CSV_HEADER = "conductor, character, decision, L_re, L_im, error_bound, coset_sums"
 
@@ -272,8 +282,8 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
         row = CensusRow(chi.conductor, chi.label(), record.decision,
                         record.L_value, record.error_bound,
                         tuple(record.coset_sums.sums),
-                        time.perf_counter() - start, rung=record.rung,
-                        curve=cal.label, ell=cal.ell)
+                        time.perf_counter() - start, curve=cal.label,
+                        ell=cal.ell)
     except Exception as exc:                      # noqa: BLE001 - journal it
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,
@@ -354,7 +364,8 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     each orbit as it finishes and the final CSV is regenerated, sorted, so
     the emitted bytes are independent of worker count and of how many times
     the run was interrupted and resumed.  A resumed run reuses only its own
-    orbits' journal rows and refuses rows of another curve or order."""
+    orbits' journal rows and refuses rows of another curve or order.  At
+    most one worker process is started per pending orbit and per core."""
     if resume and out is None:
         raise ConfigError("resume needs an output path to find the journal")
     out_path = None if out is None else Path(out)
@@ -404,6 +415,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
             with journal.open("a") as fh:
                 fh.write(json.dumps(row_dict) + "\n")
 
+    # the pool starts every worker up front, so never more than there are
+    # orbits to run or cores to run them on
+    workers = min(workers, len(pending), os.cpu_count() or 1)
     if workers <= 1:
         for chi in pending:
             _log(_census_task(cal, chi))

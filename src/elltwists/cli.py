@@ -63,12 +63,7 @@ def _out_path(text: str) -> str:
 def _load_config(args) -> CurveConfig:
     if args.curve is None:
         raise ConfigError("--curve is required for this command")
-    config = CurveConfig.from_file(args.curve)
-    if getattr(args, "precision", None) is not None:
-        config = CurveConfig(config.label, config.a_invariants,
-                             config.conductor, config.root_number,
-                             args.precision)
-    return config
+    return CurveConfig.from_file(args.curve)
 
 
 def _build_parser() -> _Parser:
@@ -77,15 +72,11 @@ def _build_parser() -> _Parser:
                                  "coset sums, and the slice-surface census")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=True, ell=True, precision=True):
-        if curve:
-            p.add_argument("--curve", help="curve configuration file")
+    def common(p, ell=True):
+        p.add_argument("--curve", help="curve configuration file")
         if ell:
             p.add_argument("--ell", type=_odd_prime, default=3,
                            help="odd prime twist order (default 3)")
-        if precision:
-            p.add_argument("--precision", type=int,
-                           help="working digits, overrides the config")
 
     p = sub.add_parser("twist-value",
                        help="decide one character orbit's central value")
@@ -121,7 +112,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kummer-fiber",
                        help="rational fiber points of the slice surface "
                             "over one parameter value")
-    common(p, ell=False, precision=False)
+    common(p, ell=False)
     p.add_argument("t0", help="slice parameter (a rational number)")
     p.add_argument("--height-bound", type=_positive_int, default=8)
 

@@ -19,9 +19,9 @@ gives every Gauss sum of a Galois orbit as tau(chi^j) = sum_k zeta^(jk) eta_k.
 
 DirichletChar.gauss_sums sums the periods one mpmath cosine per residue, at
 the working precision: the per-definition oracle.  The L-value series take
-the Gauss sums from it only above lvalue._DD_MAX_DPS digits; at or below
-that, lvalue._dd_gauss_sums sums the same periods in double-double from
-fixed-point anchor tables, within a stated bound of about 2^-100 f.
+their Gauss sums, at every working precision, from lvalue._dd_gauss_sums,
+which sums the same periods in double-double from fixed-point anchor tables,
+within a stated bound of about 2^-100 f; the tests hold it to this oracle.
 """
 from __future__ import annotations
 

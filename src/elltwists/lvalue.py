@@ -25,38 +25,38 @@ with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
 orbit's real Gaussian periods (see Gauss sums below).  At t = 1 one bucket
 vector serves both series.
 
-Two engines fill the buckets, chosen by the working precision alone.  At or
-below _DD_MAX_DPS = 50 digits (the default, down to the config's floor of 15)
-a vectorised double-double kernel does: a_n / n is a (hi, lo) pair with an
-exact TwoProduct remainder, formed once per orbit; r^n = r^(qB) r^s is one
-Dekker product of two anchors from fixed-point integer powers of r; each term
-is one more Dekker product.  The terms go in fixed-size chunks; each chunk's
-share of a bucket is summed exactly by math.fsum and rounded to (hi, lo), and
-the chunk pairs are summed exactly and rounded once more.  Every term is
-within about 20 * 2^-106 of its exact value, relatively, and each rounding
-of a pair costs at most 2^-106 of its sum, so
+A vectorised double-double kernel fills the buckets at every working
+precision (the config's floor of 15 digits and up): a_n / n is a (hi, lo)
+pair with an exact TwoProduct remainder, formed once per orbit; r^n =
+r^(qB) r^s is one Dekker product of two anchors from fixed-point integer
+powers of r; each term is one more Dekker product.  The terms go in
+fixed-size chunks; each chunk's share of a bucket is summed exactly by
+math.fsum and rounded to (hi, lo), and the chunk pairs are summed exactly
+and rounded once more.  Every term is within about 20 * 2^-106 of its exact
+value, relatively, and each rounding of a pair costs at most 2^-106 of its
+sum, so
 
     |B_k^dd - B_k| <= _DD_ROUNDOFF * sum_{ind(n) = k} |(a_n / n) r^n|,
     _DD_ROUNDOFF = 2^-100,
 
 and a pass whose bound exceeds err / 100 raises ConsistencyError; the bound
 never enters the reported tail bound.  About 31 significant digits lose
-nothing a decision or a printed float can see, since the values are only
-trusted to their tail bound.  Above 50 digits (a config asking for more)
-the per-term mpmath loop runs instead; it is also the double-double kernel's
-oracle.
+nothing a decision or a printed float can see, since every decision is
+exact and the values are only trusted to their tail bound.  The per-term
+mpmath loop _buckets is the kernel's oracle in the tests; no production
+path calls it.
 
-The Gauss sums take the same two rungs.  At or below _DD_MAX_DPS the
-Gaussian periods eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) are summed
-in double-double: e(c/f) = e(qB/f) e(s/f) with B = isqrt(f // 2) + 1, both
+The Gauss sums are summed the same way.  The Gaussian periods
+eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) are summed in
+double-double: e(c/f) = e(qB/f) e(s/f) with B = isqrt(f // 2) + 1, both
 anchor tables are fixed-point Gaussian-integer powers of one value of e(1/f),
 each cosine is two Dekker products, and each period is summed exactly by
 math.fsum; then tau(chi^j) = 2 sum_k zeta^(jk) eta_k at mpmath precision.
 The kernel's bound, _DD_ROUNDOFF times the sum of |terms| plus the anchors'
 fixed-point truncation, reaches L through eps, |d eps| <= 2 |d tau| / sqrt(f)
 times the second series' sum of |terms|, and raises ConsistencyError past
-err / 100 like the series' own bound.  Above 50 digits the mpmath periods of
-DirichletChar.gauss_sums, the kernel's oracle, serve instead.
+err / 100 like the series' own bound.  The mpmath periods of
+DirichletChar.gauss_sums, one cosine per residue, are the kernel's oracle.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -133,9 +133,6 @@ _SCALE_FLOOR = min(SCALES)
 # calibrate probes the first 10 orbits prime to the level below 400
 _PROBE_ORBITS = 10
 _PROBE_BOUND = 400
-# working precisions up to this one sum the series in double-double; above
-# it (a config asking for more digits) the mpmath loop does
-_DD_MAX_DPS = 50
 # roundoff of a double-double bucket, relative to the sum of |terms|
 _DD_ROUNDOFF = 2.0 ** -100
 _SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
@@ -157,7 +154,7 @@ def _terms_needed(c, eps) -> int:
 
 def _buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
     """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1,
-    one mpf term at a time: the mpmath rung, and the oracle of the other."""
+    one mpf term at a time: the double-double kernel's oracle."""
     out = [mpmath.mpf(0)] * ell
     p = mpmath.mpf(1)
     for n in range(1, M + 1):
@@ -166,11 +163,6 @@ def _buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
         if an[n] and k >= 0:
             out[k] += an[n] * p / n
     return out
-
-
-def _rung(dps: int) -> str:
-    """The engine that sums the series at working precision dps."""
-    return "dd" if dps <= _DD_MAX_DPS else "mpmath"
 
 
 def _two_prod(a, b):
@@ -237,16 +229,15 @@ def _dd_anchors(r, M: int):
 class _SeriesTerms:
     """The n <= M with a_n chi(n) != 0, their exponents k = ind(n) and a_n / n
     as double-double pairs: formed once per call of central_values and shared
-    by its series radii.  The mpmath rung reads the coefficient and exponent
-    tables."""
+    by its series radii."""
 
     def __init__(self, curve: Curve, chi: DirichletChar | None, M: int):
-        self.an = curve.an_table(M)
-        self.exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
-                     else chi.exponent_table(M))
-        an = np.fromiter(islice(self.an, M + 1), dtype=np.int64, count=M + 1)
-        self.n = np.flatnonzero((an != 0) & (self.exps >= 0))
-        self.k = self.exps[self.n]
+        exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
+                else chi.exponent_table(M))
+        an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
+                         count=M + 1)
+        self.n = np.flatnonzero((an != 0) & (exps >= 0))
+        self.k = exps[self.n]
         a = an[self.n].astype(np.float64)
         self.q_hi, self.q_lo = np.empty_like(a), np.empty_like(a)
         for start in range(0, len(a), _DD_CHUNK):
@@ -364,9 +355,10 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the same real exponent buckets (one pass over n per
     series radius); absolute error <= err plus roundoff.  chi = None is the
-    trivial character, asked for as taus = {0: 1}.  tau_err bounds |d tau|
-    of Gauss sums from _dd_gauss_sums, which serve the double-double rung
-    only."""
+    trivial character, asked for as taus = {0: 1}.  tau_err bounds |d tau|,
+    as _dd_gauss_sums states it for its Gauss sums.  Each radius is one
+    _dd_buckets pass; its roundoff bound, and the Gauss sums' carried into L
+    through eps, must stay under err / 100 or ConsistencyError is raised."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -381,23 +373,18 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
     if r2 == r1:
         radii = radii[:1]
-    if _rung(mpmath.mp.dps) == "dd":
-        passes = [_dd_buckets(terms, ell, r, M) for r, M in radii]
-        size1, size2 = passes[0][1], passes[-1][1]
-        # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the
-        # second series; |zeta| = |eps| = 1, so the series' own roundoff
-        # moves L by at most the two series' bounds
-        for what, bound in (
-                ("Gauss-sum", 2 * tau_err / math.sqrt(f) * size2),
-                ("double-double", _DD_ROUNDOFF * (size1 + size2))):
-            if bound > err / 100:
-                raise ConsistencyError(
-                    f"{what} roundoff bound {bound:.3g} exceeds "
-                    f"err / 100 = {float(err) / 100:.3g}")
-        buckets = [b for b, _ in passes]
-    else:
-        buckets = [_buckets(terms.an, terms.exps, ell, r, M) for r, M in radii]
-    b1, b2 = buckets[0], buckets[-1]
+    passes = [_dd_buckets(terms, ell, r, M) for r, M in radii]
+    (b1, size1), (b2, size2) = passes[0], passes[-1]
+    # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the second
+    # series; |zeta| = |eps| = 1, so the series' own roundoff moves L by at
+    # most the two series' bounds
+    for what, bound in (
+            ("Gauss-sum", 2 * tau_err / math.sqrt(f) * size2),
+            ("double-double", _DD_ROUNDOFF * (size1 + size2))):
+        if bound > err / 100:
+            raise ConsistencyError(
+                f"{what} roundoff bound {bound:.3g} exceeds "
+                f"err / 100 = {float(err) / 100:.3g}")
     zeta = _roots_of_unity(ell)
     out = {}
     for j, tau in taus.items():
@@ -454,17 +441,15 @@ class TwistRows:
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
-    """Rows of every conjugate twist from one series pass at t = 1 and one
-    Gauss-sum pass, both on the rung _rung(dps) picks: _dd_gauss_sums at or
-    below _DD_MAX_DPS, DirichletChar.gauss_sums above it."""
+    """Rows of every conjugate twist at working precision dps, from one
+    double-double series pass at t = 1 and one _dd_gauss_sums pass."""
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
         # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
-        taus, tau_err = (_dd_gauss_sums(chi) if _rung(dps) == "dd"
-                         else (chi.gauss_sums(), 0.0))
+        taus, tau_err = _dd_gauss_sums(chi)
         values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
         rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
     return TwistRows(rows, complex(values[1]), err_l)
@@ -515,11 +500,6 @@ class TwistRecord:
     decision: str                # vanishes | nonzero
     precision_used: int
 
-    @property
-    def rung(self) -> str:
-        """The engine that summed the series: "dd" or "mpmath"."""
-        return _rung(self.precision_used)
-
     def as_dict(self) -> dict:
         return {
             "curve": self.curve_label,
@@ -529,7 +509,6 @@ class TwistRecord:
             "coset_sums": list(self.coset_sums.sums),
             "decision": self.decision,
             "precision_digits": self.precision_used,
-            "rung": self.rung,
         }
 
 

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,27 +163,27 @@ class TestRunCensus:
         assert summary.computed == 0
         assert summary.resumed == 3
 
-    def test_journal_records_rung_and_old_rows_resume(self, tmp_path):
-        # the journal names the series engine, the curve and the order of
-        # each orbit; a journal written before those fields existed still
-        # resumes to the same CSV
+    def test_journal_drops_rung_and_old_rows_resume(self, tmp_path):
+        # the journal names the curve and the order of each orbit, and no
+        # longer its series engine; rows of older journals, which named the
+        # engine or had no curve and order, still resume to the same CSV
         out = tmp_path / "r.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
         reference = out.read_bytes()
         journal = tmp_path / "r.csv.log"
-        rows = [json.loads(line) for line in journal.read_text().splitlines()]
-        assert [row["rung"] for row in rows] == ["dd"] * 3
-        assert {(row["curve"], row["ell"]) for row in rows} == {("37b", 3)}
-        journal.write_text("".join(
-            json.dumps({k: v for k, v in row.items()
-                        if k not in ("rung", "curve", "ell")}) + "\n"
-            for row in rows))
-        out.unlink()
-        summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
-        assert summary.resumed == 3 and summary.computed == 0
-        assert all(row.rung is None and row.curve is None
-                   for row in summary.rows)
-        assert out.read_bytes() == reference
+        rows = journal.read_text()
+        assert not any("rung" in json.loads(row) for row in rows.splitlines())
+        # a None drops that key, as in rows that predate it
+        for old, curve in (({"rung": "dd"}, "37b"), ({"rung": "mpmath"}, "37b"),
+                           ({"curve": None, "ell": None}, None)):
+            journal.write_text(rows)
+            _rewrite_journal(journal, lambda row: {
+                k: v for k, v in {**row, **old}.items() if v is not None})
+            out.unlink()
+            summary = run_census(E37B_CONFIG, 3, 13, out=out, resume=True)
+            assert summary.resumed == 3 and summary.computed == 0
+            assert {row.curve for row in summary.rows} == {curve}
+            assert out.read_bytes() == reference
 
     def test_resume_keeps_only_this_runs_orbits(self, tmp_path):
         # a journal that reaches past the bound resumes only the orbits
@@ -239,14 +240,20 @@ class TestRunCensus:
         assert main(["report", str(journal)]) == 0
         assert "orbits: 3 (" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("edit", [None, {"L_value": 5}, {"conductor": "9"},
-                                      {"coset_sums": [1, "x", 2]}],
-                             ids=["garbage", "L_value", "conductor",
-                                  "coset_sums"])
+    @pytest.mark.parametrize("edit", [
+        None, {"L_value": 5}, {"conductor": "9"}, {"coset_sums": [1, "x", 2]},
+        {"decision": 5}, {"decision": "maybe"}, {"elapsed": "x"},
+        {"alarm": 1}, {"error": 3}, {"curve": 37}, {"ell": "x"},
+        {"ell": True}], ids=[
+        "garbage", "L_value", "conductor", "coset_sums", "decision",
+        "decision-word", "elapsed", "alarm", "error", "curve", "ell",
+        "ell-bool"])
     def test_bad_journal_line_refused(self, tmp_path, capsys, edit):
         # a bad row anywhere but a torn last line fails the command and
         # leaves the journal as it was: it used to end the read there, so
-        # report showed 1 orbit and resume appended 4 again on every run
+        # report showed 1 orbit and resume appended 4 again on every run.
+        # A bad elapsed, decision or order once passed the read and ended
+        # report in a traceback or printed "order x"
         out = tmp_path / "b.csv"
         run_census(E37B_CONFIG, 3, 31, out=out)
         journal = tmp_path / "b.csv.log"
@@ -259,6 +266,8 @@ class TestRunCensus:
         journal.write_text("\n".join(rows) + "\n")
         before = journal.read_bytes()
         for argv in (["report", str(journal)],
+                     ["report", str(journal), "--out",
+                      str(tmp_path / "again.csv")],
                      ["census", "--curve", "curves/37b.cfg", "--max-conductor",
                       "31", "--out", str(out), "--resume"]):
             capsys.readouterr()
@@ -279,6 +288,61 @@ class TestRunCensus:
         assert len(lines) == 4
         first = [part.strip() for part in lines[1].split(",", 3)]
         assert first[0] == "7" and first[1].startswith("(7")
+
+    def test_csv_bytes_do_not_depend_on_the_precision(self, tmp_path):
+        # every precision sums its series with the same double-double
+        # kernels, so 80 digits write the bytes of the default 50
+        csvs = []
+        for digits in (50, 80):
+            config = CurveConfig.from_text(GOOD_37B.replace(
+                "precision_digits = 50", f"precision_digits = {digits}"))
+            assert config.precision_digits == digits
+            out = tmp_path / f"p{digits}.csv"
+            run_census(config, 3, 63, out=out)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_pool_never_outnumbers_orbits_or_cores(self, tmp_path,
+                                                   monkeypatch):
+        # the pool starts all its workers at once, so a worker count past
+        # the pending orbits or the cores is cut down; one or none left
+        # runs serially.  The fake pool runs each task inline and starts
+        # no process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        serial = tmp_path / "serial.csv"
+        run_census(E37B_CONFIG, 3, 13, out=serial)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(census, "_worker_cal", None)
+        for cores, want in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
+            sizes.clear()
+            out = tmp_path / f"pool{cores}.csv"
+            summary = run_census(E37B_CONFIG, 3, 13, workers=10 ** 6, out=out)
+            assert (sizes, summary.computed) == (want, 3), cores
+            assert out.read_bytes() == serial.read_bytes()
+        # a complete journal leaves nothing to run
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        sizes.clear()
+        summary = run_census(E37B_CONFIG, 3, 13, workers=10 ** 6, out=serial,
+                             resume=True)
+        assert (sizes, summary.resumed) == ([], 3)
 
     def test_csv_bytes_match_the_benchmark_reference(self, tmp_path):
         # the other byte checks compare two runs of the same code; this one
@@ -369,9 +433,12 @@ class TestCommandLine:
     def test_usage_error_exits_one(self, capsys):
         assert main(["census", "--curve", "curves/37b.cfg"]) == 1
         assert main(["no-such-command"]) == 1
-        # 0 is a value, not an absent option: below the 15-digit floor
+        # the working precision comes from the config file alone
+        capsys.readouterr()
         assert main(["twist-value", "--curve", "curves/37b.cfg",
-                     "--precision", "0", "7"]) == 1
+                     "--precision", "80", "7"]) == 1
+        assert "unrecognized arguments: --precision" in \
+            capsys.readouterr().err
         # a twist conductor sharing a factor with the level 37 ended in a
         # ValueError traceback from the series
         for conductor in ("37", "259"):
@@ -477,6 +544,18 @@ class TestCommandLine:
         assert main(["report", str(journal)]) == 1
         assert "error:" in capsys.readouterr().err
         assert journal.is_dir() and not any(journal.iterdir())
+
+    @pytest.mark.parametrize("digits", ("0", "14"))
+    def test_precision_floor_exits_one(self, tmp_path, capsys, digits):
+        low = tmp_path / "low.cfg"
+        low.write_text(GOOD_37B.replace("precision_digits = 50",
+                                        f"precision_digits = {digits}"))
+        for argv in (["twist-value", "--curve", str(low), "7"],
+                     ["census", "--curve", str(low), "--max-conductor", "7"]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert "precision_digits must be at least 15" in \
+                capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

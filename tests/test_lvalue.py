@@ -2,14 +2,14 @@
 
 The layout mirrors how the numbers are trusted: the series tail bound is
 checked against a doubled truncation, the bucketed conjugates against a
-per-character oracle series, the double-double buckets against the mpmath
-loop they replace, the functional-equation sign against the
-parameter independence it forces, the exact coset sums against frozen
-lattice data and their seed identity, the faults of a wrong sign, chi(N),
-Gauss sum, exponent table or eigenline against the modular-symbol check,
-and the decision policy against synthetic records.  The congruence sweep
-gets a deliberate fault injection so a silent pass cannot hide a broken
-multiplier.
+per-character oracle series, the double-double buckets and Gauss sums
+against the mpmath loops kept as their oracles, the functional-equation
+sign against the parameter independence it forces, the exact coset sums
+against frozen lattice data and their seed identity, the faults of a wrong
+sign, chi(N), Gauss sum, exponent table or eigenline against the
+modular-symbol check, and the decision policy against synthetic records.
+The congruence sweep gets a deliberate fault injection so a silent pass
+cannot hide a broken multiplier.
 """
 
 from fractions import Fraction
@@ -177,11 +177,14 @@ class TestTDriftAlarm:
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b).twist_record(CHI9)
 
-    def test_wrong_mpmath_gauss_sum_raises(self, cal_b, monkeypatch):
-        # the same fault on the mpmath rung, which serves 80 digits
-        gauss_sums = DirichletChar.gauss_sums
-        monkeypatch.setattr(DirichletChar, "gauss_sums", lambda chi: {
-            j: mpmath.conj(tau) for j, tau in gauss_sums(chi).items()})
+    def test_wrong_gauss_sum_raises_at_80_digits(self, cal_b, monkeypatch):
+        # the same fault at 80 digits, where the same kernel serves
+        kernel = lvalue._dd_gauss_sums
+
+        def conjugated(chi):
+            taus, bound = kernel(chi)
+            return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
+        monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b, dps=80).twist_record(CHI9)
 
@@ -274,15 +277,17 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
     with mpmath.workdps(50):
         radii = lvalue._radii(curve.conductor, chi.conductor,
                               lvalue._as_mpf(t), err)
-        terms = lvalue._SeriesTerms(curve, chi, max(M for _, M in radii))
+        top = max(M for _, M in radii)
+        terms = lvalue._SeriesTerms(curve, chi, top)
+        an, exps = curve.an_table(top), chi.exponent_table(top)
         for r, M in radii:
             dd, _ = lvalue._dd_buckets(terms, chi.ell, r, M)
-            mp = lvalue._buckets(terms.an, terms.exps, chi.ell, r, M)
+            mp = lvalue._buckets(an, exps, chi.ell, r, M)
             n = np.arange(M + 1)
-            size = np.abs(terms.an[:M + 1]) / np.maximum(n, 1) * \
+            size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
                 float(r) ** n.astype(float)
             for k in range(chi.ell):
-                scale = size[terms.exps[:M + 1] == k].sum()
+                scale = size[exps[:M + 1] == k].sum()
                 if scale:
                     worst = max(worst, float(abs(dd[k] - mp[k])) / scale)
     return worst
@@ -316,8 +321,9 @@ class TestDoubleDoubleRung:
         assert dd_bucket_error(E37B, chi, 1) > 1e-28
 
     def test_rung_follows_working_precision(self, monkeypatch):
-        # one series pass per orbit: double-double at 50 digits, the mpmath
-        # loop at 80, and the two agree within the tail bound
+        # one series pass per orbit, in double-double at 15, 50 and 80
+        # digits alike; the mpmath loop is never called, and the values
+        # agree within their tail bounds
         calls = {"_dd_buckets": 0, "_buckets": 0}
 
         def counted(name):
@@ -330,12 +336,34 @@ class TestDoubleDoubleRung:
 
         for name in calls:
             monkeypatch.setattr(lvalue, name, counted(name))
-        dd = lvalue._twist_rows(E37B, CHI13, 50)
-        assert calls == {"_dd_buckets": 1, "_buckets": 0}
-        mp = lvalue._twist_rows(E37B, CHI13, 80)
-        assert calls == {"_dd_buckets": 1, "_buckets": 1}
-        assert abs(dd.l_value - mp.l_value) <= dd.l_err + mp.l_err
-        assert lvalue._rung(50) == "dd" and lvalue._rung(80) == "mpmath"
+        rows = []
+        for n, dps in enumerate((15, 50, 80), 1):
+            rows.append(lvalue._twist_rows(E37B, CHI13, dps))
+            assert calls == {"_dd_buckets": n, "_buckets": 0}, dps
+        for a in rows:
+            for b in rows:
+                assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
+
+    @pytest.mark.parametrize("dps", (15, 50, 80))
+    def test_production_paths_never_call_the_oracles(self, cal_b, dps,
+                                                      monkeypatch):
+        # calibrate, twist_record, coset_sums and congruence_check at every
+        # working precision, on orbits past the probes (73, 79 and the
+        # product 7 * 73 = 511), give cal_b's answers without the oracles
+        def oracle(*args):
+            raise AssertionError("an mpmath oracle ran in production code")
+        monkeypatch.setattr(lvalue, "_buckets", oracle)
+        monkeypatch.setattr(DirichletChar, "gauss_sums", oracle)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        cal = calibrate(E37B, 3, dps=dps)
+        chi73, chi79 = (galois_orbits(f, 3)[0] for f in (73, 79))
+        record = cal.twist_record(chi79)
+        assert (record.decision, record.precision_used) == \
+            (cal_b.twist_record(chi79).decision, dps)
+        assert cal.coset_sums(chi73).sums == cal_b.coset_sums(chi73).sums
+        assert cal.congruence_check(CHI7, chi73) == \
+            cal_b.congruence_check(CHI7, chi73)
+        assert cal.congruence_check(None, chi79).holds
 
     def test_roundoff_bound_over_budget_raises(self, monkeypatch):
         # the kernel's stated roundoff bound is checked against err / 100
@@ -398,8 +426,9 @@ class TestDoubleDoubleGaussSums:
         assert dd_gauss_error(chi)[0] > 1e-30
 
     def test_rung_follows_working_precision(self, monkeypatch):
-        # one kernel call per orbit at 50 digits, one call of the mpmath
-        # periods at 80, and the two L values agree within their tail bounds
+        # one kernel call per orbit at 15, 50 and 80 digits alike; the
+        # mpmath periods are never called, and the L values agree within
+        # their tail bounds
         calls = {"kernel": 0, "mpmath": 0}
         kernel, periods = lvalue._dd_gauss_sums, DirichletChar.gauss_sums
 
@@ -413,11 +442,13 @@ class TestDoubleDoubleGaussSums:
 
         monkeypatch.setattr(lvalue, "_dd_gauss_sums", counted_kernel)
         monkeypatch.setattr(DirichletChar, "gauss_sums", counted_periods)
-        dd = lvalue._twist_rows(E37B, CHI13, 50)
-        assert calls == {"kernel": 1, "mpmath": 0}
-        mp = lvalue._twist_rows(E37B, CHI13, 80)
-        assert calls == {"kernel": 1, "mpmath": 1}
-        assert abs(dd.l_value - mp.l_value) <= dd.l_err + mp.l_err
+        rows = []
+        for n, dps in enumerate((15, 50, 80), 1):
+            rows.append(lvalue._twist_rows(E37B, CHI13, dps))
+            assert calls == {"kernel": n, "mpmath": 0}, dps
+        for a in rows:
+            for b in rows:
+                assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
 
     def test_roundoff_bound_over_budget_raises(self, monkeypatch):
         # the kernel's bound, carried into L through eps, is checked against
@@ -597,9 +628,9 @@ class TestTwistDecisions:
     @pytest.mark.parametrize("ell", (3, 5, 7))
     def test_rows_do_not_depend_on_precision(self, curve, ell):
         # the error budget and the series length do not depend on the
-        # working precision, so the double-double rows at 50 digits and the
-        # mpmath rows at 80 miss r M_t by the same residual: more digits
-        # cannot change the check of any orbit
+        # working precision, so the rows at 50 digits and at 80 miss r M_t
+        # by the same residual: more digits cannot change the check of any
+        # orbit
         cal = calibrate(curve, ell)
         orbits = [chi for chi in orbit_representatives(ell, 200)
                   if chi.conductor % 37][:2]
@@ -672,7 +703,7 @@ class TestTwistDecisions:
         d = cal_b.twist_record(CHI7).as_dict()
         assert d["decision"] == "vanishes"
         assert d["coset_sums"] == [-2, -2, -2]
-        assert d["precision_digits"] == 50 and d["rung"] == "dd"
+        assert d["precision_digits"] == 50 and "rung" not in d
 
 
 class TestCongruence:

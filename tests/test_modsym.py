@@ -166,3 +166,16 @@ class TestSymbolRatio:
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3)
         assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
+
+    @pytest.mark.parametrize("curve,ell,r", [(E37B, 3, 1),
+                                             (E37A, 5, Fraction(-1, 2))],
+                             ids=["37b-ell3", "37a-ell5"])
+    @pytest.mark.parametrize("dps", (15, 50, 80))
+    def test_calibration_does_not_depend_on_the_precision(self, curve, ell,
+                                                          r, dps):
+        # the floor of 15 digits, the default 50 and 80 freeze the same
+        # scale, r and L0
+        scale, l0 = SCALE_AND_L0[curve.label]
+        cal = calibrate(curve, ell, dps=dps)
+        assert (cal.scale, cal.r, cal.lalg0, cal.base_dps) == \
+            (scale, r, l0, dps)
