@@ -22,11 +22,11 @@ from pathlib import Path
 
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar, admissible_conductors, galois_orbits
-from .elliptic import Curve
+from .elliptic import Curve, PointCountError
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
-from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
-                     t_independence)
+from .lvalue import (CalibratedCurve, CongruenceResult, ConsistencyError,
+                     calibrate, t_independence)
 
 
 class ConfigError(Exception):
@@ -288,7 +288,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",
-                        alarm=type(exc).__name__ == "ConsistencyError",
+                        alarm=isinstance(exc, (ConsistencyError, PointCountError)),
                         curve=cal.label, ell=cal.ell)
     return row.to_dict()
 

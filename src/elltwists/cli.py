@@ -3,7 +3,8 @@
 Exit codes separate the three ways a run can end: 0 when the requested
 computation completed, 1 when the configuration or arguments were unusable,
 and 2 when a result contradicted something the theory proves (a consistency
-alarm, a failed congruence, a sampled twist that refused to vanish).
+alarm, a failed point count, a failed congruence, a sampled twist that
+refused to vanish).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .census import (CensusSummary, ConfigError, CurveConfig, TheoryViolation,
                      run_congruence_sweep, run_e37b, run_family)
 from .cubicfield import FieldConsistencyError
 from .dirichlet import galois_orbits
+from .elliptic import PointCountError
 from .kummer import SurfaceError, fiber_search
 from .lvalue import CalibrationError, ConsistencyError, calibrate
 from .numcore import is_prime
 
 _THEORY_ERRORS = (TheoryViolation, ConsistencyError, SurfaceError,
-                  FieldConsistencyError, CalibrationError)
+                  FieldConsistencyError, CalibrationError, PointCountError)
 
 
 class _Parser(argparse.ArgumentParser):

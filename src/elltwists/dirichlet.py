@@ -9,7 +9,9 @@ modulus (q, or ell^2 when q = ell), g generates (Z/m)^* and e in
 
     chi(a) = zeta_ell ^ sum_i e_i * ind_{g_i}(a mod m_i)   (mod ell),
 
-with chi(a) = 0 whenever gcd(a, f) > 1.  Characters of odd order are
+with chi(a) = 0 whenever gcd(a, f) > 1.  g is primitive_root(m), and nothing
+else is kept per modulus: exponent_table and value_exponent compute exponents
+per call, by two independent routes.  Characters of odd order are
 automatically even, and f is odd, so c and f - c share an exponent: one pass
 over the real Gaussian periods
 
@@ -33,7 +35,7 @@ from math import gcd
 import mpmath
 import numpy as np
 
-from .numcore import factor, is_prime, primes_up_to
+from .numcore import factor, is_prime, power_tables, primes_up_to
 
 
 @lru_cache(maxsize=None)
@@ -54,20 +56,6 @@ def primitive_root(m: int) -> int:
         return g
     # lift to p^2: g works unless g^(p-1) = 1 mod p^2
     return g if pow(g, p - 1, p * p) != 1 else g + p
-
-
-@lru_cache(maxsize=None)
-def _index_table(g: int, m: int) -> tuple[int, ...]:
-    """ind_g(a) for a in 0..m-1, with -1 on non-units.  m is small here
-    (conductors of a few thousand), so full enumeration beats BSGS."""
-    table = [-1] * m
-    x = 1
-    k = 0
-    while table[x] == -1:
-        table[x] = k
-        x = x * g % m
-        k += 1
-    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -94,6 +82,9 @@ class DirichletChar:
             else:
                 if m != q or (q - 1) % self.ell != 0:
                     raise ValueError(f"prime {q} is not 1 mod {self.ell}")
+            if g != primitive_root(m):
+                raise ValueError(f"generator {g} mod {m} is not "
+                                 f"primitive_root({m})")
             if not 1 <= e < self.ell:
                 raise ValueError("component exponents lie in 1..ell-1")
         if tuple(sorted(seen)) != tuple(q for q, _, _, _ in self.components):
@@ -119,26 +110,34 @@ class DirichletChar:
     # -- evaluation --------------------------------------------------------
 
     def value_exponent(self, a: int) -> int | None:
-        """k with chi(a) = zeta^k, or None when chi(a) = 0."""
+        """k with chi(a) = zeta^k, or None when chi(a) = 0: with
+        h = phi(m) / ell, a^h is the power (g^h)^(ind(a) mod ell) of g^h."""
         total = 0
-        for _, m, g, e in self.components:
-            v = _index_table(g, m)[a % m]
-            if v < 0:
+        for q, m, g, e in self.components:
+            if a % q == 0:
                 return None
-            total += e * v
+            h = (m - m // q) // self.ell
+            powers = [pow(g, h * j, m) for j in range(self.ell)]
+            total += e * powers.index(pow(a, h, m))
         return total % self.ell
 
     def exponent_table(self, limit: int) -> np.ndarray:
         """value_exponent(n) for n in 0..limit as an int64 array, with -1 for
         chi(n) = 0.
 
-        This is the hot path for the twisted Dirichlet series, so each
-        component's index table is read for a whole period n < f at once,
-        and the period is repeated out to the limit."""
+        The series' hot path: each component walks g^i = g^(jB) g^s for i
+        from 0 past m and scatters i mod ell, which ell | phi(m) makes one
+        value per unit, over the residues mod m (-1 off the units).  That
+        array is read for a whole period n < f at once and then dropped; the
+        period is repeated out to the limit."""
         n = np.arange(min(self.conductor, limit + 1), dtype=np.int64)
         total = np.zeros(len(n), dtype=np.int64)
         for _, m, g, e in self.components:
-            v = np.take(np.array(_index_table(g, m), dtype=np.int64), n % m)
+            _, small, big = power_tables(g, 1, lambda a, b: a * b % m, m)
+            units = np.multiply.outer(np.array(big), np.array(small)).ravel() % m
+            ind = np.full(m, -1, dtype=np.int64)
+            ind[units] = np.arange(units.size) % self.ell
+            v = ind[n % m]
             total = np.where((total < 0) | (v < 0), -1, total + e * v)
         return np.resize(np.where(total >= 0, total % self.ell, -1), limit + 1)
 

@@ -109,7 +109,8 @@ import numpy as np
 from .dirichlet import DirichletChar, orbit_representatives
 from .elliptic import Curve
 from .modsym import plus_symbols
-from .numcore import RecognitionError, factor, primes_up_to, recognize_integer
+from .numcore import (RecognitionError, factor, power_tables, primes_up_to,
+                      recognize_integer)
 
 
 class CalibrationError(RuntimeError):
@@ -199,21 +200,6 @@ def _dd_table(values: list[int], K: int):
     return np.ldexp(np.array(hi), -K), np.ldexp(np.array(lo), -K)
 
 
-def _fixed_powers(z, one, mul, M: int):
-    """B = isqrt(M) + 1 and the fixed-point powers z^s (s < B) and z^(qB)
-    (q <= M // B), each the truncated product mul of the entry before it
-    and z, or z^B."""
-    B = math.isqrt(M) + 1
-    small = [one]
-    for _ in range(B):
-        small.append(mul(small[-1], z))
-    zB = small.pop()
-    big = [one]
-    for _ in range(M // B):
-        big.append(mul(big[-1], zB))
-    return B, small, big
-
-
 def _dd_anchors(r, M: int):
     """B and the tables r^s (s < B) and r^(qB) (q <= M // B), B = isqrt(M) + 1,
     as double-double arrays.  The powers are taken in K-bit fixed point from
@@ -221,8 +207,8 @@ def _dd_anchors(r, M: int):
     each truncation costs at most 2^-160 relatively, so a table entry is
     within (M + 2B) 2^-160 of its power of r, far below 2^-106."""
     K = 160 + math.ceil(-M * float(mpmath.log(r, 2)))
-    B, small, big = _fixed_powers(int(mpmath.ldexp(r, K)), 1 << K,
-                                  lambda a, b: a * b >> K, M)
+    B, small, big = power_tables(int(mpmath.ldexp(r, K)), 1 << K,
+                                 lambda a, b: a * b >> K, M)
     return B, _dd_table(small, K), _dd_table(big, K)
 
 
@@ -304,7 +290,7 @@ def _dd_gauss_sums(chi: DirichletChar) -> tuple[dict, float]:
         e1 = mpmath.expjpi(mpmath.mpf(2) / f)
         z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
     # Gaussian integers (x, y) = x + iy, each coordinate truncated
-    B, small, big = _fixed_powers(
+    B, small, big = power_tables(
         z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
                                       (a[0] * b[1] + a[1] * b[0]) >> K), half)
     (ch, cl), (sh, sl) = (_dd_table([v[i] for v in small], K) for i in (0, 1))

@@ -3,8 +3,9 @@
 Integer factorization (trial division, which proves the cofactor prime
 once the divisors pass its square root, then deterministic Miller-Rabin and
 Pollard rho on a larger cofactor, exact for inputs below 2^64), dense
-polynomials over Q in one variable, and the float -> integer recognition
-used when numerically computed quantities are known to be integers.
+polynomials over Q in one variable, the float -> integer recognition used
+when numerically computed quantities are known to be integers, and the two
+short power tables from which every z^n = z^(qB) z^s is formed.
 """
 from __future__ import annotations
 
@@ -191,6 +192,21 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def power_tables(z, one, mul, M: int):
+    """B = isqrt(M) + 1 and the powers z^s (s < B) and z^(qB) (q <= M // B),
+    each mul (truncating in fixed point, or reducing mod m) of the entry
+    before it and z, or z^B; z^n = z^(qB) z^s for (q, s) = divmod(n, B)."""
+    B = isqrt(M) + 1
+    small = [one]
+    for _ in range(B):
+        small.append(mul(small[-1], z))
+    zB = small.pop()
+    big = [one]
+    for _ in range(M // B):
+        big.append(mul(big[-1], zB))
+    return B, small, big
 
 
 # ---------------------------------------------------------------------------

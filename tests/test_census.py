@@ -11,10 +11,12 @@ from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import elltwists
 import elltwists.census as census
+import elltwists.elliptic as elliptic
 import elltwists.lvalue as lvalue
 from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
@@ -681,6 +683,67 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("theory violation: ConsistencyError: ")
         assert "exact recursion gives" in err
+
+    def test_congruence_sweep_backs_up_the_total_check(self, monkeypatch,
+                                                       capsys):
+        # coset_sums checks each orbit's total against A_0, so every pair
+        # holds by construction; in a build that took the symbols' own total
+        # instead, a Hecke factor off by one at 433 fails the one pair there
+        self._miscount_trivial_sums(monkeypatch, lambda curve, f, ell: (
+            REAL_HECKE_FACTOR(curve, f, ell) + (f == 433)))
+        monkeypatch.setattr(
+            lvalue.CalibratedCurve, "trivial_coset_sum", lambda cal, f: sum(
+                cal.r * m for m in
+                cal.symbols.orbit_sums(galois_orbits(f, cal.ell)[0])))
+        text = run_congruence_sweep(E37B_CONFIG, 3, 1300).text()
+        assert "pairs checked: 200, failures: 1" in text
+        fails = [line for line in text.splitlines() if "FAIL" in line]
+        assert len(fails) == 1 and '"psi": "(433; 433:1)"' in fails[0]
+        assert main(["congruence", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "1300"]) == 2
+        assert "pairs checked: 200, failures: 1" in capsys.readouterr().out
+
+    @staticmethod
+    def _miscount_ap(monkeypatch, prime):
+        # the point search returns one wrong a_p, which the check point
+        # after it catches; an empty calibration cache keeps the curve's
+        # counted coefficients out of it
+        search = elliptic._search
+
+        def wrong(a, b, p):
+            ap, x = search(a, b, p)
+            return np.where(p == prime, ap + 1, ap), x
+
+        monkeypatch.setattr(elliptic, "_search", wrong)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+
+    def test_failed_point_count_in_calibration_exits_two(self, monkeypatch,
+                                                         capsys):
+        # the calibration counts points at 1009; the error used to escape
+        # main as a traceback, exit 1
+        self._miscount_ap(monkeypatch, 1009)
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("theory violation: PointCountError: ")
+        assert " at 1009 " in err
+
+    def test_failed_point_count_is_an_alarm(self, tmp_path, monkeypatch):
+        # the 13 orbits whose series reach 9001 used to be quiet undecided
+        # rows, exit 0
+        self._miscount_ap(monkeypatch, 9001)
+        out = tmp_path / "p.csv"
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "415", "--out", str(out)]) == 2
+        rows = [json.loads(line) for line in
+                (tmp_path / "p.csv.log").read_text().splitlines()]
+        failed = [row for row in rows if row["decision"] == "undecided"]
+        assert len(failed) == 13
+        for row in failed:
+            assert row["alarm"]
+            assert row["error"].startswith("PointCountError: ")
+        assert not any(row["alarm"] for row in rows
+                       if row["decision"] != "undecided")
 
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):

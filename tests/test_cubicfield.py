@@ -12,9 +12,10 @@ from sympy.abc import x as sym_x
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from elltwists.cubicfield import (CubicField, FieldElt, NonCyclicCubicError,
-                                  NumberField, ReducibleCubicError,
-                                  _zp_root_count)
+import elltwists.cubicfield as cubicfield
+from elltwists.cubicfield import (CubicField, FieldConsistencyError, FieldElt,
+                                  NonCyclicCubicError, NumberField,
+                                  ReducibleCubicError, _zp_root_count)
 from elltwists.numcore import PolyQ, factor, primes_up_to, recognize_integer
 
 
@@ -367,6 +368,36 @@ class TestMatchingCharacter:
             if p in (3, 7):
                 continue
             assert (chi.value_exponent(p) == 0) == (k.splitting(p) == "split")
+
+    @pytest.mark.parametrize("coeffs", [[-1, -2, 1, 1], census_cubic(-4, 3)])
+    def test_one_flipped_splitting_matches_nothing(self, coeffs, monkeypatch):
+        # conductors 7 and 819 (four pairs); the first good prime's
+        # splitting flipped leaves no pair that agrees at every prime
+        k = CubicField.from_cubic(coeffs)
+        assert k.matching_character().conductor == k.conductor
+        splitting = CubicField.splitting
+        flip = {"split": "inert", "inert": "split"}
+        monkeypatch.setattr(CubicField, "splitting", lambda self, p: (
+            flip[splitting(self, p)] if p == 2 else splitting(self, p)))
+        with pytest.raises(FieldConsistencyError, match="^0 order-3"):
+            k.matching_character()
+
+    def test_each_prime_is_split_once(self, monkeypatch):
+        # four candidate pairs mod 819 share one splitting per good prime
+        k = CubicField.from_cubic(census_cubic(-4, 3))
+        splitting, asked = CubicField.splitting, []
+        monkeypatch.setattr(CubicField, "splitting", lambda self, p: (
+            asked.append(p) or splitting(self, p)))
+        assert k.matching_character().label() == "(819; 3:1, 7:2, 13:1)"
+        assert asked == [p for p in primes_up_to(200) if 819 % p]
+
+    def test_pairs_left_together_are_an_error(self, monkeypatch):
+        # with no prime to tell them apart both pairs mod 63 survive, and
+        # neither is picked
+        monkeypatch.setattr(cubicfield, "_MATCH_BOUND", 1)
+        k = CubicField.from_cubic([-1008, -252, 0, 1])
+        with pytest.raises(FieldConsistencyError, match="^2 order-3"):
+            k.matching_character()
 
     def test_same_field_same_orbit(self):
         a = CubicField.from_cubic([-1, -2, 1, 1]).matching_character()

@@ -2,6 +2,7 @@
 brute force, counts against the closed form, Gauss sums against the
 per-residue definition and the modulus identity, and orbit bookkeeping."""
 
+import tracemalloc
 from math import gcd
 
 import mpmath
@@ -76,15 +77,35 @@ class TestCharacterTable:
         assert len(characters_of_conductor(f, ell)) == expected_count(f, ell)
 
     def test_exponent_table_matches_pointwise_values(self):
-        # tame conductors, and a wild three-prime one (9 * 7 * 13) read far
-        # past its period, where each component's -1 must carry through
-        for f, limit in ((7, 250), (9, 250), (91, 250), (819, 5000)):
-            for chi in galois_orbits(f, 3)[:2]:
+        # two independent routes, the walk over the units against a^h among
+        # the powers of g^h, for tame and wild conductors at ell 3, 5 and 7
+        # read over three periods, where each component's -1 must carry
+        for ell, f in ((3, 7), (3, 9), (3, 91), (3, 819), (5, 11), (5, 25),
+                       (5, 341), (5, 275), (7, 29), (7, 49), (7, 1247),
+                       (7, 1421)):
+            limit = 3 * f + 5
+            for chi in galois_orbits(f, ell)[:2]:
                 table = chi.exponent_table(limit)
                 assert table.dtype == np.int64 and len(table) == limit + 1
                 for n in range(limit + 1):
                     v = chi.value_exponent(n)
                     assert table[n] == (-1 if v is None else v)
+
+    def test_exponent_tables_keep_nothing_per_modulus(self):
+        # nothing is cached per modulus beyond primitive_root's generator,
+        # which the orbits fetch before tracing starts; one table of ints per
+        # modulus would keep about 36 MB here
+        primes = [p for p in primes_up_to(20000)
+                  if p > 10 ** 4 and p % 3 == 1][:100]
+        orbits = [galois_orbits(p, 3)[0] for p in primes]
+        tracemalloc.start()
+        try:
+            for chi in orbits:
+                chi.exponent_table(chi.conductor // 2)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 ** 20
 
 
 class TestEnumeration:
@@ -234,6 +255,15 @@ class TestValidation:
             DirichletChar(4, ((5, 5, primitive_root(5), 1),))  # order not odd prime
         with pytest.raises(ValueError):
             DirichletChar(3, ())
+
+    def test_generator_must_be_the_primitive_root(self):
+        # 2 has order 3 mod 7 and would label itself (7; 7:1), with chi = 0
+        # on a unit; 5 generates mod 9 but is not the generator every label
+        # refers to
+        assert primitive_root(7) == 3 and primitive_root(9) == 2
+        for comps in (((7, 7, 2, 1),), ((3, 9, 5, 1),)):
+            with pytest.raises(ValueError, match="primitive_root"):
+                DirichletChar(3, comps)
 
     def test_even_characters(self):
         # chi(-1) = chi((-1)^2)^... : order is odd so chi(-1) = 1 always
