@@ -280,8 +280,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
     try:
         record = cal.twist_record(chi)
         row = CensusRow(chi.conductor, chi.label(), record.decision,
-                        record.L_value, record.error_bound,
-                        tuple(record.coset_sums.sums),
+                        record.L_value, record.error_bound, record.sums,
                         time.perf_counter() - start, curve=cal.label,
                         ell=cal.ell)
     except Exception as exc:                      # noqa: BLE001 - journal it
@@ -294,7 +293,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
 
 
 # the parent's calibration, handed to each pool worker once at start-up so
-# that its twist series and coefficient tables are shared by all its tasks
+# that its coefficient tables and orbit records are shared by all its tasks
 _worker_cal: CalibratedCurve | None = None
 
 

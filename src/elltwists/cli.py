@@ -136,7 +136,8 @@ def _build_parser() -> _Parser:
                                       "from an existing census journal")
     p.add_argument("journal", help="the .log file a census run wrote")
     p.add_argument("--max-conductor", type=_positive_int,
-                   help="ladder cutoff (default: largest conductor present)")
+                   help="drop rows above this conductor (default: largest "
+                        "conductor present)")
     p.add_argument("--out", type=_out_path,
                    help="regenerate the sorted CSV here")
 
@@ -240,6 +241,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"journal {journal} mixes the rows of {named}")
     label, ell = runs.pop() if runs else ("(journal)", 0)
     bound = args.max_conductor or max(r.conductor for r in rows)
+    rows = [r for r in rows if r.conductor <= bound]
     counts, slope = _growth_counts(rows, bound)
     summary = CensusSummary(label, ell, bound, tuple(rows), (),
                             counts, slope, 0, len(rows),

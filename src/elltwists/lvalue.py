@@ -80,7 +80,8 @@ _S_TOL of every S_t.  A miss is a consistency alarm.  A wrong root number,
 chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
 and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
-so each orbit takes one series pass, at t = 1.
+so each orbit takes one series pass, at t = 1.  CalibratedCurve._record
+makes these checks, exact ones first, and keeps one frozen TwistRecord.
 
 The scale c and the ratio r are calibrated once per curve from the first
 several character orbits.  Their rows give the product c r, read off the
@@ -97,7 +98,7 @@ above ell is just summing the coset sums mod ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -131,7 +132,8 @@ _S_ERR = 2e-6        # propagated numeric error budget for coset sums
 # series parameters whose central values t_independence compares
 _T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
 _SCALE_FLOOR = min(SCALES)
-# calibrate probes the first 10 orbits prime to the level below 400
+# calibrate probes the first 10 orbits prime to the level, in a conductor
+# window that starts at 400 and doubles until it holds them
 _PROBE_ORBITS = 10
 _PROBE_BOUND = 400
 # roundoff of a double-double bucket, relative to the sum of |terms|
@@ -414,16 +416,14 @@ def hecke_factor(curve: Curve, f: int, ell: int) -> int:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistRows:
-    """Unscaled lattice rows 2 f L(chi^j) / (Omega tau(chi^j)) plus the raw
-    central value of the orbit representative and its tail bound; the exact
-    coset sums are filled in once they have been checked."""
+    """Unscaled lattice rows 2 f L(chi^j) / (Omega tau(chi^j)) of an orbit,
+    the raw central value of its representative and their tail bound."""
 
     rows: dict
     l_value: complex
     l_err: float
-    sums: CosetSums | None = None
 
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
@@ -456,13 +456,24 @@ def _series_residual(rows: dict, sums: tuple[int, ...], scale: Fraction,
 
 
 @dataclass(frozen=True)
-class CosetSums:
-    """Integer coset sums of one character orbit, with their exact seed."""
+class TwistRecord:
+    """One checked character orbit: its exact coset sums, the trivial
+    component they total, the worst miss of the series' sums against them,
+    and the representative's central value with its tail bound."""
 
+    curve_label: str
     chi: DirichletChar          # canonical orbit representative
-    sums: tuple[int, ...]       # S_t for t = 0..ell-1
+    sums: tuple[int, ...]       # S_t = r M_t for t = 0..ell-1
     a0: int                     # exact trivial-component sum
     max_residual: float         # worst |S^num_t - S_t|, an internal health stat
+    L_value: complex
+    error_bound: float
+    precision_used: int
+
+    @property
+    def decision(self) -> str:
+        """vanishes | nonzero, by vanishing_decision."""
+        return vanishing_decision(self)
 
     def lalg_mod_ell(self) -> int:
         """Algebraic part reduced at the prime above ell (zeta -> 1)."""
@@ -472,27 +483,13 @@ class CosetSums:
         """L(E, 1, chi) = 0 holds exactly when all coset sums agree."""
         return len(set(self.sums)) == 1
 
-
-@dataclass(frozen=True)
-class TwistRecord:
-    """One decided twist: the numeric value, its tail bound, and the exact
-    coset sums behind it."""
-
-    curve_label: str
-    chi: DirichletChar
-    L_value: complex
-    error_bound: float
-    coset_sums: CosetSums
-    decision: str                # vanishes | nonzero
-    precision_used: int
-
     def as_dict(self) -> dict:
         return {
             "curve": self.curve_label,
             "character": self.chi.label(),
             "L_value": [self.L_value.real, self.L_value.imag],
             "error_bound": self.error_bound,
-            "coset_sums": list(self.coset_sums.sums),
+            "coset_sums": list(self.sums),
             "decision": self.decision,
             "precision_digits": self.precision_used,
         }
@@ -502,7 +499,7 @@ def vanishing_decision(record: TwistRecord) -> str:
     """Classify a twist record.  Vanishing is an exact statement (constant
     coset-sum vector); an exactly nonzero part whose numeric value does not
     clear its error bound by a factor of 10 raises ConsistencyError."""
-    if record.coset_sums.is_vanishing():
+    if record.is_vanishing():
         return "vanishes"
     if abs(record.L_value) > 10 * record.error_bound:
         return "nonzero"
@@ -570,9 +567,9 @@ class CalibratedCurve:
         self.r = r                      # S_t = r M_t on every orbit
         self.symbols = plus_symbols(curve)
         self.base_dps = base_dps
-        # per canonical chi: the twist series and, once solved, the coset
-        # sums; calibrate seeds it with its probe orbits
-        self._twists: dict[DirichletChar, TwistRows] = {}
+        # the checked record of each canonical chi asked for; calibrate
+        # seeds it with its probe orbits
+        self._records: dict[DirichletChar, TwistRecord] = {}
 
     def __repr__(self):
         return (f"CalibratedCurve({self.curve!r}, ell={self.ell}, "
@@ -586,50 +583,47 @@ class CalibratedCurve:
         """A_0(f), exactly, by the multiplicative recursion."""
         return self.lalg0 * hecke_factor(self.curve, f, self.ell)
 
-    def _twist(self, chi: DirichletChar) -> TwistRows:
-        if chi not in self._twists:
-            self._twists[chi] = _twist_rows(self.curve, chi, self.base_dps)
-        return self._twists[chi]
+    def _record(self, chi: DirichletChar,
+                rows: TwistRows | None = None) -> TwistRecord:
+        """Check the canonical orbit chi, exact side first: S_t = r M_t must
+        be integers that total A_0; only then do its series rows (one pass
+        at t = 1, or a probe's rows from calibrate) have to give each S_t
+        within _S_TOL.  A miss raises ConsistencyError."""
+        a0 = self.trivial_coset_sum(chi.conductor)
+        exact = [self.r * m for m in self.symbols.orbit_sums(chi)]
+        shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
+        if any(s.denominator != 1 for s in exact):
+            raise ConsistencyError(f"coset sums {shown} are not integers")
+        if sum(exact) != a0:
+            raise ConsistencyError(
+                f"coset sums {shown} total {sum(exact)} but the exact "
+                f"recursion gives {a0}")
+        sums = tuple(int(s) for s in exact)
+        if rows is None:
+            rows = _twist_rows(self.curve, chi, self.base_dps)
+        worst = _series_residual(rows.rows, sums, self.scale, self.base_dps)
+        if worst > _S_TOL:
+            raise ConsistencyError(
+                f"series coset sums of {chi.label()} differ from {shown} "
+                f"by {worst:.3g}")
+        return TwistRecord(self.label, chi, sums, a0, worst, rows.l_value,
+                           rows.l_err, self.base_dps)
 
-    def coset_sums(self, chi: DirichletChar) -> CosetSums:
-        """Exact integer coset sums S_t = r M_t for the orbit of chi, from
-        its plus modular symbols, with alarms: they must be integers that
-        total the exact trivial component, and the series' inverse
-        transform at the calibrated scale must land within _S_TOL of each."""
+    def coset_sums(self, chi: DirichletChar) -> TwistRecord:
+        """The checked record of the orbit of chi, built once by _record."""
         chi = chi.canonical()
-        numeric = self._twist(chi)
-        if numeric.sums is None:
-            a0 = self.trivial_coset_sum(chi.conductor)
-            exact = [self.r * m for m in self.symbols.orbit_sums(chi)]
-            shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
-            if any(s.denominator != 1 for s in exact):
-                raise ConsistencyError(f"coset sums {shown} are not integers")
-            if sum(exact) != a0:
-                raise ConsistencyError(
-                    f"coset sums {shown} total {sum(exact)} but the exact "
-                    f"recursion gives {a0}")
-            sums = tuple(int(s) for s in exact)
-            worst = _series_residual(numeric.rows, sums, self.scale,
-                                     self.base_dps)
-            if worst > _S_TOL:
-                raise ConsistencyError(
-                    f"series coset sums of {chi.label()} differ from {shown} "
-                    f"by {worst:.3g}")
-            numeric.sums = CosetSums(chi, sums, a0, worst)
-        return numeric.sums
+        if chi not in self._records:
+            self._records[chi] = self._record(chi)
+        return self._records[chi]
 
     def twist_record(self, chi: DirichletChar) -> TwistRecord:
-        """Decide L(E, 1, chi) from its exact coset sums; the orbit's one
-        series pass at the base precision gives the value and its tail
-        bound.  The error budget, hence the series length, does not depend
-        on the precision, so a second pass could not change the decision.
-        Coset sums that fail their checks, and an exactly nonzero part with
-        |L| within noise, raise ConsistencyError."""
-        chi = chi.canonical()
-        numeric = self._twist(chi)
-        record = TwistRecord(self.label, chi, numeric.l_value, numeric.l_err,
-                             self.coset_sums(chi), "", self.base_dps)
-        return replace(record, decision=vanishing_decision(record))
+        """The record of coset_sums once vanishing_decision accepts it: an
+        exactly nonzero part with |L| within noise raises ConsistencyError.
+        The series length does not depend on the precision, so no second
+        pass could change the decision."""
+        record = self.coset_sums(chi)
+        vanishing_decision(record)
+        return record
 
     def congruence_check(self, chi: DirichletChar | None,
                          psi: DirichletChar) -> CongruenceResult:
@@ -681,17 +675,17 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
     first of SCALES (the coarsest usable lattice) for which c r g / c is an
     integer n; then r = n / g and L0 = r phi((1:0)).  The untwisted series
     must give L0 at scale c within _S_TOL, and every probe must pass the
-    checks of coset_sums, which the probes' twist series and sums are
-    handed to.
+    checks of CalibratedCurve._record on the rows computed here.  The
+    probe window starts at _PROBE_BOUND and doubles until it holds them.
     """
     key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
         return _CALIBRATIONS[key]
-    reps = [r for r in orbit_representatives(ell, _PROBE_BOUND)
-            if gcd(r.conductor, curve.conductor) == 1][:_PROBE_ORBITS]
-    if len(reps) < _PROBE_ORBITS:
-        raise CalibrationError(
-            f"only {len(reps)} orbits below conductor {_PROBE_BOUND}")
+    bound, reps = _PROBE_BOUND, []
+    while len(reps) < _PROBE_ORBITS:
+        reps = [r for r in orbit_representatives(ell, bound)
+                if gcd(r.conductor, curve.conductor) == 1][:_PROBE_ORBITS]
+        bound *= 2
     with mpmath.workdps(dps):
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))
@@ -742,10 +736,9 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
             f"untwisted part {float(untwisted):.6g} at scale {c} is not "
             f"L0 = r phi((1:0)) = {l0} of the plus modular symbols, r = {r}")
     cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
-    cal._twists.update(probes)
     for rep in reps:
         try:
-            cal.coset_sums(rep)
+            cal._records[rep] = cal._record(rep, probes[rep])
         except ConsistencyError as exc:
             raise CalibrationError(f"probe {rep.label()} fails its check "
                                    f"against the plus modular symbols: "

@@ -573,6 +573,30 @@ class TestCommandLine:
         assert code == 0
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
+    def test_report_bound_drops_the_rows_above_it(self, tmp_path, capsys):
+        # report --max-conductor X counts and writes only the rows at or
+        # below X, the CSV that census writes at X; it once kept the rows
+        # at 19 and 31 of a journal to 31 and reported 5 orbits
+        run_census(E37B_CONFIG, 3, 31, out=tmp_path / "full.csv")
+        run_census(E37B_CONFIG, 3, 13, out=tmp_path / "cut.csv")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "full.csv.log"),
+                     "--max-conductor", "13", "--out",
+                     str(tmp_path / "again.csv")]) == 0
+        assert "orbits: 3 (" in capsys.readouterr().out
+        assert (tmp_path / "again.csv").read_bytes() == \
+            (tmp_path / "cut.csv").read_bytes()
+
+    def test_census_at_order_eleven_exits_zero(self, tmp_path, capsys):
+        # 400 holds only 8 probe orbits of order 11, which once ended every
+        # command at --ell 11 in a calibration error (exit 2)
+        out = tmp_path / "e.csv"
+        assert main(["census", "--curve", "curves/37b.cfg", "--ell", "11",
+                     "--max-conductor", "100", "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in
+                out.read_text().splitlines()[1:]] == ["23", "67", "89"]
+        assert "alarms 0" in capsys.readouterr().out
+
     def test_report_names_the_curve_and_order(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)

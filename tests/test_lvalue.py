@@ -12,6 +12,7 @@ The congruence sweep gets a deliberate fault injection so a silent pass
 cannot hide a broken multiplier.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -25,8 +26,8 @@ from elltwists.dirichlet import (DirichletChar, galois_orbits,
                                   orbit_representatives)
 from elltwists.elliptic import Curve
 from elltwists.modsym import PlusSymbols
-from elltwists.lvalue import (CalibrationError, ConsistencyError, CosetSums,
-                              TwistRecord, calibrate, central_value,
+from elltwists.lvalue import (CalibrationError, ConsistencyError,
+                              TwistRecord, TwistRows, calibrate, central_value,
                               central_values, hecke_factor, t_independence,
                               vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
@@ -222,7 +223,7 @@ class TestTDriftAlarm:
                 alarms += 1
                 continue
             assert record.decision == truth[chi].decision == "vanishes"
-            assert record.coset_sums.sums == truth[chi].coset_sums.sums
+            assert record.sums == truth[chi].sums
             assert abs(abs(record.L_value) - abs(truth[chi].L_value)) <= \
                 record.error_bound
         assert (len(orbits), alarms) == (11, 8)
@@ -475,13 +476,27 @@ class TestCalibration:
         assert cal_a.scale == Fraction(2)
         assert cal_a.lalg0 == 0
 
-    def test_needs_enough_orbits(self, monkeypatch):
-        # three orbits below 13 cannot fill the ten probes; the memo is
-        # emptied so the cached calibration does not answer instead
+    def test_probe_window_widens_until_it_holds_the_probes(self,
+                                                            monkeypatch):
+        # three orbits below 13 cannot fill the ten probes, so the window
+        # doubles until it holds them and freezes the same scale, r and L0;
+        # the memo is emptied so the cached calibration does not answer
+        probes = set(probe_orbits(3))
         monkeypatch.setattr(lvalue, "_PROBE_BOUND", 13)
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
-        with pytest.raises(CalibrationError):
-            calibrate(E37B, 3)
+        cal = calibrate(E37B, 3)
+        assert set(cal._records) == probes
+        assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
+
+    @pytest.mark.parametrize("ell,tenth", [(11, 463), (13, 599)])
+    def test_large_orders_find_ten_probes(self, ell, tenth, monkeypatch):
+        # 400 holds only 8 orbits of order 11 and 6 of order 13 prime to 37;
+        # the doubled window finds ten and the same lattice as ell = 3
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        cal = calibrate(E37B, ell)
+        assert len(cal._records) == 10
+        assert max(chi.conductor for chi in cal._records) == tenth
+        assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
 
     def test_root_number_is_part_of_the_calibration(self, cal_b):
         # the true curve's calibration must not stand in for the same model
@@ -507,8 +522,8 @@ class TestCalibration:
         # orbit vanish, so the symbols' nonzero transform refuses it
         def tiny(curve, chi, dps):
             out = REAL_TWIST_ROWS(curve, chi, dps)
-            out.rows = {j: 1e-6 * row for j, row in out.rows.items()}
-            return out
+            return TwistRows({j: 1e-6 * row for j, row in out.rows.items()},
+                             out.l_value, out.l_err)
         monkeypatch.setattr(lvalue, "_twist_rows", tiny)
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="probe rows vanish"):
@@ -635,15 +650,35 @@ class TestTwistDecisions:
         orbits = [chi for chi in orbit_representatives(ell, 200)
                   if chi.conductor % 37][:2]
         for chi in orbits:
-            dd, mp = (fresh_calibration(cal, curve, dps) for dps in (50, 80))
-            assert dd._twist(chi).l_err == mp._twist(chi).l_err
-            for j, row in dd._twist(chi).rows.items():
-                assert abs(row - mp._twist(chi).rows[j]) <= 1e-25, \
-                    (chi.label(), j)
-            low, high = dd.coset_sums(chi), mp.coset_sums(chi)
+            dd, mp = (lvalue._twist_rows(curve, chi, dps) for dps in (50, 80))
+            assert dd.l_err == mp.l_err
+            for j, row in dd.rows.items():
+                assert abs(row - mp.rows[j]) <= 1e-25, (chi.label(), j)
+            low, high = (fresh_calibration(cal, curve, dps).coset_sums(chi)
+                         for dps in (50, 80))
             assert low.sums == high.sums
             assert low.max_residual < 1e-4
             assert abs(low.max_residual - high.max_residual) <= 1e-20
+
+    def test_decided_orbits_keep_under_a_kilobyte(self, cal_b):
+        # a decided orbit keeps its frozen record and none of its series
+        # rows: under 1 KB each over the 44 orbits from conductor 400 to 700,
+        # with the a_n table warmed first; a record is about 0.8 KB, and
+        # about 2 KB with its rows
+        orbits = [chi for chi in orbit_representatives(3, 700)
+                  if chi.conductor >= 400 and chi.conductor % 37]
+        fresh_calibration(cal_b).twist_record(orbits[-1])
+        cal = fresh_calibration(cal_b)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for chi in orbits:
+                cal.twist_record(chi)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(orbits) == 44
+        assert kept / len(orbits) < 1024
 
     def test_unrounded_orbit_alarms_after_one_pass(self, cal_b, monkeypatch):
         # an orbit whose series misses r M_t (forced here by a zero
@@ -664,19 +699,25 @@ class TestTwistDecisions:
         assert tried == [50]
 
     def test_non_integral_symbol_sums_raise(self, cal_a, monkeypatch):
-        # r = -1/2 on 37a, so an odd M_0 leaves r M_0 off the integers
+        # r = -1/2 on 37a, so an odd M_0 leaves r M_0 off the integers, and
+        # M_0 + 2 misses A_0 by one; either raises before any series pass
         chi = next(chi for chi in orbit_representatives(3, 200)
                    if chi.conductor % 37 and chi not in probe_orbits(3))
         real = PlusSymbols.orbit_sums
         assert real(cal_a.symbols, chi)[0] % 2 == 0
-
-        def odd_first(sym, psi):
-            sums = real(sym, psi)
-            return (sums[0] + 1,) + sums[1:] if psi == chi else sums
-        monkeypatch.setattr(PlusSymbols, "orbit_sums", odd_first)
         assert cal_a.r == Fraction(-1, 2)
-        with pytest.raises(ConsistencyError, match="are not integers"):
-            fresh_calibration(cal_a, E37A).coset_sums(chi)
+
+        def no_series(*args):
+            raise AssertionError("a series pass ran before the exact checks")
+        monkeypatch.setattr(lvalue, "_twist_rows", no_series)
+        for shift, match in ((1, "are not integers"),
+                             (2, "exact recursion gives")):
+            def shifted(sym, psi, shift=shift):
+                sums = real(sym, psi)
+                return (sums[0] + shift,) + sums[1:] if psi == chi else sums
+            monkeypatch.setattr(PlusSymbols, "orbit_sums", shifted)
+            with pytest.raises(ConsistencyError, match=match):
+                fresh_calibration(cal_a, E37A).coset_sums(chi)
 
     def test_failed_cross_check_raises(self, cal_b, monkeypatch):
         # conjugate rows that disagree miss the exact sums r M_t: an
@@ -688,8 +729,7 @@ class TestTwistDecisions:
 
     def test_decision_policy_truth_table(self):
         def rec(value, err, sums):
-            cs = CosetSums(CHI7, sums, sum(sums), 0.0)
-            return TwistRecord("x", CHI7, value, err, cs, "", 50)
+            return TwistRecord("x", CHI7, sums, sum(sums), 0.0, value, err, 50)
 
         assert vanishing_decision(rec(0j, 1e-10, (3, 3, 3))) == "vanishes"
         assert vanishing_decision(rec(1.0 + 0j, 1e-10, (1, 2, 3))) == "nonzero"
