@@ -21,12 +21,14 @@ from math import gcd
 from pathlib import Path
 
 from .cubicfield import CubicField
-from .dirichlet import DirichletChar, admissible_conductors, galois_orbits
+from .dirichlet import (DirichletChar, admissible_conductors, galois_orbits,
+                        orbit_representatives)
 from .elliptic import Curve, PointCountError
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, ConsistencyError,
                      calibrate, t_independence)
+from .modsym import MAX_LEVEL
 
 
 class ConfigError(Exception):
@@ -66,6 +68,10 @@ class CurveConfig:
     precision_digits: int = 50
 
     def __post_init__(self):
+        if self.conductor > MAX_LEVEL:
+            raise ConfigError(
+                f"conductor {self.conductor} is above MAX_LEVEL = {MAX_LEVEL}, "
+                f"the largest level the dense modular-symbol solver holds")
         try:
             self.curve()
         except ValueError as exc:
@@ -479,14 +485,10 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
                     dps=config.precision_digits)
     level = config.conductor
 
-    psis = [psi for f in admissible_conductors(ell, bound)
-            if gcd(f, level) == 1
-            for psi in galois_orbits(f, ell)
-            if len(psi.components) == 1]
-    chis: list[DirichletChar | None] = [None]
-    for f in admissible_conductors(ell, bound):
-        if gcd(f, level) == 1:
-            chis.extend(galois_orbits(f, ell))
+    orbits = [chi for chi in orbit_representatives(ell, bound)
+              if gcd(chi.conductor, level) == 1]
+    psis = [psi for psi in orbits if len(psi.components) == 1]
+    chis: list[DirichletChar | None] = [None, *orbits]
 
     results = []
     for chi in chis:

@@ -1,17 +1,18 @@
 """Dirichlet characters of odd prime order ell.
 
 A primitive character of order ell has conductor f = q_1 ... q_k or
-ell^2 * q_1 ... q_k with the q_i distinct primes = 1 mod ell.  Each prime
-piece is cyclic, so the character is stored as generator-exponent data:
-one component (q, m, g, e) per prime q | f, where m is the prime-power
-modulus (q, or ell^2 when q = ell), g generates (Z/m)^* and e in
-{1, ..., ell-1} is the exponent, and
+ell^2 * q_1 ... q_k with the q_i distinct primes = 1 mod ell
+(conductor_primes is the one copy of that rule).  Each prime piece is
+cyclic, so the character is stored as one (q, e) pair per prime q | f,
+sorted by prime, with e in {1, ..., ell-1} the exponent, and
 
     chi(a) = zeta_ell ^ sum_i e_i * ind_{g_i}(a mod m_i)   (mod ell),
 
-with chi(a) = 0 whenever gcd(a, f) > 1.  g is primitive_root(m), and nothing
-else is kept per modulus: exponent_table and value_exponent compute exponents
-per call, by two independent routes.  Characters of odd order are
+with chi(a) = 0 whenever gcd(a, f) > 1.  The prime-power modulus m (q, or
+ell^2 when q = ell) and the generator g = primitive_root(m) of (Z/m)^* are
+derived from q, never stored, and nothing else is kept per modulus:
+exponent_table and value_exponent compute exponents per call, by two
+independent routes.  Characters of odd order are
 automatically even, and f is odd, so c and f - c share an exponent: one pass
 over the real Gaussian periods
 
@@ -30,7 +31,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import mpmath
 import numpy as np
@@ -58,54 +60,50 @@ def primitive_root(m: int) -> int:
     return g if pow(g, p - 1, p * p) != 1 else g + p
 
 
+def _carries_order(q: int, ell: int) -> bool:
+    """Whether some primitive order-ell character lives on the prime q:
+    q is prime, and q = ell (modulus ell^2) or q = 1 mod ell."""
+    return is_prime(q) and (q == ell or q % ell == 1)
+
+
+def _unit_group(q: int, ell: int) -> tuple[int, int]:
+    """(m, g) of the component at q: the prime-power modulus m, q or ell^2
+    when q = ell, and the generator g = primitive_root(m) of (Z/m)^*."""
+    m = q * q if q == ell else q
+    return m, primitive_root(m)
+
+
 @dataclass(frozen=True)
 class DirichletChar:
     """Primitive Dirichlet character of order exactly ell (odd prime)."""
 
     ell: int
-    # one (q, modulus, generator, exponent) per prime dividing the conductor
-    components: tuple[tuple[int, int, int, int], ...]
+    # one (prime, exponent) pair per prime dividing the conductor, by prime
+    components: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not is_prime(self.ell) or self.ell == 2:
             raise ValueError("order must be an odd prime")
         if not self.components:
             raise ValueError("the trivial character is excluded")
-        seen = set()
-        for q, m, g, e in self.components:
-            if q in seen:
-                raise ValueError(f"repeated prime {q}")
-            seen.add(q)
-            if q == self.ell:
-                if m != q * q:
-                    raise ValueError("wild component must have modulus ell^2")
-            else:
-                if m != q or (q - 1) % self.ell != 0:
-                    raise ValueError(f"prime {q} is not 1 mod {self.ell}")
-            if g != primitive_root(m):
-                raise ValueError(f"generator {g} mod {m} is not "
-                                 f"primitive_root({m})")
+        primes = [q for q, _ in self.components]
+        if any(a >= b for a, b in zip(primes, primes[1:])):
+            raise ValueError("component primes must strictly increase")
+        for q, e in self.components:
+            if not _carries_order(q, self.ell):
+                raise ValueError(f"{q} is not a prime carrying order {self.ell}")
             if not 1 <= e < self.ell:
                 raise ValueError("component exponents lie in 1..ell-1")
-        if tuple(sorted(seen)) != tuple(q for q, _, _, _ in self.components):
-            raise ValueError("components must be sorted by prime")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_exponents(cls, ell: int, primes_exps: dict[int, int]) -> "DirichletChar":
-        comps = []
-        for q in sorted(primes_exps):
-            m = q * q if q == ell else q
-            comps.append((q, m, primitive_root(m), primes_exps[q] % ell))
-        return cls(ell, tuple(comps))
+        return cls(ell, tuple((q, primes_exps[q] % ell) for q in sorted(primes_exps)))
 
     @property
     def conductor(self) -> int:
-        out = 1
-        for _, m, _, _ in self.components:
-            out *= m
-        return out
+        return prod(_unit_group(q, self.ell)[0] for q, _ in self.components)
 
     # -- evaluation --------------------------------------------------------
 
@@ -113,9 +111,10 @@ class DirichletChar:
         """k with chi(a) = zeta^k, or None when chi(a) = 0: with
         h = phi(m) / ell, a^h is the power (g^h)^(ind(a) mod ell) of g^h."""
         total = 0
-        for q, m, g, e in self.components:
+        for q, e in self.components:
             if a % q == 0:
                 return None
+            m, g = _unit_group(q, self.ell)
             h = (m - m // q) // self.ell
             powers = [pow(g, h * j, m) for j in range(self.ell)]
             total += e * powers.index(pow(a, h, m))
@@ -132,7 +131,8 @@ class DirichletChar:
         period is repeated out to the limit."""
         n = np.arange(min(self.conductor, limit + 1), dtype=np.int64)
         total = np.zeros(len(n), dtype=np.int64)
-        for _, m, g, e in self.components:
+        for q, e in self.components:
+            m, g = _unit_group(q, self.ell)
             _, small, big = power_tables(g, 1, lambda a, b: a * b % m, m)
             units = np.multiply.outer(np.array(big), np.array(small)).ravel() % m
             ind = np.full(m, -1, dtype=np.int64)
@@ -155,9 +155,7 @@ class DirichletChar:
         if j == 0:
             raise ValueError("chi^0 is the trivial character")
         return DirichletChar(
-            self.ell,
-            tuple((q, m, g, e * j % self.ell) for q, m, g, e in self.components),
-        )
+            self.ell, tuple((q, e * j % self.ell) for q, e in self.components))
 
     def conjugate(self) -> "DirichletChar":
         return self.power(self.ell - 1)
@@ -180,13 +178,10 @@ class DirichletChar:
         """Lex-smallest exponent vector in the orbit; orbit's stable name.
         chi^j runs the first exponent e_1 over all of 1..ell-1, so the
         least member is the one with e_1 = 1, chi^(1/e_1 mod ell)."""
-        return self.power(pow(self.components[0][3], -1, self.ell))
-
-    def exponents(self) -> tuple[tuple[int, int], ...]:
-        return tuple((q, e) for q, _, _, e in self.components)
+        return self.power(pow(self.components[0][1], -1, self.ell))
 
     def label(self) -> str:
-        inner = ", ".join(f"{q}:{e}" for q, e in self.exponents())
+        inner = ", ".join(f"{q}:{e}" for q, e in self.components)
         return f"({self.conductor}; {inner})"
 
     @classmethod
@@ -253,39 +248,31 @@ def admissible_conductors(ell: int, bound: int) -> list[int]:
     return sorted(f for f in set(out) if f > 1)
 
 
+def conductor_primes(f: int, ell: int) -> tuple[int, ...]:
+    """The primes of f when f is the conductor of a primitive order-ell
+    character: q = ell needs exponent 2; any other q needs exponent 1 and
+    q = 1 mod ell."""
+    pairs = factor(f).pairs
+    if not pairs or any(not _carries_order(q, ell) or k != 1 + (q == ell)
+                        for q, k in pairs):
+        raise ValueError(f"{f} is not an admissible conductor for order {ell}")
+    return tuple(q for q, _ in pairs)
+
+
 def characters_of_conductor(f: int, ell: int) -> list[DirichletChar]:
-    """All (ell-1)^k primitive order-ell characters of conductor f."""
-    fac = factor(f)
-    primes = []
-    for p, e in fac.pairs:
-        if p == ell:
-            if e != 2:
-                raise ValueError(f"{f} is not an admissible conductor for order {ell}")
-            primes.append(p)
-        elif e == 1 and p % ell == 1:
-            primes.append(p)
-        else:
-            raise ValueError(f"{f} is not an admissible conductor for order {ell}")
-    chars: list[DirichletChar] = []
-
-    def rec(i: int, exps: dict[int, int]):
-        if i == len(primes):
-            chars.append(DirichletChar.from_exponents(ell, dict(exps)))
-            return
-        for e in range(1, ell):
-            exps[primes[i]] = e
-            rec(i + 1, exps)
-        del exps[primes[i]]
-
-    rec(0, {})
-    return chars
+    """All (ell-1)^k primitive order-ell characters of conductor f, in
+    exponent-vector order."""
+    primes = conductor_primes(f, ell)
+    return [DirichletChar(ell, tuple(zip(primes, exps)))
+            for exps in product(range(1, ell), repeat=len(primes))]
 
 
 def galois_orbits(f: int, ell: int) -> list[DirichletChar]:
     """Canonical representatives of the (ell-1)^(k-1) orbits of conductor f:
     the characters with first exponent 1, in exponent-vector order."""
-    return [chi for chi in characters_of_conductor(f, ell)
-            if chi.components[0][3] == 1]
+    first, *rest = conductor_primes(f, ell)
+    return [DirichletChar(ell, ((first, 1), *zip(rest, exps)))
+            for exps in product(range(1, ell), repeat=len(rest))]
 
 
 def orbit_representatives(ell: int, conductor_bound: int) -> list[DirichletChar]:

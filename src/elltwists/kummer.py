@@ -27,7 +27,7 @@ from .cubicfield import CubicField, FieldElt, NumberField, field_invariants
 from .elliptic import Curve, is_nontorsion, on_curve
 from .numcore import (Factorization, PolyQ, _monic_cubic_integer_roots,
                       cubic_discriminant, cubic_double_root, factor,
-                      is_perfect_square, sqrt_mod_prime)
+                      is_perfect_square)
 
 
 class SurfaceError(Exception):
@@ -254,8 +254,13 @@ def genus3_curve(A, B, t0) -> Genus3Fiber:
 
 
 def _cornacchia_3(p: int) -> tuple[int, int]:
-    """x, y with x^2 + 3 y^2 = p for a prime p = 1 mod 3."""
-    r = sqrt_mod_prime(p - 3, p)
+    """x, y with x^2 + 3 y^2 = p for a prime p = 1 mod 3.  Cornacchia starts
+    from sqrt(-3) = 2w + 1 mod p, w a cube root of unity other than 1:
+    (2w + 1)^2 = 4(w^2 + w) + 1 = -3."""
+    g = 2
+    while (w := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    r = (2 * w + 1) % p
     r = max(r, p - r)
     a, b = p, r
     while b * b > p:

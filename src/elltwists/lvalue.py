@@ -107,10 +107,10 @@ from math import gcd
 import mpmath
 import numpy as np
 
-from .dirichlet import DirichletChar, orbit_representatives
+from .dirichlet import DirichletChar, conductor_primes, orbit_representatives
 from .elliptic import Curve
 from .modsym import plus_symbols
-from .numcore import (RecognitionError, factor, power_tables, primes_up_to,
+from .numcore import (RecognitionError, power_tables, primes_up_to,
                       recognize_integer)
 
 
@@ -404,15 +404,10 @@ def t_independence(curve: Curve, chi: DirichletChar | None = None,
 def hecke_factor(curve: Curve, f: int, ell: int) -> int:
     """Exact multiplier turning L0 into the trivial-component sum A_0(f)."""
     out = 1
-    for p, e in factor(f).pairs:
+    for p in conductor_primes(f, ell):
         d = curve.delta_unit(p)
         ap = curve.ap(p)
-        if p == ell and e == 2:
-            out *= (ap - 1) * (ap - d) - d * ell
-        elif e == 1 and p % ell == 1 and p != ell:
-            out *= ap - 1 - d
-        else:
-            raise ValueError(f"{f} is not an admissible conductor for order {ell}")
+        out *= (ap - 1) * (ap - d) - d * ell if p == ell else ap - 1 - d
     return out
 
 

@@ -41,6 +41,11 @@ _P = 2 ** 31 - 1            # row reduction modulus; products fit int64
 _BOUND = isqrt(_P // 2)     # rational reconstruction: |num|, den <= _BOUND
 _MAX_HECKE_PRIME = 100      # Hecke operators tried before giving up
 
+# largest level a curve config may name: PlusSymbols is dense, its time
+# growing about as N^3 and its memory as N^2.  On a 2 vCPU Xeon it took
+# 3.4 s and a 60 MB peak at N = 389, and 59 s and 213 MB at N = 997.
+MAX_LEVEL = 1000
+
 
 def _merel_set(q: int) -> list[tuple[int, int, int, int]]:
     """X_q as (a, b, c, d); ad - bc >= a + d - 1 bounds a + d by q + 1."""

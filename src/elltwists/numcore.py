@@ -165,35 +165,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod prime p, or None if a is not a residue."""
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def power_tables(z, one, mul, M: int):
     """B = isqrt(M) + 1 and the powers z^s (s < B) and z^(qB) (q <= M // B),
     each mul (truncating in fixed point, or reducing mod m) of the entry

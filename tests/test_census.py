@@ -18,6 +18,7 @@ import elltwists
 import elltwists.census as census
 import elltwists.elliptic as elliptic
 import elltwists.lvalue as lvalue
+import elltwists.modsym as modsym
 from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
                               run_congruence_sweep, run_e37b, run_family)
@@ -85,6 +86,21 @@ class TestCurveConfig:
             GOOD_37B.replace("root_number = 1", "root_number = -1"))
         with pytest.raises(ConfigError, match="inconsistent"):
             config.validated_curve()
+
+    def test_level_above_max_level_refused(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 5077a is a valid curve, but its dense symbol solve would take
+        # hours and gigabytes: the config is refused before any is built
+        def no_symbols(*args):
+            raise AssertionError("PlusSymbols built for a refused level")
+        monkeypatch.setattr(modsym.PlusSymbols, "__init__", no_symbols)
+        cfg = tmp_path / "5077a.cfg"
+        cfg.write_text("label = 5077a\na_invariants = 0, 0, 1, -7, 6\n"
+                       "conductor = 5077\nroot_number = -1\n")
+        assert modsym.MAX_LEVEL < 5077
+        code = main(["census", "--curve", str(cfg), "--max-conductor", "13"])
+        assert code == 1
+        assert f"MAX_LEVEL = {modsym.MAX_LEVEL}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ import pytest
 
 from elltwists.dirichlet import (DirichletChar, admissible_conductors,
                                  characters_of_conductor, galois_orbits,
-                                 orbit_representatives, primitive_root)
+                                 orbit_representatives)
 from elltwists.numcore import factor, primes_up_to
 
 
@@ -119,6 +119,12 @@ class TestEnumeration:
         for f in range(2, 101):
             assert (expected_count(f, 3) > 0) == (f in admissible)
 
+    def test_inadmissible_conductors_rejected(self):
+        for f in (1, 3, 4, 25, 27, 49, 77):
+            for enumerate_ in (characters_of_conductor, galois_orbits):
+                with pytest.raises(ValueError, match="not an admissible"):
+                    enumerate_(f, 3)
+
     def test_orbit_counts(self):
         # ell - 1 conjugates per orbit, so orbits = characters / (ell - 1)
         for ell, f in [(3, 7), (3, 63), (3, 91), (5, 11), (5, 275)]:
@@ -150,7 +156,7 @@ class TestOrbitStructure:
         # oracle: the old definition, the lex-least exponent vector over
         # the whole orbit, and the set of those over all characters
         def exps(c):
-            return tuple(e for _, e in c.exponents())
+            return tuple(e for _, e in c.components)
 
         checked = 0
         for ell in (3, 5, 7):
@@ -248,22 +254,35 @@ class TestGaussSum:
 class TestValidation:
     def test_component_constraints(self):
         with pytest.raises(ValueError):
-            DirichletChar(3, ((5, 5, primitive_root(5), 1),))  # 5 != 1 mod 3
+            DirichletChar(3, ((5, 1),))  # 5 != 1 mod 3
         with pytest.raises(ValueError):
-            DirichletChar(3, ((3, 3, primitive_root(3), 1),))  # wild needs 9
-        with pytest.raises(ValueError):
-            DirichletChar(4, ((5, 5, primitive_root(5), 1),))  # order not odd prime
+            DirichletChar(4, ((5, 1),))  # order not odd prime
         with pytest.raises(ValueError):
             DirichletChar(3, ())
+        # the wild component is named by its prime; its modulus is ell^2
+        assert DirichletChar(3, ((3, 1),)).conductor == 9
 
-    def test_generator_must_be_the_primitive_root(self):
-        # 2 has order 3 mod 7 and would label itself (7; 7:1), with chi = 0
-        # on a unit; 5 generates mod 9 but is not the generator every label
-        # refers to
-        assert primitive_root(7) == 3 and primitive_root(9) == 2
-        for comps in (((7, 7, 2, 1),), ((3, 9, 5, 1),)):
-            with pytest.raises(ValueError, match="primitive_root"):
-                DirichletChar(3, comps)
+    @pytest.mark.parametrize("comps", [((25, 1),), ((91, 1),), ((9, 1),)])
+    def test_composite_component_rejected(self, comps):
+        # 25 and 91 are 1 mod 3 but not prime: the exponent table of a
+        # "(25; 25:1)" would not be multiplicative
+        with pytest.raises(ValueError, match="not a prime"):
+            DirichletChar(3, comps)
+
+    @pytest.mark.parametrize("label", ["(49; 49:1)", "(25; 25:1)", "(9; 9:1)"])
+    def test_composite_label_rejected(self, label):
+        # (49; 49:1) would name a character that factors through (Z/7)^*
+        with pytest.raises(ValueError):
+            DirichletChar.from_label(3, label)
+
+    @pytest.mark.parametrize("comps", [
+        ((7, 1), (7, 2)),              # repeated prime
+        ((13, 1), (7, 1)),             # unsorted primes
+        ((7, 0),), ((7, 3),),          # exponent 0 or ell
+    ])
+    def test_bad_pairs_rejected(self, comps):
+        with pytest.raises(ValueError):
+            DirichletChar(3, comps)
 
     def test_even_characters(self):
         # chi(-1) = chi((-1)^2)^... : order is odd so chi(-1) = 1 always

@@ -23,6 +23,7 @@ from elltwists.kummer import (
     Q_SQRT_MINUS_3 as K,
     SurfaceError,
     _check_model_scale,
+    _cornacchia_3,
     _e37b_pair,
     _e37b_row,
     _nodal_infinite_order,
@@ -39,7 +40,7 @@ from elltwists.kummer import (
     jacobian_curve,
     torsion_family,
 )
-from elltwists.numcore import Factorization, PolyQ, factor
+from elltwists.numcore import Factorization, PolyQ, factor, primes_up_to
 
 F = Fraction
 
@@ -374,6 +375,14 @@ class TestConicCriterion:
             m2 = sol.u_parameter(u)
             assert m2 is not None and sol.u_value(m2) == u
         assert sol.u_parameter(10 ** 6) is None  # out of the conic's reach
+
+
+def test_cornacchia_3_represents_every_prime():
+    # every prime p = 1 mod 3 is x^2 + 3 y^2 with x, y > 0
+    for p in primes_up_to(10 ** 4):
+        if p % 3 == 1:
+            x, y = _cornacchia_3(p)
+            assert x * x + 3 * y * y == p and x > 0 and y > 0
 
 
 def six_torsion_display(lam):

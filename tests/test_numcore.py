@@ -25,7 +25,6 @@ from elltwists.numcore import (
     is_prime,
     primes_up_to,
     recognize_integer,
-    sqrt_mod_prime,
     _bareiss_det,
 )
 
@@ -156,17 +155,6 @@ def test_factor_recombines_property(n):
     f = factor(n)
     assert f.n == n
     assert all(is_prime(p) for p in f.primes)
-
-
-def test_sqrt_mod_prime():
-    for p in primes_up_to(200):
-        residues = {x * x % p for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod_prime(a, p)
-            if a % p in residues:
-                assert r is not None and r * r % p == a % p
-            else:
-                assert r is None
 
 
 # ---------------------------------------------------------------------------
