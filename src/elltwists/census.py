@@ -200,9 +200,12 @@ class CensusRow:
         bound, sums = d.get("error_bound"), d.get("coset_sums")
         elapsed, error = d.get("elapsed", 0.0), d.get("error")
         alarm, curve, ell = d.get("alarm", False), d.get("curve"), d.get("ell")
+        # both keys came into the journal together: a row names both or neither
+        paired = (curve is None) == (ell is None)
         bad = [name for name, ok in (
             ("conductor", _numbers([conductor], int)),
-            ("character", isinstance(character, str)),
+            ("character", isinstance(character, str)
+             and character.startswith(f"({conductor};")),
             ("decision", decision in _DECISIONS),
             ("L_value", value is None or _numbers(value) and len(value) == 2),
             ("error_bound", bound is None or _numbers([bound])),
@@ -210,8 +213,8 @@ class CensusRow:
             ("elapsed", _numbers([elapsed])),
             ("error", error is None or isinstance(error, str)),
             ("alarm", isinstance(alarm, bool)),
-            ("curve", curve is None or isinstance(curve, str)),
-            ("ell", ell is None or _numbers([ell], int))) if not ok]
+            ("curve", paired and (curve is None or isinstance(curve, str))),
+            ("ell", paired and (ell is None or _numbers([ell], int)))) if not ok]
         if bad:
             raise ValueError(f"{', '.join(bad)} has the wrong shape")
         return cls(conductor, character, decision,
@@ -278,13 +281,13 @@ class CensusSummary:
         return "\n".join(lines)
 
 
-def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
+def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> CensusRow:
     """Decide one orbit.  Pure function of its arguments, safe to run in any
     process; failures become undecided rows, never exceptions, so a single
     bad orbit cannot abort a sweep."""
     start = time.perf_counter()
     try:
-        record = cal.twist_record(chi)
+        record = cal.coset_sums(chi)
         row = CensusRow(chi.conductor, chi.label(), record.decision,
                         record.L_value, record.error_bound, record.sums,
                         time.perf_counter() - start, curve=cal.label,
@@ -295,7 +298,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> dict:
                         error=f"{type(exc).__name__}: {exc}",
                         alarm=isinstance(exc, (ConsistencyError, PointCountError)),
                         curve=cal.label, ell=cal.ell)
-    return row.to_dict()
+    return row
 
 
 # the parent's calibration, handed to each pool worker once at start-up so
@@ -308,17 +311,18 @@ def _init_worker(cal: CalibratedCurve) -> None:
     _worker_cal = cal
 
 
-def _worker_task(chi: DirichletChar) -> dict:
+def _worker_task(chi: DirichletChar) -> CensusRow:
     return _census_task(_worker_cal, chi)
 
 
-def _read_journal(path: Path) -> dict[str, CensusRow]:
-    """Rows already decided in an append-only journal.  An unterminated
-    last line (a torn write) is ignored; any other line that is not a
-    well-formed row raises ConfigError naming it."""
+def _read_journal(path: Path) -> tuple[dict[str, CensusRow], tuple | None]:
+    """Rows already decided in an append-only journal, and the one (curve,
+    order) they name, None in journals that predate both keys.  A torn last
+    line is ignored; any other line that is not a well-formed row raises
+    ConfigError naming it, and so do rows of two runs."""
     done: dict[str, CensusRow] = {}
     if not path.exists():
-        return done
+        return done, None
     for lineno, line in enumerate(path.read_bytes().split(b"\n")[:-1], 1):
         if not line.strip():
             continue
@@ -328,7 +332,11 @@ def _read_journal(path: Path) -> dict[str, CensusRow]:
             raise ConfigError(f"journal {path} line {lineno} is not a census "
                               f"row: {exc}") from exc
         done[row.character] = row
-    return done
+    runs = {(r.curve, r.ell) for r in done.values()} - {(None, None)}
+    if len(runs) > 1:
+        named = "; ".join(f"curve {c}, order {e}" for c, e in sorted(runs, key=str))
+        raise ConfigError(f"journal {path} mixes the rows of {named}")
+    return done, (runs.pop() if runs else None)
 
 
 def _loglog_slope(counts, min_points: int) -> float | None:
@@ -394,11 +402,10 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     done: dict[str, CensusRow] = {}
     if journal is not None:
         if resume:
-            done = _read_journal(journal)
-            for row in done.values():
-                if (row.curve or cal.label, row.ell or ell) != (cal.label, ell):
-                    raise ConfigError(f"journal {journal} holds {row.character} "
-                                      f"of curve {row.curve}, order {row.ell}")
+            done, run = _read_journal(journal)
+            if run not in (None, (cal.label, ell)):
+                raise ConfigError(f"journal {journal} holds the rows of curve "
+                                  f"{run[0]}, order {run[1]}")
             if journal.exists():
                 # cut a torn last line, so appended rows start a line of
                 # their own instead of extending it
@@ -414,11 +421,11 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     start = time.perf_counter()
     fresh: list[CensusRow] = []
 
-    def _log(row_dict: dict):
-        fresh.append(CensusRow.from_dict(row_dict))
+    def _log(row: CensusRow):
+        fresh.append(row)
         if journal is not None:
             with journal.open("a") as fh:
-                fh.write(json.dumps(row_dict) + "\n")
+                fh.write(json.dumps(row.to_dict()) + "\n")
 
     # the pool starts every worker up front, so never more than there are
     # orbits to run or cores to run them on
@@ -584,7 +591,7 @@ def run_e37b(max_conductor: int,
         row = next(r for r in census.rows if r.conductor == f)
         fiber = _e37b_pair(row.a, row.b)
         chi = fiber.field.matching_character()
-        record = cal.twist_record(chi)
+        record = cal.coset_sums(chi)
         samples.append(E37bSample(f, row.a, row.b, chi.label(),
                                   record.decision))
         if record.decision != "vanishes":

@@ -162,7 +162,7 @@ def _cmd_twist_value(args) -> int:
         raise ConfigError(f"conductor {args.conductor} has "
                           f"{len(orbits)} orbits; index {args.orbit} is out "
                           f"of range")
-    record = cal.twist_record(orbits[args.orbit])
+    record = cal.coset_sums(orbits[args.orbit])
     for key, value in record.as_dict().items():
         print(f"{key}: {value}")
     return 0
@@ -230,16 +230,11 @@ def _cmd_report(args) -> int:
     out = Path(args.out) if args.out else None
     if out and out.exists() and out.samefile(journal):
         raise ConfigError(f"--out {out} is the journal being read")
-    rows = sorted(_read_journal(journal).values(),
-                  key=lambda r: r.sort_key)
-    if not rows:
+    done, run = _read_journal(journal)
+    if not done:
         raise ConfigError(f"journal {journal} holds no complete rows")
-    # rows written before the journal named its curve and order carry neither
-    runs = {(r.curve, r.ell) for r in rows} - {(None, None)}
-    if len(runs) > 1:
-        named = "; ".join(f"curve {c}, order {e}" for c, e in sorted(runs, key=str))
-        raise ConfigError(f"journal {journal} mixes the rows of {named}")
-    label, ell = runs.pop() if runs else ("(journal)", 0)
+    label, ell = run or ("(journal)", 0)
+    rows = sorted(done.values(), key=lambda r: r.sort_key)
     bound = args.max_conductor or max(r.conductor for r in rows)
     rows = [r for r in rows if r.conductor <= bound]
     counts, slope = _growth_counts(rows, bound)

@@ -26,13 +26,13 @@ orbit's real Gaussian periods (see Gauss sums below).  At t = 1 one bucket
 vector serves both series.
 
 A vectorised double-double kernel fills the buckets at every working
-precision (the config's floor of 15 digits and up): a_n / n is a (hi, lo)
-pair with an exact TwoProduct remainder, formed once per orbit; r^n =
-r^(qB) r^s is one Dekker product of two anchors from fixed-point integer
-powers of r; each term is one more Dekker product.  The terms go in
-fixed-size chunks; each chunk's share of a bucket is summed exactly by
-math.fsum and rounded to (hi, lo), and the chunk pairs are summed exactly
-and rounded once more.  Every term is within about 20 * 2^-106 of its exact
+precision (the config's floor of 15 digits and up).  The terms go in
+fixed-size chunks: in each, a_n / n is a (hi, lo) pair with an exact
+TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two anchors
+from fixed-point integer powers of r, and each term is one more Dekker
+product; _bucket_sums sums each bucket's share exactly by math.fsum and
+rounds it to (hi, lo), and the chunk pairs are summed exactly and rounded
+once more.  Every term is within about 20 * 2^-106 of its exact
 value, relatively, and each rounding of a pair costs at most 2^-106 of its
 sum, so
 
@@ -50,8 +50,8 @@ The Gauss sums are summed the same way.  The Gaussian periods
 eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) are summed in
 double-double: e(c/f) = e(qB/f) e(s/f) with B = isqrt(f // 2) + 1, both
 anchor tables are fixed-point Gaussian-integer powers of one value of e(1/f),
-each cosine is two Dekker products, and each period is summed exactly by
-math.fsum; then tau(chi^j) = 2 sum_k zeta^(jk) eta_k at mpmath precision.
+each cosine is two Dekker products, and _bucket_sums sums each period
+exactly; then tau(chi^j) = 2 sum_k zeta^(jk) eta_k at mpmath precision.
 The kernel's bound, _DD_ROUNDOFF times the sum of |terms| plus the anchors'
 fixed-point truncation, reaches L through eps, |d eps| <= 2 |d tau| / sqrt(f)
 times the second series' sum of |terms|, and raises ConsistencyError past
@@ -81,7 +81,9 @@ chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
 and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
 so each orbit takes one series pass, at t = 1.  CalibratedCurve._record
-makes these checks, exact ones first, and keeps one frozen TwistRecord.
+is the one place an orbit is checked and decided: it makes these checks,
+exact ones first, then asks vanishing_decision, whose noise alarm every
+caller of coset_sums (census, congruence, calibration probes) inherits.
 
 The scale c and the ratio r are calibrated once per curve from the first
 several character orbits.  Their rows give the product c r, read off the
@@ -214,24 +216,16 @@ def _dd_anchors(r, M: int):
     return B, _dd_table(small, K), _dd_table(big, K)
 
 
-class _SeriesTerms:
-    """The n <= M with a_n chi(n) != 0, their exponents k = ind(n) and a_n / n
-    as double-double pairs: formed once per call of central_values and shared
-    by its series radii."""
-
-    def __init__(self, curve: Curve, chi: DirichletChar | None, M: int):
-        exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
-                else chi.exponent_table(M))
-        an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
-                         count=M + 1)
-        self.n = np.flatnonzero((an != 0) & (exps >= 0))
-        self.k = exps[self.n]
-        a = an[self.n].astype(np.float64)
-        self.q_hi, self.q_lo = np.empty_like(a), np.empty_like(a)
-        for start in range(0, len(a), _DD_CHUNK):
-            part = slice(start, start + _DD_CHUNK)
-            self.q_hi[part], self.q_lo[part] = _dd_quotient(
-                a[part], self.n[part].astype(np.float64))
+def _series_terms(curve: Curve, chi: DirichletChar | None, M: int):
+    """(n, k, a_n): the n <= M with a_n chi(n) != 0, their exponents
+    k = ind(n) and a_n as exact floats, shared by the series radii of one
+    central_values call; the full-length tables die on return."""
+    exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
+            else chi.exponent_table(M))
+    an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
+                     count=M + 1)
+    n = np.flatnonzero((an != 0) & (exps >= 0))
+    return n, exps[n], an[n].astype(np.float64)
 
 
 def _dd_sum(parts: list[float]) -> tuple[float, float]:
@@ -242,29 +236,35 @@ def _dd_sum(parts: list[float]) -> tuple[float, float]:
     return hi, math.fsum(parts)
 
 
-def _dd_buckets(terms: _SeriesTerms, ell: int, r, M: int) -> tuple[list, float]:
-    """B_k(r) for k = 0..ell-1 in double-double arithmetic, and the size
-    sum_{n <= M} |(a_n / n) r^n| of their terms: _DD_ROUNDOFF times it
-    bounds their total roundoff.
+def _bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
+    """For j = 0..ell-1, the exact sum of the parts' entries where k = j,
+    rounded once to a double-double pair."""
+    return [_dd_sum(np.concatenate([p[k == j] for p in parts]).tolist())
+            for j in range(ell)]
+
+
+def _dd_buckets(terms: tuple, ell: int, r, M: int) -> tuple[list, float]:
+    """B_k(r) for k = 0..ell-1 in double-double arithmetic from the
+    _series_terms (n, k, a_n), and the size sum_{n <= M} |(a_n / n) r^n| of
+    their terms: _DD_ROUNDOFF times it bounds their total roundoff.
 
     r^n = r^(qB) r^s, one double-double product of two anchors.  The terms
     go in chunks of _DD_CHUNK, so no temporary grows with M; each chunk's
     share of a bucket is summed exactly and rounded once to a (hi, lo) pair,
     and the pairs once more."""
+    n, k, a = terms
     B, (sh, sl), (bh, bl) = _dd_anchors(r, M)
     pairs = [[] for _ in range(ell)]
     size = 0.0
-    cut = np.searchsorted(terms.n, M, side="right")
+    cut = np.searchsorted(n, M, side="right")
     for start in range(0, cut, _DD_CHUNK):
         part = slice(start, min(start + _DD_CHUNK, cut))
-        n, k = terms.n[part], terms.k[part]
-        q, s = np.divmod(n, B)
+        q, s = np.divmod(n[part], B)
         ph, pl = _dd_mul(bh[q], bl[q], sh[s], sl[s])
-        th, tl = _dd_mul(terms.q_hi[part], terms.q_lo[part], ph, pl)
+        th, tl = _dd_mul(*_dd_quotient(a[part], n[part]), ph, pl)
         size += float(np.abs(th).sum())
-        for j, pair in enumerate(pairs):
-            mask = k == j
-            pair.extend(_dd_sum(th[mask].tolist() + tl[mask].tolist()))
+        for pair, sums in zip(pairs, _bucket_sums(k[part], ell, th, tl)):
+            pair.extend(sums)
     return [mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)], size
 
 
@@ -305,26 +305,18 @@ def _dd_gauss_sums(chi: DirichletChar) -> tuple[dict, float]:
     ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
     mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
     size = float(np.abs(ph).sum() + np.abs(mh).sum())
-    eta = []
-    for j in range(ell):
-        mask = exps == j
-        hi, lo = _dd_sum(np.concatenate(
-            (ph[mask], pl[mask], -mh[mask], -ml[mask])).tolist())
-        eta.append(mpmath.mpf(hi) + lo)
-    zeta = _roots_of_unity(ell)
+    eta = [mpmath.mpf(hi) + lo
+           for hi, lo in _bucket_sums(exps, ell, ph, pl, -mh, -ml)]
+    zeta = _roots_of_unity(ell, mpmath.mp.prec)
     taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
             for j in range(1, ell)}
     trunc = math.ldexp(4 * (f + 2 * B), -K)
     return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
 
 
-def _roots_of_unity(ell: int) -> tuple:
-    """zeta^k = e^(2 pi i k / ell) for k = 0..ell-1, at the working precision."""
-    return _roots_at(ell, mpmath.mp.prec)
-
-
 @lru_cache(maxsize=None)
-def _roots_at(ell: int, prec: int) -> tuple:
+def _roots_of_unity(ell: int, prec: int) -> tuple:
+    """zeta^k = e^(2 pi i k / ell) for k = 0..ell-1, at prec bits."""
     with mpmath.workprec(prec):
         return tuple(mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell))
 
@@ -357,7 +349,7 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     if not t > 0:
         raise ValueError("t must be positive")
     (r1, M1), (r2, M2) = radii = _radii(N, f, t, err)
-    terms = _SeriesTerms(curve, chi, max(M1, M2))
+    terms = _series_terms(curve, chi, max(M1, M2))
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
     if r2 == r1:
         radii = radii[:1]
@@ -373,7 +365,7 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
             raise ConsistencyError(
                 f"{what} roundoff bound {bound:.3g} exceeds "
                 f"err / 100 = {float(err) / 100:.3g}")
-    zeta = _roots_of_unity(ell)
+    zeta = _roots_of_unity(ell, mpmath.mp.prec)
     out = {}
     for j, tau in taus.items():
         eps = w * zeta[j * k_n % ell] * tau * tau / f
@@ -443,18 +435,31 @@ def _series_residual(rows: dict, sums: tuple[int, ...], scale: Fraction,
     ell = len(sums)
     with mpmath.workdps(dps):
         inv_scale = mpmath.mpf(scale.denominator) / scale.numerator
-        zeta = _roots_of_unity(ell)
+        zeta = _roots_of_unity(ell, mpmath.mp.prec)
         return max(float(abs(
             (sum(sums) + inv_scale * mpmath.fsum(
                 zeta[j * t % ell] * rows[j] for j in range(1, ell))) / ell - s))
             for t, s in enumerate(sums))
 
 
+def vanishing_decision(chi: DirichletChar, sums: tuple[int, ...],
+                       value: complex, bound: float) -> str:
+    """vanishes or nonzero.  Vanishing is an exact statement (constant coset
+    sums); an exactly nonzero part whose value does not clear its error
+    bound by a factor of 10 raises ConsistencyError."""
+    if len(set(sums)) == 1:
+        return "vanishes"
+    if abs(value) > 10 * bound:
+        return "nonzero"
+    raise ConsistencyError(f"exact part of {chi.label()} is nonzero "
+                           f"but |L| is within noise")
+
+
 @dataclass(frozen=True)
 class TwistRecord:
-    """One checked character orbit: its exact coset sums, the trivial
-    component they total, the worst miss of the series' sums against them,
-    and the representative's central value with its tail bound."""
+    """One checked and decided character orbit: its exact coset sums, the
+    trivial component they total, the worst miss of the series' sums
+    against them, and the representative's central value and tail bound."""
 
     curve_label: str
     chi: DirichletChar          # canonical orbit representative
@@ -464,19 +469,11 @@ class TwistRecord:
     L_value: complex
     error_bound: float
     precision_used: int
-
-    @property
-    def decision(self) -> str:
-        """vanishes | nonzero, by vanishing_decision."""
-        return vanishing_decision(self)
+    decision: str               # vanishes | nonzero
 
     def lalg_mod_ell(self) -> int:
         """Algebraic part reduced at the prime above ell (zeta -> 1)."""
         return sum(self.sums) % self.chi.ell
-
-    def is_vanishing(self) -> bool:
-        """L(E, 1, chi) = 0 holds exactly when all coset sums agree."""
-        return len(set(self.sums)) == 1
 
     def as_dict(self) -> dict:
         return {
@@ -488,18 +485,6 @@ class TwistRecord:
             "decision": self.decision,
             "precision_digits": self.precision_used,
         }
-
-
-def vanishing_decision(record: TwistRecord) -> str:
-    """Classify a twist record.  Vanishing is an exact statement (constant
-    coset-sum vector); an exactly nonzero part whose numeric value does not
-    clear its error bound by a factor of 10 raises ConsistencyError."""
-    if record.is_vanishing():
-        return "vanishes"
-    if abs(record.L_value) > 10 * record.error_bound:
-        return "nonzero"
-    raise ConsistencyError(f"exact part of {record.chi.label()} is nonzero "
-                           f"but |L| is within noise")
 
 
 @dataclass(frozen=True)
@@ -580,10 +565,10 @@ class CalibratedCurve:
 
     def _record(self, chi: DirichletChar,
                 rows: TwistRows | None = None) -> TwistRecord:
-        """Check the canonical orbit chi, exact side first: S_t = r M_t must
-        be integers that total A_0; only then do its series rows (one pass
-        at t = 1, or a probe's rows from calibrate) have to give each S_t
-        within _S_TOL.  A miss raises ConsistencyError."""
+        """Check and decide the canonical orbit chi, exact side first:
+        S_t = r M_t must be integers that total A_0; only then do its series
+        rows (one pass at t = 1, or a probe's rows from calibrate) have to
+        give each S_t within _S_TOL, and vanishing_decision its decision."""
         a0 = self.trivial_coset_sum(chi.conductor)
         exact = [self.r * m for m in self.symbols.orbit_sums(chi)]
         shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
@@ -601,24 +586,16 @@ class CalibratedCurve:
             raise ConsistencyError(
                 f"series coset sums of {chi.label()} differ from {shown} "
                 f"by {worst:.3g}")
+        decision = vanishing_decision(chi, sums, rows.l_value, rows.l_err)
         return TwistRecord(self.label, chi, sums, a0, worst, rows.l_value,
-                           rows.l_err, self.base_dps)
+                           rows.l_err, self.base_dps, decision)
 
     def coset_sums(self, chi: DirichletChar) -> TwistRecord:
-        """The checked record of the orbit of chi, built once by _record."""
+        """The decided record of the orbit of chi, built once by _record."""
         chi = chi.canonical()
         if chi not in self._records:
             self._records[chi] = self._record(chi)
         return self._records[chi]
-
-    def twist_record(self, chi: DirichletChar) -> TwistRecord:
-        """The record of coset_sums once vanishing_decision accepts it: an
-        exactly nonzero part with |L| within noise raises ConsistencyError.
-        The series length does not depend on the precision, so no second
-        pass could change the decision."""
-        record = self.coset_sums(chi)
-        vanishing_decision(record)
-        return record
 
     def congruence_check(self, chi: DirichletChar | None,
                          psi: DirichletChar) -> CongruenceResult:
@@ -696,7 +673,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
     sums = {rep: symbols.orbit_sums(rep) for rep in reps}
     g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
     with mpmath.workdps(dps):
-        zeta = _roots_of_unity(ell)
+        zeta = _roots_of_unity(ell, mpmath.mp.prec)
         T, row = max(((mpmath.fsum(zeta[-j * t % ell] * m
                                    for t, m in enumerate(M)),
                        probes[rep].rows[j])

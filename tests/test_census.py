@@ -24,7 +24,7 @@ from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               run_congruence_sweep, run_e37b, run_family)
 from elltwists.cli import main
 from elltwists.dirichlet import galois_orbits
-from test_lvalue import skewed_twist_rows
+from test_lvalue import dead_value_rows, skewed_twist_rows
 
 REAL_HECKE_FACTOR = lvalue.hecke_factor
 
@@ -32,6 +32,7 @@ E37A_CONFIG = CurveConfig("37a", (Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(0)), 37, -1)
 REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
                          / "reference" / "census_ell3.csv")
+DATA = Path(__file__).resolve().parent / "data"
 
 GOOD_37B = """\
 label = 37b
@@ -262,16 +263,19 @@ class TestRunCensus:
         None, {"L_value": 5}, {"conductor": "9"}, {"coset_sums": [1, "x", 2]},
         {"decision": 5}, {"decision": "maybe"}, {"elapsed": "x"},
         {"alarm": 1}, {"error": 3}, {"curve": 37}, {"ell": "x"},
-        {"ell": True}], ids=[
+        {"ell": True}, {"conductor": 13}, {"curve": None},
+        {"ell": None}], ids=[
         "garbage", "L_value", "conductor", "coset_sums", "decision",
         "decision-word", "elapsed", "alarm", "error", "curve", "ell",
-        "ell-bool"])
+        "ell-bool", "conductor-label", "no-curve", "no-order"])
     def test_bad_journal_line_refused(self, tmp_path, capsys, edit):
         # a bad row anywhere but a torn last line fails the command and
         # leaves the journal as it was: it used to end the read there, so
         # report showed 1 orbit and resume appended 4 again on every run.
         # A bad elapsed, decision or order once passed the read and ended
-        # report in a traceback or printed "order x"
+        # report in a traceback or printed "order x"; a conductor that the
+        # label does not name was resumed into the CSV, and so was a row
+        # naming its order but not its curve, which report refused
         out = tmp_path / "b.csv"
         run_census(E37B_CONFIG, 3, 31, out=out)
         journal = tmp_path / "b.csv.log"
@@ -361,6 +365,17 @@ class TestRunCensus:
         summary = run_census(E37B_CONFIG, 3, 13, workers=10 ** 6, out=serial,
                              resume=True)
         assert (sizes, summary.resumed) == ([], 3)
+
+    @pytest.mark.parametrize("config,ell,bound,name", [
+        (E37B_CONFIG, 5, 1000, "census_37b_ell5.csv"),
+        (E37A_CONFIG, 7, 800, "census_37a_ell7.csv")],
+        ids=["37b-ell5", "37a-ell7"])
+    def test_csv_bytes_match_the_pinned_files(self, tmp_path, config, ell,
+                                              bound, name):
+        # the kernels' CSV bytes at orders 5 and 7 stay as pinned
+        out = tmp_path / "c.csv"
+        run_census(config, ell, bound, out=out)
+        assert out.read_bytes() == (DATA / name).read_bytes()
 
     def test_csv_bytes_match_the_benchmark_reference(self, tmp_path):
         # the other byte checks compare two runs of the same code; this one
@@ -657,6 +672,30 @@ class TestCommandLine:
         assert rows[9]["alarm"] and rows[9]["decision"] == "undecided"
         assert rows[9]["error"].startswith("ConsistencyError: ")
         # the vanishing orbit's rows are 0, so turning one changes nothing
+        assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
+
+    def test_dead_value_of_a_nonzero_orbit_is_an_alarm(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # exactly nonzero coset sums with a series value of 0: the census
+        # row is an alarm and the congruence sweep ends with exit 2, where
+        # it once held every pair
+        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        monkeypatch.setattr(census, "calibrate", lambda *args, **kw: (
+            lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
+                                   real.r, real.base_dps)))
+        monkeypatch.setattr(lvalue, "_twist_rows", dead_value_rows)
+        assert main(["congruence", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "63"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "theory violation: ConsistencyError: exact part of (9; 3:1) is "
+            "nonzero but |L| is within noise")
+        out = tmp_path / "d.csv"
+        assert main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "9", "--out", str(out)]) == 2
+        rows = {row["conductor"]: row for row in map(
+            json.loads, (tmp_path / "d.csv.log").read_text().splitlines())}
+        assert rows[9]["alarm"] and rows[9]["decision"] == "undecided"
+        assert "within noise" in rows[9]["error"]
         assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
     @staticmethod

@@ -26,10 +26,9 @@ from elltwists.dirichlet import (DirichletChar, galois_orbits,
                                   orbit_representatives)
 from elltwists.elliptic import Curve
 from elltwists.modsym import PlusSymbols
-from elltwists.lvalue import (CalibrationError, ConsistencyError,
-                              TwistRecord, TwistRows, calibrate, central_value,
-                              central_values, hecke_factor, t_independence,
-                              vanishing_decision)
+from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
+                              calibrate, central_value, central_values,
+                              hecke_factor, t_independence, vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
 from test_dirichlet import pointwise_gauss_sum
 
@@ -70,6 +69,13 @@ def skewed_twist_rows(curve, chi, dps):
     out = REAL_TWIST_ROWS(curve, chi, dps)
     out.rows[1] *= 1 + 1e-3j
     return out
+
+
+def dead_value_rows(curve, chi, dps):
+    """The twist rows with the representative's central value set to 0: its
+    series sums still match r M_t, but |L| no longer clears its bound."""
+    out = REAL_TWIST_ROWS(curve, chi, dps)
+    return TwistRows(out.rows, 0j, out.l_err)
 
 
 REAL_TWIST_ROWS = lvalue._twist_rows
@@ -164,7 +170,7 @@ class TestTDriftAlarm:
         cal = fresh_calibration(cal_b, flipped)
         for chi in (CHI7, CHI9, CHI13):
             with pytest.raises(ConsistencyError):
-                cal.twist_record(chi)
+                cal.coset_sums(chi)
 
     def test_wrong_gauss_sum_raises(self, cal_b, monkeypatch):
         # conjugated Gauss sums turn eps by a phase on a nonzero twist; at
@@ -176,7 +182,7 @@ class TestTDriftAlarm:
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
         monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
-            fresh_calibration(cal_b).twist_record(CHI9)
+            fresh_calibration(cal_b).coset_sums(CHI9)
 
     def test_wrong_gauss_sum_raises_at_80_digits(self, cal_b, monkeypatch):
         # the same fault at 80 digits, where the same kernel serves
@@ -187,7 +193,7 @@ class TestTDriftAlarm:
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
         monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
-            fresh_calibration(cal_b, dps=80).twist_record(CHI9)
+            fresh_calibration(cal_b, dps=80).coset_sums(CHI9)
 
     def test_wrong_chi_of_level_raises(self, cal_b, monkeypatch):
         # chi(N) one exponent off turns eps by a root of unity
@@ -198,7 +204,7 @@ class TestTDriftAlarm:
         cal = fresh_calibration(cal_b)
         for chi in (CHI7, CHI9, CHI13):
             with pytest.raises(ConsistencyError):
-                cal.twist_record(chi)
+                cal.coset_sums(chi)
 
     def test_shifted_exponent_table(self, cal_b, monkeypatch):
         # every exponent one too high turns L(chi^j) and tau(chi^j) by the
@@ -208,7 +214,7 @@ class TestTDriftAlarm:
         # by the shift, so the vanishing orbits keep their decision.
         orbits = [chi for chi in orbit_representatives(3, 73)
                   if chi.conductor != 37]
-        truth = {chi: cal_b.twist_record(chi) for chi in orbits}
+        truth = {chi: cal_b.coset_sums(chi) for chi in orbits}
         table = DirichletChar.exponent_table
         monkeypatch.setattr(DirichletChar, "exponent_table", lambda chi, n: (
             np.where(table(chi, n) >= 0, (table(chi, n) + 1) % chi.ell, -1)))
@@ -216,7 +222,7 @@ class TestTDriftAlarm:
         alarms = 0
         for chi in orbits:
             try:
-                record = cal.twist_record(chi)
+                record = cal.coset_sums(chi)
             except ConsistencyError as exc:
                 assert "differ from r M_t" in str(exc)
                 assert truth[chi].decision == "nonzero"
@@ -279,7 +285,7 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
         radii = lvalue._radii(curve.conductor, chi.conductor,
                               lvalue._as_mpf(t), err)
         top = max(M for _, M in radii)
-        terms = lvalue._SeriesTerms(curve, chi, top)
+        terms = lvalue._series_terms(curve, chi, top)
         an, exps = curve.an_table(top), chi.exponent_table(top)
         for r, M in radii:
             dd, _ = lvalue._dd_buckets(terms, chi.ell, r, M)
@@ -348,9 +354,9 @@ class TestDoubleDoubleRung:
     @pytest.mark.parametrize("dps", (15, 50, 80))
     def test_production_paths_never_call_the_oracles(self, cal_b, dps,
                                                       monkeypatch):
-        # calibrate, twist_record, coset_sums and congruence_check at every
-        # working precision, on orbits past the probes (73, 79 and the
-        # product 7 * 73 = 511), give cal_b's answers without the oracles
+        # calibrate, coset_sums and congruence_check at every working
+        # precision, on orbits past the probes (73, 79 and the product
+        # 7 * 73 = 511), give cal_b's answers without the oracles
         def oracle(*args):
             raise AssertionError("an mpmath oracle ran in production code")
         monkeypatch.setattr(lvalue, "_buckets", oracle)
@@ -358,9 +364,9 @@ class TestDoubleDoubleRung:
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3, dps=dps)
         chi73, chi79 = (galois_orbits(f, 3)[0] for f in (73, 79))
-        record = cal.twist_record(chi79)
+        record = cal.coset_sums(chi79)
         assert (record.decision, record.precision_used) == \
-            (cal_b.twist_record(chi79).decision, dps)
+            (cal_b.coset_sums(chi79).decision, dps)
         assert cal.coset_sums(chi73).sums == cal_b.coset_sums(chi73).sums
         assert cal.congruence_check(CHI7, chi73) == \
             cal_b.congruence_check(CHI7, chi73)
@@ -603,8 +609,8 @@ class TestCosetSums:
             assert cal_b.coset_sums(chi).max_residual < 1e-4
 
     def test_vanishing_is_constant_vector(self, cal_b):
-        assert cal_b.coset_sums(CHI7).is_vanishing()
-        assert not cal_b.coset_sums(CHI9).is_vanishing()
+        assert cal_b.coset_sums(CHI7).decision == "vanishes"
+        assert cal_b.coset_sums(CHI9).decision == "nonzero"
 
     def test_algebraic_part_reduction(self, cal_b):
         cs = cal_b.coset_sums(CHI9)
@@ -630,12 +636,12 @@ class TestHeckeFactor:
 
 class TestTwistDecisions:
     def test_vanishing_twist(self, cal_b):
-        record = cal_b.twist_record(CHI7)
+        record = cal_b.coset_sums(CHI7)
         assert record.decision == "vanishes"
         assert abs(record.L_value) < 1e-9
 
     def test_nonzero_twist(self, cal_b):
-        record = cal_b.twist_record(CHI9)
+        record = cal_b.coset_sums(CHI9)
         assert record.decision == "nonzero"
         assert abs(record.L_value) > 10 * record.error_bound
 
@@ -667,13 +673,13 @@ class TestTwistDecisions:
         # about 2 KB with its rows
         orbits = [chi for chi in orbit_representatives(3, 700)
                   if chi.conductor >= 400 and chi.conductor % 37]
-        fresh_calibration(cal_b).twist_record(orbits[-1])
+        fresh_calibration(cal_b).coset_sums(orbits[-1])
         cal = fresh_calibration(cal_b)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for chi in orbits:
-                cal.twist_record(chi)
+                cal.coset_sums(chi)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -695,7 +701,7 @@ class TestTwistDecisions:
         monkeypatch.setattr(lvalue, "_twist_rows", rows)
         monkeypatch.setattr(lvalue, "_S_TOL", 0.0)
         with pytest.raises(ConsistencyError, match="differ from r M_t"):
-            cal.twist_record(CHI7)
+            cal.coset_sums(CHI7)
         assert tried == [50]
 
     def test_non_integral_symbol_sums_raise(self, cal_a, monkeypatch):
@@ -725,22 +731,34 @@ class TestTwistDecisions:
         cal = fresh_calibration(cal_b)
         monkeypatch.setattr(lvalue, "_twist_rows", skewed_twist_rows)
         with pytest.raises(ConsistencyError, match="differ from r M_t"):
-            cal.twist_record(CHI9)
+            cal.coset_sums(CHI9)
 
     def test_decision_policy_truth_table(self):
-        def rec(value, err, sums):
-            return TwistRecord("x", CHI7, sums, sum(sums), 0.0, value, err, 50)
-
-        assert vanishing_decision(rec(0j, 1e-10, (3, 3, 3))) == "vanishes"
-        assert vanishing_decision(rec(1.0 + 0j, 1e-10, (1, 2, 3))) == "nonzero"
+        assert vanishing_decision(CHI7, (3, 3, 3), 0j, 1e-10) == "vanishes"
+        assert vanishing_decision(CHI7, (1, 2, 3), 1.0 + 0j, 1e-10) == "nonzero"
         # an exactly nonzero part with a value inside its noise is an alarm
         with pytest.raises(ConsistencyError, match="within noise"):
-            vanishing_decision(rec(1e-11 + 0j, 1e-10, (1, 2, 3)))
+            vanishing_decision(CHI7, (1, 2, 3), 1e-11 + 0j, 1e-10)
         # exact route wins even when the numeric value alone would decide
-        assert vanishing_decision(rec(1.0 + 0j, 1e-10, (5, 5, 5))) == "vanishes"
+        assert vanishing_decision(CHI7, (5, 5, 5), 1.0 + 0j, 1e-10) == "vanishes"
+
+    def test_dead_value_of_a_nonzero_orbit_raises(self, cal_b, monkeypatch):
+        # exactly nonzero sums whose series value is 0 are an alarm on the
+        # one accessor, so the congruence check and a calibration probe
+        # raise too; the congruence check once passed (9; 3:1) with
+        # holds = True.  The vanishing orbit (7; 7:1) is unmoved
+        monkeypatch.setattr(lvalue, "_twist_rows", dead_value_rows)
+        cal = fresh_calibration(cal_b)
+        assert cal.coset_sums(CHI7).decision == "vanishes"
+        for check in (cal.coset_sums, lambda chi: cal.congruence_check(None, chi)):
+            with pytest.raises(ConsistencyError, match="within noise"):
+                check(CHI9)
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        with pytest.raises(CalibrationError, match="within noise"):
+            calibrate(E37B, 3)
 
     def test_record_round_trip_to_dict(self, cal_b):
-        d = cal_b.twist_record(CHI7).as_dict()
+        d = cal_b.coset_sums(CHI7).as_dict()
         assert d["decision"] == "vanishes"
         assert d["coset_sums"] == [-2, -2, -2]
         assert d["precision_digits"] == 50 and "rung" not in d
