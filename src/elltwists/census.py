@@ -27,8 +27,8 @@ from .elliptic import Curve, PointCountError
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, ConsistencyError,
-                     calibrate, t_independence)
-from .modsym import MAX_LEVEL
+                     calibrate)
+from .modsym import MAX_LEVEL, plus_symbols
 
 
 class ConfigError(Exception):
@@ -46,20 +46,15 @@ class TheoryViolation(Exception):
 _CONFIG_KEYS = ("label", "a_invariants", "conductor", "root_number",
                 "precision_digits")
 
-# largest central-value spread over the test slice parameters that is still
-# attributable to truncation error rather than a wrong functional equation,
-# and the truncation error each of those central values is computed to
-_W_TOL = 1e-6
-_W_ERR = 1e-12
-
 
 @dataclass(frozen=True)
 class CurveConfig:
     """A curve as named in a flat ``key = value`` configuration file.
 
     The conductor and root number are inputs, not derived quantities, so a
-    config is only trusted after validated_curve() has checked the root
-    number against the parameter independence of the central value."""
+    config is only trusted after validated_curve() has solved the plus
+    modular symbols at the declared conductor and found the declared root
+    number to be minus the Fricke sign on them."""
 
     label: str
     a_invariants: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
@@ -84,15 +79,21 @@ class CurveConfig:
                      conductor=self.conductor, root_number=self.root_number)
 
     def validated_curve(self) -> Curve:
-        """The curve, after checking that the declared root number makes the
-        central value independent of the free slice parameter."""
+        """The curve, after checking the declared root number exactly
+        against PlusSymbols.root_number.  Symbols that do not solve at the
+        declared conductor are a ConfigError; a failed point count is not."""
         curve = self.curve()
-        spread = t_independence(curve, err=_W_ERR)
-        if spread > _W_TOL:
-            raise ConfigError(
-                f"root_number {self.root_number} for {self.label} is "
-                f"inconsistent: central value varies by {spread:.3e} "
-                f"across slice parameters")
+        where = f"{self.label} at conductor {self.conductor}"
+        try:
+            root_number = plus_symbols(curve).root_number()
+        except PointCountError:
+            raise
+        except ArithmeticError as exc:
+            raise ConfigError(f"no plus modular symbols for {where}: {exc}") \
+                from exc
+        if root_number != self.root_number:
+            raise ConfigError(f"root_number {self.root_number} for {where} is "
+                              f"inconsistent: its symbols give {root_number}")
         return curve
 
     @classmethod

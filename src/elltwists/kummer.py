@@ -18,6 +18,7 @@ its own.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -528,16 +529,6 @@ class E37bRow(NamedTuple):
     conductor: int
 
 
-def _product(*powers: tuple[Factorization, int]) -> Factorization:
-    """Factorization of the product of the given factorizations, each
-    raised to its exponent."""
-    exps: dict[int, int] = {}
-    for fac, k in powers:
-        for p, e in fac.pairs:
-            exps[p] = exps.get(p, 0) + k * e
-    return Factorization(tuple(sorted(exps.items())))
-
-
 def _check_model_scale(ai, h1: int, h2: int, model) -> None:
     """Check that xi / h2 is a root of the slice cubic at t = 0, u = h1 / h2
     of the curve with a-invariants ai, for the root xi of the integral
@@ -582,8 +573,12 @@ def _e37b_row(a: int, b: int) -> E37bRow:
                            f"is not a positive square")
     if (32 * h1 * g) ** 2 * h2 * h2 != disc:
         raise SurfaceError("slice point left the discriminant quartic")
-    hh = _product((factor(h1), 1), (factor(h2), 1))
-    hint = _product((Factorization(((2, 10),)), 1), (hh, 2), (factor(abs(g)), 2))
+    exps = Counter(dict(factor(h1).pairs))
+    exps.update(dict(factor(h2).pairs))
+    hh = Factorization(tuple(sorted(exps.items())))
+    exps.update(dict(factor(abs(g)).pairs))
+    exps[2] += 5            # 2^10 (h1 h2 g)^2 = (2^5 h1 h2 g)^2
+    hint = Factorization(tuple(sorted((p, 2 * e) for p, e in exps.items())))
     if hint.n != disc:
         raise SurfaceError(f"parameter pair ({a}, {b}): the factored "
                            f"discriminant does not match the model's")

@@ -2,28 +2,31 @@
 and their exact algebraic avatars.
 
 The analytic side is a pair of rapidly convergent series obtained from the
-functional equation (t is a free checking parameter, 1 by default):
+functional equation, split at the fixed point of the Fricke involution
+of level f^2 N, so that both share one radius:
 
-    L(E, 1, chi) = sum_n (a_n / n) chi(n) exp(-2 pi n t / (f sqrt(N)))
-                 + eps  sum_n (a_n / n) conj(chi)(n) exp(-2 pi n / (t f sqrt(N)))
+    L(E, 1, chi) = sum_n (a_n / n) chi(n) r^n
+                 + eps  sum_n (a_n / n) conj(chi)(n) r^n,
+    r = e^(-2 pi / (f sqrt(N))),
 
 with eps = w_E chi(N) tau(chi)^2 / f.  Truncation uses |a_n|/n <= 2, so the
-reported values carry a rigorous tail bound.
+reported values carry a rigorous tail bound.  The root number w_E is an
+input; CurveConfig checks it exactly against the Fricke sign of the plus
+modular symbols (modsym) before any series is summed.
 
 The terms (a_n / n) r^n are real and see chi only through the exponent
 k = ind(n) with chi(n) = zeta^k (n prime to f), so one pass over n fills ell
 real buckets
 
-    B_k(r) = sum_{ind(n) = k} (a_n / n) r^n,   r1 = e^(-2 pi t / (f sqrt(N))),
-                                               r2 = e^(-2 pi / (t f sqrt(N))),
+    B_k = sum_{ind(n) = k} (a_n / n) r^n,
 
-and every conjugate twist of the orbit follows without another pass:
+which both series read, and every conjugate twist of the orbit follows
+without another pass:
 
-    L(E, 1, chi^j) = sum_k zeta^(jk) B_k(r1) + eps_j sum_k zeta^(-jk) B_k(r2),
+    L(E, 1, chi^j) = sum_k zeta^(jk) B_k + eps_j sum_k zeta^(-jk) B_k,
 
 with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
-orbit's real Gaussian periods (see Gauss sums below).  At t = 1 one bucket
-vector serves both series.
+orbit's real Gaussian periods (see Gauss sums below).
 
 A vectorised double-double kernel fills the buckets at every working
 precision (the config's floor of 15 digits and up).  The terms go in
@@ -80,7 +83,7 @@ _S_TOL of every S_t.  A miss is a consistency alarm.  A wrong root number,
 chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
 and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
-so each orbit takes one series pass, at t = 1.  CalibratedCurve._record
+so each orbit takes one series pass.  CalibratedCurve._record
 is the one place an orbit is checked and decided: it makes these checks,
 exact ones first, then asks vanishing_decision, whose noise alarm every
 caller of coset_sums (census, congruence, calibration probes) inherits.
@@ -131,8 +134,6 @@ SCALES = tuple(Fraction(v) for v in (12, 9, 6, 4, 3, 2, 1)) + tuple(
 
 _S_TOL = 1e-4        # tolerance of the series coset sums against r M_t
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
-# series parameters whose central values t_independence compares
-_T_VALUES = (1, Fraction(6, 5), Fraction(3, 4))
 _SCALE_FLOOR = min(SCALES)
 # calibrate probes the first 10 orbits prime to the level, in a conductor
 # window that starts at 400 and doubles until it holds them
@@ -142,12 +143,6 @@ _PROBE_BOUND = 400
 _DD_ROUNDOFF = 2.0 ** -100
 _SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
 _DD_CHUNK = 8192       # terms per vectorised step of the kernel
-
-
-def _as_mpf(t):
-    if isinstance(t, Fraction):
-        return mpmath.mpf(t.numerator) / t.denominator
-    return mpmath.mpf(t)
 
 
 def _terms_needed(c, eps) -> int:
@@ -216,18 +211,6 @@ def _dd_anchors(r, M: int):
     return B, _dd_table(small, K), _dd_table(big, K)
 
 
-def _series_terms(curve: Curve, chi: DirichletChar | None, M: int):
-    """(n, k, a_n): the n <= M with a_n chi(n) != 0, their exponents
-    k = ind(n) and a_n as exact floats, shared by the series radii of one
-    central_values call; the full-length tables die on return."""
-    exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
-            else chi.exponent_table(M))
-    an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
-                     count=M + 1)
-    n = np.flatnonzero((an != 0) & (exps >= 0))
-    return n, exps[n], an[n].astype(np.float64)
-
-
 def _dd_sum(parts: list[float]) -> tuple[float, float]:
     """The exact sum of parts, rounded once to a double-double pair; parts
     is extended in the process."""
@@ -243,22 +226,30 @@ def _bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
             for j in range(ell)]
 
 
-def _dd_buckets(terms: tuple, ell: int, r, M: int) -> tuple[list, float]:
-    """B_k(r) for k = 0..ell-1 in double-double arithmetic from the
-    _series_terms (n, k, a_n), and the size sum_{n <= M} |(a_n / n) r^n| of
-    their terms: _DD_ROUNDOFF times it bounds their total roundoff.
+def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
+                M: int) -> tuple[list, float]:
+    """B_k(r) for k = 0..ell-1 (ell = 1 for chi = None) in double-double
+    arithmetic, over the n <= M with a_n chi(n) != 0, and the size
+    sum_{n <= M} |(a_n / n) r^n| of their terms: _DD_ROUNDOFF times it
+    bounds their total roundoff.
 
-    r^n = r^(qB) r^s, one double-double product of two anchors.  The terms
-    go in chunks of _DD_CHUNK, so no temporary grows with M; each chunk's
-    share of a bucket is summed exactly and rounded once to a (hi, lo) pair,
-    and the pairs once more."""
-    n, k, a = terms
+    a_n is an exact float and r^n = r^(qB) r^s, one double-double product
+    of two anchors.  The products go in chunks of _DD_CHUNK terms; each
+    chunk's share of a bucket is summed exactly and rounded once to a
+    (hi, lo) pair, and the pairs once more."""
+    ell = 1 if chi is None else chi.ell
+    exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
+            else chi.exponent_table(M))
+    an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
+                     count=M + 1)
+    n = np.flatnonzero((an != 0) & (exps >= 0))
+    k, a = exps[n], an[n].astype(np.float64)
+    del exps, an            # the full-length tables, before the chunk loop
     B, (sh, sl), (bh, bl) = _dd_anchors(r, M)
     pairs = [[] for _ in range(ell)]
     size = 0.0
-    cut = np.searchsorted(n, M, side="right")
-    for start in range(0, cut, _DD_CHUNK):
-        part = slice(start, min(start + _DD_CHUNK, cut))
+    for start in range(0, len(n), _DD_CHUNK):
+        part = slice(start, start + _DD_CHUNK)
         q, s = np.divmod(n[part], B)
         ph, pl = _dd_mul(bh[q], bl[q], sh[s], sl[s])
         th, tl = _dd_mul(*_dd_quotient(a[part], n[part]), ph, pl)
@@ -321,46 +312,30 @@ def _roots_of_unity(ell: int, prec: int) -> tuple:
         return tuple(mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell))
 
 
-def _radii(N: int, f: int, t, err) -> list:
-    """(r, M) for the two series: radius r = e^(-c) and the M terms that
-    bring each tail under err / 2."""
-    sqrt_n = mpmath.sqrt(N)
-    return [(mpmath.exp(-c), _terms_needed(c, err / 2))
-            for c in (2 * mpmath.pi * t / (f * sqrt_n),
-                      2 * mpmath.pi / (t * f * sqrt_n))]
-
-
-def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
+def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
                    err=1e-15, tau_err: float = 0.0) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
-    tau(chi^j), all from the same real exponent buckets (one pass over n per
-    series radius); absolute error <= err plus roundoff.  chi = None is the
-    trivial character, asked for as taus = {0: 1}.  tau_err bounds |d tau|,
-    as _dd_gauss_sums states it for its Gauss sums.  Each radius is one
-    _dd_buckets pass; its roundoff bound, and the Gauss sums' carried into L
-    through eps, must stay under err / 100 or ConsistencyError is raised."""
+    tau(chi^j), all from the buckets of one _dd_buckets pass; absolute error
+    <= err plus roundoff.  chi = None is the trivial character, asked for as
+    taus = {0: 1}.  tau_err bounds |d tau|, as _dd_gauss_sums states it.  The
+    pass's roundoff bound, and the Gauss sums' carried into L through eps,
+    must stay under err / 100 or ConsistencyError is raised."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
     f = 1 if chi is None else chi.conductor
     if gcd(f, N) != 1:
         raise ValueError(f"twist conductor {f} shares a factor with the level {N}")
-    t = _as_mpf(t)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    (r1, M1), (r2, M2) = radii = _radii(N, f, t, err)
-    terms = _series_terms(curve, chi, max(M1, M2))
+    c = 2 * mpmath.pi / (f * mpmath.sqrt(N))
+    M = _terms_needed(c, err / 2)
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
-    if r2 == r1:
-        radii = radii[:1]
-    passes = [_dd_buckets(terms, ell, r, M) for r, M in radii]
-    (b1, size1), (b2, size2) = passes[0], passes[-1]
+    B, size = _dd_buckets(curve, chi, mpmath.exp(-c), M)
     # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the second
-    # series; |zeta| = |eps| = 1, so the series' own roundoff moves L by at
-    # most the two series' bounds
+    # series; |zeta| = |eps| = 1, so the buckets' roundoff moves each series
+    # by at most _DD_ROUNDOFF * size
     for what, bound in (
-            ("Gauss-sum", 2 * tau_err / math.sqrt(f) * size2),
-            ("double-double", _DD_ROUNDOFF * (size1 + size2))):
+            ("Gauss-sum", 2 * tau_err / math.sqrt(f) * size),
+            ("double-double", 2 * _DD_ROUNDOFF * size)):
         if bound > err / 100:
             raise ConsistencyError(
                 f"{what} roundoff bound {bound:.3g} exceeds "
@@ -369,28 +344,18 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict, t=1,
     out = {}
     for j, tau in taus.items():
         eps = w * zeta[j * k_n % ell] * tau * tau / f
-        out[j] = (mpmath.fsum(zeta[j * k % ell] * b for k, b in enumerate(b1))
+        out[j] = (mpmath.fsum(zeta[j * k % ell] * b for k, b in enumerate(B))
                   + eps * mpmath.fsum(zeta[-j * k % ell] * b
-                                      for k, b in enumerate(b2)))
+                                      for k, b in enumerate(B)))
     return out
 
 
-def central_value(curve: Curve, chi: DirichletChar | None = None, t=1,
-                  err=1e-15):
+def central_value(curve: Curve, chi: DirichletChar | None = None, err=1e-15):
     """L(E, 1, chi) at the current mpmath precision, absolute error <= err
     plus roundoff.  chi = None gives the untwisted central value."""
     taus = {0: 1} if chi is None else {1: chi.gauss_sum()}
-    (value,) = central_values(curve, chi, taus, t, err).values()
+    (value,) = central_values(curve, chi, taus, err).values()
     return value
-
-
-def t_independence(curve: Curve, chi: DirichletChar | None = None,
-                   err=1e-15) -> float:
-    """Max pairwise deviation of the two-series value across _T_VALUES.
-    Near zero exactly when the attached root number (and twist epsilon) is
-    right."""
-    vals = [central_value(curve, chi, t=t, err=err) for t in _T_VALUES]
-    return float(max(abs(a - b) for a in vals for b in vals))
 
 
 def hecke_factor(curve: Curve, f: int, ell: int) -> int:
@@ -415,7 +380,7 @@ class TwistRows:
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
     """Rows of every conjugate twist at working precision dps, from one
-    double-double series pass at t = 1 and one _dd_gauss_sums pass."""
+    double-double series pass and one _dd_gauss_sums pass."""
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
@@ -567,7 +532,7 @@ class CalibratedCurve:
                 rows: TwistRows | None = None) -> TwistRecord:
         """Check and decide the canonical orbit chi, exact side first:
         S_t = r M_t must be integers that total A_0; only then do its series
-        rows (one pass at t = 1, or a probe's rows from calibrate) have to
+        rows (one series pass, or a probe's rows from calibrate) have to
         give each S_t within _S_TOL, and vanishing_decision its decision."""
         a0 = self.trivial_coset_sum(chi.conductor)
         exact = [self.r * m for m in self.symbols.orbit_sums(chi)]

@@ -26,6 +26,16 @@ the j = 0 term being (1:0); phi is even, so the signs drop out.  The
 orbit's symbol sums M_t = sum_{a < f, ind(a) = t} phi({oo, a/f}) give its
 coset sums exactly, S_t = r M_t, with one rational r per curve and order
 (Mazur, Tate and Teitelbaum, Invent. Math. 84, 1986).
+
+The Fricke involution W_N = [[0, -1], [N, 0]] commutes with the plus
+condition and acts on phi's line by a sign eps_N, and the root number of the
+curve is w = -eps_N.  Since W_N {oo, a/c} = {0, -c/(N a)},
+
+    phi({oo, -c/(N a)}) - phi({oo, 0}) = eps_N phi({oo, a/c}),
+
+and W_N {oo, 0} = {0, oo} gives -phi({oo, 0}) = eps_N phi({oo, 0}).
+root_number fits eps_N to these exact integers on the cusps of small
+denominator, so a declared root number is checked without a series.
 """
 from __future__ import annotations
 
@@ -40,6 +50,7 @@ from .numcore import is_prime
 _P = 2 ** 31 - 1            # row reduction modulus; products fit int64
 _BOUND = isqrt(_P // 2)     # rational reconstruction: |num|, den <= _BOUND
 _MAX_HECKE_PRIME = 100      # Hecke operators tried before giving up
+_CUSP_BOUND = 30            # root_number fits W_N on a/c with c <= this
 
 # largest level a curve config may name: PlusSymbols is dense, its time
 # growing about as N^3 and its memory as N^2.  On a 2 vCPU Xeon it took
@@ -151,26 +162,52 @@ class PlusSymbols:
         """phi((c:d))."""
         return int(self._grid[c % self.N, d % self.N])
 
+    def _oo_to(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """phi({oo, u/v}) for arrays of coprime pairs with v > 0.  phi is
+        invariant under u -> u + v, so u is reduced mod v, and the continued
+        fractions of the u/v run in lockstep."""
+        u = u % v
+        total = np.full(len(u), self(1, 0), dtype=np.int64)
+        idx = np.flatnonzero(u)
+        x, y = v[idx], u[idx]              # the complete quotient is x / y
+        q0, q1 = np.zeros_like(idx), np.ones_like(idx)   # q_(j-1), q_j mod N
+        while len(idx):
+            k, rem = np.divmod(x, y)
+            q0, q1 = q1, (k % self.N * q1 + q0) % self.N
+            total[idx] += self._grid[q1, q0]
+            live = rem > 0
+            idx, x, y, q0, q1 = idx[live], y[live], rem[live], q0[live], q1[live]
+        return total
+
     def orbit_sums(self, chi) -> tuple[int, ...]:
         """M_t for t = 0..ell-1.  chi is even and phi({oo, 1 - x}) =
         phi({oo, x}), so a and f - a add the same term: the a < f/2 are
-        summed and doubled, their continued fractions run in lockstep."""
-        f, N = chi.conductor, self.N
+        summed and doubled."""
+        f = chi.conductor
         exps = chi.exponent_table(f // 2)
         a = np.flatnonzero(exps >= 0)
-        total = np.full(len(a), self(1, 0), dtype=np.int64)
-        idx = np.arange(len(a))
-        u, v = np.full(len(a), f), a       # the complete quotient is u / v
-        q0, q1 = np.zeros_like(a), np.ones_like(a)   # q_(j-1), q_j mod N
-        while len(idx):
-            k, rem = np.divmod(u, v)
-            q0, q1 = q1, (k % N * q1 + q0) % N
-            total[idx] += self._grid[q1, q0]
-            live = rem > 0
-            idx, u, v, q0, q1 = idx[live], v[live], rem[live], q0[live], q1[live]
         sums = np.zeros(chi.ell, dtype=np.int64)
-        np.add.at(sums, exps[a], total)
+        np.add.at(sums, exps[a], self._oo_to(a, np.full(len(a), f)))
         return tuple(2 * int(s) for s in sums)
+
+    def root_number(self) -> int:
+        """The root number w = -eps_N, eps_N fitted exactly to the Fricke
+        relation on every cusp a/c, 0 <= a < c <= _CUSP_BOUND.  Raises
+        ArithmeticError unless exactly one sign fits."""
+        N = self.N
+        a, c = np.array([(a, c) for c in range(2, _CUSP_BOUND + 1)
+                         for a in range(1, c) if gcd(a, c) == 1]).T
+        g = np.gcd(c, N * a)
+        phi0 = self(1, 0)                  # phi({oo, 0})
+        # W_N {oo, a/c} = {0, -c/(N a)}, and W_N {oo, 0} = {0, oo}
+        image = np.append(self._oo_to(-c // g, N * a // g) - phi0, -phi0)
+        phi = np.append(self._oo_to(a, c), phi0)
+        signs = [e for e in (1, -1) if np.array_equal(image, e * phi)]
+        if len(signs) != 1:
+            raise ArithmeticError(
+                f"{len(signs)} Fricke signs fit phi at level {N} on the "
+                f"cusps of denominator <= {_CUSP_BOUND}, not one")
+        return -signs[0]
 
 
 @lru_cache(maxsize=None)

@@ -463,6 +463,34 @@ class TestCommandLine:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_flipped_root_number_exits_one(self, tmp_path, capsys):
+        # the shipped configs with the sign flipped disagree with the
+        # Fricke sign of their plus modular symbols
+        for name, sign, flipped in (("37a", "-1", "1"), ("37b", "1", "-1")):
+            text = Path(f"curves/{name}.cfg").read_text()
+            assert f"root_number = {sign}\n" in text
+            bad = tmp_path / f"{name}.cfg"
+            bad.write_text(text.replace(f"root_number = {sign}\n",
+                                        f"root_number = {flipped}\n"))
+            capsys.readouterr()
+            assert main(["census", "--curve", str(bad),
+                         "--max-conductor", "13"]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "inconsistent" in err, name
+
+    @pytest.mark.parametrize("conductor", (7, 28))
+    def test_wrong_conductor_exits_one(self, tmp_path, capsys, conductor):
+        # 14a1's model at a level where its symbols leave no line (7) or
+        # two (28): a config error naming the conductor, not a traceback
+        cfg = tmp_path / "14a1.cfg"
+        cfg.write_text(f"label = 14a1\na_invariants = 1, 0, 1, 4, -6\n"
+                       f"conductor = {conductor}\nroot_number = 1\n")
+        assert main(["census", "--curve", str(cfg),
+                     "--max-conductor", "13"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no plus modular symbols for 14a1 at "
+                              f"conductor {conductor}: ")
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["census", "--curve", "curves/37b.cfg"]) == 1
         assert main(["no-such-command"]) == 1

@@ -3,8 +3,7 @@
 The layout mirrors how the numbers are trusted: the series tail bound is
 checked against a doubled truncation, the bucketed conjugates against a
 per-character oracle series, the double-double buckets and Gauss sums
-against the mpmath loops kept as their oracles, the functional-equation
-sign against the parameter independence it forces, the exact coset sums
+against the mpmath loops kept as their oracles, the exact coset sums
 against frozen lattice data and their seed identity, the faults of a wrong
 sign, chi(N), Gauss sum, exponent table or eigenline against the
 modular-symbol check, and the decision policy against synthetic records.
@@ -28,7 +27,7 @@ from elltwists.elliptic import Curve
 from elltwists.modsym import PlusSymbols
 from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
                               calibrate, central_value, central_values,
-                              hecke_factor, t_independence, vanishing_decision)
+                              hecke_factor, vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
 from test_dirichlet import pointwise_gauss_sum
 
@@ -124,16 +123,6 @@ class TestCentralValue:
                 oracle = oracle_value(curve, chi.power(j), 1e-12)
                 assert abs(values[j] - oracle) < 1e-12
 
-    def test_t_independence_accepts_true_sign(self):
-        assert t_independence(E37B, err=1e-13) < 1e-11
-        assert t_independence(E37A, err=1e-13) < 1e-11
-
-    def test_t_independence_rejects_flipped_sign(self):
-        flipped_b = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
-        flipped_a = Curve((0, 0, 1, -1, 0), conductor=37, root_number=1)
-        assert t_independence(flipped_b, err=1e-13) > 1e-3
-        assert t_independence(flipped_a, err=1e-13) > 1e-3
-
     def test_conductor_sharing_level_rejected(self):
         chi37 = galois_orbits(37, 3)[0]
         with pytest.raises(ValueError):
@@ -143,8 +132,6 @@ class TestCentralValue:
         bare = Curve((0, 1, 1, -3, 1))
         with pytest.raises(ValueError):
             central_value(bare)
-        with pytest.raises(ValueError):
-            t_independence(bare)
 
 
 def probe_orbits(ell, level=37):
@@ -279,16 +266,18 @@ DD_ORBITS = {ell: [chi for chi in orbit_representatives(ell, 600)
 
 def dd_bucket_error(curve, chi, t, err=1e-9):
     """Worst |B_k^dd - B_k^mpmath| / sum_{ind(n) = k} |(a_n / n) r^n| over the
-    buckets of both series radii at t, at 50 digits."""
+    buckets of the two radii r = e^(-c), c = 2 pi t^(+-1) / (f sqrt(N)), each
+    run to the M terms that bring its tail under err / 2, at 50 digits."""
     worst = 0.0
     with mpmath.workdps(50):
-        radii = lvalue._radii(curve.conductor, chi.conductor,
-                              lvalue._as_mpf(t), err)
+        t = mpmath.mpf(t.numerator) / t.denominator
+        base = 2 * mpmath.pi / (chi.conductor * mpmath.sqrt(curve.conductor))
+        radii = [(mpmath.exp(-c), lvalue._terms_needed(c, err / 2))
+                 for c in (base * t, base / t)]
         top = max(M for _, M in radii)
-        terms = lvalue._series_terms(curve, chi, top)
         an, exps = curve.an_table(top), chi.exponent_table(top)
         for r, M in radii:
-            dd, _ = lvalue._dd_buckets(terms, chi.ell, r, M)
+            dd, _ = lvalue._dd_buckets(curve, chi, r, M)
             mp = lvalue._buckets(an, exps, chi.ell, r, M)
             n = np.arange(M + 1)
             size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
@@ -303,7 +292,7 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
 class TestDoubleDoubleRung:
     @given(data=st.data(), ell=st.sampled_from((3, 5, 7)),
            curve=st.sampled_from((E37A, E37B)),
-           t=st.sampled_from((1, Fraction(6, 5), Fraction(3, 4))))
+           t=st.sampled_from((Fraction(1), Fraction(6, 5), Fraction(3, 4))))
     @settings(max_examples=8, deadline=None)
     def test_buckets_match_mpmath_loop(self, data, ell, curve, t):
         # about 31 digits of every bucket, relative to the size of its terms
@@ -314,7 +303,7 @@ class TestDoubleDoubleRung:
         # the same kernel with every low word dropped is float64 arithmetic;
         # the comparison above must reject it
         chi = galois_orbits(409, 3)[0]
-        assert dd_bucket_error(E37B, chi, 1) <= 1e-28
+        assert dd_bucket_error(E37B, chi, Fraction(1)) <= 1e-28
         monkeypatch.setattr(lvalue, "_dd_quotient",
                             lambda a, n: (a / n, 0 * a))
         monkeypatch.setattr(lvalue, "_dd_mul",
@@ -325,7 +314,7 @@ class TestDoubleDoubleRung:
             hi, lo = table(values, K)
             return hi, 0 * lo
         monkeypatch.setattr(lvalue, "_dd_table", high_words)
-        assert dd_bucket_error(E37B, chi, 1) > 1e-28
+        assert dd_bucket_error(E37B, chi, Fraction(1)) > 1e-28
 
     def test_rung_follows_working_precision(self, monkeypatch):
         # one series pass per orbit, in double-double at 15, 50 and 80

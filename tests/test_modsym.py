@@ -3,21 +3,25 @@
 The eigen-functional is checked against the relations and Hecke operators
 written out symbol by symbol, independently of the matrix the solver
 builds; the lockstep symbol sums against one continued fraction at a time
-over every residue; and S_t = r M_t against coset sums frozen from the
+over every residue; the Fricke sign against the same continued fractions
+on every cusp it scans, and the root number it gives against the declared
+sign of seven curves; and S_t = r M_t against coset sums frozen from the
 series census of the benchmark reference, and across six curves of
 prime and composite level.
 """
+import copy
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elltwists.dirichlet import DirichletChar, galois_orbits
 from elltwists.elliptic import Curve
 import elltwists.lvalue as lvalue
 from elltwists.lvalue import CalibrationError, calibrate
-from elltwists.modsym import PlusSymbols, _merel_set, plus_symbols
+from elltwists.modsym import PlusSymbols, _CUSP_BOUND, _merel_set, plus_symbols
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -27,6 +31,7 @@ E15A = Curve((1, 1, 1, -10, -10), label="15a1", conductor=15, root_number=1)
 E19A = Curve((0, 1, 1, -9, -15), label="19a1", conductor=19, root_number=1)
 E43A = Curve((0, 1, 1, 0, 0), label="43a1", conductor=43, root_number=-1)
 E11A = Curve((0, -1, 1, -10, -20), label="11a1", conductor=11, root_number=1)
+SEVEN_CURVES = (E11A, E14A, E15A, E19A, E37A, E37B, E43A)
 
 REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
                          / "reference" / "census_ell3.csv")
@@ -129,6 +134,56 @@ class TestSymbolSums:
         # 37a's coset sums (1, -1, 0) at r = -1/2
         chi7 = galois_orbits(7, 3)[0]
         assert plus_symbols(E37A).orbit_sums(chi7) == (-2, 2, 0)
+
+
+def fricke_sides(sym, a, c):
+    """(phi({oo, W_N(a/c)}) - phi({oo, 0}), phi({oo, a/c})) by the one
+    fraction at a time oracle, W_N(a/c) = -c/(N a) and W_N(0) = oo."""
+    phi0 = sym(1, 0)
+    if a == 0:
+        return -phi0, phi0
+    image = Fraction(-c, sym.N * a)
+    u, v = image.numerator % image.denominator, image.denominator
+    return (symbol_oo_to(sym, u, v) if u else phi0) - phi0, \
+        symbol_oo_to(sym, a, c)
+
+
+class TestFrickeSign:
+    def test_root_number_is_the_declared_sign(self):
+        # rank 0 and rank 1, prime and composite levels: 37a and 43a1 have
+        # w = -1, the other five w = +1
+        for curve in SEVEN_CURVES:
+            assert plus_symbols(curve).root_number() == curve.root_number, \
+                curve.label
+
+    @pytest.mark.parametrize("curve", SEVEN_CURVES, ids=lambda c: c.label)
+    def test_relation_matches_one_fraction_at_a_time(self, curve):
+        # on every cusp the check scans, the signs of the symbols kept,
+        # eps_N = -w carries phi({oo, a/c}) to its Fricke image, and the
+        # lockstep sums agree with the oracle on both sides
+        sym = plus_symbols(curve)
+        eps = -sym.root_number()
+        cusps = [(a, c) for c in range(1, _CUSP_BOUND + 1) for a in range(c)
+                 if gcd(a, c) == 1]
+        nonzero = 0
+        for a, c in cusps:
+            image, phi = fricke_sides(sym, a, c)
+            assert image == eps * phi, (a, c)
+            nonzero += phi != 0
+            if a:
+                assert sym._oo_to(np.array([a]), np.array([c]))[0] == phi
+        assert nonzero
+
+    def test_no_single_sign_is_refused(self):
+        # phi = 0 fits both signs; the sum of 37a's line (eps_N = +1) and
+        # 37b's (eps_N = -1) fits none
+        sym = copy.copy(plus_symbols(E37B))
+        sym._grid = 0 * sym._grid
+        with pytest.raises(ArithmeticError, match="2 Fricke signs"):
+            sym.root_number()
+        sym._grid = plus_symbols(E37A)._grid + plus_symbols(E37B)._grid
+        with pytest.raises(ArithmeticError, match="0 Fricke signs"):
+            sym.root_number()
 
 
 # the scale and L0 that calibration freezes with each curve's ratio r, the
