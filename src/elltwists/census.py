@@ -21,13 +21,12 @@ from math import gcd
 from pathlib import Path
 
 from .cubicfield import CubicField
-from .dirichlet import (DirichletChar, admissible_conductors, galois_orbits,
-                        orbit_representatives)
+from .dirichlet import DirichletChar
 from .elliptic import Curve, PointCountError
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
 from .lvalue import (CalibratedCurve, CongruenceResult, ConsistencyError,
-                     calibrate)
+                     calibrate, served_orbits)
 from .modsym import MAX_LEVEL, plus_symbols
 
 
@@ -391,14 +390,7 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     cal = calibrate(config.validated_curve(), ell,
                     dps=config.precision_digits)
 
-    level = config.conductor
-    skipped: list[int] = []
-    orbits: list[DirichletChar] = []
-    for f in admissible_conductors(ell, max_conductor):
-        if gcd(f, level) != 1:
-            skipped.append(f)
-            continue
-        orbits.extend(galois_orbits(f, ell))
+    orbits, skipped = served_orbits(config.conductor, ell, max_conductor)
 
     done: dict[str, CensusRow] = {}
     if journal is not None:
@@ -491,10 +483,7 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
     conductors only, which is where its multiplier is defined."""
     cal = calibrate(config.validated_curve(), ell,
                     dps=config.precision_digits)
-    level = config.conductor
-
-    orbits = [chi for chi in orbit_representatives(ell, bound)
-              if gcd(chi.conductor, level) == 1]
+    orbits = served_orbits(config.conductor, ell, bound)[0]
     psis = [psi for psi in orbits if len(psi.components) == 1]
     chis: list[DirichletChar | None] = [None, *orbits]
 

@@ -20,15 +20,15 @@ over the real Gaussian periods
 
 gives every Gauss sum of a Galois orbit as tau(chi^j) = sum_k zeta^(jk) eta_k.
 
-DirichletChar.gauss_sums sums the periods one mpmath cosine per residue, at
-the working precision: the per-definition oracle.  The L-value series take
-their Gauss sums, at every working precision, from lvalue._dd_gauss_sums,
-which sums the same periods in double-double from fixed-point anchor tables,
-within a stated bound of about 2^-100 f; the tests hold it to this oracle.
+DirichletChar.gauss_sums is the one Gauss-sum kernel: it sums the periods in
+double-double with the helpers of numcore and bounds every |d tau| by about
+2^-100 f.  gauss_sum and the L-value series (lvalue) read it at every working
+precision; its mpmath oracles live in the tests.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -37,7 +37,9 @@ from math import gcd, prod
 import mpmath
 import numpy as np
 
-from .numcore import factor, is_prime, power_tables, primes_up_to
+from .numcore import (_DD_ROUNDOFF, _bucket_sums, _dd_mul, _dd_table,
+                      _roots_of_unity, factor, is_prime, power_tables,
+                      primes_up_to)
 
 
 @lru_cache(maxsize=None)
@@ -207,21 +209,58 @@ class DirichletChar:
 
     # -- analytic ----------------------------------------------------------
 
-    def gauss_sums(self) -> dict:
-        """{j: tau(chi^j)} for j = 1..ell-1, tau(chi) = sum_{c mod f} chi(c)
-        e^(2 pi i c / f), at the current mpmath precision, from one pass."""
+    def gauss_sums(self) -> tuple[dict, float]:
+        """{j: tau(chi^j)} for j = 1..ell-1 from the real Gaussian periods
+        eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) summed in
+        double-double, tau(chi^j) = 2 sum_k zeta^(jk) eta_k at the current
+        mpmath precision, and a bound on every |tau^dd(chi^j) - tau(chi^j)|.
+
+        e(c/f) = e(qB/f) e(s/f) with c = qB + s and B = isqrt(f // 2) + 1, so
+        cos(2 pi c / f) is the difference of two Dekker products of anchors.
+        The anchors are powers of the one Gaussian integer floor(e(1/f) 2^K)
+        in K-bit fixed point, each within trunc = 4 (f + 2B) 2^-K of its
+        power of e(1/f), so a residue's two products are within 5 trunc of
+        theirs.  Each bucket is summed exactly and rounded once to (hi, lo),
+        so
+
+            |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
+                                  + 5 trunc #{c : ind(c) = k},
+
+        and |tau^dd - tau| <= 2 sum_k |eta_k^dd - eta_k|."""
         f, ell = self.conductor, self.ell
-        eta = [mpmath.mpf(0)] * ell
-        for c, k in enumerate(self.exponent_table(f // 2).tolist()):
-            if k >= 0:
-                eta[k] += mpmath.cospi(mpmath.mpf(2 * c) / f)
-        zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
-        return {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
+        half = f // 2
+        K = 160 + f.bit_length()
+        with mpmath.workprec(K + 8):
+            e1 = mpmath.expjpi(mpmath.mpf(2) / f)
+            z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
+        # Gaussian integers (x, y) = x + iy, each coordinate truncated
+        B, small, big = power_tables(
+            z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
+                                          (a[0] * b[1] + a[1] * b[0]) >> K),
+            half)
+        (ch, cl), (sh, sl), (Ch, Cl), (Sh, Sl) = (
+            _dd_table([v[i] for v in table], K)
+            for table in (small, big) for i in (0, 1))
+        exps = self.exponent_table(half)
+        c = np.flatnonzero(exps >= 0)
+        exps = exps[c]
+        q, s = np.divmod(c, B)
+        # cos(2 pi c / f) = cos_q cos_s - sin_q sin_s, both exact as (hi, lo)
+        ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
+        mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
+        size = float(np.abs(ph).sum() + np.abs(mh).sum())
+        eta = [mpmath.mpf(hi) + lo
+               for hi, lo in _bucket_sums(exps, ell, ph, pl, -mh, -ml)]
+        zeta = _roots_of_unity(ell, mpmath.mp.prec)
+        taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
                 for j in range(1, ell)}
+        trunc = math.ldexp(4 * (f + 2 * B), -K)
+        return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
 
     def gauss_sum(self):
-        """tau(chi) at the current mpmath working precision."""
-        return self.gauss_sums()[1]
+        """tau(chi) from gauss_sums, at the current mpmath precision and
+        within that kernel's bound of about 2^-100 f."""
+        return self.gauss_sums()[0][1]
 
 
 # ---------------------------------------------------------------------------

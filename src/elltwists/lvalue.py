@@ -26,16 +26,18 @@ without another pass:
     L(E, 1, chi^j) = sum_k zeta^(jk) B_k + eps_j sum_k zeta^(-jk) B_k,
 
 with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
-orbit's real Gaussian periods (see Gauss sums below).
+orbit's real Gaussian periods, DirichletChar.gauss_sums (dirichlet), the one
+Gauss-sum kernel.
 
-A vectorised double-double kernel fills the buckets at every working
-precision (the config's floor of 15 digits and up).  The terms go in
-fixed-size chunks: in each, a_n / n is a (hi, lo) pair with an exact
-TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two anchors
-from fixed-point integer powers of r, and each term is one more Dekker
-product; _bucket_sums sums each bucket's share exactly by math.fsum and
-rounds it to (hi, lo), and the chunk pairs are summed exactly and rounded
-once more.  Every term is within about 20 * 2^-106 of its exact
+_dd_buckets is the one bucket kernel.  It fills the buckets in vectorised
+double-double at every working precision (the config's floor of 15 digits
+and up), with the helpers it shares with the Gauss-sum kernel in numcore.
+The terms go in fixed-size chunks: in each, a_n / n is a (hi, lo) pair with
+an exact TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
+anchors from fixed-point integer powers of r, and each term is one more
+Dekker product; _bucket_sums sums each bucket's share exactly by math.fsum
+and rounds it to (hi, lo), and the chunk pairs are summed exactly and
+rounded once more.  Every term is within about 20 * 2^-106 of its exact
 value, relatively, and each rounding of a pair costs at most 2^-106 of its
 sum, so
 
@@ -45,21 +47,13 @@ sum, so
 and a pass whose bound exceeds err / 100 raises ConsistencyError; the bound
 never enters the reported tail bound.  About 31 significant digits lose
 nothing a decision or a printed float can see, since every decision is
-exact and the values are only trusted to their tail bound.  The per-term
-mpmath loop _buckets is the kernel's oracle in the tests; no production
-path calls it.
-
-The Gauss sums are summed the same way.  The Gaussian periods
-eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) are summed in
-double-double: e(c/f) = e(qB/f) e(s/f) with B = isqrt(f // 2) + 1, both
-anchor tables are fixed-point Gaussian-integer powers of one value of e(1/f),
-each cosine is two Dekker products, and _bucket_sums sums each period
-exactly; then tau(chi^j) = 2 sum_k zeta^(jk) eta_k at mpmath precision.
-The kernel's bound, _DD_ROUNDOFF times the sum of |terms| plus the anchors'
-fixed-point truncation, reaches L through eps, |d eps| <= 2 |d tau| / sqrt(f)
-times the second series' sum of |terms|, and raises ConsistencyError past
-err / 100 like the series' own bound.  The mpmath periods of
-DirichletChar.gauss_sums, one cosine per residue, are the kernel's oracle.
+exact and the values are only trusted to their tail bound.  The Gauss-sum
+kernel states a bound on |d tau| in the same way; it reaches L through eps,
+|d eps| <= 2 |d tau| / sqrt(f) times the second series' sum of |terms|, and
+raises ConsistencyError past err / 100 like the series' own bound.  The
+kernels' oracles, the per-term mpmath bucket loop and the mpmath periods one
+cosine per residue, live in the tests' oracles module; no production path
+can reach them.
 
 The algebraic side rescales central values to lattice coordinates
 
@@ -105,18 +99,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd
 
 import mpmath
 import numpy as np
 
-from .dirichlet import DirichletChar, conductor_primes, orbit_representatives
+from .dirichlet import (DirichletChar, admissible_conductors,
+                        conductor_primes, galois_orbits)
 from .elliptic import Curve
 from .modsym import plus_symbols
-from .numcore import (RecognitionError, power_tables, primes_up_to,
-                      recognize_integer)
+from .numcore import (_DD_ROUNDOFF, RecognitionError, _bucket_sums, _dd_mul,
+                      _dd_sum, _dd_table, _roots_of_unity, _two_prod,
+                      power_tables, primes_up_to, recognize_integer)
 
 
 class CalibrationError(RuntimeError):
@@ -139,9 +134,6 @@ _SCALE_FLOOR = min(SCALES)
 # window that starts at 400 and doubles until it holds them
 _PROBE_ORBITS = 10
 _PROBE_BOUND = 400
-# roundoff of a double-double bucket, relative to the sum of |terms|
-_DD_ROUNDOFF = 2.0 ** -100
-_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
 _DD_CHUNK = 8192       # terms per vectorised step of the kernel
 
 
@@ -152,51 +144,12 @@ def _terms_needed(c, eps) -> int:
     return max(1, math.ceil(math.log(2.0 / (float(eps) * (1.0 - q))) / c))
 
 
-def _buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
-    """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1,
-    one mpf term at a time: the double-double kernel's oracle."""
-    out = [mpmath.mpf(0)] * ell
-    p = mpmath.mpf(1)
-    for n in range(1, M + 1):
-        p *= r
-        k = exps[n]
-        if an[n] and k >= 0:
-            out[k] += an[n] * p / n
-    return out
-
-
-def _two_prod(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product)."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    t = _SPLIT * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(ah, al, bh, bl):
-    """(ah + al)(bh + bl) as a normalised double-double pair."""
-    p, e = _two_prod(ah, bh)
-    e += ah * bl + al * bh
-    hi = p + e
-    return hi, e - (hi - p)
-
-
 def _dd_quotient(a, n):
     """a / n as double-double pairs, for arrays of exact integers: the
     remainder a - hi n is exact (TwoProduct, then Sterbenz)."""
     hi = a / n
     p, e = _two_prod(hi, n)
     return hi, ((a - p) - e) / n
-
-
-def _dd_table(values: list[int], K: int):
-    """Fixed-point integers v / 2^K as double-double arrays."""
-    hi = [float(v) for v in values]
-    lo = [float(v - int(h)) for v, h in zip(values, hi)]
-    return np.ldexp(np.array(hi), -K), np.ldexp(np.array(lo), -K)
 
 
 def _dd_anchors(r, M: int):
@@ -209,21 +162,6 @@ def _dd_anchors(r, M: int):
     B, small, big = power_tables(int(mpmath.ldexp(r, K)), 1 << K,
                                  lambda a, b: a * b >> K, M)
     return B, _dd_table(small, K), _dd_table(big, K)
-
-
-def _dd_sum(parts: list[float]) -> tuple[float, float]:
-    """The exact sum of parts, rounded once to a double-double pair; parts
-    is extended in the process."""
-    hi = math.fsum(parts)
-    parts.append(-hi)
-    return hi, math.fsum(parts)
-
-
-def _bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
-    """For j = 0..ell-1, the exact sum of the parts' entries where k = j,
-    rounded once to a double-double pair."""
-    return [_dd_sum(np.concatenate([p[k == j] for p in parts]).tolist())
-            for j in range(ell)]
 
 
 def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
@@ -259,67 +197,15 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     return [mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)], size
 
 
-def _dd_gauss_sums(chi: DirichletChar) -> tuple[dict, float]:
-    """{j: tau(chi^j)} for j = 1..ell-1 from the real Gaussian periods
-    eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) summed in double-double,
-    tau(chi^j) = 2 sum_k zeta^(jk) eta_k, and a bound on every
-    |tau^dd(chi^j) - tau(chi^j)|.
-
-    e(c/f) = e(qB/f) e(s/f) with c = qB + s and B = isqrt(f // 2) + 1, so
-    cos(2 pi c / f) is the difference of two Dekker products of anchors.  The
-    anchors are powers of the one Gaussian integer floor(e(1/f) 2^K) in K-bit
-    fixed point, each within trunc = 4 (f + 2B) 2^-K of its power of e(1/f),
-    so a residue's two products are within 5 trunc of theirs.  Each bucket
-    is summed exactly and rounded once to (hi, lo), so
-
-        |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
-                              + 5 trunc #{c : ind(c) = k},
-
-    and |tau^dd - tau| <= 2 sum_k |eta_k^dd - eta_k|."""
-    f, ell = chi.conductor, chi.ell
-    half = f // 2
-    K = 160 + f.bit_length()
-    with mpmath.workprec(K + 8):
-        e1 = mpmath.expjpi(mpmath.mpf(2) / f)
-        z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
-    # Gaussian integers (x, y) = x + iy, each coordinate truncated
-    B, small, big = power_tables(
-        z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
-                                      (a[0] * b[1] + a[1] * b[0]) >> K), half)
-    (ch, cl), (sh, sl) = (_dd_table([v[i] for v in small], K) for i in (0, 1))
-    (Ch, Cl), (Sh, Sl) = (_dd_table([v[i] for v in big], K) for i in (0, 1))
-    exps = chi.exponent_table(half)
-    c = np.flatnonzero(exps >= 0)
-    exps = exps[c]
-    q, s = np.divmod(c, B)
-    # cos(2 pi c / f) = cos_q cos_s - sin_q sin_s, both exact as (hi, lo)
-    ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
-    mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
-    size = float(np.abs(ph).sum() + np.abs(mh).sum())
-    eta = [mpmath.mpf(hi) + lo
-           for hi, lo in _bucket_sums(exps, ell, ph, pl, -mh, -ml)]
-    zeta = _roots_of_unity(ell, mpmath.mp.prec)
-    taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
-            for j in range(1, ell)}
-    trunc = math.ldexp(4 * (f + 2 * B), -K)
-    return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
-
-
-@lru_cache(maxsize=None)
-def _roots_of_unity(ell: int, prec: int) -> tuple:
-    """zeta^k = e^(2 pi i k / ell) for k = 0..ell-1, at prec bits."""
-    with mpmath.workprec(prec):
-        return tuple(mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell))
-
-
 def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
                    err=1e-15, tau_err: float = 0.0) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
     tau(chi^j), all from the buckets of one _dd_buckets pass; absolute error
     <= err plus roundoff.  chi = None is the trivial character, asked for as
-    taus = {0: 1}.  tau_err bounds |d tau|, as _dd_gauss_sums states it.  The
-    pass's roundoff bound, and the Gauss sums' carried into L through eps,
-    must stay under err / 100 or ConsistencyError is raised."""
+    taus = {0: 1}.  tau_err bounds |d tau|, as DirichletChar.gauss_sums
+    states it.  The pass's roundoff bound, and the Gauss sums' carried into
+    L through eps, must stay under err / 100 or ConsistencyError is
+    raised."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
@@ -353,9 +239,26 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
 def central_value(curve: Curve, chi: DirichletChar | None = None, err=1e-15):
     """L(E, 1, chi) at the current mpmath precision, absolute error <= err
     plus roundoff.  chi = None gives the untwisted central value."""
-    taus = {0: 1} if chi is None else {1: chi.gauss_sum()}
-    (value,) = central_values(curve, chi, taus, err).values()
-    return value
+    if chi is None:
+        return central_values(curve, None, {0: 1}, err)[0]
+    taus, tau_err = chi.gauss_sums()
+    return central_values(curve, chi, {1: taus[1]}, err, tau_err)[1]
+
+
+def served_orbits(level: int, ell: int,
+                  bound: int) -> tuple[list[DirichletChar], list[int]]:
+    """The orbit representatives of conductor <= bound whose twists the
+    series serve, those prime to the level, in (conductor, exponent-vector)
+    order, and the admissible conductors skipped for sharing a factor with
+    the level."""
+    orbits: list[DirichletChar] = []
+    skipped: list[int] = []
+    for f in admissible_conductors(ell, bound):
+        if gcd(f, level) == 1:
+            orbits.extend(galois_orbits(f, ell))
+        else:
+            skipped.append(f)
+    return orbits, skipped
 
 
 def hecke_factor(curve: Curve, f: int, ell: int) -> int:
@@ -380,14 +283,14 @@ class TwistRows:
 
 def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
     """Rows of every conjugate twist at working precision dps, from one
-    double-double series pass and one _dd_gauss_sums pass."""
+    double-double series pass and one DirichletChar.gauss_sums pass."""
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
         # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
         # the rounding budget for every candidate scale c
         err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
-        taus, tau_err = _dd_gauss_sums(chi)
+        taus, tau_err = chi.gauss_sums()
         values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
         rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
     return TwistRows(rows, complex(values[1]), err_l)
@@ -620,8 +523,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
         return _CALIBRATIONS[key]
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
-        reps = [r for r in orbit_representatives(ell, bound)
-                if gcd(r.conductor, curve.conductor) == 1][:_PROBE_ORBITS]
+        reps = served_orbits(curve.conductor, ell, bound)[0][:_PROBE_ORBITS]
         bound *= 2
     with mpmath.workdps(dps):
         omega = curve.real_period()

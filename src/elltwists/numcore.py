@@ -4,15 +4,23 @@ Integer factorization (trial division, which proves the cofactor prime
 once the divisors pass its square root, then deterministic Miller-Rabin and
 Pollard rho on a larger cofactor, exact for inputs below 2^64), dense
 polynomials over Q in one variable, the float -> integer recognition used
-when numerically computed quantities are known to be integers, and the two
-short power tables from which every z^n = z^(qB) z^s is formed.
+when numerically computed quantities are known to be integers, the two
+short power tables from which every z^n = z^(qB) z^s is formed, and the
+double-double helpers (Dekker products, fixed-point anchor tables, exactly
+summed buckets, roots of unity) that the one series kernel
+(lvalue._dd_buckets) and the one Gauss-sum kernel
+(dirichlet.DirichletChar.gauss_sums) share.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+import mpmath
+import numpy as np
 
 
 class RecognitionError(ValueError):
@@ -178,6 +186,62 @@ def power_tables(z, one, mul, M: int):
     for _ in range(M // B):
         big.append(mul(big[-1], zB))
     return B, small, big
+
+
+# ---------------------------------------------------------------------------
+# double-double arithmetic shared by the series and Gauss-sum kernels
+
+# roundoff of a double-double bucket, relative to the sum of |terms|
+_DD_ROUNDOFF = 2.0 ** -100
+_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al)(bh + bl) as a normalised double-double pair."""
+    p, e = _two_prod(ah, bh)
+    e += ah * bl + al * bh
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _dd_table(values: list[int], K: int):
+    """Fixed-point integers v / 2^K as double-double arrays."""
+    hi = [float(v) for v in values]
+    lo = [float(v - int(h)) for v, h in zip(values, hi)]
+    return np.ldexp(np.array(hi), -K), np.ldexp(np.array(lo), -K)
+
+
+def _dd_sum(parts: list[float]) -> tuple[float, float]:
+    """The exact sum of parts, rounded once to a double-double pair; parts
+    is extended in the process."""
+    hi = math.fsum(parts)
+    parts.append(-hi)
+    return hi, math.fsum(parts)
+
+
+def _bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
+    """For j = 0..ell-1, the exact sum of the parts' entries where k = j,
+    rounded once to a double-double pair."""
+    return [_dd_sum(np.concatenate([p[k == j] for p in parts]).tolist())
+            for j in range(ell)]
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(ell: int, prec: int) -> tuple:
+    """zeta^k = e^(2 pi i k / ell) for k = 0..ell-1, at prec bits."""
+    with mpmath.workprec(prec):
+        return tuple(mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,79 @@
+"""The tests' oracles: plain mpmath loops that compute, one term at a time,
+what the program's double-double kernels compute in vectorised form.  No
+module of the program imports this one.
+
+- pointwise_gauss_sum: tau(chi) from its definition, one complex exponential
+  per residue, chi evaluated pointwise.
+- periods_gauss_sums: every tau(chi^j) of an orbit from the real Gaussian
+  periods, one mpmath cosine per residue; the oracle of
+  DirichletChar.gauss_sums.
+- buckets: B_k(r), one mpf term at a time; the oracle of lvalue._dd_buckets.
+- oracle_value: L(E, 1, chi) from the per-character series, one complex term
+  at a time, with chi and its Gauss sum evaluated pointwise.
+"""
+
+import mpmath
+import numpy as np
+
+
+def pointwise_gauss_sum(chi):
+    """Reference tau(chi) = sum_{c mod f} chi(c) e^(2 pi i c / f), one
+    complex exponential per residue, chi evaluated pointwise."""
+    f = chi.conductor
+    two_pi_i = 2j * mpmath.pi
+    zeta = [mpmath.e ** (two_pi_i * k / chi.ell) for k in range(chi.ell)]
+    total = mpmath.mpc(0)
+    for c in range(1, f):
+        k = chi.value_exponent(c)
+        if k is not None:
+            total += zeta[k] * mpmath.e ** (two_pi_i * c / f)
+    return total
+
+
+def periods_gauss_sums(chi) -> dict:
+    """{j: tau(chi^j)} for j = 1..ell-1, tau(chi) = sum_{c mod f} chi(c)
+    e^(2 pi i c / f), at the current mpmath precision, from one pass."""
+    f, ell = chi.conductor, chi.ell
+    eta = [mpmath.mpf(0)] * ell
+    for c, k in enumerate(chi.exponent_table(f // 2).tolist()):
+        if k >= 0:
+            eta[k] += mpmath.cospi(mpmath.mpf(2 * c) / f)
+    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+    return {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
+            for j in range(1, ell)}
+
+
+def buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
+    """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1,
+    one mpf term at a time: the double-double kernel's oracle."""
+    out = [mpmath.mpf(0)] * ell
+    p = mpmath.mpf(1)
+    for n in range(1, M + 1):
+        p *= r
+        k = exps[n]
+        if an[n] and k >= 0:
+            out[k] += an[n] * p / n
+    return out
+
+
+def oracle_value(curve, chi, err):
+    """Reference L(E, 1, chi): the per-character series, one complex term
+    at a time, with chi and its Gauss sum evaluated pointwise, summed until
+    its own tail bound drops below err / 100."""
+    N, w, f, ell = curve.conductor, curve.root_number, chi.conductor, chi.ell
+    r = mpmath.exp(-2 * mpmath.pi / (f * mpmath.sqrt(N)))
+    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+    tau = pointwise_gauss_sum(chi)
+    eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
+    s1 = s2 = mpmath.mpc(0)
+    p = mpmath.mpf(1)
+    n = 0
+    while 2 * p * r / (1 - r) > err / 100:
+        n += 1
+        p *= r
+        k = chi.value_exponent(n)
+        if k is not None:
+            term = mpmath.mpf(curve.an_table(n)[n]) / n * p
+            s1 += term * zeta[k]
+            s2 += term * zeta[-k % ell]
+    return s1 + eps * s2

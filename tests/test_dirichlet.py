@@ -1,6 +1,7 @@
 """Character checks: multiplicativity and primitivity verified by exhaustive
-brute force, counts against the closed form, Gauss sums against the
-per-residue definition and the modulus identity, and orbit bookkeeping."""
+brute force, counts against the closed form, the Gauss-sum oracle against
+the per-residue definition, the production Gauss sums against the modulus
+identity and their symmetries, and orbit bookkeeping."""
 
 import tracemalloc
 from math import gcd
@@ -13,6 +14,7 @@ from elltwists.dirichlet import (DirichletChar, admissible_conductors,
                                  characters_of_conductor, galois_orbits,
                                  orbit_representatives)
 from elltwists.numcore import factor, primes_up_to
+from oracles import periods_gauss_sums, pointwise_gauss_sum
 
 
 def expected_count(f: int, ell: int) -> int:
@@ -27,20 +29,6 @@ def expected_count(f: int, ell: int) -> int:
         else:
             return 0
     return out
-
-
-def pointwise_gauss_sum(chi):
-    """Reference tau(chi) = sum_{c mod f} chi(c) e^(2 pi i c / f), one
-    complex exponential per residue, chi evaluated pointwise."""
-    f = chi.conductor
-    two_pi_i = 2j * mpmath.pi
-    zeta = [mpmath.e ** (two_pi_i * k / chi.ell) for k in range(chi.ell)]
-    total = mpmath.mpc(0)
-    for c in range(1, f):
-        k = chi.value_exponent(c)
-        if k is not None:
-            total += zeta[k] * mpmath.e ** (two_pi_i * c / f)
-    return total
 
 
 class TestCharacterTable:
@@ -210,15 +198,18 @@ class TestGaussSum:
         (7, 29), (7, 43), (7, 49),
     ])
     def test_periods_match_pointwise_definition(self, ell, f):
-        # every conjugate of the one-pass periods against the per-residue
-        # sum, tame and wild (ell^2 | f) conductors, every orbit
+        # every conjugate of the one-pass mpmath periods against the
+        # per-residue sum, tame and wild (ell^2 | f) conductors, every orbit;
+        # gauss_sum is the kernel's tau, within its stated bound of them
         with mpmath.workdps(50):
             for chi in galois_orbits(f, ell):
-                taus = chi.gauss_sums()
+                taus = periods_gauss_sums(chi)
                 assert sorted(taus) == list(range(1, ell))
                 for j, tau in taus.items():
                     assert abs(tau - pointwise_gauss_sum(chi.power(j))) < 1e-45
-                assert chi.gauss_sum() == taus[1]
+                kernel, bound = chi.gauss_sums()
+                assert chi.gauss_sum() == kernel[1]
+                assert abs(kernel[1] - taus[1]) <= bound
 
     def test_modulus_squared_is_conductor(self):
         # |tau(chi)|^2 = f for primitive chi, orders 3 and 5

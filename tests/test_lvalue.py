@@ -3,7 +3,7 @@
 The layout mirrors how the numbers are trusted: the series tail bound is
 checked against a doubled truncation, the bucketed conjugates against a
 per-character oracle series, the double-double buckets and Gauss sums
-against the mpmath loops kept as their oracles, the exact coset sums
+against the mpmath loops of the oracles module, the exact coset sums
 against frozen lattice data and their seed identity, the faults of a wrong
 sign, chi(N), Gauss sum, exponent table or eigenline against the
 modular-symbol check, and the decision policy against synthetic records.
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elltwists.dirichlet as dirichlet
 import elltwists.lvalue as lvalue
 from elltwists.dirichlet import (DirichletChar, galois_orbits,
                                   orbit_representatives)
@@ -29,7 +30,7 @@ from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
                               calibrate, central_value, central_values,
                               hecke_factor, vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
-from test_dirichlet import pointwise_gauss_sum
+from oracles import buckets, oracle_value, periods_gauss_sums
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -37,29 +38,6 @@ E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
 CHI7 = galois_orbits(7, 3)[0]
 CHI9 = galois_orbits(9, 3)[0]
 CHI13 = galois_orbits(13, 3)[0]
-
-
-def oracle_value(curve, chi, err):
-    """Reference L(E, 1, chi): the per-character series, one complex term
-    at a time, with chi and its Gauss sum evaluated pointwise, summed until
-    its own tail bound drops below err / 100."""
-    N, w, f, ell = curve.conductor, curve.root_number, chi.conductor, chi.ell
-    r = mpmath.exp(-2 * mpmath.pi / (f * mpmath.sqrt(N)))
-    zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
-    tau = pointwise_gauss_sum(chi)
-    eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
-    s1 = s2 = mpmath.mpc(0)
-    p = mpmath.mpf(1)
-    n = 0
-    while 2 * p * r / (1 - r) > err / 100:
-        n += 1
-        p *= r
-        k = chi.value_exponent(n)
-        if k is not None:
-            term = mpmath.mpf(curve.an_table(n)[n]) / n * p
-            s1 += term * zeta[k]
-            s2 += term * zeta[-k % ell]
-    return s1 + eps * s2
 
 
 def skewed_twist_rows(curve, chi, dps):
@@ -118,7 +96,9 @@ class TestCentralValue:
         # series, tame and wild conductors alike
         chi = galois_orbits(f, ell)[0]
         with mpmath.workdps(30):
-            values = central_values(curve, chi, chi.gauss_sums(), err=1e-12)
+            taus, tau_err = chi.gauss_sums()
+            values = central_values(curve, chi, taus, err=1e-12,
+                                    tau_err=tau_err)
             for j in range(1, ell):
                 oracle = oracle_value(curve, chi.power(j), 1e-12)
                 assert abs(values[j] - oracle) < 1e-12
@@ -162,23 +142,23 @@ class TestTDriftAlarm:
     def test_wrong_gauss_sum_raises(self, cal_b, monkeypatch):
         # conjugated Gauss sums turn eps by a phase on a nonzero twist; at
         # 50 digits they come from the double-double kernel
-        kernel = lvalue._dd_gauss_sums
+        kernel = DirichletChar.gauss_sums
 
         def conjugated(chi):
             taus, bound = kernel(chi)
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
-        monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
+        monkeypatch.setattr(DirichletChar, "gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b).coset_sums(CHI9)
 
     def test_wrong_gauss_sum_raises_at_80_digits(self, cal_b, monkeypatch):
         # the same fault at 80 digits, where the same kernel serves
-        kernel = lvalue._dd_gauss_sums
+        kernel = DirichletChar.gauss_sums
 
         def conjugated(chi):
             taus, bound = kernel(chi)
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
-        monkeypatch.setattr(lvalue, "_dd_gauss_sums", conjugated)
+        monkeypatch.setattr(DirichletChar, "gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b, dps=80).coset_sums(CHI9)
 
@@ -248,13 +228,8 @@ class TestTDriftAlarm:
 
         for name in calls:
             monkeypatch.setattr(DirichletChar, name, counted(name))
-        kernel = lvalue._dd_gauss_sums
-        kernel_calls = []
-        monkeypatch.setattr(lvalue, "_dd_gauss_sums",
-                            lambda chi: kernel_calls.append(chi) or kernel(chi))
         lvalue._twist_rows(E37B, chi, 50)
-        assert kernel_calls == [chi]
-        assert calls["gauss_sums"] == 0
+        assert calls["gauss_sums"] == 1
         assert calls["power"] == 0
         assert calls["value_exponent"] == 1
 
@@ -278,7 +253,7 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
         an, exps = curve.an_table(top), chi.exponent_table(top)
         for r, M in radii:
             dd, _ = lvalue._dd_buckets(curve, chi, r, M)
-            mp = lvalue._buckets(an, exps, chi.ell, r, M)
+            mp = buckets(an, exps, chi.ell, r, M)
             n = np.arange(M + 1)
             size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
                 float(r) ** n.astype(float)
@@ -318,24 +293,14 @@ class TestDoubleDoubleRung:
 
     def test_rung_follows_working_precision(self, monkeypatch):
         # one series pass per orbit, in double-double at 15, 50 and 80
-        # digits alike; the mpmath loop is never called, and the values
-        # agree within their tail bounds
-        calls = {"_dd_buckets": 0, "_buckets": 0}
-
-        def counted(name):
-            real = getattr(lvalue, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(lvalue, name, counted(name))
+        # digits alike, and the values agree within their tail bounds
+        kernel, calls = lvalue._dd_buckets, []
+        monkeypatch.setattr(lvalue, "_dd_buckets",
+                            lambda *args: calls.append(args) or kernel(*args))
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
             rows.append(lvalue._twist_rows(E37B, CHI13, dps))
-            assert calls == {"_dd_buckets": n, "_buckets": 0}, dps
+            assert len(calls) == n, dps
         for a in rows:
             for b in rows:
                 assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
@@ -345,11 +310,8 @@ class TestDoubleDoubleRung:
                                                       monkeypatch):
         # calibrate, coset_sums and congruence_check at every working
         # precision, on orbits past the probes (73, 79 and the product
-        # 7 * 73 = 511), give cal_b's answers without the oracles
-        def oracle(*args):
-            raise AssertionError("an mpmath oracle ran in production code")
-        monkeypatch.setattr(lvalue, "_buckets", oracle)
-        monkeypatch.setattr(DirichletChar, "gauss_sums", oracle)
+        # 7 * 73 = 511), give cal_b's answers from the double-double kernels
+        # alone: the mpmath oracles live in the tests, out of their reach
         monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3, dps=dps)
         chi73, chi79 = (galois_orbits(f, 3)[0] for f in (73, 79))
@@ -365,7 +327,7 @@ class TestDoubleDoubleRung:
         # the kernel's stated roundoff bound is checked against err / 100
         central_value(E37B, CHI7, err=1e-10)
         monkeypatch.setattr(lvalue, "_DD_ROUNDOFF", 1e-12)
-        with pytest.raises(ConsistencyError, match="roundoff"):
+        with pytest.raises(ConsistencyError, match="double-double roundoff"):
             central_value(E37B, CHI7, err=1e-10)
 
 
@@ -380,8 +342,8 @@ def dd_gauss_error(chi):
     """Worst |tau^dd(chi^j) - tau(chi^j)| / sqrt(f) against the mpmath
     periods at 50 digits, and the kernel's stated bound over sqrt(f)."""
     with mpmath.workdps(50):
-        taus, bound = lvalue._dd_gauss_sums(chi)
-        oracle = chi.gauss_sums()
+        taus, bound = chi.gauss_sums()
+        oracle = periods_gauss_sums(chi)
         assert sorted(taus) == sorted(oracle)
         worst = max(abs(taus[j] - oracle[j]) for j in oracle)
         root_f = mpmath.sqrt(chi.conductor)
@@ -411,54 +373,55 @@ class TestDoubleDoubleGaussSums:
         # the comparison above must reject it
         chi = galois_orbits(409, 3)[0]
         assert dd_gauss_error(chi)[0] <= 1e-30
-        monkeypatch.setattr(lvalue, "_dd_mul",
+        monkeypatch.setattr(dirichlet, "_dd_mul",
                             lambda ah, al, bh, bl: (ah * bh, 0 * ah))
-        table = lvalue._dd_table
+        table = dirichlet._dd_table
 
         def high_words(values, K):
             hi, lo = table(values, K)
             return hi, 0 * lo
-        monkeypatch.setattr(lvalue, "_dd_table", high_words)
+        monkeypatch.setattr(dirichlet, "_dd_table", high_words)
         assert dd_gauss_error(chi)[0] > 1e-30
 
     def test_rung_follows_working_precision(self, monkeypatch):
-        # one kernel call per orbit at 15, 50 and 80 digits alike; the
-        # mpmath periods are never called, and the L values agree within
-        # their tail bounds
-        calls = {"kernel": 0, "mpmath": 0}
-        kernel, periods = lvalue._dd_gauss_sums, DirichletChar.gauss_sums
-
-        def counted_kernel(chi):
-            calls["kernel"] += 1
-            return kernel(chi)
-
-        def counted_periods(chi):
-            calls["mpmath"] += 1
-            return periods(chi)
-
-        monkeypatch.setattr(lvalue, "_dd_gauss_sums", counted_kernel)
-        monkeypatch.setattr(DirichletChar, "gauss_sums", counted_periods)
+        # one kernel call per orbit at 15, 50 and 80 digits alike, and the
+        # L values agree within their tail bounds
+        kernel, calls = DirichletChar.gauss_sums, []
+        monkeypatch.setattr(DirichletChar, "gauss_sums",
+                            lambda chi: calls.append(chi) or kernel(chi))
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
             rows.append(lvalue._twist_rows(E37B, CHI13, dps))
-            assert calls == {"kernel": n, "mpmath": 0}, dps
+            assert calls == [CHI13] * n, dps
         for a in rows:
             for b in rows:
                 assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
 
-    def test_roundoff_bound_over_budget_raises(self, monkeypatch):
-        # the kernel's bound, carried into L through eps, is checked against
-        # err / 100 ahead of the series' own bound
+    def test_gauss_sum_and_series_share_the_kernel(self, monkeypatch):
+        # gauss_sum, which acceptance criterion 01 calls, and the series
+        # rows both reach the one production kernel
+        kernel, calls = DirichletChar.gauss_sums, []
+        monkeypatch.setattr(DirichletChar, "gauss_sums",
+                            lambda chi: calls.append(chi) or kernel(chi))
+        with mpmath.workdps(50):
+            assert CHI13.gauss_sum() == kernel(CHI13)[0][1]
+        assert calls == [CHI13]
         lvalue._twist_rows(E37B, CHI13, 50)
-        monkeypatch.setattr(lvalue, "_DD_ROUNDOFF", 1e-6)
+        assert calls == [CHI13] * 2
+
+    def test_roundoff_bound_over_budget_raises(self, monkeypatch):
+        # the Gauss-sum kernel's bound, carried into L through eps, is
+        # checked against err / 100 like the series' own bound
+        lvalue._twist_rows(E37B, CHI13, 50)
+        monkeypatch.setattr(dirichlet, "_DD_ROUNDOFF", 1e-6)
         with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
             lvalue._twist_rows(E37B, CHI13, 50)
 
     def test_gauss_bound_alone_is_checked(self, monkeypatch):
         # with the series' roundoff in budget, an inflated Gauss-sum bound
         # still raises
-        kernel = lvalue._dd_gauss_sums
-        monkeypatch.setattr(lvalue, "_dd_gauss_sums",
+        kernel = DirichletChar.gauss_sums
+        monkeypatch.setattr(DirichletChar, "gauss_sums",
                             lambda chi: (kernel(chi)[0], 1e-6))
         with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
             lvalue._twist_rows(E37B, CHI13, 50)
