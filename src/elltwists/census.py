@@ -22,21 +22,17 @@ from pathlib import Path
 
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar
-from .elliptic import Curve, PointCountError
+from .elliptic import Curve
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
-from .lvalue import (CalibratedCurve, CongruenceResult, ConsistencyError,
-                     calibrate, served_orbits)
+from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
+                     served_orbits)
 from .modsym import MAX_LEVEL, plus_symbols
+from .numcore import TheoryViolation
 
 
 class ConfigError(Exception):
     """A configuration file or parameter set that cannot be run."""
-
-
-class TheoryViolation(Exception):
-    """A computed result that contradicts a proved statement.  Raised so a
-    caller can distinguish 'the mathematics failed' from ordinary errors."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +81,6 @@ class CurveConfig:
         where = f"{self.label} at conductor {self.conductor}"
         try:
             root_number = plus_symbols(curve).root_number()
-        except PointCountError:
-            raise
         except ArithmeticError as exc:
             raise ConfigError(f"no plus modular symbols for {where}: {exc}") \
                 from exc
@@ -296,7 +290,7 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> CensusRow:
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",
-                        alarm=isinstance(exc, (ConsistencyError, PointCountError)),
+                        alarm=isinstance(exc, TheoryViolation),
                         curve=cal.label, ell=cal.ell)
     return row
 
@@ -656,9 +650,8 @@ def run_family(kind: str, parameters, height_bound: int = 6) -> FamilyReport:
         except ValueError:
             base = None
         if base is not None:
-            t0 = lam if kind == "six-torsion" else Fraction(1)
             seen_u: set[Fraction] = set()
-            for fp in fiber_search(base, t0, height_bound):
+            for fp in fiber_search(base, fiber.t0, height_bound):
                 # the two square roots give the same fiber; keep one
                 if fp.classification != "cyclic-cubic" or fp.u in seen_u:
                     continue

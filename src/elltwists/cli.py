@@ -15,18 +15,13 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .census import (CensusSummary, ConfigError, CurveConfig, TheoryViolation,
-                     _growth_counts, _read_journal, run_census,
-                     run_congruence_sweep, run_e37b, run_family)
-from .cubicfield import FieldConsistencyError
+from .census import (CensusSummary, ConfigError, CurveConfig, _growth_counts,
+                     _read_journal, run_census, run_congruence_sweep, run_e37b,
+                     run_family)
 from .dirichlet import galois_orbits
-from .elliptic import PointCountError
-from .kummer import SurfaceError, fiber_search
-from .lvalue import CalibrationError, ConsistencyError, calibrate
-from .numcore import is_prime
-
-_THEORY_ERRORS = (TheoryViolation, ConsistencyError, SurfaceError,
-                  FieldConsistencyError, CalibrationError, PointCountError)
+from .kummer import fiber_search
+from .lvalue import calibrate
+from .numcore import TheoryViolation, is_prime
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,7 +262,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _THEORY_ERRORS as exc:
+    except TheoryViolation as exc:
         print(f"theory violation: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

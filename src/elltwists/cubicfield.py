@@ -31,8 +31,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .dirichlet import DirichletChar, galois_orbits
-from .numcore import (Factorization, PolyQ, _fp_eval, _fp_roots,
-                      cubic_discriminant, factor, is_perfect_square, primes_up_to)
+from .numcore import (Factorization, PolyQ, TheoryViolation, _fp_eval,
+                      _fp_roots, cubic_discriminant, factor, is_perfect_square,
+                      primes_up_to)
 
 
 class ReducibleCubicError(ValueError):
@@ -47,7 +48,7 @@ class NonCyclicCubicError(ValueError):
     """Irreducible but non-square discriminant: the Galois closure is S3."""
 
 
-class FieldConsistencyError(RuntimeError):
+class FieldConsistencyError(TheoryViolation):
     """An exact invariant of cyclic cubic arithmetic failed."""
 
 

@@ -24,6 +24,11 @@ DirichletChar.gauss_sums is the one Gauss-sum kernel: it sums the periods in
 double-double with the helpers of numcore and bounds every |d tau| by about
 2^-100 f.  gauss_sum and the L-value series (lvalue) read it at every working
 precision; its mpmath oracles live in the tests.
+
+galois_orbits is the one enumeration: the canonical member of each orbit of
+conductor f, read straight off the exponent vectors with the first exponent
+1.  Its oracle, the full list of characters of conductor f, lives in the
+tests, and lvalue.served_orbits walks the admissible conductors.
 """
 from __future__ import annotations
 
@@ -298,26 +303,9 @@ def conductor_primes(f: int, ell: int) -> tuple[int, ...]:
     return tuple(q for q, _ in pairs)
 
 
-def characters_of_conductor(f: int, ell: int) -> list[DirichletChar]:
-    """All (ell-1)^k primitive order-ell characters of conductor f, in
-    exponent-vector order."""
-    primes = conductor_primes(f, ell)
-    return [DirichletChar(ell, tuple(zip(primes, exps)))
-            for exps in product(range(1, ell), repeat=len(primes))]
-
-
 def galois_orbits(f: int, ell: int) -> list[DirichletChar]:
     """Canonical representatives of the (ell-1)^(k-1) orbits of conductor f:
     the characters with first exponent 1, in exponent-vector order."""
     first, *rest = conductor_primes(f, ell)
     return [DirichletChar(ell, ((first, 1), *zip(rest, exps)))
             for exps in product(range(1, ell), repeat=len(rest))]
-
-
-def orbit_representatives(ell: int, conductor_bound: int) -> list[DirichletChar]:
-    """All orbit representatives with conductor <= bound, sorted by
-    (conductor, exponent vector)."""
-    out: list[DirichletChar] = []
-    for f in admissible_conductors(ell, conductor_bound):
-        out.extend(galois_orbits(f, ell))
-    return out

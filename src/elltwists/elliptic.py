@@ -25,7 +25,7 @@ from math import gcd, isqrt
 import mpmath
 import numpy as np
 
-from .numcore import factor, primes_up_to
+from .numcore import TheoryViolation, factor, primes_up_to
 
 # primes from here on are counted by the batched search.  On 2 vCPUs, for
 # batches of the primes in [q, 3q/2], the search costs 98, 64, 44 and 41 us
@@ -47,7 +47,7 @@ _BSGS_LANES = 512
 _BSGS_MAX_P = 2 ** 31
 
 
-class PointCountError(ArithmeticError):
+class PointCountError(TheoryViolation):
     """A point count failed a consistency check; no a_p is returned."""
 
 

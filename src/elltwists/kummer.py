@@ -6,12 +6,14 @@ leaves a monic cubic in x whose discriminant is a quartic in u.  Parameters
 Galois-stable triple of points, so each such slice hands us a cyclic cubic
 field together with a trace-zero point.  This module builds the slice
 discriminant one fiber t0 at a time, as a quartic over Q in u, and searches
-those fibers for square values.  It tracks the associated jacobian family
-with its marked section over Q(sqrt(-3)), decides the smoothness of the
-genus-3 fiber in sympy and the solvability of the fiber conic by the norm
-criterion, carries the two torsion pencils with their infinite-order
-certificates, and sweeps the parameter grid of the conductor-37 slice
-family into a conductor census, one row of Python ints per parameter pair.
+those fibers for square values, walking u by height and testing the
+quartic for a rational square.  It decides whether a fiber is smooth by the
+closed-form bad locus of the short model, tracks the associated jacobian
+family with its marked section over Q(sqrt(-3)), decides the solvability of
+the fiber conic by the norm criterion, carries the two torsion pencils with
+their infinite-order certificates, and sweeps the parameter grid of the
+conductor-37 slice family into a conductor census, one row of Python ints
+per parameter pair.
 Q(sqrt(-3)), where the marked section and the nodal fiber's certificate
 live, is a cubicfield.NumberField: this module does no field arithmetic of
 its own.
@@ -26,12 +28,12 @@ from typing import NamedTuple
 
 from .cubicfield import CubicField, FieldElt, NumberField, field_invariants
 from .elliptic import Curve, is_nontorsion, on_curve
-from .numcore import (Factorization, PolyQ, _monic_cubic_integer_roots,
-                      cubic_discriminant, cubic_double_root, factor,
-                      is_perfect_square)
+from .numcore import (Factorization, PolyQ, TheoryViolation,
+                      _monic_cubic_integer_roots, cubic_discriminant,
+                      cubic_double_root, factor, is_perfect_square)
 
 
-class SurfaceError(Exception):
+class SurfaceError(TheoryViolation):
     """An exact identity that the slice geometry guarantees failed."""
 
 
@@ -195,59 +197,11 @@ def gamma1(A, B) -> tuple[PolyQ, PolyQ]:
     return X, Y
 
 
-def gamma1_at(A, B, t0) -> tuple[Curve, tuple[Fraction, FieldElt]]:
-    """The jacobian fiber over t0 with the marked point specialized, the
-    y-coordinate landing in Q(sqrt(-3))."""
-    aj, bj = jacobian_curve(A, B)
-    X, Y = gamma1(A, B)
-    t0 = Fraction(t0)
-    curve = Curve((0, 0, 0, aj(t0), bj(t0)))
-    return curve, (X(t0), Q_SQRT_MINUS_3(0, Y(t0)))
-
-
 def bad_locus(A, B) -> PolyQ:
     """Parameters t over which the slice fibration of y^2 = x^3 + A x + B
     degenerates."""
     A, B = Fraction(A), Fraction(B)
     return PolyQ.of(-27 * A * A, 0, 108 * B, 0, 18 * A, 0, 0, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# the genus-3 slice fiber and its exact smoothness verdict
-
-@dataclass(frozen=True)
-class Genus3Fiber:
-    A: Fraction
-    B: Fraction
-    t0: Fraction
-    equation: object        # a sympy expression in xi1 and xi2
-    smooth: bool
-    method: str
-
-
-def genus3_curve(A, B, t0) -> Genus3Fiber:
-    """Plane quartic fiber over t0 with an exact smoothness verdict.  The
-    equation is a sympy polynomial in the two slice roots xi1 and xi2.  A
-    coprime pair of elimination resultants certifies smoothness outright;
-    when they share a factor the candidate locus need not extend to an
-    actual singular point, so a Groebner basis settles those cases."""
-    import sympy  # deferred, so commands that never reach here skip it
-    A, B, t0 = Fraction(A), Fraction(B), Fraction(t0)
-    xi1, xi2 = sympy.symbols("xi1 xi2")
-    a, b, tt = (sympy.Rational(c) for c in (A, B, t0 * t0))
-    F = sympy.expand(
-        (xi1 ** 2 + xi1 * xi2 + xi2 ** 2 - tt * (xi1 + xi2) + a) ** 2
-        - 4 * tt * xi1 * xi2 * (tt - xi1 - xi2) - 4 * b * tt)
-    F1, F2 = sympy.diff(F, xi1), sympy.diff(F, xi2)
-    # F is monic of degree 4 in xi2, so the resultants vanish exactly on
-    # xi1-coordinates of common zeros; no leading-coefficient artifacts
-    r1 = sympy.resultant(F, F1, xi2)
-    r2 = sympy.resultant(F, F2, xi2)
-    if r1 != 0 and r2 != 0 and sympy.degree(sympy.gcd(r1, r2), xi1) == 0:
-        return Genus3Fiber(A, B, t0, F, True, "resultant")
-    basis = sympy.groebner([F, F1, F2], xi1, xi2, order="grevlex")
-    smooth = list(basis.exprs) == [sympy.Integer(1)]
-    return Genus3Fiber(A, B, t0, F, smooth, "groebner")
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +561,6 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     return E37bFiber(Fraction(a, b) if b else None, u,
                      Fraction(32 * h1 * row.g, h2 * h2), h1, h2,
                      row.h_factorization, poly, cubic, field, _E37B_CURVE)
-
-
-def e37b_param(r) -> E37bFiber:
-    """Cyclic-cubic slice above the rational parameter r: the t = 0 line
-    through y^2 + 4xy + y = x^3 at height u(r), its field, and the
-    trace-zero point with y-coordinate u."""
-    r = Fraction(r)
-    return _e37b_pair(r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)

@@ -109,16 +109,17 @@ from .dirichlet import (DirichletChar, admissible_conductors,
                         conductor_primes, galois_orbits)
 from .elliptic import Curve
 from .modsym import plus_symbols
-from .numcore import (_DD_ROUNDOFF, RecognitionError, _bucket_sums, _dd_mul,
-                      _dd_sum, _dd_table, _roots_of_unity, _two_prod,
-                      power_tables, primes_up_to, recognize_integer)
+from .numcore import (_DD_ROUNDOFF, RecognitionError, TheoryViolation,
+                      _bucket_sums, _dd_mul, _dd_sum, _dd_table,
+                      _roots_of_unity, _two_prod, power_tables, primes_up_to,
+                      recognize_integer)
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(TheoryViolation):
     """No admissible period scale makes the lattice coordinates integral."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(TheoryViolation):
     """An exact cross-check failed: the computation cannot be trusted."""
 
 
@@ -489,7 +490,8 @@ class CalibratedCurve:
         central value.
 
         Contentful only when the untwisted algebraic part is a unit mod ell:
-        then a_p != 2 mod ell forces each twisted part to be a unit too."""
+        then a Hecke factor a_p - 2 that is a unit mod ell forces each
+        twisted part to be a unit too."""
         residue = [p for p in primes_up_to(bound) if p % self.ell == 1]
         l0 = self.lalg0 % self.ell
         if l0 == 0:
@@ -497,7 +499,7 @@ class CalibratedCurve:
         self.curve.count_primes(residue)
         ps = tuple(p for p in residue
                    if self.curve.conductor % p != 0
-                   and (self.curve.ap(p) - 2) % self.ell != 0)
+                   and hecke_factor(self.curve, p, self.ell) % self.ell != 0)
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 

@@ -9,7 +9,9 @@ short power tables from which every z^n = z^(qB) z^s is formed, and the
 double-double helpers (Dekker products, fixed-point anchor tables, exactly
 summed buckets, roots of unity) that the one series kernel
 (lvalue._dd_buckets) and the one Gauss-sum kernel
-(dirichlet.DirichletChar.gauss_sums) share.
+(dirichlet.DirichletChar.gauss_sums) share.  TheoryViolation, the base of
+every error that means a proved statement failed, lives here too, so that
+each module can subclass it and the command line can catch it once.
 """
 from __future__ import annotations
 
@@ -21,6 +23,12 @@ from math import gcd, isqrt
 
 import mpmath
 import numpy as np
+
+
+class TheoryViolation(Exception):
+    """A computed result that contradicts a proved statement.  Every such
+    failure subclasses this one class, so a caller can tell 'the mathematics
+    failed' from ordinary errors with a single except clause."""
 
 
 class RecognitionError(ValueError):

@@ -1,6 +1,8 @@
-"""The tests' oracles: plain mpmath loops that compute, one term at a time,
-what the program's double-double kernels compute in vectorised form.  No
-module of the program imports this one.
+"""The tests' oracles: plain, slow computations of what the program computes
+by a faster route.  The mpmath loops compute one term at a time what the
+double-double kernels compute in vectorised form; the others enumerate, or
+eliminate in sympy, what the program reads off a closed form.  No module of
+the program imports this one.
 
 - pointwise_gauss_sum: tau(chi) from its definition, one complex exponential
   per residue, chi evaluated pointwise.
@@ -10,10 +12,21 @@ module of the program imports this one.
 - buckets: B_k(r), one mpf term at a time; the oracle of lvalue._dd_buckets.
 - oracle_value: L(E, 1, chi) from the per-character series, one complex term
   at a time, with chi and its Gauss sum evaluated pointwise.
+- characters_of_conductor: every character of conductor f, one per exponent
+  vector; the oracle of dirichlet.galois_orbits.
+- genus3_curve: the genus-3 slice fiber as a sympy plane quartic, smooth or
+  not by elimination resultants and a Groebner basis; the oracle of
+  kummer.good_fiber, the closed-form verdict that kummer-fiber prints.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 
 import mpmath
 import numpy as np
+
+from elltwists.dirichlet import DirichletChar, conductor_primes
 
 
 def pointwise_gauss_sum(chi):
@@ -77,3 +90,46 @@ def oracle_value(curve, chi, err):
             s1 += term * zeta[k]
             s2 += term * zeta[-k % ell]
     return s1 + eps * s2
+
+
+def characters_of_conductor(f: int, ell: int) -> list[DirichletChar]:
+    """All (ell-1)^k primitive order-ell characters of conductor f, in
+    exponent-vector order."""
+    primes = conductor_primes(f, ell)
+    return [DirichletChar(ell, tuple(zip(primes, exps)))
+            for exps in product(range(1, ell), repeat=len(primes))]
+
+
+@dataclass(frozen=True)
+class Genus3Fiber:
+    A: Fraction
+    B: Fraction
+    t0: Fraction
+    equation: object        # a sympy expression in xi1 and xi2
+    smooth: bool
+    method: str
+
+
+def genus3_curve(A, B, t0) -> Genus3Fiber:
+    """Plane quartic fiber over t0 with an exact smoothness verdict.  The
+    equation is a sympy polynomial in the two slice roots xi1 and xi2.  A
+    coprime pair of elimination resultants certifies smoothness outright;
+    when they share a factor the candidate locus need not extend to an
+    actual singular point, so a Groebner basis settles those cases."""
+    import sympy  # deferred, so only the tests that call this load it
+    A, B, t0 = Fraction(A), Fraction(B), Fraction(t0)
+    xi1, xi2 = sympy.symbols("xi1 xi2")
+    a, b, tt = (sympy.Rational(c) for c in (A, B, t0 * t0))
+    F = sympy.expand(
+        (xi1 ** 2 + xi1 * xi2 + xi2 ** 2 - tt * (xi1 + xi2) + a) ** 2
+        - 4 * tt * xi1 * xi2 * (tt - xi1 - xi2) - 4 * b * tt)
+    F1, F2 = sympy.diff(F, xi1), sympy.diff(F, xi2)
+    # F is monic of degree 4 in xi2, so the resultants vanish exactly on
+    # xi1-coordinates of common zeros; no leading-coefficient artifacts
+    r1 = sympy.resultant(F, F1, xi2)
+    r2 = sympy.resultant(F, F2, xi2)
+    if r1 != 0 and r2 != 0 and sympy.degree(sympy.gcd(r1, r2), xi1) == 0:
+        return Genus3Fiber(A, B, t0, F, True, "resultant")
+    basis = sympy.groebner([F, F1, F2], xi1, xi2, order="grevlex")
+    smooth = list(basis.exprs) == [sympy.Integer(1)]
+    return Genus3Fiber(A, B, t0, F, smooth, "groebner")

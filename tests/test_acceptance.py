@@ -15,13 +15,12 @@ import sympy
 from elltwists.census import E37B_CONFIG, CurveConfig, run_congruence_sweep, \
     run_e37b
 from elltwists.cubicfield import CubicField
-from elltwists.dirichlet import (admissible_conductors, galois_orbits,
-                                 orbit_representatives)
+from elltwists.dirichlet import admissible_conductors, galois_orbits
 from elltwists.elliptic import Curve, on_curve
 from elltwists.kummer import (E37B_SLICE, _e37b_pair, conic_norm_test,
                               fiber_quartic, gamma1, jacobian_curve,
                               torsion_family)
-from elltwists.lvalue import calibrate, hecke_factor
+from elltwists.lvalue import calibrate, hecke_factor, served_orbits
 from elltwists.numcore import (PolyQ, RecognitionError, primes_up_to,
                                recognize_integer)
 
@@ -51,7 +50,7 @@ def test_criterion_01_gauss_sum_modulus():
     # |tau(chi)|^2 = f to relative 1e-9, orders 3 and 5, conductors <= 200
     with mpmath.workdps(30):
         for ell in (3, 5):
-            reps = orbit_representatives(ell, 200)
+            reps = served_orbits(1, ell, 200)[0]
             assert reps, f"no conductors for order {ell}"
             for chi in reps:
                 f = chi.conductor

@@ -2,6 +2,7 @@
 determinism across worker counts and interruptions, the sweep reports, and
 the command-line exit contract."""
 
+import ast
 import json
 import os
 import pickle
@@ -23,7 +24,11 @@ from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
                               TheoryViolation, run_census,
                               run_congruence_sweep, run_e37b, run_family)
 from elltwists.cli import main
+from elltwists.cubicfield import FieldConsistencyError
 from elltwists.dirichlet import galois_orbits
+from elltwists.elliptic import PointCountError
+from elltwists.kummer import SurfaceError
+from elltwists.lvalue import CalibrationError, ConsistencyError
 from test_lvalue import dead_value_rows, skewed_twist_rows
 
 REAL_HECKE_FACTOR = lvalue.hecke_factor
@@ -869,9 +874,8 @@ class TestCommandLine:
             assert journal.read_bytes() == before
 
     def test_import_leaves_sympy_out(self):
-        # only the genus-3 smoothness verdict needs sympy, so no command
-        # pays for importing it up front, and the slice-family commands
-        # never load it
+        # sympy is a test-only dependency: importing the commands does not
+        # load it, and the slice-family commands never reach it
         src = os.path.dirname(os.path.dirname(elltwists.__file__))
         probe = ("import contextlib, io, sys, elltwists.cli as cli\n"
                  "loaded = 'sympy' in sys.modules\n"
@@ -886,13 +890,34 @@ class TestCommandLine:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["False", "False", "0", "0"]
 
-    def test_theory_violation_exits_two(self, monkeypatch, capsys):
+    def test_no_module_imports_sympy(self):
+        # the runtime dependencies leave sympy out, so no module of the
+        # package may import it, on any command path or none
+        src = Path(elltwists.__file__).parent
+        modules = sorted(src.rglob("*.py"))
+        assert len(modules) >= 9
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n == "sympy" or n.startswith("sympy.")
+                               for n in names), f"{path.name}:{node.lineno}"
+
+    @pytest.mark.parametrize("error", [
+        TheoryViolation, ConsistencyError, CalibrationError, SurfaceError,
+        FieldConsistencyError, PointCountError], ids=lambda e: e.__name__)
+    def test_theory_violation_exits_two(self, error, monkeypatch, capsys):
         import elltwists.cli as cli
 
         def boom(*args, **kwargs):
-            raise TheoryViolation("sampled twist refused to vanish")
+            raise error("sampled twist refused to vanish")
 
         monkeypatch.setattr(cli, "run_e37b", boom)
         code = main(["e37b", "--max-conductor", "2000"])
         assert code == 2
-        assert "theory violation" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"theory violation: {error.__name__}: ")

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from elltwists.dirichlet import (DirichletChar, admissible_conductors,
-                                 characters_of_conductor, galois_orbits,
-                                 orbit_representatives)
+                                 galois_orbits)
+from elltwists.lvalue import served_orbits
 from elltwists.numcore import factor, primes_up_to
-from oracles import periods_gauss_sums, pointwise_gauss_sum
+from oracles import (characters_of_conductor, periods_gauss_sums,
+                     pointwise_gauss_sum)
 
 
 def expected_count(f: int, ell: int) -> int:
@@ -126,7 +127,7 @@ class TestEnumeration:
                 sorted(c.label() for c in chars)
 
     def test_representatives_sorted_and_complete(self):
-        reps = orbit_representatives(3, 100)
+        reps = served_orbits(1, 3, 100)[0]
         assert [r.conductor for r in reps] == \
             sorted(r.conductor for r in reps)
         assert sum(1 for r in reps if r.conductor == 91) == 2
@@ -164,7 +165,7 @@ class TestOrbitStructure:
 
     def test_labels_round_trip(self):
         for ell, bound in [(3, 120), (5, 80)]:
-            for chi in orbit_representatives(ell, bound):
+            for chi in served_orbits(1, ell, bound)[0]:
                 assert DirichletChar.from_label(ell, chi.label()) == chi
 
     def test_product_multiplies_conductors(self):
@@ -215,7 +216,7 @@ class TestGaussSum:
         # |tau(chi)|^2 = f for primitive chi, orders 3 and 5
         with mpmath.workdps(30):
             for ell, bound in [(3, 120), (5, 120)]:
-                for chi in orbit_representatives(ell, bound):
+                for chi in served_orbits(1, ell, bound)[0]:
                     tau = chi.gauss_sum()
                     f = chi.conductor
                     assert abs(abs(tau) ** 2 - f) / f < 1e-12
@@ -277,7 +278,7 @@ class TestValidation:
 
     def test_even_characters(self):
         # chi(-1) = chi((-1)^2)^... : order is odd so chi(-1) = 1 always
-        for chi in orbit_representatives(3, 100):
+        for chi in served_orbits(1, 3, 100)[0]:
             assert chi.is_even()
         assert all(p % 3 == 1 or p == 3
                    for p in primes_up_to(100) if expected_count(p, 3))

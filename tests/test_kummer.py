@@ -2,8 +2,9 @@
 
 The slice discriminant is checked coefficient-by-coefficient against a
 hardcoded expansion on the short model, the jacobian family against the
-exact factorization of its discriminant through the bad locus, and the
-conic criterion against a bounded brute-force point search.
+exact factorization of its discriminant through the bad locus, the
+closed-form fiber verdict against the sympy genus-3 oracle, and the conic
+criterion against a bounded brute-force point search.
 """
 import hashlib
 import random
@@ -30,19 +31,27 @@ from elltwists.kummer import (
     bad_locus,
     census_37b,
     conic_norm_test,
-    e37b_param,
     fiber_quartic,
     fiber_search,
     gamma1,
-    gamma1_at,
-    genus3_curve,
     good_fiber,
     jacobian_curve,
     torsion_family,
 )
 from elltwists.numcore import Factorization, PolyQ, factor, primes_up_to
+from oracles import genus3_curve
 
 F = Fraction
+
+
+def gamma1_at(A, B, t0):
+    """The jacobian fiber over t0 with the marked point specialized, the
+    y-coordinate landing in Q(sqrt(-3))."""
+    aj, bj = jacobian_curve(A, B)
+    X, Y = gamma1(A, B)
+    t0 = Fraction(t0)
+    curve = Curve((0, 0, 0, aj(t0), bj(t0)))
+    return curve, (X(t0), K(0, Y(t0)))
 
 
 def short_model_quartic(A, B) -> dict:
@@ -285,6 +294,8 @@ class TestGenus3:
             assert fiber.smooth is want
             assert fiber.method in ("resultant", "groebner")
             assert (t0 != 0 and bad_locus(A, B)(t0) != 0) is want
+            # the closed form that kummer-fiber prints agrees with sympy
+            assert good_fiber(Curve((0, 0, 0, A, B)), t0) == fiber.smooth
 
     def test_equation_shape(self):
         import sympy
@@ -480,14 +491,14 @@ class TestTorsionPencils:
 
 class TestSliceFamily37b:
     def test_unit_parameter(self):
-        fiber = e37b_param(1)
+        fiber = _e37b_pair(1, 1)
         assert (fiber.h1, fiber.h2) == (28, 4)
         assert fiber.u == 7 and fiber.delta == 56
         assert fiber.poly == PolyQ.of(-3584, -448, 0, 1)
         assert fiber.field.conductor == 7
 
     def test_minus_one_sixth_hits_7_9(self):
-        fiber = e37b_param(F(-1, 6))
+        fiber = _e37b_pair(-1, 6)
         assert fiber.u == F(7, 9)
         assert fiber.delta == F(-224, 27)
         assert fiber.field.conductor == 63
@@ -500,7 +511,7 @@ class TestSliceFamily37b:
             if gcd(a, b) != 1:
                 continue
             seen += 1
-            fiber = e37b_param(F(a, b))
+            fiber = _e37b_pair(a, b)
             u, d = fiber.u, fiber.delta
             assert d * d == -u * u * (27 * u * u - 202 * u + 27)
             assert fiber.h1 + fiber.h2 == 16 * (a * a + b * b)
@@ -518,7 +529,7 @@ class TestSliceFamily37b:
             if gcd(a, b) != 1:
                 continue
             seen += 1
-            fiber = e37b_param(F(a, b))
+            fiber = _e37b_pair(a, b)
             assert on_curve(fiber.curve, fiber.point)
             t = trace_point(fiber.curve, fiber.point,
                             fiber.field.galois_action)

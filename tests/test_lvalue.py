@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 
 import elltwists.dirichlet as dirichlet
 import elltwists.lvalue as lvalue
-from elltwists.dirichlet import (DirichletChar, galois_orbits,
-                                  orbit_representatives)
+from elltwists.dirichlet import DirichletChar, galois_orbits
 from elltwists.elliptic import Curve
 from elltwists.modsym import PlusSymbols
 from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
                               calibrate, central_value, central_values,
-                              hecke_factor, vanishing_decision)
+                              hecke_factor, served_orbits, vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
 from oracles import buckets, oracle_value, periods_gauss_sums
 
@@ -116,7 +115,7 @@ class TestCentralValue:
 
 def probe_orbits(ell, level=37):
     """The orbits calibrate probes at order ell for a curve of this level."""
-    return [chi for chi in orbit_representatives(ell, lvalue._PROBE_BOUND)
+    return [chi for chi in served_orbits(1, ell, lvalue._PROBE_BOUND)[0]
             if chi.conductor % level][:lvalue._PROBE_ORBITS]
 
 
@@ -179,7 +178,7 @@ class TestTDriftAlarm:
         # choice of t could see it; the symbol sums M_t do move, and every
         # nonvanishing orbit alarms.  A constant vector is unmoved
         # by the shift, so the vanishing orbits keep their decision.
-        orbits = [chi for chi in orbit_representatives(3, 73)
+        orbits = [chi for chi in served_orbits(1, 3, 73)[0]
                   if chi.conductor != 37]
         truth = {chi: cal_b.coset_sums(chi) for chi in orbits}
         table = DirichletChar.exponent_table
@@ -235,7 +234,7 @@ class TestTDriftAlarm:
 
 
 # orbits prime to the level 37 of both curves, conductor <= 600
-DD_ORBITS = {ell: [chi for chi in orbit_representatives(ell, 600)
+DD_ORBITS = {ell: [chi for chi in served_orbits(1, ell, 600)[0]
                    if chi.conductor % 37] for ell in (3, 5, 7)}
 
 
@@ -333,7 +332,7 @@ class TestDoubleDoubleRung:
 
 # every orbit of conductor <= 3000, split into tame conductors and wild ones
 # (ell^2 q and ell^2): the Gauss sums do not see the level
-GAUSS_ORBITS = {(ell, wild): [chi for chi in orbit_representatives(ell, 3000)
+GAUSS_ORBITS = {(ell, wild): [chi for chi in served_orbits(1, ell, 3000)[0]
                               if (chi.conductor % (ell * ell) == 0) == wild]
                 for ell in (3, 5, 7) for wild in (False, True)}
 
@@ -539,7 +538,7 @@ class TestCosetSums:
             assert cs.a0 == cal.trivial_coset_sum(chi.conductor)
             assert cs.sums == expected[chi]
         assert asked == []
-        other = next(chi for chi in orbit_representatives(3, 200)
+        other = next(chi for chi in served_orbits(1, 3, 200)[0]
                      if chi.conductor % 37 and chi not in probes)
         cal.coset_sums(other)
         assert asked == [other]
@@ -605,7 +604,7 @@ class TestTwistDecisions:
         # by the same residual: more digits cannot change the check of any
         # orbit
         cal = calibrate(curve, ell)
-        orbits = [chi for chi in orbit_representatives(ell, 200)
+        orbits = [chi for chi in served_orbits(1, ell, 200)[0]
                   if chi.conductor % 37][:2]
         for chi in orbits:
             dd, mp = (lvalue._twist_rows(curve, chi, dps) for dps in (50, 80))
@@ -623,7 +622,7 @@ class TestTwistDecisions:
         # rows: under 1 KB each over the 44 orbits from conductor 400 to 700,
         # with the a_n table warmed first; a record is about 0.8 KB, and
         # about 2 KB with its rows
-        orbits = [chi for chi in orbit_representatives(3, 700)
+        orbits = [chi for chi in served_orbits(1, 3, 700)[0]
                   if chi.conductor >= 400 and chi.conductor % 37]
         fresh_calibration(cal_b).coset_sums(orbits[-1])
         cal = fresh_calibration(cal_b)
@@ -659,7 +658,7 @@ class TestTwistDecisions:
     def test_non_integral_symbol_sums_raise(self, cal_a, monkeypatch):
         # r = -1/2 on 37a, so an odd M_0 leaves r M_0 off the integers, and
         # M_0 + 2 misses A_0 by one; either raises before any series pass
-        chi = next(chi for chi in orbit_representatives(3, 200)
+        chi = next(chi for chi in served_orbits(1, 3, 200)[0]
                    if chi.conductor % 37 and chi not in probe_orbits(3))
         real = PlusSymbols.orbit_sums
         assert real(cal_a.symbols, chi)[0] % 2 == 0
