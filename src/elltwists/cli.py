@@ -10,6 +10,7 @@ refused to vanish).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -258,7 +259,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`): send the rest to the
+        # null device, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

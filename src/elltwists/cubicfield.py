@@ -114,7 +114,10 @@ def _is_ramified(c0: int, c1: int, c2: int, p: int, depth: int = 0) -> bool:
         raise FieldConsistencyError("ramification analysis failed to terminate")
     # the only candidate triple root mod p: x^3 + c2 x^2 + ... = (x - r)^3
     # forces c2 = -3r, or c0 = -r^3 = -r at p = 3
-    r = -c0 % 3 if p == 3 else -c2 * pow(3, -1, p) % p
+    if p == 3:
+        r = -c0 % 3
+    else:
+        r = -c2 * pow(3, -1, p) % p if c2 % p else 0
     # Taylor coefficients at r: the cubic recentered at r
     d2 = c2 + 3 * r
     d1 = c1 + 2 * c2 * r + 3 * r * r

@@ -25,7 +25,7 @@ from math import gcd, isqrt
 import mpmath
 import numpy as np
 
-from .numcore import TheoryViolation, factor, primes_up_to
+from .numcore import TheoryViolation, factor, least_prime_factors
 
 # primes from here on are counted by the batched search.  On 2 vCPUs, for
 # batches of the primes in [q, 3q/2], the search costs 98, 64, 44 and 41 us
@@ -206,13 +206,13 @@ class Curve:
         if limit < start:
             return a
         # least prime factor of each new n, 0 for primes
-        spf = _least_prime_factors(start, limit)
+        spf = least_prime_factors(start, limit)
         fresh = [n for n, f in enumerate(spf, start)
                  if not f and n not in self._ap_cache]
         if fresh and fresh[-1] >= _BSGS_MIN_P:
             # one batch up to 3 limit / 2: a table that keeps growing then
             # meets whole runs of counted primes
-            ahead = _least_prime_factors(limit + 1, 3 * limit // 2)
+            ahead = least_prime_factors(limit + 1, 3 * limit // 2)
             self.count_primes(fresh + [n for n, f in enumerate(ahead, limit + 1)
                                        if not f])
         level = int(self.disc) if self.conductor is None else self.conductor
@@ -263,17 +263,6 @@ class Curve:
         omega = +omega  # round down to the working precision
         self._period_cache[dps] = omega
         return omega
-
-
-def _least_prime_factors(lo: int, hi: int) -> list[int]:
-    """The least prime factor of each composite n in [lo, hi] (lo >= 2),
-    0 at the primes."""
-    spf = [0] * (hi + 1 - lo)
-    for p in primes_up_to(isqrt(hi)):
-        for m in range(max(p * p, -(-lo // p) * p), hi + 1, p):
-            if not spf[m - lo]:
-                spf[m - lo] = p
-    return spf
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ its own.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -30,7 +30,8 @@ from .cubicfield import CubicField, FieldElt, NumberField, field_invariants
 from .elliptic import Curve, is_nontorsion, on_curve
 from .numcore import (Factorization, PolyQ, TheoryViolation,
                       _monic_cubic_integer_roots, cubic_discriminant,
-                      cubic_double_root, factor, is_perfect_square)
+                      cubic_double_root, factor, is_perfect_square,
+                      least_prime_factors)
 
 
 class SurfaceError(TheoryViolation):
@@ -501,15 +502,30 @@ def _check_model_scale(ai, h1: int, h2: int, model) -> None:
         raise SurfaceError("integral model root does not satisfy the slice cubic")
 
 
-def _e37b_row(a: int, b: int) -> E37bRow:
+def _e37b_sieve(height: int) -> Sequence[int]:
+    """The least-prime-factor table of 0 ... 28 height^2, which bounds h1,
+    h2 and |g| of every pair with |a|, |b| <= height."""
+    return least_prime_factors(0, 28 * height * height)
+
+
+def _add_exponents(n: int, lpf: Sequence[int], exps: dict[int, int]) -> None:
+    """Add the prime exponents of n to exps, read off the table lpf."""
+    while n > 1:
+        p = lpf[n] or n
+        exps[p] = exps.get(p, 0) + 1
+        n //= p
+
+
+def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
     """The survey row of the coprime parameter pair (a, b), in Python ints;
     b = 0 is the point at infinity of the parameter line.  The integral
     model x^3 - 4 h1 h2 x - 16 (a^2 + b^2) h1 h2 has h2 times the slice
     cubic's roots; it must have no rational root and the discriminant
-    2^10 (h1 h2 g)^2 = delta^2 h2^6, which is then factored from one
-    factorization each of h1, h2 and g.  The conductor comes from the
-    ramification rule of cubicfield.field_invariants.  A failed identity
-    raises SurfaceError, a failed field invariant FieldConsistencyError."""
+    2^10 (h1 h2 g)^2 = delta^2 h2^6, which is then factored from h1, h2
+    and g, each read off lpf, the _e37b_sieve table of the pair's height or
+    of a larger one.  The conductor comes from the ramification rule of
+    cubicfield.field_invariants.  A failed identity raises SurfaceError,
+    a failed field invariant FieldConsistencyError."""
     if gcd(a, b) != 1:
         raise ValueError("parameter pair must be coprime")
     h1 = 7 * a * a + 12 * a * b + 9 * b * b
@@ -527,11 +543,12 @@ def _e37b_row(a: int, b: int) -> E37bRow:
                            f"is not a positive square")
     if (32 * h1 * g) ** 2 * h2 * h2 != disc:
         raise SurfaceError("slice point left the discriminant quartic")
-    exps = Counter(dict(factor(h1).pairs))
-    exps.update(dict(factor(h2).pairs))
+    exps: dict[int, int] = {}
+    _add_exponents(h1, lpf, exps)
+    _add_exponents(h2, lpf, exps)
     hh = Factorization(tuple(sorted(exps.items())))
-    exps.update(dict(factor(abs(g)).pairs))
-    exps[2] += 5            # 2^10 (h1 h2 g)^2 = (2^5 h1 h2 g)^2
+    _add_exponents(abs(g), lpf, exps)
+    exps[2] = exps.get(2, 0) + 5    # 2^10 (h1 h2 g)^2 = (2^5 h1 h2 g)^2
     hint = Factorization(tuple(sorted((p, 2 * e) for p, e in exps.items())))
     if hint.n != disc:
         raise SurfaceError(f"parameter pair ({a}, {b}): the factored "
@@ -545,7 +562,7 @@ def _e37b_pair(a: int, b: int) -> E37bFiber:
     then the exact fiber built from it.  The field is classified by
     from_cubic on the integral model with the row's factored discriminant,
     and must report the row's conductor; a failure raises SurfaceError."""
-    row = _e37b_row(a, b)
+    row = _e37b_row(a, b, _e37b_sieve(max(abs(a), abs(b))))
     h1, h2 = row.h1, row.h2
     u = Fraction(h1, h2)
     cubic = PolyQ.of(*_slice_coefficients(E37B_SLICE, 0, u), 1)
@@ -592,7 +609,8 @@ class E37bCensus:
 def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     """Sweep the coprime parameter pairs of height up to height_bound,
     build the integer row of every slice field, and collect the distinct
-    conductors up to max_conductor.
+    conductors up to max_conductor.  One least-prime-factor table of the
+    height bound factors every row.
 
     Both squarefree rules read the one factorization of h1 h2 that each
     row carries.  The squarefree flag records whether h1 h2 is squarefree
@@ -608,8 +626,9 @@ def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     params = [(1, 0)] + [(a, b) for b in range(1, height_bound + 1)
                          for a in range(-height_bound, height_bound + 1)
                          if gcd(a, b) == 1]
+    lpf = _e37b_sieve(max(height_bound, 1))
     for a, b in params:
-        row = _e37b_row(a, b)
+        row = _e37b_row(a, b, lpf)
         fac, conductor = row.h_factorization, row.conductor
         squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
         new = squarefree and conductor not in seen

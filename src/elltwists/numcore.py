@@ -2,13 +2,13 @@
 
 Integer factorization (trial division, which proves the cofactor prime
 once the divisors pass its square root, then deterministic Miller-Rabin and
-Pollard rho on a larger cofactor, exact for inputs below 2^64), dense
-polynomials over Q in one variable, the float -> integer recognition used
-when numerically computed quantities are known to be integers, the two
-short power tables from which every z^n = z^(qB) z^s is formed, and the
-double-double helpers (Dekker products, fixed-point anchor tables, exactly
-summed buckets, roots of unity) that the one series kernel
-(lvalue._dd_buckets) and the one Gauss-sum kernel
+Pollard rho on a larger cofactor, exact for inputs below 2^64),
+least-prime-factor tables, dense polynomials over Q in one variable, the
+float -> integer recognition used when numerically computed quantities are
+known to be integers, the two short power tables from which every
+z^n = z^(qB) z^s is formed, and the double-double helpers (Dekker products,
+fixed-point anchor tables, exactly summed buckets, roots of unity) that the
+one series kernel (lvalue._dd_buckets) and the one Gauss-sum kernel
 (dirichlet.DirichletChar.gauss_sums) share.  TheoryViolation, the base of
 every error that means a proved statement failed, lives here too, so that
 each module can subclass it and the command line can catch it once.
@@ -16,6 +16,7 @@ each module can subclass it and the command line can catch it once.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +62,19 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
     return tuple(i for i in range(2, n + 1) if sieve[i])
+
+
+def least_prime_factors(lo: int, hi: int) -> array:
+    """The least prime factor of each composite n in [lo, hi] (lo >= 0), 0 at
+    the primes and at 0 and 1, as an array of C unsigned ints (half the
+    memory of a list).  Each prime up to sqrt(hi) fills its multiples from
+    max(p^2, lo) by one slice assignment, the largest prime first, so that
+    the least prime factor is written last."""
+    spf = array("I", [0]) * (hi + 1 - lo)
+    for p in reversed(primes_up_to(isqrt(hi))):
+        start = max(p * p, -(-lo // p) * p) - lo
+        spf[start::p] = array("I", [p]) * len(range(start, len(spf), p))
+    return spf
 
 
 def is_prime(n: int) -> bool:
@@ -495,18 +509,28 @@ def _fp_eval(c: list[int], r: int, p: int) -> int:
 
 
 def _fp_roots(c: list[int], p: int) -> list[int]:
-    """The distinct roots in F_p of the integer polynomial c, ascending,
-    by trying every residue."""
-    c = [v % p for v in c]
-    return [r for r in range(p) if _fp_eval(c, r, p) == 0]
+    """The distinct roots in F_p of the integer cubic c0 + c1 x + c2 x^2 +
+    c3 x^3 given as [c0, c1, c2, c3], ascending, by trying every residue."""
+    c0, c1, c2, c3 = (v % p for v in c)
+    return [r for r in range(p) if (((c3 * r + c2) * r + c1) * r + c0) % p == 0]
+
+
+def _next_good_prime(disc: int, p: int) -> int:
+    """The least prime above the odd number p that does not divide disc."""
+    p += 2
+    while disc % p == 0 or not is_prime(p):
+        p += 2
+    return p
 
 
 def _monic_cubic_integer_roots(c0: int, c1: int, c2: int) -> list[int]:
     """Integer roots of x^3 + c2 x^2 + c1 x + c0, each once, ascending.
     A nonzero discriminant keeps the roots distinct modulo the least odd
     prime p not dividing it, so each root mod p is Newton-lifted past the
-    root bound and the survivors are checked exactly.  A zero one gives the
-    closed-form repeated and simple roots, whose exact check must pass."""
+    root bound and the survivors are checked exactly; before any lift, a
+    cubic with no root modulo the next such prime q has no integer root.
+    A zero discriminant gives the closed-form repeated and simple roots,
+    whose exact check must pass."""
     c = [c0, c1, c2, 1]
     disc = cubic_discriminant(c0, c1, c2)
     if disc == 0:
@@ -515,13 +539,14 @@ def _monic_cubic_integer_roots(c0: int, c1: int, c2: int) -> list[int]:
         if any(((x + c2) * x + c1) * x + c0 for x in roots):
             raise ArithmeticError("closed-form repeated root fails its check")
         return sorted(int(x) for x in roots)
-    p = 3
-    while disc % p == 0 or not is_prime(p):
-        p += 2
+    p = _next_good_prime(disc, 1)
+    residues = _fp_roots(c, p)
+    if residues and not _fp_roots(c, _next_good_prime(disc, p)):
+        return []
     bound = 1 + max(abs(c0), abs(c1), abs(c2))
     dc = [c1, 2 * c2, 3]
     roots = []
-    for r in _fp_roots(c, p):
+    for r in residues:
         m = p
         while m < 2 * bound + 1:
             m *= m

@@ -17,16 +17,26 @@ the program imports this one.
 - genus3_curve: the genus-3 slice fiber as a sympy plane quartic, smooth or
   not by elimination resultants and a Groebner basis; the oracle of
   kummer.good_fiber, the closed-form verdict that kummer-fiber prints.
+- fp_roots: the roots mod p of an integer polynomial of any degree, by
+  Horner at every residue; the oracle of the cubic-only numcore._fp_roots.
+- least_prime_factors: the least prime factor table of a window, each
+  multiple marked once by the least prime that reaches it; the oracle of
+  the slice-filled numcore.least_prime_factors.
+- integer_roots_by_divisors: the integer roots of a monic cubic, by trying
+  every divisor of its lowest nonzero coefficient; the oracle of
+  numcore._monic_cubic_integer_roots.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import mpmath
 import numpy as np
 
 from elltwists.dirichlet import DirichletChar, conductor_primes
+from elltwists.numcore import primes_up_to
 
 
 def pointwise_gauss_sum(chi):
@@ -133,3 +143,48 @@ def genus3_curve(A, B, t0) -> Genus3Fiber:
     basis = sympy.groebner([F, F1, F2], xi1, xi2, order="grevlex")
     smooth = list(basis.exprs) == [sympy.Integer(1)]
     return Genus3Fiber(A, B, t0, F, smooth, "groebner")
+
+
+def fp_roots(c: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of the integer polynomial c (low degree
+    first, any degree), ascending, by Horner at every residue."""
+    c = [v % p for v in c]
+    roots = []
+    for r in range(p):
+        acc = 0
+        for v in reversed(c):
+            acc = (acc * r + v) % p
+        if acc == 0:
+            roots.append(r)
+    return roots
+
+
+def least_prime_factors(lo: int, hi: int) -> list[int]:
+    """The least prime factor of each composite n in [lo, hi] (lo >= 2),
+    0 at the primes: the primes in ascending order mark each multiple that
+    no smaller prime marked."""
+    spf = [0] * (hi + 1 - lo)
+    for p in primes_up_to(isqrt(hi)):
+        for m in range(max(p * p, -(-lo // p) * p), hi + 1, p):
+            if not spf[m - lo]:
+                spf[m - lo] = p
+    return spf
+
+
+def integer_roots_by_divisors(c0: int, c1: int, c2: int) -> list[int]:
+    """The integer roots of x^3 + c2 x^2 + c1 x + c0, each once, ascending:
+    0 while the lowest coefficient vanishes, then every other root divides
+    the lowest nonzero coefficient, so each divisor and its negative is
+    tried exactly."""
+    coeffs = [c0, c1, c2, 1]
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(0)
+        coeffs = coeffs[1:]
+    a0 = abs(coeffs[0])
+    for d in range(1, isqrt(a0) + 1):
+        if a0 % d == 0:
+            for x in (d, -d, a0 // d, -(a0 // d)):
+                if sum(c * x ** i for i, c in enumerate(coeffs)) == 0:
+                    roots.add(x)
+    return sorted(roots)

@@ -890,6 +890,30 @@ class TestCommandLine:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["False", "False", "0", "0"]
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "r.csv.log"], ["family", "six-torsion", "--", "1", "-1/2"]],
+        ids=["report", "family"])
+    def test_closed_stdout_exits_one_without_traceback(self, argv, tmp_path):
+        # `elltwists report <journal> | head -1`: the reader is gone before
+        # the command prints, so the write fails; that is exit 1, and no
+        # traceback reaches stderr.  Unbuffered, print itself fails inside
+        # the command; buffered, the output waits for main's flush
+        run_census(E37B_CONFIG, 3, 20, out=tmp_path / "r.csv")
+        src = os.path.dirname(os.path.dirname(elltwists.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "elltwists.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                    cwd=tmp_path, timeout=60,
+                    env={**env, **unbuffered, "PYTHONPATH": src})
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
+
     def test_no_module_imports_sympy(self):
         # the runtime dependencies leave sympy out, so no module of the
         # package may import it, on any command path or none

@@ -27,6 +27,7 @@ from elltwists.kummer import (
     _cornacchia_3,
     _e37b_pair,
     _e37b_row,
+    _e37b_sieve,
     _nodal_infinite_order,
     bad_locus,
     census_37b,
@@ -38,7 +39,7 @@ from elltwists.kummer import (
     jacobian_curve,
     torsion_family,
 )
-from elltwists.numcore import Factorization, PolyQ, factor, primes_up_to
+from elltwists.numcore import PolyQ, factor, primes_up_to
 from oracles import genus3_curve
 
 F = Fraction
@@ -561,11 +562,13 @@ class TestCensus37b:
     def test_each_pair_built_once(self, monkeypatch):
         # per pair: one integer row, with no field object, no resultant and
         # no PolyQ root search, one integer root search on the integral
-        # model, and one factorization each of h1, h2 and g
+        # model, and h1, h2 and g factored by lookup in the one
+        # least-prime-factor sieve of the census, with no factor() call
         import elltwists.kummer as kummer
         import elltwists.numcore as numcore
         calls = {"discriminant": 0, "roots": 0, "from_cubic": 0, "factor": 0,
-                 "integer_roots": 0}
+                 "integer_roots": 0, "sieve": 0}
+        real_sieve = kummer.least_prime_factors
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
         real_roots = PolyQ.rational_roots
         real_from_cubic = CubicField.from_cubic
@@ -591,10 +594,15 @@ class TestCensus37b:
             calls["integer_roots"] += 1
             return real_integer_roots(c0, c1, c2)
 
+        def sieve(lo, hi):
+            calls["sieve"] += 1
+            return real_sieve(lo, hi)
+
         monkeypatch.setattr(PolyQ, "discriminant", disc)
         monkeypatch.setattr(PolyQ, "rational_roots", roots)
         monkeypatch.setattr(CubicField, "from_cubic", from_cubic)
         monkeypatch.setattr(kummer, "_monic_cubic_integer_roots", integer_roots)
+        monkeypatch.setattr(kummer, "least_prime_factors", sieve)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
@@ -605,7 +613,10 @@ class TestCensus37b:
         assert calls["roots"] == 0
         assert calls["from_cubic"] == 0
         assert calls["integer_roots"] == 88
-        assert calls["factor"] <= 3 * 88
+        assert calls["factor"] == 0
+        assert calls["sieve"] == 1
+        census_37b(100, 2)
+        assert calls["sieve"] == 2
 
     @pytest.mark.parametrize(
         "fault", ["hint", "rational-root", "quartic", "model-scale"])
@@ -619,10 +630,17 @@ class TestCensus37b:
                    "quartic": "discriminant quartic",
                    "model-scale": "integral model"}[fault]
         if fault == "hint":
-            # |g| = 3 at the first pair (1, 0); h1 = 7 and h2 = 9 there
-            real_factor = kummer.factor
-            monkeypatch.setattr(kummer, "factor", lambda n: Factorization(
-                ((5, 1),)) if n == 3 else real_factor(n))
+            # |g| = 3 at the first pair (1, 0); h1 = 7 and h2 = 9 there.  A
+            # sieve whose entry at 3 names the wrong factor 5 makes 3 read
+            # as 5, so the factored discriminant misses the model's
+            real_sieve = kummer.least_prime_factors
+
+            def wrong_at_three(lo, hi):
+                lpf = real_sieve(lo, hi)
+                lpf[3 - lo] = 5
+                return lpf
+
+            monkeypatch.setattr(kummer, "least_prime_factors", wrong_at_three)
         elif fault == "rational-root":
             monkeypatch.setattr(kummer, "_monic_cubic_integer_roots",
                                 lambda c0, c1, c2: [1])
@@ -659,19 +677,22 @@ class TestCensus37b:
         assert "SurfaceError" in capsys.readouterr().err
 
     def test_rows_match_the_exact_route(self):
-        # every pair up to height 12: the integer row against the exact
-        # fiber, and against a field classified from the model alone, with
-        # its own factorization of the discriminant
+        # every pair up to height 12: the integer row, factored in the
+        # sieve of height 12, against the exact fiber, factored in the sieve
+        # of its own height, and against a field classified from the model
+        # alone, with its own factorization of the discriminant
         pairs = [(1, 0)] + [(a, b) for b in range(1, 13)
                             for a in range(-12, 13) if gcd(a, b) == 1]
+        lpf = _e37b_sieve(12)
         for a, b in pairs:
-            row = _e37b_row(a, b)
+            row = _e37b_row(a, b, lpf)
             fiber = _e37b_pair(a, b)
             alone = CubicField.from_cubic(PolyQ.of(*row.model, 1))
             assert (row.h1, row.h2) == (fiber.h1, fiber.h2)
             assert F(row.h1, row.h2) == fiber.u
             assert row.h_factorization == fiber.h_factorization \
                 == factor(row.h1 * row.h2)
+            assert row.disc_factorization == factor(alone.poly_disc)
             assert row.conductor == fiber.field.conductor == alone.conductor
             assert alone.poly == fiber.poly
 
@@ -681,6 +702,15 @@ class TestCensus37b:
         csv = census_37b(10 ** 7, 40).csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == \
             "a28d2a2b888f6237981f20c08a78bfc3645af5627e3b23721c46c1cdf8b900b0"
+
+    def test_survey_csv_is_pinned_at_the_benchmark_scale(self):
+        # sha256 of census_37b(29781782, 55).csv(), the survey behind
+        # perfbench's slice-e37b workload, from the rows factored by
+        # factor() one integer at a time, before the shared sieve
+        csv = census_37b(29781782, 55).csv()
+        assert csv.count("\n") == 3761
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "b729024bb0ad7f34b379c180df9d151d0c620429858b9247ebf3d3262deac945"
 
     def test_integral_model_root_oracle(self):
         # the field-arithmetic evaluation that the integer identity
@@ -720,8 +750,8 @@ class TestCensus37b:
         real = kummer._e37b_row
         conductors = []
 
-        def colliding(a, b):
-            row = real(a, b)
+        def colliding(a, b, lpf):
+            row = real(a, b, lpf)
             if row.h_factorization.is_squarefree():
                 conductors.append(row.conductor)
                 row = row._replace(conductor=conductors[0])

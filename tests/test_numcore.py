@@ -5,7 +5,9 @@ formula lc(p)^deg(q) * prod q(r_i) over the roots r_i of p, evaluated on
 factored test polynomials where the roots are known exactly, and plain
 Gaussian elimination of the Sylvester matrix over Fraction.  Rational
 roots of monic cubics are checked against the rational root theorem and
-against the known roots of products of linear factors.
+against the known roots of products of linear factors; their integer roots,
+the roots of a cubic mod p and the least-prime-factor tables against the
+plain oracles of tests/oracles.py.
 """
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elltwists.numcore as numcore
+import oracles
 from elltwists.numcore import (
     PolyQ,
     RecognitionError,
@@ -437,6 +440,100 @@ def test_rational_roots_of_products_of_linear_factors(roots, quadratic):
     else:
         p = _poly_from_roots(roots + roots[:1] * (3 - len(roots)))
     assert p.rational_roots() == sorted(set(roots))
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4),
+       st.sampled_from(primes_up_to(200)))
+@settings(max_examples=200, deadline=None)
+def test_fp_roots_match_the_generic_oracle(c, p):
+    # any leading coefficient, a multiple of p among them, so the cubic
+    # may reduce to a lower degree or to zero
+    assert numcore._fp_roots(c, p) == oracles.fp_roots(c, p)
+    c[3] *= p
+    assert numcore._fp_roots(c, p) == oracles.fp_roots(c, p)
+
+
+def test_fp_roots_take_cubics_only():
+    with pytest.raises(ValueError):
+        numcore._fp_roots([1, 0, 1], 5)
+
+
+@given(st.integers(3, 20000), st.integers(0, 3000))
+@settings(max_examples=100, deadline=None)
+def test_least_prime_factors_match_the_marking_oracle(lo, width):
+    assert numcore.least_prime_factors(lo, lo + width).tolist() == \
+        oracles.least_prime_factors(lo, lo + width)
+
+
+def test_least_prime_factors_from_zero():
+    # 0 and 1 read 0, like the primes; every composite its least prime
+    lpf = numcore.least_prime_factors(0, 5000).tolist()
+    assert lpf[:10] == [0, 0, 0, 0, 2, 0, 2, 0, 2, 3]
+    assert lpf[2:] == oracles.least_prime_factors(2, 5000)
+    for n in range(2, 5001):
+        assert (lpf[n] or n) == factor(n).primes[0]
+
+
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000),
+       st.integers(-300, 300))
+@settings(max_examples=200, deadline=None)
+def test_integer_roots_match_the_divisor_oracle(c0, c1, c2):
+    assert numcore._monic_cubic_integer_roots(c0, c1, c2) == \
+        oracles.integer_roots_by_divisors(c0, c1, c2)
+
+
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=3),
+       st.integers(-20, 20), st.integers(-20, 20))
+@settings(max_examples=150, deadline=None)
+def test_integer_roots_of_split_cubics_match_the_divisor_oracle(roots, b, c):
+    # one to three integer roots with the first repeated up to degree
+    # three, or a lone root times x^2 + b x + c
+    if len(roots) == 1 and b * b < 4 * c:
+        poly = _poly_from_roots(roots) * PolyQ.of(c, b, 1)
+    else:
+        poly = _poly_from_roots(roots + roots[:1] * (3 - len(roots)))
+    c0, c1, c2 = (int(v) for v in poly.coeffs[:3])
+    got = numcore._monic_cubic_integer_roots(c0, c1, c2)
+    assert got == oracles.integer_roots_by_divisors(c0, c1, c2)
+    assert set(roots) <= set(got)
+
+
+def test_no_root_mod_the_second_good_prime_is_a_certificate(monkeypatch):
+    # x^3 + x + 1 has discriminant -31: the root 1 mod 3 is never lifted,
+    # since the cubic has no root mod 5
+    real, calls = numcore._fp_roots, []
+
+    def recorded(c, p):
+        calls.append(p)
+        return real(c, p)
+
+    monkeypatch.setattr(numcore, "_fp_roots", recorded)
+    assert real([1, 1, 0, 1], 3) == [1] and real([1, 1, 0, 1], 5) == []
+    assert numcore._monic_cubic_integer_roots(1, 1, 0) == []
+    assert calls == [3, 5]
+    # every cubic x^3 + c1 x + c0 in a box that has a root modulo its
+    # least good odd prime p: those with no root mod the next good prime
+    # q stop there, the rest are lifted, and all agree with the oracle
+    inert = lifted = 0
+    for c0 in range(-60, 61):
+        for c1 in range(-30, 31):
+            disc = cubic_discriminant(c0, c1, 0)
+            if disc == 0:
+                continue
+            p = numcore._next_good_prime(disc, 1)
+            if not real([c0, c1, 0, 1], p):
+                continue
+            q = numcore._next_good_prime(disc, p)
+            calls.clear()
+            assert numcore._monic_cubic_integer_roots(c0, c1, 0) == \
+                oracles.integer_roots_by_divisors(c0, c1, 0)
+            assert calls == [p, q]
+            if real([c0, c1, 0, 1], q):
+                lifted += 1
+            else:
+                inert += 1
+                assert not oracles.integer_roots_by_divisors(c0, c1, 0)
+    assert inert > 100 and lifted > 100
 
 
 def test_poly_evaluation_horner():
