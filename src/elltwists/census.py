@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -296,7 +295,9 @@ def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> CensusRow:
 
 
 # the parent's calibration, handed to each pool worker once at start-up so
-# that its coefficient tables and orbit records are shared by all its tasks
+# that its coefficient tables and orbit records are shared by all its tasks;
+# its curve's a_n table already reaches every pending orbit, so no worker
+# counts points
 _worker_cal: CalibratedCurve | None = None
 
 
@@ -380,30 +381,31 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
         out_path.suffix + ".log")
     if journal is not None and journal.is_dir():
         raise ConfigError(f"the journal path {journal} is a directory")
-    # fail fast before any journal is touched
-    cal = calibrate(config.validated_curve(), ell,
-                    dps=config.precision_digits)
-
+    curve = config.validated_curve()
     orbits, skipped = served_orbits(config.conductor, ell, max_conductor)
-
     done: dict[str, CensusRow] = {}
-    if journal is not None:
-        if resume:
-            done, run = _read_journal(journal)
-            if run not in (None, (cal.label, ell)):
-                raise ConfigError(f"journal {journal} holds the rows of curve "
-                                  f"{run[0]}, order {run[1]}")
-            if journal.exists():
-                # cut a torn last line, so appended rows start a line of
-                # their own instead of extending it
-                end = journal.read_bytes().rfind(b"\n") + 1
-                with journal.open("r+b") as fh:
-                    fh.truncate(end)
-            labels = {chi.label() for chi in orbits}
-            done = {k: row for k, row in done.items() if k in labels}
-        else:
-            journal.write_text("")
+    run = None
+    if resume:
+        done, run = _read_journal(journal)
+        labels = {chi.label() for chi in orbits}
+        done = {k: row for k, row in done.items() if k in labels}
     pending = [chi for chi in orbits if chi.label() not in done]
+
+    # fail fast before any journal is touched: the calibration, and every
+    # point count that the pending orbits' series need, come first
+    cal = calibrate(curve, ell, dps=config.precision_digits,
+                    reach=max((chi.conductor for chi in pending), default=1))
+    if run not in (None, (cal.label, ell)):
+        raise ConfigError(f"journal {journal} holds the rows of curve "
+                          f"{run[0]}, order {run[1]}")
+    if resume and journal.exists():
+        # cut a torn last line, so appended rows start a line of their own
+        # instead of extending it
+        end = journal.read_bytes().rfind(b"\n") + 1
+        with journal.open("r+b") as fh:
+            fh.truncate(end)
+    elif journal is not None and not resume:
+        journal.write_text("")
 
     start = time.perf_counter()
     fresh: list[CensusRow] = []
@@ -421,6 +423,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
         for chi in pending:
             _log(_census_task(cal, chi))
     else:
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # orbit list is conductor-sorted, so the pool's queue hands
         # conductors out round-robin across the worker processes
         with ProcessPoolExecutor(max_workers=workers,
@@ -475,21 +480,18 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
     chi psi for every admissible pair with conductor product up to the
     bound, the trivial chi included.  psi ranges over single-prime
     conductors only, which is where its multiplier is defined."""
-    cal = calibrate(config.validated_curve(), ell,
-                    dps=config.precision_digits)
     orbits = served_orbits(config.conductor, ell, bound)[0]
     psis = [psi for psi in orbits if len(psi.components) == 1]
-    chis: list[DirichletChar | None] = [None, *orbits]
-
-    results = []
-    for chi in chis:
+    pairs, reach = [], 1
+    for chi in [None, *orbits]:
         fc = 1 if chi is None else chi.conductor
         for psi in psis:
-            if fc * psi.conductor > bound:
-                continue
-            if gcd(fc, psi.conductor) != 1:
-                continue
-            results.append(cal.congruence_check(chi, psi))
+            if fc * psi.conductor <= bound and gcd(fc, psi.conductor) == 1:
+                pairs.append((chi, psi))
+                reach = max(reach, fc * psi.conductor)
+    cal = calibrate(config.validated_curve(), ell,
+                    dps=config.precision_digits, reach=reach)
+    results = [cal.congruence_check(chi, psi) for chi, psi in pairs]
     return CongruenceReport(config.label, ell, bound, tuple(results))
 
 
@@ -567,11 +569,13 @@ def run_e37b(max_conductor: int,
               for c in cutoffs]
     slope = _loglog_slope(counts, 2)
 
+    sampled = sorted({r.conductor for r in census.rows
+                      if r.conductor <= _SAMPLE_CAP})[:_SAMPLE_SIZE]
     cal = calibrate(E37B_CONFIG.validated_curve(), 3,
-                    dps=E37B_CONFIG.precision_digits)
+                    dps=E37B_CONFIG.precision_digits,
+                    reach=max(sampled, default=1))
     samples: list[E37bSample] = []
-    for f in sorted({r.conductor for r in census.rows if
-                     r.conductor <= _SAMPLE_CAP})[:_SAMPLE_SIZE]:
+    for f in sampled:
         row = next(r for r in census.rows if r.conductor == f)
         fiber = _e37b_pair(row.a, row.b)
         chi = fiber.field.matching_character()

@@ -32,6 +32,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def print_help(self, file=None):
+        # argparse drops a failed write; a closed stdout must reach main
+        (file or sys.stdout).write(self.format_help())
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -145,8 +149,6 @@ def _cmd_twist_value(args) -> int:
     if gcd(args.conductor, config.conductor) != 1:
         raise ConfigError(f"twist conductor {args.conductor} shares a factor "
                           f"with the level {config.conductor}")
-    cal = calibrate(config.validated_curve(), args.ell,
-                    dps=config.precision_digits)
     try:
         orbits = galois_orbits(args.conductor, args.ell)
     except ValueError:
@@ -158,6 +160,8 @@ def _cmd_twist_value(args) -> int:
         raise ConfigError(f"conductor {args.conductor} has "
                           f"{len(orbits)} orbits; index {args.orbit} is out "
                           f"of range")
+    cal = calibrate(config.validated_curve(), args.ell,
+                    dps=config.precision_digits, reach=args.conductor)
     record = cal.coset_sums(orbits[args.orbit])
     for key, value in record.as_dict().items():
         print(f"{key}: {value}")
@@ -258,8 +262,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help prints and exits inside parse_args: its output is
+            # flushed below, where a closed stdout meets the handler
+            code = exc.code
+        else:
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

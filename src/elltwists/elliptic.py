@@ -11,8 +11,10 @@ Computational Algebraic Number Theory, 7.4.3) for a whole batch of primes
 at once: one numpy lane per (prime, point), all lanes stepping together,
 on points of the short model and of its quadratic twists drawn without a
 square root.  A point the search did not use must confirm each a_p.
-an_table counts its new primes, and those up to 3/2 of its limit, in one
-batch; ap(p) alone is a batch of one.
+an_table counts exactly its new primes in one batch, and ap(p) of an
+uncounted prime alone is a batch of one, so the commands reserve the
+table they need before their first series (lvalue.calibrate).  The table
+is kept twice: as a list of ints, and as one int64 array for the series.
 
 Points are (x, y) pairs whose coordinates live in any field-like type
 supporting +, -, *, / and equality with each other; None is the origin.
@@ -27,15 +29,17 @@ import numpy as np
 
 from .numcore import TheoryViolation, factor, least_prime_factors
 
-# primes from here on are counted by the batched search.  On 2 vCPUs, for
-# batches of the primes in [q, 3q/2], the search costs 98, 64, 44 and 41 us
-# a prime at q = 1000, 2000, 5000 and 10^4 (fixed costs weigh on small
-# batches) and the Legendre count 50, 77, 153 and 290 us.  Replaying the
-# an_table limits of 37b's census to 415, slice survey and ell = 5
-# calibration, thresholds 1000 and 2000 tie on the first two (67.5 and
-# 67.7 ms, 114.6 and 115.5 ms, medians of 31) and 1000 wins the third (27.4
-# against 35.1 ms).  Mestre's theorem, on which the search relies to single
-# out the order, needs p > 229.
+# primes from here on are counted by the batched search.  On 2 vCPUs the
+# Legendre count costs 50, 77, 153 and 290 us a prime at p = 1000, 2000,
+# 5000 and 10^4, and one batch of a command's reserved table 14-15 us a
+# prime (21 us for calibration's 143, where fixed costs weigh).  Counting
+# 37b's primes from 1000 up to the tables that calibration at ell 3, the
+# census to 415, the congruence sweep at ell 5 to 590 and the slice samples
+# reserve (1,669, 10,369, 14,747 and 31,123), the Legendre sum below a
+# threshold of 1000, 2000 or 3000 and one batch above it take 3.0, 2.6 and
+# 2.9 ms; 16.5, 18.0 and 22.2 ms; 23.9, 25.5 and 28.8 ms; 45.9, 48.6 and
+# 54.0 ms (medians of 9).  Mestre's theorem, on which the search relies to
+# single out the order, needs p > 229.
 _BSGS_MIN_P = 1000
 # points of E and its twists a prime may draw before the search gives up
 _BSGS_MAX_POINTS = 64
@@ -93,6 +97,8 @@ class Curve:
                         f"conductor prime {p} does not divide the discriminant")
         self._ap_cache: dict[int, int] = {}
         self._an_cache: list[int] = [0, 1]
+        # the same a_n as one int64 array, grown with the list
+        self._an_array = np.array(self._an_cache, dtype=np.int64)
         self._period_cache: dict[int, mpmath.mpf] = {}
 
     def __repr__(self):
@@ -200,21 +206,16 @@ class Curve:
 
         Returns the curve's own table, which holds at least limit + 1
         entries; callers must not modify it.  A larger limit extends the
-        table from its current end, so each a_p is asked for once."""
+        table from its current end, so each a_p is asked for once, and the
+        new primes that baby-step giant-step serves are counted in one
+        batch."""
         a = self._an_cache
         start = len(a)
         if limit < start:
             return a
         # least prime factor of each new n, 0 for primes
         spf = least_prime_factors(start, limit)
-        fresh = [n for n, f in enumerate(spf, start)
-                 if not f and n not in self._ap_cache]
-        if fresh and fresh[-1] >= _BSGS_MIN_P:
-            # one batch up to 3 limit / 2: a table that keeps growing then
-            # meets whole runs of counted primes
-            ahead = least_prime_factors(limit + 1, 3 * limit // 2)
-            self.count_primes(fresh + [n for n, f in enumerate(ahead, limit + 1)
-                                       if not f])
+        self.count_primes([n for n, f in enumerate(spf, start) if not f])
         level = int(self.disc) if self.conductor is None else self.conductor
         for n in range(start, limit + 1):
             p = spf[n - start] or n
@@ -230,7 +231,18 @@ class Curve:
                 # at good p only
                 a.append(a[p] * a[q // p]
                          - (p * a[q // (p * p)] if level % p else 0))
+        # from the array's own end: a raise in the loop above leaves the
+        # list longer than the array
+        done = self._an_array
+        self._an_array = np.concatenate(
+            (done, np.array(a[done.size:], dtype=np.int64)))
         return a
+
+    def an_array(self, limit: int) -> np.ndarray:
+        """a_n for n = 0..limit, a view of the curve's int64 copy of the
+        an_table list; callers must not modify it."""
+        self.an_table(limit)
+        return self._an_array[:limit + 1]
 
     # -- real period ---------------------------------------------------------
 

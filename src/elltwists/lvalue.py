@@ -99,7 +99,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 import mpmath
@@ -145,6 +144,31 @@ def _terms_needed(c, eps) -> int:
     return max(1, math.ceil(math.log(2.0 / (float(eps) * (1.0 - q))) / c))
 
 
+def _decay(curve: Curve, f: int):
+    """c = 2 pi / (f sqrt(N)): the terms of the series at twist conductor f
+    fall like e^(-c n), at the current precision."""
+    return 2 * mpmath.pi / (f * mpmath.sqrt(curve.conductor))
+
+
+def _rows_err(curve: Curve, f: int) -> float:
+    """The absolute error on L that _twist_rows allows at conductor f, at
+    the current precision: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay
+    under the rounding budget for every candidate scale c."""
+    return (_S_ERR / 4 * float(_SCALE_FLOOR) * float(curve.real_period())
+            / (2 * math.sqrt(f)))
+
+
+def series_terms(curve: Curve, f: int, dps: int, err=None) -> int:
+    """M, the number of a_n that the series at twist conductor f sums at
+    precision dps for absolute error err; err defaults to the _twist_rows
+    budget, so series_terms(curve, f, dps) is the a_n length that the
+    orbits of conductor f need.  central_values takes its M from here."""
+    with mpmath.workdps(dps):
+        if err is None:
+            err = _rows_err(curve, f)
+        return _terms_needed(_decay(curve, f), err / 2)
+
+
 def _dd_quotient(a, n):
     """a / n as double-double pairs, for arrays of exact integers: the
     remainder a - hi n is exact (TwoProduct, then Sterbenz)."""
@@ -179,8 +203,7 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     ell = 1 if chi is None else chi.ell
     exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
             else chi.exponent_table(M))
-    an = np.fromiter(islice(curve.an_table(M), M + 1), dtype=np.int64,
-                     count=M + 1)
+    an = curve.an_array(M)
     n = np.flatnonzero((an != 0) & (exps >= 0))
     k, a = exps[n], an[n].astype(np.float64)
     del exps, an            # the full-length tables, before the chunk loop
@@ -213,10 +236,9 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
     f = 1 if chi is None else chi.conductor
     if gcd(f, N) != 1:
         raise ValueError(f"twist conductor {f} shares a factor with the level {N}")
-    c = 2 * mpmath.pi / (f * mpmath.sqrt(N))
-    M = _terms_needed(c, err / 2)
+    M = series_terms(curve, f, mpmath.mp.dps, err)
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
-    B, size = _dd_buckets(curve, chi, mpmath.exp(-c), M)
+    B, size = _dd_buckets(curve, chi, mpmath.exp(-_decay(curve, f)), M)
     # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the second
     # series; |zeta| = |eps| = 1, so the buckets' roundoff moves each series
     # by at most _DD_ROUNDOFF * size
@@ -288,9 +310,7 @@ def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
     f = chi.conductor
     with mpmath.workdps(dps):
         omega = curve.real_period()
-        # error budget: |dS_t| <= 2 sqrt(f) |dL| / (c Omega) must stay under
-        # the rounding budget for every candidate scale c
-        err_l = _S_ERR / 4 * float(_SCALE_FLOOR) * float(omega) / (2 * math.sqrt(f))
+        err_l = _rows_err(curve, f)
         taus, tau_err = chi.gauss_sums()
         values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
         rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
@@ -508,7 +528,8 @@ class CalibratedCurve:
 _CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
 
 
-def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
+def calibrate(curve: Curve, ell: int, dps: int = 50,
+              reach: int = 1) -> CalibratedCurve:
     """Freeze the period scale c and the symbol ratio r for (curve, ell).
 
     The first _PROBE_ORBITS character orbits prime to the level give c r,
@@ -519,14 +540,23 @@ def calibrate(curve: Curve, ell: int, dps: int = 50) -> CalibratedCurve:
     must give L0 at scale c within _S_TOL, and every probe must pass the
     checks of CalibratedCurve._record on the rows computed here.  The
     probe window starts at _PROBE_BOUND and doubles until it holds them.
+
+    reach is the largest twist conductor the caller will decide.  The
+    curve's a_n table is reserved up front for it and for every probe, so
+    that all its point counts come in one batch; a memoized calibration
+    extends its own curve's table to reach.
     """
     key = (curve, curve.label, ell, dps)
     if key in _CALIBRATIONS:
-        return _CALIBRATIONS[key]
+        cal = _CALIBRATIONS[key]
+        cal.curve.an_table(series_terms(cal.curve, reach, dps))
+        return cal
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
         reps = served_orbits(curve.conductor, ell, bound)[0][:_PROBE_ORBITS]
         bound *= 2
+    curve.an_table(series_terms(
+        curve, max(reach, *(rep.conductor for rep in reps)), dps))
     with mpmath.workdps(dps):
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))

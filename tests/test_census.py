@@ -3,6 +3,7 @@ determinism across worker counts and interruptions, the sweep reports, and
 the command-line exit contract."""
 
 import ast
+import concurrent.futures
 import json
 import os
 import pickle
@@ -26,9 +27,11 @@ from elltwists.census import (ConfigError, CurveConfig, E37B_CONFIG,
 from elltwists.cli import main
 from elltwists.cubicfield import FieldConsistencyError
 from elltwists.dirichlet import galois_orbits
-from elltwists.elliptic import PointCountError
+from elltwists.elliptic import Curve, PointCountError
 from elltwists.kummer import SurfaceError
-from elltwists.lvalue import CalibrationError, ConsistencyError
+from elltwists.lvalue import (CalibrationError, ConsistencyError, calibrate,
+                              series_terms)
+from elltwists.numcore import primes_up_to
 from test_lvalue import dead_value_rows, skewed_twist_rows
 
 REAL_HECKE_FACTOR = lvalue.hecke_factor
@@ -355,7 +358,8 @@ class TestRunCensus:
 
         serial = tmp_path / "serial.csv"
         run_census(E37B_CONFIG, 3, 13, out=serial)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setattr(census, "_worker_cal", None)
         for cores, want in ((64, [3]), (2, [2]), (1, []), (None, [])):
             monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
@@ -389,6 +393,65 @@ class TestRunCensus:
         out = tmp_path / "c.csv"
         run_census(E37B_CONFIG, 3, 415, out=out)
         assert out.read_bytes() == REFERENCE_CENSUS_ELL3.read_bytes()
+
+
+class TestOneBatchPerCommand:
+    """Each command reserves the a_n table its orbits need before its first
+    series, so a fresh curve counts its points in exactly one batch: every
+    prime from 1000 up to the reserved length that does not divide 6 disc.
+    The reserved length is the series length of the largest conductor the
+    command decides, and no series reaches past it."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
+        seen = []
+        batch = Curve._ap_batch
+        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
+                            seen.append(ps) or batch(self, ps))
+        return seen
+
+    @staticmethod
+    def _check(batches):
+        (cal,) = lvalue._CALIBRATIONS.values()
+        curve = cal.curve
+        reserved = len(curve.an_table(0)) - 1
+        reach = max(chi.conductor for chi in cal._records)
+        assert reserved == series_terms(curve, reach, cal.base_dps)
+        six_disc = 6 * int(curve.disc)
+        assert batches == [[p for p in primes_up_to(reserved)
+                            if p >= 1000 and six_disc % p]]
+        return reach
+
+    @pytest.mark.parametrize("argv,reach", [
+        (["census", "--curve", "curves/37b.cfg", "--max-conductor", "415"],
+         409),
+        (["congruence", "--curve", "curves/37b.cfg", "--ell", "5",
+          "--max-conductor", "590"], 571),
+        (["e37b", "--max-conductor", "2000"], 1629),
+        (["twist-value", "--curve", "curves/37b.cfg", "10009"], 10009)],
+        ids=["census", "congruence", "e37b", "twist-value"])
+    def test_command(self, batches, capsys, argv, reach):
+        assert main(argv) == 0
+        assert self._check(batches) == reach
+
+    def test_calibrate_alone(self, batches):
+        # the benchmark's set-up runs: the largest probe sets the length
+        calibrate(E37B_CONFIG.validated_curve(), 3)
+        assert self._check(batches) == 67
+
+    def test_workers_receive_the_reserved_table(self, batches):
+        # a pool worker unpickles the parent's calibration, whose table
+        # already reaches the largest pending orbit: it counts nothing
+        run_census(E37B_CONFIG, 3, 100)
+        self._check(batches)
+        (cal,) = lvalue._CALIBRATIONS.values()
+        copy = pickle.loads(pickle.dumps(cal))
+        batches.clear()
+        copy._records.clear()
+        for chi in census.served_orbits(37, 3, 100)[0]:
+            assert copy.coset_sums(chi) == cal.coset_sums(chi)
+        assert batches == []
 
 
 class TestCongruenceSweep:
@@ -840,22 +903,20 @@ class TestCommandLine:
         assert err.startswith("theory violation: PointCountError: ")
         assert " at 1009 " in err
 
-    def test_failed_point_count_is_an_alarm(self, tmp_path, monkeypatch):
+    def test_failed_point_count_is_an_alarm(self, tmp_path, monkeypatch,
+                                            capsys):
         # the 13 orbits whose series reach 9001 used to be quiet undecided
-        # rows, exit 0
+        # rows, exit 0, and then alarm rows, exit 2; the census now counts
+        # every a_p its orbits need before it opens the journal, so the
+        # failed count stops it there, like a failed calibration
         self._miscount_ap(monkeypatch, 9001)
         out = tmp_path / "p.csv"
         assert main(["census", "--curve", "curves/37b.cfg",
                      "--max-conductor", "415", "--out", str(out)]) == 2
-        rows = [json.loads(line) for line in
-                (tmp_path / "p.csv.log").read_text().splitlines()]
-        failed = [row for row in rows if row["decision"] == "undecided"]
-        assert len(failed) == 13
-        for row in failed:
-            assert row["alarm"]
-            assert row["error"].startswith("PointCountError: ")
-        assert not any(row["alarm"] for row in rows
-                       if row["decision"] != "undecided")
+        err = capsys.readouterr().err
+        assert err.startswith("theory violation: PointCountError: ")
+        assert " at 9001 " in err
+        assert not (tmp_path / "p.csv.log").exists() and not out.exists()
 
     def test_report_refuses_to_overwrite_its_journal(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -890,9 +951,39 @@ class TestCommandLine:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["False", "False", "0", "0"]
 
+    def test_import_leaves_the_process_pool_out(self):
+        # serial runs never start a pool, so importing the commands loads
+        # no process-pool code; the slice-family modules stay loaded, for
+        # the benchmark's tracer looks them up right after this import
+        src = os.path.dirname(os.path.dirname(elltwists.__file__))
+        probe = ("import sys, elltwists.cli\n"
+                 "print(*(m in sys.modules for m in ("
+                 "'concurrent.futures.process', 'multiprocessing', "
+                 "'elltwists.kummer', 'elltwists.cubicfield')))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["False", "False", "True", "True"]
+
+    def test_two_workers_write_the_serial_bytes(self, tmp_path):
+        # the pool branch imports its executor itself: two worker
+        # processes of a fresh interpreter write the serial run's CSV
+        src = os.path.dirname(os.path.dirname(elltwists.__file__))
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            subprocess.run([sys.executable, "-m", "elltwists.cli", "census",
+                            "--curve", "curves/37b.cfg", "--max-conductor",
+                            "100", "--threads", threads, "--out", str(out)],
+                           check=True, capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src})
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") > 10
+
     @pytest.mark.parametrize("argv", [
-        ["report", "r.csv.log"], ["family", "six-torsion", "--", "1", "-1/2"]],
-        ids=["report", "family"])
+        ["report", "r.csv.log"], ["family", "six-torsion", "--", "1", "-1/2"],
+        ["--help"], ["census", "--help"]],
+        ids=["report", "family", "help", "command-help"])
     def test_closed_stdout_exits_one_without_traceback(self, argv, tmp_path):
         # `elltwists report <journal> | head -1`: the reader is gone before
         # the command prints, so the write fails; that is exit 1, and no

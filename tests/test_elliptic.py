@@ -84,9 +84,11 @@ class TestTraceOfFrobenius:
 
     def test_table_extends_without_recounting(self, monkeypatch):
         # growing the limit one step at a time counts each odd good prime
-        # once, by the Legendre sum or in one batch, the primes counted
-        # ahead of the limit included; the grown table equals one built in
-        # a single call
+        # once, by the Legendre sum or in a batch of the step that reaches
+        # it, and none past the limit; the grown table and its int64 copy
+        # equal one built in a single call.  A table reserved up front
+        # counts every prime from _BSGS_MIN_P in one batch, and later
+        # limits below it count nothing
         fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1600)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
         summed, batches = [], []
@@ -97,12 +99,22 @@ class TestTraceOfFrobenius:
                             batches.append(ps) or batch(self, ps))
         for limit in range(1000, 1601):
             an = curve.an_table(limit)
-            assert len(an) >= limit + 1
+            assert len(an) == limit + 1
         counted = summed + [p for ps in batches for p in ps]
-        assert len(batches) == 2 and max(counted) > 1600
-        assert sorted(counted) == [p for p in primes_up_to(max(counted))
+        assert sorted(counted) == [p for p in primes_up_to(1600)
                                    if p not in (2, 37)]
-        assert an[:1601] == fresh[:1601]
+        assert [len(ps) for ps in batches] == [1] * len(batches)
+        assert an == fresh
+        assert curve.an_array(1600).tolist() == fresh
+        summed.clear()
+        batches.clear()
+        reserved = Curve((0, 1, 1, -3, 1), conductor=37)
+        assert reserved.an_table(1600) == fresh
+        for limit in range(1000, 1601):
+            assert reserved.an_array(limit).tolist() == fresh[:limit + 1]
+        assert batches == [[p for p in primes_up_to(1600) if p >= 1000]]
+        assert sorted(summed) == [p for p in primes_up_to(999)
+                                  if p not in (2, 37)]
 
     def test_nonintegral_model_rejected(self):
         curve = Curve((0, 0, 0, Fraction(1, 4), 0))
