@@ -14,7 +14,7 @@ square root.  A point the search did not use must confirm each a_p.
 an_table counts exactly its new primes in one batch, and ap(p) of an
 uncounted prime alone is a batch of one, so the commands reserve the
 table they need before their first series (lvalue.calibrate).  The table
-is kept twice: as a list of ints, and as one int64 array for the series.
+is kept once, as one int64 array, and handed out as read-only views.
 
 Points are (x, y) pairs whose coordinates live in any field-like type
 supporting +, -, *, / and equality with each other; None is the origin.
@@ -96,9 +96,7 @@ class Curve:
                     raise ValueError(
                         f"conductor prime {p} does not divide the discriminant")
         self._ap_cache: dict[int, int] = {}
-        self._an_cache: list[int] = [0, 1]
-        # the same a_n as one int64 array, grown with the list
-        self._an_array = np.array(self._an_cache, dtype=np.int64)
+        self._an = np.array([0, 1], dtype=np.int64)
         self._period_cache: dict[int, mpmath.mpf] = {}
 
     def __repr__(self):
@@ -201,48 +199,41 @@ class Curve:
         if new:
             self._ap_cache.update(self._ap_batch(new))
 
-    def an_table(self, limit: int) -> list[int]:
-        """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve.
+    def an_table(self, limit: int) -> np.ndarray:
+        """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve, as a
+        read-only view of the curve's int64 table.
 
-        Returns the curve's own table, which holds at least limit + 1
-        entries; callers must not modify it.  A larger limit extends the
-        table from its current end, so each a_p is asked for once, and the
-        new primes that baby-step giant-step serves are counted in one
-        batch."""
-        a = self._an_cache
-        start = len(a)
-        if limit < start:
-            return a
-        # least prime factor of each new n, 0 for primes
-        spf = least_prime_factors(start, limit)
-        self.count_primes([n for n, f in enumerate(spf, start) if not f])
-        level = int(self.disc) if self.conductor is None else self.conductor
-        for n in range(start, limit + 1):
-            p = spf[n - start] or n
-            q, m = p, n // p
-            while m % p == 0:
-                q, m = q * p, m // p
-            if m > 1:
-                a.append(a[q] * a[m])
-            elif q == p:
-                a.append(self.ap(p))
-            else:
-                # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last term
-                # at good p only
-                a.append(a[p] * a[q // p]
-                         - (p * a[q // (p * p)] if level % p else 0))
-        # from the array's own end: a raise in the loop above leaves the
-        # list longer than the array
-        done = self._an_array
-        self._an_array = np.concatenate(
-            (done, np.array(a[done.size:], dtype=np.int64)))
-        return a
-
-    def an_array(self, limit: int) -> np.ndarray:
-        """a_n for n = 0..limit, a view of the curve's int64 copy of the
-        an_table list; callers must not modify it."""
-        self.an_table(limit)
-        return self._an_array[:limit + 1]
+        A larger limit extends the table from its current end, so each a_p
+        is asked for once, and the new primes that baby-step giant-step
+        serves are counted in one batch.  The extended table is stored only
+        once the sieve is done: a raise leaves the table as it was."""
+        table = self._an
+        start = table.size
+        if limit >= start:
+            a = table.tolist()
+            # least prime factor of each new n, 0 for primes
+            spf = least_prime_factors(start, limit)
+            self.count_primes([n for n, f in enumerate(spf, start) if not f])
+            level = int(self.disc) if self.conductor is None else self.conductor
+            for n in range(start, limit + 1):
+                p = spf[n - start] or n
+                q, m = p, n // p
+                while m % p == 0:
+                    q, m = q * p, m // p
+                if m > 1:
+                    a.append(a[q] * a[m])
+                elif q == p:
+                    a.append(self.ap(p))
+                else:
+                    # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last
+                    # term at good p only
+                    a.append(a[p] * a[q // p]
+                             - (p * a[q // (p * p)] if level % p else 0))
+            table = self._an = np.array(a, dtype=np.int64)
+        # a table unpickled in a pool worker comes back writeable
+        view = table[:limit + 1]
+        view.flags.writeable = False
+        return view
 
     # -- real period ---------------------------------------------------------
 

@@ -203,7 +203,7 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     ell = 1 if chi is None else chi.ell
     exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
             else chi.exponent_table(M))
-    an = curve.an_array(M)
+    an = curve.an_table(M)
     n = np.flatnonzero((an != 0) & (exps >= 0))
     k, a = exps[n], an[n].astype(np.float64)
     del exps, an            # the full-length tables, before the chunk loop
@@ -523,11 +523,6 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
-# one calibration per curve (root number and label included), ell and
-# precision, shared by every caller in the process
-_CALIBRATIONS: dict[tuple, CalibratedCurve] = {}
-
-
 def calibrate(curve: Curve, ell: int, dps: int = 50,
               reach: int = 1) -> CalibratedCurve:
     """Freeze the period scale c and the symbol ratio r for (curve, ell).
@@ -543,14 +538,8 @@ def calibrate(curve: Curve, ell: int, dps: int = 50,
 
     reach is the largest twist conductor the caller will decide.  The
     curve's a_n table is reserved up front for it and for every probe, so
-    that all its point counts come in one batch; a memoized calibration
-    extends its own curve's table to reach.
+    that all its point counts come in one batch.
     """
-    key = (curve, curve.label, ell, dps)
-    if key in _CALIBRATIONS:
-        cal = _CALIBRATIONS[key]
-        cal.curve.an_table(series_terms(cal.curve, reach, dps))
-        return cal
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
         reps = served_orbits(curve.conductor, ell, bound)[0][:_PROBE_ORBITS]
@@ -614,5 +603,4 @@ def calibrate(curve: Curve, ell: int, dps: int = 50,
             raise CalibrationError(f"probe {rep.label()} fails its check "
                                    f"against the plus modular symbols: "
                                    f"{exc}") from exc
-    _CALIBRATIONS[key] = cal
     return cal

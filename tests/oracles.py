@@ -88,15 +88,22 @@ def oracle_value(curve, chi, err):
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
     tau = pointwise_gauss_sum(chi)
     eps = w * zeta[chi.value_exponent(N)] * tau * tau / f
+    # the last n: the first at which the tail bound 2 r^(n+1) / (1 - r)
+    # is no longer above err / 100
+    last, p = 0, mpmath.mpf(1)
+    while 2 * p * r / (1 - r) > err / 100:
+        last, p = last + 1, p * r
+    # one read up to the last n, as ints, which mpmath takes and np.int64
+    # is not: growing the table one n at a time would copy all of it at
+    # every step
+    an = curve.an_table(last).tolist()
     s1 = s2 = mpmath.mpc(0)
     p = mpmath.mpf(1)
-    n = 0
-    while 2 * p * r / (1 - r) > err / 100:
-        n += 1
+    for n in range(1, last + 1):
         p *= r
         k = chi.value_exponent(n)
         if k is not None:
-            term = mpmath.mpf(curve.an_table(n)[n]) / n * p
+            term = mpmath.mpf(an[n]) / n * p
             s1 += term * zeta[k]
             s2 += term * zeta[-k % ell]
     return s1 + eps * s2

@@ -42,6 +42,29 @@ REFERENCE_CENSUS_ELL3 = (Path(__file__).resolve().parents[1] / "perfbench"
                          / "reference" / "census_ell3.csv")
 DATA = Path(__file__).resolve().parent / "data"
 
+
+@pytest.fixture(scope="module")
+def cal_37b():
+    """37b at ell 3, calibrated once for the module, its table reserved up
+    to conductor 1300, the largest that the tests using it decide."""
+    return calibrate(E37B_CONFIG.curve(), 3, reach=1300)
+
+
+@pytest.fixture
+def shared_cal_37b(monkeypatch, cal_37b):
+    """census.calibrate answers 37b at ell 3 and the default precision with
+    cal_37b, for the tests of the journal and the pool, which need no
+    calibration of their own; anything else it calibrates as before."""
+    real = census.calibrate
+
+    def calibrate_37b(curve, ell, dps=50, reach=1):
+        if (curve, ell, dps) == (cal_37b.curve, 3, cal_37b.base_dps):
+            return cal_37b
+        return real(curve, ell, dps=dps, reach=reach)
+
+    monkeypatch.setattr(census, "calibrate", calibrate_37b)
+
+
 GOOD_37B = """\
 label = 37b
 a_invariants = 0, 1, 1, -3, 1
@@ -151,14 +174,15 @@ class TestRunCensus:
         run_census(E37B_CONFIG, 3, 13)
         assert len(calls) == 1
 
-    def test_calibration_pickles_for_workers(self):
+    def test_calibration_pickles_for_workers(self, cal_37b):
         # pool workers started by spawn receive the calibration by value
-        cal = census.calibrate(E37B_CONFIG.curve(), 3)
+        cal = cal_37b
         copy = pickle.loads(pickle.dumps(cal))
         chi = galois_orbits(91, 3)[0]
         assert (copy.scale, copy.lalg0) == (cal.scale, cal.lalg0)
         assert copy.coset_sums(chi) == cal.coset_sums(chi)
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         one = tmp_path / "one.csv"
         two = tmp_path / "two.csv"
@@ -166,6 +190,7 @@ class TestRunCensus:
         run_census(E37B_CONFIG, 3, 13, workers=2, out=two)
         assert one.read_bytes() == two.read_bytes()
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         full = tmp_path / "full.csv"
         run_census(E37B_CONFIG, 3, 13, out=full)
@@ -183,6 +208,7 @@ class TestRunCensus:
         assert summary.resumed == 1 and summary.computed == 2
         assert broken.read_bytes() == reference
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_resume_with_complete_journal_recomputes_nothing(self, tmp_path):
         out = tmp_path / "c.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
@@ -190,6 +216,7 @@ class TestRunCensus:
         assert summary.computed == 0
         assert summary.resumed == 3
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_journal_drops_rung_and_old_rows_resume(self, tmp_path):
         # the journal names the curve and the order of each orbit, and no
         # longer its series engine; rows of older journals, which named the
@@ -212,6 +239,7 @@ class TestRunCensus:
             assert {row.curve for row in summary.rows} == {curve}
             assert out.read_bytes() == reference
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_resume_keeps_only_this_runs_orbits(self, tmp_path):
         # a journal that reaches past the bound resumes only the orbits
         # under it; the rows past it stay in the journal, out of the CSV
@@ -228,6 +256,7 @@ class TestRunCensus:
         assert out.read_bytes() == reference.read_bytes()
         assert journal.read_bytes() == before
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_resume_rejects_rows_of_another_order(self, tmp_path):
         # the ell-3 orbit (31; 31:1) carries the same label as an ell-5
         # orbit; an ell-5 run must not take its sums
@@ -239,6 +268,7 @@ class TestRunCensus:
             run_census(E37B_CONFIG, 5, 31, out=out, resume=True)
         assert journal.read_bytes() == before
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_resume_rejects_rows_of_another_curve(self, tmp_path, capsys):
         # 37a and 37b share every orbit label
         out = tmp_path / "k.csv"
@@ -252,6 +282,7 @@ class TestRunCensus:
         assert "error:" in capsys.readouterr().err
         assert journal.read_bytes() == before
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_torn_journal_line_ignored(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
@@ -276,6 +307,7 @@ class TestRunCensus:
         "garbage", "L_value", "conductor", "coset_sums", "decision",
         "decision-word", "elapsed", "alarm", "error", "curve", "ell",
         "ell-bool", "conductor-label", "no-curve", "no-order"])
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_bad_journal_line_refused(self, tmp_path, capsys, edit):
         # a bad row anywhere but a torn last line fails the command and
         # leaves the journal as it was: it used to end the read there, so
@@ -332,6 +364,7 @@ class TestRunCensus:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_pool_never_outnumbers_orbits_or_cores(self, tmp_path,
                                                    monkeypatch):
         # the pool starts all its workers at once, so a worker count past
@@ -404,18 +437,28 @@ class TestOneBatchPerCommand:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         seen = []
         batch = Curve._ap_batch
         monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
                             seen.append(ps) or batch(self, ps))
         return seen
 
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        # every calibration built while the fixture is live; an unpickled
+        # copy is not built again
+        built = []
+        init = lvalue.CalibratedCurve.__init__
+        monkeypatch.setattr(lvalue.CalibratedCurve, "__init__",
+                            lambda cal, *args, **kw:
+                            built.append(cal) or init(cal, *args, **kw))
+        return built
+
     @staticmethod
-    def _check(batches):
-        (cal,) = lvalue._CALIBRATIONS.values()
+    def _check(batches, calibrations):
+        (cal,) = calibrations
         curve = cal.curve
-        reserved = len(curve.an_table(0)) - 1
+        reserved = curve._an.size - 1
         reach = max(chi.conductor for chi in cal._records)
         assert reserved == series_terms(curve, reach, cal.base_dps)
         six_disc = 6 * int(curve.disc)
@@ -431,21 +474,21 @@ class TestOneBatchPerCommand:
         (["e37b", "--max-conductor", "2000"], 1629),
         (["twist-value", "--curve", "curves/37b.cfg", "10009"], 10009)],
         ids=["census", "congruence", "e37b", "twist-value"])
-    def test_command(self, batches, capsys, argv, reach):
+    def test_command(self, batches, calibrations, capsys, argv, reach):
         assert main(argv) == 0
-        assert self._check(batches) == reach
+        assert self._check(batches, calibrations) == reach
 
-    def test_calibrate_alone(self, batches):
+    def test_calibrate_alone(self, batches, calibrations):
         # the benchmark's set-up runs: the largest probe sets the length
         calibrate(E37B_CONFIG.validated_curve(), 3)
-        assert self._check(batches) == 67
+        assert self._check(batches, calibrations) == 67
 
-    def test_workers_receive_the_reserved_table(self, batches):
+    def test_workers_receive_the_reserved_table(self, batches, calibrations):
         # a pool worker unpickles the parent's calibration, whose table
         # already reaches the largest pending orbit: it counts nothing
         run_census(E37B_CONFIG, 3, 100)
-        self._check(batches)
-        (cal,) = lvalue._CALIBRATIONS.values()
+        self._check(batches, calibrations)
+        (cal,) = calibrations
         copy = pickle.loads(pickle.dumps(cal))
         batches.clear()
         copy._records.clear()
@@ -752,10 +795,11 @@ class TestCommandLine:
         assert captured.err.startswith("error: ")
         assert "curve 37a, order 3; curve 37b, order 3" in captured.err
 
-    def test_failed_cross_check_is_an_alarm(self, tmp_path, monkeypatch):
+    def test_failed_cross_check_is_an_alarm(self, tmp_path, monkeypatch,
+                                            cal_37b):
         # conjugate twist rows that disagree fail the exact coset-sum
         # checks: the census journals an alarm row and exits 2
-        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        real = cal_37b
         fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
                                        real.r, real.base_dps)
         monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
@@ -771,11 +815,12 @@ class TestCommandLine:
         assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
     def test_dead_value_of_a_nonzero_orbit_is_an_alarm(self, tmp_path,
-                                                       monkeypatch, capsys):
+                                                       monkeypatch, capsys,
+                                                       cal_37b):
         # exactly nonzero coset sums with a series value of 0: the census
         # row is an alarm and the congruence sweep ends with exit 2, where
         # it once held every pair
-        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        real = cal_37b
         monkeypatch.setattr(census, "calibrate", lambda *args, **kw: (
             lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
                                    real.r, real.base_dps)))
@@ -795,10 +840,10 @@ class TestCommandLine:
         assert not rows[7]["alarm"] and rows[7]["decision"] == "vanishes"
 
     @staticmethod
-    def _miscount_trivial_sums(monkeypatch, wrong_factor=lambda *args: 1):
+    def _miscount_trivial_sums(monkeypatch, real,
+                               wrong_factor=lambda *args: 1):
         # a wrong A_0 (by default 1 for every factor); a fresh calibration
-        # keeps the cached sums out of it
-        real = census.calibrate(E37B_CONFIG.curve(), 3)
+        # on real's curve keeps real's cached sums out of it
         fresh = lvalue.CalibratedCurve(real.curve, 3, real.scale, real.lalg0,
                                        real.r, real.base_dps)
         monkeypatch.setattr(census, "calibrate", lambda *args, **kw: fresh)
@@ -810,10 +855,11 @@ class TestCommandLine:
         # ell, which the rounded series sums once took on unseen
         return REAL_HECKE_FACTOR(curve, f, ell) + ell
 
-    def test_unrounded_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
+    def test_unrounded_coset_sums_are_an_alarm(self, tmp_path, monkeypatch,
+                                               cal_37b):
         # each orbit whose r M_t miss the wrong A_0 is an alarm row, never
         # a quiet decision from |L| alone
-        self._miscount_trivial_sums(monkeypatch)
+        self._miscount_trivial_sums(monkeypatch, cal_37b)
         out = tmp_path / "r.csv"
         assert main(["census", "--curve", "curves/37b.cfg",
                      "--max-conductor", "60", "--out", str(out)]) == 2
@@ -827,18 +873,20 @@ class TestCommandLine:
                    for row in rows.values())
 
     def test_unrounded_coset_sums_fail_the_congruence_sweep(
-            self, monkeypatch, capsys):
+            self, monkeypatch, capsys, cal_37b):
         # the miss ends the sweep with the theory-violation exit code
-        self._miscount_trivial_sums(monkeypatch)
+        self._miscount_trivial_sums(monkeypatch, cal_37b)
         assert main(["congruence", "--curve", "curves/37b.cfg",
                      "--max-conductor", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("theory violation: ConsistencyError: ")
 
-    def test_shifted_coset_sums_are_an_alarm(self, tmp_path, monkeypatch):
+    def test_shifted_coset_sums_are_an_alarm(self, tmp_path, monkeypatch,
+                                             cal_37b):
         # a wrong A_0 in the right residue class alarms on every orbit; the
         # rounding checks of the series sums alone passed 19, 31 and 43
-        self._miscount_trivial_sums(monkeypatch, self._factor_plus_ell)
+        self._miscount_trivial_sums(monkeypatch, cal_37b,
+                                    self._factor_plus_ell)
         out = tmp_path / "s.csv"
         assert main(["census", "--curve", "curves/37b.cfg",
                      "--max-conductor", "60", "--out", str(out)]) == 2
@@ -851,8 +899,9 @@ class TestCommandLine:
             assert "exact recursion gives" in row["error"]
 
     def test_shifted_coset_sums_fail_the_congruence_sweep(
-            self, monkeypatch, capsys):
-        self._miscount_trivial_sums(monkeypatch, self._factor_plus_ell)
+            self, monkeypatch, capsys, cal_37b):
+        self._miscount_trivial_sums(monkeypatch, cal_37b,
+                                    self._factor_plus_ell)
         assert main(["congruence", "--curve", "curves/37b.cfg",
                      "--max-conductor", "100"]) == 2
         err = capsys.readouterr().err
@@ -860,12 +909,13 @@ class TestCommandLine:
         assert "exact recursion gives" in err
 
     def test_congruence_sweep_backs_up_the_total_check(self, monkeypatch,
-                                                       capsys):
+                                                       capsys, cal_37b):
         # coset_sums checks each orbit's total against A_0, so every pair
         # holds by construction; in a build that took the symbols' own total
         # instead, a Hecke factor off by one at 433 fails the one pair there
-        self._miscount_trivial_sums(monkeypatch, lambda curve, f, ell: (
-            REAL_HECKE_FACTOR(curve, f, ell) + (f == 433)))
+        self._miscount_trivial_sums(
+            monkeypatch, cal_37b, lambda curve, f, ell: (
+                REAL_HECKE_FACTOR(curve, f, ell) + (f == 433)))
         monkeypatch.setattr(
             lvalue.CalibratedCurve, "trivial_coset_sum", lambda cal, f: sum(
                 cal.r * m for m in
@@ -881,8 +931,8 @@ class TestCommandLine:
     @staticmethod
     def _miscount_ap(monkeypatch, prime):
         # the point search returns one wrong a_p, which the check point
-        # after it catches; an empty calibration cache keeps the curve's
-        # counted coefficients out of it
+        # after it catches; each command reads a fresh curve, whose
+        # coefficients are all counted under the patch
         search = elliptic._search
 
         def wrong(a, b, p):
@@ -890,7 +940,6 @@ class TestCommandLine:
             return np.where(p == prime, ap + 1, ap), x
 
         monkeypatch.setattr(elliptic, "_search", wrong)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
 
     def test_failed_point_count_in_calibration_exits_two(self, monkeypatch,
                                                          capsys):

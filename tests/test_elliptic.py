@@ -6,6 +6,7 @@ to a scalar affine group law, the real period is recomputed by direct
 numerical integration, and the group law is exercised on the two
 conductor-37 curves."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -85,11 +86,10 @@ class TestTraceOfFrobenius:
     def test_table_extends_without_recounting(self, monkeypatch):
         # growing the limit one step at a time counts each odd good prime
         # once, by the Legendre sum or in a batch of the step that reaches
-        # it, and none past the limit; the grown table and its int64 copy
-        # equal one built in a single call.  A table reserved up front
-        # counts every prime from _BSGS_MIN_P in one batch, and later
-        # limits below it count nothing
-        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1600)
+        # it, and none past the limit; the grown table equals one built in
+        # a single call.  A table reserved up front counts every prime from
+        # _BSGS_MIN_P in one batch, and later limits below it count nothing
+        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1600).tolist()
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
         summed, batches = [], []
         legendre, batch = Curve._ap_legendre, Curve._ap_batch
@@ -104,17 +104,40 @@ class TestTraceOfFrobenius:
         assert sorted(counted) == [p for p in primes_up_to(1600)
                                    if p not in (2, 37)]
         assert [len(ps) for ps in batches] == [1] * len(batches)
-        assert an == fresh
-        assert curve.an_array(1600).tolist() == fresh
+        assert an.tolist() == fresh
+        assert curve.an_table(1600).tolist() == fresh
         summed.clear()
         batches.clear()
         reserved = Curve((0, 1, 1, -3, 1), conductor=37)
-        assert reserved.an_table(1600) == fresh
+        assert reserved.an_table(1600).tolist() == fresh
         for limit in range(1000, 1601):
-            assert reserved.an_array(limit).tolist() == fresh[:limit + 1]
+            assert reserved.an_table(limit).tolist() == fresh[:limit + 1]
         assert batches == [[p for p in primes_up_to(1600) if p >= 1000]]
         assert sorted(summed) == [p for p in primes_up_to(999)
                                   if p not in (2, 37)]
+
+    def test_table_is_read_only_and_survives_a_failed_extension(
+            self, monkeypatch):
+        # a view of the table refuses writes, also on a curve unpickled as
+        # in a pool worker; a count that fails at 97, after 91..96 are
+        # sieved, leaves the table as it was, and the next extension is
+        # the one a fresh curve builds
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve.an_table(90).tolist()
+        for c in (curve, pickle.loads(pickle.dumps(curve))):
+            for limit in (50, 120):
+                with pytest.raises(ValueError, match="read-only"):
+                    c.an_table(limit)[1] = 0
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        curve.an_table(90)
+        with monkeypatch.context() as patch:
+            patch.setattr(Curve, "_ap_legendre", lambda self, p: 21)
+            with pytest.raises(PointCountError, match="at 97"):
+                curve.an_table(200)
+        assert curve._an.size == 91
+        assert curve._an.tolist() == before
+        fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(200)
+        assert curve.an_table(200).tolist() == fresh.tolist()
 
     def test_nonintegral_model_rejected(self):
         curve = Curve((0, 0, 0, Fraction(1, 4), 0))

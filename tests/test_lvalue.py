@@ -207,7 +207,6 @@ class TestTDriftAlarm:
             return PlusSymbols(curve.conductor,
                                lambda q: -2 if q == 2 else curve.ap(q))
         monkeypatch.setattr(lvalue, "plus_symbols", wrong_line)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="plus modular symbols"):
             calibrate(E37B, 3)
 
@@ -252,7 +251,7 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
         an, exps = curve.an_table(top), chi.exponent_table(top)
         for r, M in radii:
             dd, _ = lvalue._dd_buckets(curve, chi, r, M)
-            mp = buckets(an, exps, chi.ell, r, M)
+            mp = buckets(an.tolist(), exps, chi.ell, r, M)
             n = np.arange(M + 1)
             size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
                 float(r) ** n.astype(float)
@@ -305,13 +304,11 @@ class TestDoubleDoubleRung:
                 assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
 
     @pytest.mark.parametrize("dps", (15, 50, 80))
-    def test_production_paths_never_call_the_oracles(self, cal_b, dps,
-                                                      monkeypatch):
+    def test_production_paths_never_call_the_oracles(self, cal_b, dps):
         # calibrate, coset_sums and congruence_check at every working
         # precision, on orbits past the probes (73, 79 and the product
         # 7 * 73 = 511), give cal_b's answers from the double-double kernels
         # alone: the mpmath oracles live in the tests, out of their reach
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3, dps=dps)
         chi73, chi79 = (galois_orbits(f, 3)[0] for f in (73, 79))
         record = cal.coset_sums(chi79)
@@ -436,28 +433,26 @@ class TestCalibration:
     def test_probe_window_widens_until_it_holds_the_probes(self,
                                                             monkeypatch):
         # three orbits below 13 cannot fill the ten probes, so the window
-        # doubles until it holds them and freezes the same scale, r and L0;
-        # the memo is emptied so the cached calibration does not answer
+        # doubles until it holds them and freezes the same scale, r and L0
         probes = set(probe_orbits(3))
         monkeypatch.setattr(lvalue, "_PROBE_BOUND", 13)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3)
         assert set(cal._records) == probes
         assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
 
     @pytest.mark.parametrize("ell,tenth", [(11, 463), (13, 599)])
-    def test_large_orders_find_ten_probes(self, ell, tenth, monkeypatch):
+    def test_large_orders_find_ten_probes(self, ell, tenth):
         # 400 holds only 8 orbits of order 11 and 6 of order 13 prime to 37;
         # the doubled window finds ten and the same lattice as ell = 3
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, ell)
         assert len(cal._records) == 10
         assert max(chi.conductor for chi in cal._records) == tenth
         assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
 
     def test_root_number_is_part_of_the_calibration(self, cal_b):
-        # the true curve's calibration must not stand in for the same model
-        # with the wrong sign, which admits no period scale
+        # the same model with the wrong sign admits no period scale, after
+        # the true curve's calibration as before it: each calibration is
+        # built from its own curve's root number
         flipped = Curve((0, 1, 1, -3, 1), conductor=37, root_number=-1)
         assert flipped != E37B
         with pytest.raises(CalibrationError):
@@ -469,7 +464,6 @@ class TestCalibration:
         real = lvalue.central_value
         monkeypatch.setattr(lvalue, "central_value",
                             lambda *args, **kw: 1.01 * real(*args, **kw))
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="untwisted part"):
             calibrate(E37B, 3)
 
@@ -482,7 +476,6 @@ class TestCalibration:
             return TwistRows({j: 1e-6 * row for j, row in out.rows.items()},
                              out.l_value, out.l_err)
         monkeypatch.setattr(lvalue, "_twist_rows", tiny)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="probe rows vanish"):
             calibrate(E37A, 3)
 
@@ -490,7 +483,6 @@ class TestCalibration:
         # constant M_t have a zero transform, so no probe row gives c r
         monkeypatch.setattr(PlusSymbols, "orbit_sums",
                             lambda sym, chi: (2,) * chi.ell)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="constant"):
             calibrate(E37B, 3)
 
@@ -524,7 +516,6 @@ class TestCosetSums:
         # calibrate checked the probes' sums against their series at the
         # winning scale: asking for a probe orbit computes no symbol sums,
         # while any other orbit is still computed and checked
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3)
         probes = probe_orbits(3)
         real = PlusSymbols.orbit_sums
@@ -704,7 +695,6 @@ class TestTwistDecisions:
         for check in (cal.coset_sums, lambda chi: cal.congruence_check(None, chi)):
             with pytest.raises(ConsistencyError, match="within noise"):
                 check(CHI9)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         with pytest.raises(CalibrationError, match="within noise"):
             calibrate(E37B, 3)
 

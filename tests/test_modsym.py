@@ -215,10 +215,8 @@ class TestSymbolRatio:
     @pytest.mark.parametrize("orbits", (5, 15))
     def test_calibration_does_not_depend_on_the_probes(self, orbits,
                                                        monkeypatch):
-        # fewer or more probe orbits freeze the same scale, r and L0; the
-        # memo is emptied so the cached calibration does not answer
+        # fewer or more probe orbits freeze the same scale, r and L0
         monkeypatch.setattr(lvalue, "_PROBE_ORBITS", orbits)
-        monkeypatch.setattr(lvalue, "_CALIBRATIONS", {})
         cal = calibrate(E37B, 3)
         assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
 
