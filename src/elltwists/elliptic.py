@@ -22,11 +22,13 @@ supporting +, -, *, / and equality with each other; None is the origin.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 import mpmath
 import numpy as np
 
+from .modsym import PlusSymbols
 from .numcore import TheoryViolation, factor, least_prime_factors
 
 # primes from here on are counted by the batched search.  On 2 vCPUs the
@@ -103,15 +105,6 @@ class Curve:
         tag = self.label or ",".join(str(a) for a in self.a_invariants)
         return f"Curve({tag})"
 
-    def __eq__(self, other):
-        return (isinstance(other, Curve)
-                and self.a_invariants == other.a_invariants
-                and self.conductor == other.conductor
-                and self.root_number == other.root_number)
-
-    def __hash__(self):
-        return hash((self.a_invariants, self.conductor, self.root_number))
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.a_invariants)
 
@@ -120,6 +113,14 @@ class Curve:
         if self.conductor is None:
             raise ValueError("curve has no conductor attached")
         return 1 if gcd(n, self.conductor) == 1 else 0
+
+    @cached_property
+    def symbols(self) -> PlusSymbols:
+        """The plus modular symbols at the attached conductor, solved on
+        first use and kept with the curve."""
+        if self.conductor is None:
+            raise ValueError("curve has no conductor attached")
+        return PlusSymbols(self.conductor, self.ap)
 
     # -- Fourier coefficients ----------------------------------------------
 

@@ -107,7 +107,6 @@ import numpy as np
 from .dirichlet import (DirichletChar, admissible_conductors,
                         conductor_primes, galois_orbits)
 from .elliptic import Curve
-from .modsym import plus_symbols
 from .numcore import (_DD_ROUNDOFF, RecognitionError, TheoryViolation,
                       _bucket_sums, _dd_mul, _dd_sum, _dd_table,
                       _roots_of_unity, _two_prod, power_tables, primes_up_to,
@@ -346,14 +345,13 @@ def vanishing_decision(chi: DirichletChar, sums: tuple[int, ...],
 
 @dataclass(frozen=True)
 class TwistRecord:
-    """One checked and decided character orbit: its exact coset sums, the
-    trivial component they total, the worst miss of the series' sums
+    """One checked and decided character orbit: its exact coset sums, which
+    total the trivial component A_0, the worst miss of the series' sums
     against them, and the representative's central value and tail bound."""
 
     curve_label: str
     chi: DirichletChar          # canonical orbit representative
     sums: tuple[int, ...]       # S_t = r M_t for t = 0..ell-1
-    a0: int                     # exact trivial-component sum
     max_residual: float         # worst |S^num_t - S_t|, an internal health stat
     L_value: complex
     error_bound: float
@@ -434,7 +432,6 @@ class CalibratedCurve:
         self.scale = scale
         self.lalg0 = lalg0
         self.r = r                      # S_t = r M_t on every orbit
-        self.symbols = plus_symbols(curve)
         self.base_dps = base_dps
         # the checked record of each canonical chi asked for; calibrate
         # seeds it with its probe orbits
@@ -459,7 +456,7 @@ class CalibratedCurve:
         rows (one series pass, or a probe's rows from calibrate) have to
         give each S_t within _S_TOL, and vanishing_decision its decision."""
         a0 = self.trivial_coset_sum(chi.conductor)
-        exact = [self.r * m for m in self.symbols.orbit_sums(chi)]
+        exact = [self.r * m for m in self.curve.symbols.orbit_sums(chi)]
         shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
         if any(s.denominator != 1 for s in exact):
             raise ConsistencyError(f"coset sums {shown} are not integers")
@@ -476,7 +473,7 @@ class CalibratedCurve:
                 f"series coset sums of {chi.label()} differ from {shown} "
                 f"by {worst:.3g}")
         decision = vanishing_decision(chi, sums, rows.l_value, rows.l_err)
-        return TwistRecord(self.label, chi, sums, a0, worst, rows.l_value,
+        return TwistRecord(self.label, chi, sums, worst, rows.l_value,
                            rows.l_err, self.base_dps, decision)
 
     def coset_sums(self, chi: DirichletChar) -> TwistRecord:
@@ -538,7 +535,8 @@ def calibrate(curve: Curve, ell: int, dps: int = 50,
 
     reach is the largest twist conductor the caller will decide.  The
     curve's a_n table is reserved up front for it and for every probe, so
-    that all its point counts come in one batch.
+    that all its point counts come in one batch.  The calibration owns the
+    curve and its symbols: dropping it frees both and the table.
     """
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
@@ -551,7 +549,7 @@ def calibrate(curve: Curve, ell: int, dps: int = 50,
         l1 = central_value(curve, None, err=1e-10 * float(omega))
         base0 = 2 * l1.real / omega
     try:
-        symbols = plus_symbols(curve)
+        symbols = curve.symbols
     except ArithmeticError as exc:
         raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
     try:

@@ -40,7 +40,6 @@ denominator, so a declared root number is checked without a series.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -208,9 +207,3 @@ class PlusSymbols:
                 f"{len(signs)} Fricke signs fit phi at level {N} on the "
                 f"cusps of denominator <= {_CUSP_BOUND}, not one")
         return -signs[0]
-
-
-@lru_cache(maxsize=None)
-def plus_symbols(curve) -> PlusSymbols:
-    """The plus eigen-functional of a curve with its conductor attached."""
-    return PlusSymbols(curve.conductor, curve.ap)

@@ -4,11 +4,13 @@ the command-line exit contract."""
 
 import ast
 import concurrent.futures
+import gc
 import json
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
@@ -57,8 +59,11 @@ def shared_cal_37b(monkeypatch, cal_37b):
     calibration of their own; anything else it calibrates as before."""
     real = census.calibrate
 
+    def key(curve):
+        return curve.a_invariants, curve.conductor, curve.root_number
+
     def calibrate_37b(curve, ell, dps=50, reach=1):
-        if (curve, ell, dps) == (cal_37b.curve, 3, cal_37b.base_dps):
+        if (key(curve), ell, dps) == (key(cal_37b.curve), 3, cal_37b.base_dps):
             return cal_37b
         return real(curve, ell, dps=dps, reach=reach)
 
@@ -433,7 +438,8 @@ class TestOneBatchPerCommand:
     series, so a fresh curve counts its points in exactly one batch: every
     prime from 1000 up to the reserved length that does not divide 6 disc.
     The reserved length is the series length of the largest conductor the
-    command decides, and no series reaches past it."""
+    command decides, and no series reaches past it.  The command's curve
+    solves its plus modular symbols exactly once, and keeps them."""
 
     @pytest.fixture
     def batches(self, monkeypatch):
@@ -454,10 +460,21 @@ class TestOneBatchPerCommand:
                             built.append(cal) or init(cal, *args, **kw))
         return built
 
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # every plus modular symbol solve while the fixture is live
+        solved = []
+        init = modsym.PlusSymbols.__init__
+        monkeypatch.setattr(modsym.PlusSymbols, "__init__",
+                            lambda sym, *args:
+                            solved.append(sym) or init(sym, *args))
+        return solved
+
     @staticmethod
-    def _check(batches, calibrations):
+    def _check(batches, calibrations, solves):
         (cal,) = calibrations
         curve = cal.curve
+        assert solves == [curve.symbols]
         reserved = curve._an.size - 1
         reach = max(chi.conductor for chi in cal._records)
         assert reserved == series_terms(curve, reach, cal.base_dps)
@@ -474,27 +491,40 @@ class TestOneBatchPerCommand:
         (["e37b", "--max-conductor", "2000"], 1629),
         (["twist-value", "--curve", "curves/37b.cfg", "10009"], 10009)],
         ids=["census", "congruence", "e37b", "twist-value"])
-    def test_command(self, batches, calibrations, capsys, argv, reach):
+    def test_command(self, batches, calibrations, solves, capsys, argv,
+                     reach):
         assert main(argv) == 0
-        assert self._check(batches, calibrations) == reach
+        assert self._check(batches, calibrations, solves) == reach
 
-    def test_calibrate_alone(self, batches, calibrations):
+    def test_calibrate_alone(self, batches, calibrations, solves):
         # the benchmark's set-up runs: the largest probe sets the length
         calibrate(E37B_CONFIG.validated_curve(), 3)
-        assert self._check(batches, calibrations) == 67
+        assert self._check(batches, calibrations, solves) == 67
 
-    def test_workers_receive_the_reserved_table(self, batches, calibrations):
+    def test_workers_receive_the_reserved_table(self, batches, calibrations,
+                                                solves):
         # a pool worker unpickles the parent's calibration, whose table
-        # already reaches the largest pending orbit: it counts nothing
+        # already reaches the largest pending orbit and whose curve carries
+        # its solved symbols: it counts nothing and solves nothing
         run_census(E37B_CONFIG, 3, 100)
-        self._check(batches, calibrations)
+        self._check(batches, calibrations, solves)
         (cal,) = calibrations
         copy = pickle.loads(pickle.dumps(cal))
         batches.clear()
+        solves.clear()
         copy._records.clear()
         for chi in census.served_orbits(37, 3, 100)[0]:
             assert copy.coset_sums(chi) == cal.coset_sums(chi)
-        assert batches == []
+        assert batches == [] and solves == []
+
+    def test_dropping_the_calibration_frees_its_curve(self):
+        # nothing outside the calibration holds the command's curve, its
+        # symbols or its a_n table
+        cal = calibrate(E37B_CONFIG.validated_curve(), 3)
+        curve, symbols = weakref.ref(cal.curve), weakref.ref(cal.curve.symbols)
+        del cal
+        gc.collect()
+        assert curve() is None and symbols() is None
 
 
 class TestCongruenceSweep:
@@ -527,6 +557,16 @@ class TestE37bSurvey:
         from elltwists.census import default_height_bound
         assert default_height_bound(10 ** 7) == 42
         assert default_height_bound(10) == 8
+
+    def test_default_height_bound_misses_conductors(self):
+        # the height bounds h1 h2, not the conductor: (-15, 13) has height
+        # 15 and conductor 9709, below 10^4, whose default height is 9
+        from elltwists.census import default_height_bound
+        from elltwists.kummer import census_37b
+        low = census_37b(10 ** 4, default_height_bound(10 ** 4))
+        high = census_37b(10 ** 4, 15)
+        assert (low.height_bound, len(low.conductors)) == (9, 16)
+        assert set(high.conductors) - set(low.conductors) == {9709}
 
 
 class TestFamilyReports:
@@ -919,7 +959,7 @@ class TestCommandLine:
         monkeypatch.setattr(
             lvalue.CalibratedCurve, "trivial_coset_sum", lambda cal, f: sum(
                 cal.r * m for m in
-                cal.symbols.orbit_sums(galois_orbits(f, cal.ell)[0])))
+                cal.curve.symbols.orbit_sums(galois_orbits(f, cal.ell)[0])))
         text = run_congruence_sweep(E37B_CONFIG, 3, 1300).text()
         assert "pairs checked: 200, failures: 1" in text
         fails = [line for line in text.splitlines() if "FAIL" in line]

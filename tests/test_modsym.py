@@ -21,7 +21,7 @@ from elltwists.dirichlet import DirichletChar, galois_orbits
 from elltwists.elliptic import Curve
 import elltwists.lvalue as lvalue
 from elltwists.lvalue import CalibrationError, calibrate
-from elltwists.modsym import PlusSymbols, _CUSP_BOUND, _merel_set, plus_symbols
+from elltwists.modsym import PlusSymbols, _CUSP_BOUND, _merel_set
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -60,7 +60,7 @@ class TestEigenFunctional:
     def test_relations_and_hecke_operators(self, curve):
         # every relation and T_q, q = 2, 3, 5, 7 prime to N, holds symbol by
         # symbol; the solver's rank mod p leaves exactly one line
-        sym = plus_symbols(curve)
+        sym = curve.symbols
         N = curve.conductor
         assert sym.rank == len(sym.phi) - 1 and any(sym.phi)
         pairs = [(c, d) for c in range(N) for d in range(N)
@@ -81,15 +81,19 @@ class TestEigenFunctional:
 
     def test_unit_symbol_is_the_untwisted_part(self):
         # phi((1:0)) = phi({oo, 0}): L0 for 37b, and 0 on the rank-one 37a
-        assert plus_symbols(E37B)(1, 0) == 2
-        assert plus_symbols(E37A)(1, 0) == 0
+        assert E37B.symbols(1, 0) == 2
+        assert E37A.symbols(1, 0) == 0
 
     def test_primitive_with_positive_last_coordinate(self):
         for curve in (E37A, E37B):
-            phi = [int(v) for v in plus_symbols(curve).phi]
+            phi = [int(v) for v in curve.symbols.phi]
             assert gcd(*phi) == 1
             # the last nonzero coordinate, the free one of the solve, is > 0
             assert [v for v in phi if v][-1] > 0
+
+    def test_symbols_need_a_conductor(self):
+        with pytest.raises(ValueError, match="no conductor"):
+            Curve((0, 1, 1, -3, 1)).symbols
 
     def test_eigenvalues_off_the_line_are_refused(self):
         # a_2 = 1 is no eigenvalue at level 37: the kernel is empty
@@ -99,7 +103,7 @@ class TestEigenFunctional:
     def test_other_eigenline(self):
         # 37a's a_2 on 37b's other eigenvalues still cuts out 37a's line
         wrong = PlusSymbols(37, lambda q: -2 if q == 2 else E37B.ap(q))
-        assert list(wrong.phi) == list(plus_symbols(E37A).phi)
+        assert list(wrong.phi) == list(E37A.symbols.phi)
 
 
 class TestSymbolSums:
@@ -109,7 +113,7 @@ class TestSymbolSums:
         # every a < f, both halves, with the signs of the symbols kept
         for chi in galois_orbits(f, ell):
             for curve in (E37A, E37B):
-                sym = plus_symbols(curve)
+                sym = curve.symbols
                 brute = [0] * ell
                 for a in range(1, f):
                     k = chi.value_exponent(a)
@@ -120,7 +124,7 @@ class TestSymbolSums:
     def test_reference_census_sums(self):
         # all 60 orbits of the benchmark's frozen census of 37b, ell = 3,
         # to conductor 415, which covers acceptance criterion 04: r = 1
-        sym = plus_symbols(E37B)
+        sym = E37B.symbols
         rows = REFERENCE_CENSUS_ELL3.read_text().splitlines()[1:]
         assert len(rows) == 60
         for row in rows:
@@ -133,7 +137,7 @@ class TestSymbolSums:
     def test_frozen_vector_of_37a(self):
         # 37a's coset sums (1, -1, 0) at r = -1/2
         chi7 = galois_orbits(7, 3)[0]
-        assert plus_symbols(E37A).orbit_sums(chi7) == (-2, 2, 0)
+        assert E37A.symbols.orbit_sums(chi7) == (-2, 2, 0)
 
 
 def fricke_sides(sym, a, c):
@@ -153,7 +157,7 @@ class TestFrickeSign:
         # rank 0 and rank 1, prime and composite levels: 37a and 43a1 have
         # w = -1, the other five w = +1
         for curve in SEVEN_CURVES:
-            assert plus_symbols(curve).root_number() == curve.root_number, \
+            assert curve.symbols.root_number() == curve.root_number, \
                 curve.label
 
     @pytest.mark.parametrize("curve", SEVEN_CURVES, ids=lambda c: c.label)
@@ -161,7 +165,7 @@ class TestFrickeSign:
         # on every cusp the check scans, the signs of the symbols kept,
         # eps_N = -w carries phi({oo, a/c}) to its Fricke image, and the
         # lockstep sums agree with the oracle on both sides
-        sym = plus_symbols(curve)
+        sym = curve.symbols
         eps = -sym.root_number()
         cusps = [(a, c) for c in range(1, _CUSP_BOUND + 1) for a in range(c)
                  if gcd(a, c) == 1]
@@ -177,11 +181,11 @@ class TestFrickeSign:
     def test_no_single_sign_is_refused(self):
         # phi = 0 fits both signs; the sum of 37a's line (eps_N = +1) and
         # 37b's (eps_N = -1) fits none
-        sym = copy.copy(plus_symbols(E37B))
+        sym = copy.copy(E37B.symbols)
         sym._grid = 0 * sym._grid
         with pytest.raises(ArithmeticError, match="2 Fricke signs"):
             sym.root_number()
-        sym._grid = plus_symbols(E37A)._grid + plus_symbols(E37B)._grid
+        sym._grid = E37A.symbols._grid + E37B.symbols._grid
         with pytest.raises(ArithmeticError, match="0 Fricke signs"):
             sym.root_number()
 
@@ -204,7 +208,7 @@ class TestSymbolRatio:
         for ell in (3, 5, 7):
             cal = calibrate(curve, ell)
             assert (cal.scale, cal.r, cal.lalg0) == (scale, r, l0), ell
-        assert l0 == r * plus_symbols(curve)(1, 0)
+        assert l0 == r * curve.symbols(1, 0)
 
     @pytest.mark.parametrize("ell", (3, 5, 7))
     def test_scale_outside_the_candidates_is_refused(self, ell):
