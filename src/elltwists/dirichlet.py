@@ -225,8 +225,10 @@ class DirichletChar:
         The anchors are powers of the one Gaussian integer floor(e(1/f) 2^K)
         in K-bit fixed point, each within trunc = 4 (f + 2B) 2^-K of its
         power of e(1/f), so a residue's two products are within 5 trunc of
-        theirs.  Each bucket is summed exactly and rounded once to (hi, lo),
-        so
+        theirs.  The (hi, lo) parts of both products, at most 2f entries,
+        go to numcore._bucket_sums unchunked (it bins each in passes of
+        2^20 entries once f passes 2^21), and each bucket is summed exactly
+        and rounded once to (hi, lo), so
 
             |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
                                   + 5 trunc #{c : ind(c) = k},

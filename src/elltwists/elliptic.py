@@ -33,20 +33,24 @@ from .numcore import TheoryViolation, factor, least_prime_factors
 
 # primes from here on are counted by the batched search.  On 2 vCPUs the
 # Legendre count costs 50, 77, 153 and 290 us a prime at p = 1000, 2000,
-# 5000 and 10^4, and one batch of a command's reserved table 14-15 us a
-# prime (21 us for calibration's 143, where fixed costs weigh).  Counting
-# 37b's primes from 1000 up to the tables that calibration at ell 3, the
-# census to 415, the congruence sweep at ell 5 to 590 and the slice samples
-# reserve (1,669, 10,369, 14,747 and 31,123), the Legendre sum below a
-# threshold of 1000, 2000 or 3000 and one batch above it take 3.0, 2.6 and
-# 2.9 ms; 16.5, 18.0 and 22.2 ms; 23.9, 25.5 and 28.8 ms; 45.9, 48.6 and
-# 54.0 ms (medians of 9).  Mestre's theorem, on which the search relies to
+# 5000 and 10^4, and one batch of a command's reserved table 13 us a prime
+# (27 us for calibration's 95, where fixed costs weigh).  Counting 37b's
+# primes from 1000 up to the tables that calibration at ell 3, the census
+# to 415, the congruence sweep at ell 5 to 590 and the slice samples
+# reserve (1,669, 10,369, 14,752 and 31,134), the Legendre sum below a
+# threshold of 1000, 2000 or 3000 and one batch above it take 2.6, 2.5 and
+# 2.5 ms; 14.1, 15.7 and 20.1 ms; 19.6, 21.4 and 25.8 ms; 40.0, 41.9 and
+# 46.1 ms (medians of 9).  Mestre's theorem, on which the search relies to
 # single out the order, needs p > 229.
 _BSGS_MIN_P = 1000
 # points of E and its twists a prime may draw before the search gives up
 _BSGS_MAX_POINTS = 64
-# points each unsettled prime draws per round after its first
-_BSGS_REDRAW = 8
+# points each unsettled prime draws per round after its first.  Every prime
+# draws x = 1, 2, ... in the same order under the same cap whatever this
+# is, so the same primes settle or raise; smaller rounds waste fewer draws.
+# One batch of the last three tables above takes 14.0, 19.6 and 39.5 ms at
+# 2 against 15.9, 23.1 and 44.4 ms at 8 (best of 7).
+_BSGS_REDRAW = 2
 # lanes, and primes, walked together: bounds the search's memory
 _BSGS_LANES = 512
 # residues below this multiply inside int64

@@ -35,10 +35,12 @@ and up), with the helpers it shares with the Gauss-sum kernel in numcore.
 The terms go in fixed-size chunks: in each, a_n / n is a (hi, lo) pair with
 an exact TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
 anchors from fixed-point integer powers of r, and each term is one more
-Dekker product; _bucket_sums sums each bucket's share exactly by math.fsum
-and rounds it to (hi, lo), and the chunk pairs are summed exactly and
-rounded once more.  Every term is within about 20 * 2^-106 of its exact
-value, relatively, and each rounding of a pair costs at most 2^-106 of its
+Dekker product.  numcore._bucket_sums sums each bucket's share of a chunk
+exactly, in float64 bins keyed by bucket and exponent window that take up
+to 2^20 split halves without rounding, and rounds it to (hi, lo) by
+math.fsum of the bin totals; the chunk pairs are summed exactly and rounded
+once more.  Every term is within about 20 * 2^-106 of its exact value,
+relatively, and each rounding of a pair costs at most 2^-106 of its
 sum, so
 
     |B_k^dd - B_k| <= _DD_ROUNDOFF * sum_{ind(n) = k} |(a_n / n) r^n|,

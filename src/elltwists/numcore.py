@@ -9,7 +9,10 @@ known to be integers, the two short power tables from which every
 z^n = z^(qB) z^s is formed, and the double-double helpers (Dekker products,
 fixed-point anchor tables, exactly summed buckets, roots of unity) that the
 one series kernel (lvalue._dd_buckets) and the one Gauss-sum kernel
-(dirichlet.DirichletChar.gauss_sums) share.  TheoryViolation, the base of
+(dirichlet.DirichletChar.gauss_sums) share.  The buckets are summed in
+float64 bins keyed by bucket and exponent window, where up to 2^20 split
+halves add without rounding, and rounded once by math.fsum of the bin
+totals; a longer input is binned in passes.  TheoryViolation, the base of
 every error that means a proved statement failed, lives here too, so that
 each module can subclass it and the command line can catch it once.
 """
@@ -216,6 +219,8 @@ def power_tables(z, one, mul, M: int):
 # roundoff of a double-double bucket, relative to the sum of |terms|
 _DD_ROUNDOFF = 2.0 ** -100
 _SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
+# entries of one part that one bincount pass of _bucket_sums sums exactly
+_BIN_ENTRIES = 2 ** 20
 
 
 def _two_prod(a, b):
@@ -254,9 +259,46 @@ def _dd_sum(parts: list[float]) -> tuple[float, float]:
 
 def _bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
     """For j = 0..ell-1, the exact sum of the parts' entries where k = j,
-    rounded once to a double-double pair."""
-    return [_dd_sum(np.concatenate([p[k == j] for p in parts]).tolist())
-            for j in range(ell)]
+    rounded once to a double-double pair.
+
+    Exact binned summation (Neal, arXiv:1505.05571).  Each entry x is
+    split by _SPLIT into xh, of at most 26 significant bits, and
+    xl = x - xh, both exact, and keyed by its bucket and its window
+    w = e // 8, e its np.frexp exponent.  In one window every xh is a
+    multiple of 2^(8w-26) of size at most 2^(8w+7), and every xl a
+    multiple of 2^(8w-53) of size at most 2^(8w-20): at most 2^33 units
+    each, so any 2^20 of either add up exactly in one float64 bin.  _dd_sum
+    of a bucket's bin totals, whose exact sum is the bucket's, gives the
+    pair math.fsum over its entries would, bit for bit.
+
+    The range: each bincount pass takes one part's entries, at most
+    _BIN_ENTRIES = 2^20 of them, so a longer part is binned in several
+    passes.  k must hold 0..ell-1, or bincount or the bins' shape raises
+    ValueError.  Every entry must be finite, and so must _SPLIT x
+    (|x| < 2^996 will do), or the non-finite bin it leaves raises
+    ValueError."""
+    rows = [[] for _ in range(ell)]
+    for p in parts:
+        for start in range(0, len(k), _BIN_ENTRIES):
+            cut = slice(start, start + _BIN_ENTRIES)
+            x = p[cut]
+            # int64 throughout: a shift of the int32 exponents runs a numpy
+            # loop nothing else runs, whose code costs 64 KB of peak RSS
+            w = np.frexp(x)[1].astype(np.int64) >> 3
+            w0 = int(w.min())
+            width = int(w.max()) + 1 - w0
+            key = k[cut] * width + (w - w0)
+            t = _SPLIT * x
+            xh = t - (t - x)
+            for half in (xh, x - xh):
+                bins = np.bincount(key, weights=half, minlength=ell * width)
+                if not np.isfinite(bins).all():
+                    raise ValueError("a non-finite entry, or one too large "
+                                     "to split")
+                for row, total in zip(rows,
+                                      bins.reshape(ell, width).tolist()):
+                    row += total
+    return [_dd_sum(row) for row in rows]
 
 
 @lru_cache(maxsize=None)

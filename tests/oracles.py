@@ -10,6 +10,8 @@ the program imports this one.
   periods, one mpmath cosine per residue; the oracle of
   DirichletChar.gauss_sums.
 - buckets: B_k(r), one mpf term at a time; the oracle of lvalue._dd_buckets.
+- bucket_sums: each bucket's exact sum by math.fsum over its entries as a
+  Python list; the oracle of the binned numcore._bucket_sums.
 - oracle_value: L(E, 1, chi) from the per-character series, one complex term
   at a time, with chi and its Gauss sum evaluated pointwise.
 - characters_of_conductor: every character of conductor f, one per exponent
@@ -30,7 +32,7 @@ the program imports this one.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import fsum, isqrt
 
 import mpmath
 import numpy as np
@@ -64,6 +66,19 @@ def periods_gauss_sums(chi) -> dict:
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
     return {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
             for j in range(1, ell)}
+
+
+def bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
+    """For j = 0..ell-1, the exact sum of the parts' entries where k = j,
+    rounded once to a double-double pair: math.fsum of the bucket's
+    entries, then of the entries and minus that sum."""
+    out = []
+    for j in range(ell):
+        entries = np.concatenate([p[k == j] for p in parts]).tolist()
+        hi = fsum(entries)
+        entries.append(-hi)
+        out.append((hi, fsum(entries)))
+    return out
 
 
 def buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:

@@ -415,11 +415,13 @@ class TestRunCensus:
 
     @pytest.mark.parametrize("config,ell,bound,name", [
         (E37B_CONFIG, 5, 1000, "census_37b_ell5.csv"),
-        (E37A_CONFIG, 7, 800, "census_37a_ell7.csv")],
-        ids=["37b-ell5", "37a-ell7"])
+        (E37A_CONFIG, 7, 800, "census_37a_ell7.csv"),
+        (E37B_CONFIG, 3, 3000, "census_37b_ell3_3000.csv")],
+        ids=["37b-ell5", "37a-ell7", "37b-ell3-3000"])
     def test_csv_bytes_match_the_pinned_files(self, tmp_path, config, ell,
                                               bound, name):
-        # the kernels' CSV bytes at orders 5 and 7 stay as pinned
+        # the kernels' CSV bytes at orders 5 and 7, and at order 3 to 3000,
+        # where the longer series run over many chunks, stay as pinned
         out = tmp_path / "c.csv"
         run_census(config, ell, bound, out=out)
         assert out.read_bytes() == (DATA / name).read_bytes()

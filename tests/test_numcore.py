@@ -7,16 +7,20 @@ Gaussian elimination of the Sylvester matrix over Fraction.  Rational
 roots of monic cubics are checked against the rational root theorem and
 against the known roots of products of linear factors; their integer roots,
 the roots of a cubic mod p and the least-prime-factor tables against the
-plain oracles of tests/oracles.py.
+plain oracles of tests/oracles.py, and the binned bucket sums, bit for bit,
+against the list-and-fsum oracle there.
 """
+import math
 import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elltwists.lvalue as lvalue
 import elltwists.numcore as numcore
 import oracles
 from elltwists.numcore import (
@@ -562,3 +566,111 @@ def test_recognize_integer_error_bound_guard():
     assert recognize_integer(4.0001, err=1e-3) == 4
     with pytest.raises(RecognitionError):
         recognize_integer(4.0, err=0.3)
+
+
+# ---------------------------------------------------------------------------
+# exactly summed buckets: the binned kernel against the fsum oracle
+
+def _bits(pairs):
+    """The pairs' exact bits, signed zeros apart."""
+    return [(hi.hex(), lo.hex()) for hi, lo in pairs]
+
+
+# 53-bit mantissas of either sign at magnitudes from 2^-200 to 2^10, or zero
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, s, e: math.ldexp(s * m, e),
+              st.integers(2 ** 52, 2 ** 53 - 1), st.sampled_from((1, -1)),
+              st.integers(-252, -43)))
+
+
+@st.composite
+def _bucket_inputs(draw):
+    ell = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(0, 40))
+    k = np.array(draw(st.lists(st.integers(0, ell - 1), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    parts = [np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)),
+                      dtype=np.float64)
+             for _ in range(draw(st.integers(1, 4)))]
+    if len(parts) < 4 and draw(st.booleans()):
+        parts.append(-parts[0])     # cancels part 0 exactly, bucket by bucket
+    return k, ell, parts
+
+
+@given(_bucket_inputs())
+@settings(max_examples=150, deadline=None)
+def test_bucket_sums_match_the_fsum_oracle(case):
+    k, ell, parts = case
+    assert _bits(numcore._bucket_sums(k, ell, *parts)) == \
+        _bits(oracles.bucket_sums(k, ell, *parts))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_bucket_sums_of_one_full_chunk(ell):
+    # a chunk of the series kernel: double-double terms (a_n / n) r^n
+    rng = np.random.default_rng(ell)
+    size = lvalue._DD_CHUNK
+    n = np.arange(1, size + 1)
+    a = rng.integers(-200, 200, size).astype(np.float64)
+    r = np.exp(-n / 3000.0)
+    th, tl = numcore._dd_mul(a / n, np.full(size, 1e-17), r, r * 1e-17)
+    k = rng.integers(0, ell, size)
+    assert _bits(numcore._bucket_sums(k, ell, th, tl)) == \
+        _bits(oracles.bucket_sums(k, ell, th, tl))
+
+
+def test_bucket_sums_take_subnormals_and_wide_ranges():
+    rng = np.random.default_rng(7)
+    tiny = rng.integers(-2 ** 52, 2 ** 52, 4000) * 2.0 ** -1074
+    wide = np.ldexp(rng.random(4000) - 0.5, rng.integers(-1074, 990, 4000))
+    k = rng.integers(0, 5, 4000)
+    for parts in ((tiny,), (wide, tiny), (wide, -wide, tiny)):
+        assert _bits(numcore._bucket_sums(k, 5, *parts)) == \
+            _bits(oracles.bucket_sums(k, 5, *parts))
+
+
+def test_bucket_sums_split_a_long_input():
+    # 2^33 - 2^7 units of 2^-26 each, and odd multiples of that unit first
+    # and last, in one window and one bucket: past 2^20 entries a single
+    # float64 bin would round, so the kernel takes them in two passes
+    x = np.full(2 ** 20 + 2 ** 12, 2.0 ** 7 - 2.0 ** -19)
+    x[0] = x[-2 ** 12::2] = 0.5 + 2.0 ** -26
+    k = np.zeros(x.size, dtype=np.int64)
+    want = oracles.bucket_sums(k, 3, x)
+    assert _bits(numcore._bucket_sums(k, 3, x)) == _bits(want)
+    # each part is binned on its own: added, two parts' bins of 2^20
+    # entries, one odd in units and one even, would pass 2^53 units and round
+    y = np.full(x.size, 2.0 ** 7 - 2.0 ** -19)
+    assert _bits(numcore._bucket_sums(k, 3, x, y)) == \
+        _bits(oracles.bucket_sums(k, 3, x, y))
+
+
+def test_bucket_sums_in_short_passes(monkeypatch):
+    monkeypatch.setattr(numcore, "_BIN_ENTRIES", 12)
+    rng = np.random.default_rng(3)
+    for parts in range(1, 5):
+        for n in (0, 1, 5, 23, 100):
+            xs = [np.ldexp(rng.random(n) - 0.5, rng.integers(-200, 10, n))
+                  for _ in range(parts)]
+            k = rng.integers(0, 7, n)
+            assert _bits(numcore._bucket_sums(k, 7, *xs)) == \
+                _bits(oracles.bucket_sums(k, 7, *xs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 1000,
+                                 -1.7e308])
+def test_bucket_sums_refuse_entries_they_cannot_split(bad):
+    # a non-finite entry, or one whose split _SPLIT x overflows
+    x = np.array([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        numcore._bucket_sums(np.array([0, 1, 2]), 3, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        numcore._bucket_sums(np.array([0, 1, 2]), 3, np.ones(3), x)
+
+
+@pytest.mark.parametrize("k", [[0, 3, 1], [0, -1, 1]])
+def test_bucket_sums_refuse_buckets_out_of_range(k):
+    with pytest.raises(ValueError):
+        numcore._bucket_sums(np.array(k), 3, np.ones(3))
