@@ -235,11 +235,28 @@ class CensusSummary:
     max_conductor: int
     rows: tuple[CensusRow, ...]
     skipped_conductors: tuple[int, ...]
-    counts: tuple[tuple[int, int], ...]   # (cutoff, vanishing orbits <= cutoff)
-    slope: float | None
     computed: int
     resumed: int
     total_elapsed: float
+
+    @property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """(cutoff, vanishing orbits <= cutoff) down a geometric ladder of
+        cutoffs from max_conductor."""
+        cutoffs = []
+        c = self.max_conductor
+        while c >= 7:
+            cutoffs.append(c)
+            c //= 2
+        return tuple((c, sum(1 for r in self.rows
+                             if r.conductor <= c and r.decision == "vanishes"))
+                     for c in reversed(cutoffs))
+
+    @property
+    def slope(self) -> float | None:
+        """Least-squares slope of the log-log growth of counts, when there
+        is enough of a ladder to fit."""
+        return _loglog_slope(self.counts, 3)
 
     @property
     def n_undecided(self) -> int:
@@ -349,22 +366,6 @@ def _loglog_slope(counts, min_points: int) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def _growth_counts(rows, max_conductor: int):
-    """Cumulative vanishing counts down a geometric ladder of cutoffs, and
-    the least-squares slope of the log-log growth when there is enough of a
-    ladder to fit."""
-    cutoffs = []
-    c = max_conductor
-    while c >= 7:
-        cutoffs.append(c)
-        c //= 2
-    cutoffs.reverse()
-    counts = [(c, sum(1 for r in rows
-                      if r.conductor <= c and r.decision == "vanishes"))
-              for c in cutoffs]
-    return tuple(counts), _loglog_slope(counts, 3)
-
-
 def run_census(config: CurveConfig, ell: int, max_conductor: int,
                workers: int = 1, out=None, resume: bool = False) -> CensusSummary:
     """Decide every admissible character orbit with conductor up to the
@@ -437,10 +438,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
                 _log(fut.result())
 
     rows = sorted(list(done.values()) + fresh, key=lambda r: r.sort_key)
-    counts, slope = _growth_counts(rows, max_conductor)
     summary = CensusSummary(config.label, ell, max_conductor, tuple(rows),
-                            tuple(skipped), counts, slope, len(fresh),
-                            len(done), time.perf_counter() - start)
+                            tuple(skipped), len(fresh), len(done),
+                            time.perf_counter() - start)
     if out_path is not None:
         out_path.write_text(summary.csv())
     return summary
@@ -652,19 +652,16 @@ def run_family(kind: str, parameters, height_bound: int = 6) -> FamilyReport:
         except ValueError as exc:
             entries.append(FamilyEntry(lam, str(exc), None, ()))
             continue
+        # every parameter the pencil accepts has a smooth base curve
+        base = torsion_base_curve(kind, lam)
         cubics: list[tuple] = []
-        try:
-            base = torsion_base_curve(kind, lam)
-        except ValueError:
-            base = None
-        if base is not None:
-            seen_u: set[Fraction] = set()
-            for fp in fiber_search(base, fiber.t0, height_bound):
-                # the two square roots give the same fiber; keep one
-                if fp.classification != "cyclic-cubic" or fp.u in seen_u:
-                    continue
-                seen_u.add(fp.u)
-                field = CubicField.from_cubic(fp.cubic)
-                cubics.append((fp.u, tuple(fp.cubic.coeffs), field.conductor))
+        seen_u: set[Fraction] = set()
+        for fp in fiber_search(base, fiber.t0, height_bound):
+            # the two square roots give the same fiber; keep one
+            if fp.classification != "cyclic-cubic" or fp.u in seen_u:
+                continue
+            seen_u.add(fp.u)
+            field = CubicField.from_cubic(fp.cubic)
+            cubics.append((fp.u, tuple(fp.cubic.coeffs), field.conductor))
         entries.append(FamilyEntry(lam, None, fiber, tuple(cubics)))
     return FamilyReport(kind, height_bound, tuple(entries))

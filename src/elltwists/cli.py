@@ -16,9 +16,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .census import (CensusSummary, ConfigError, CurveConfig, _growth_counts,
-                     _read_journal, run_census, run_congruence_sweep, run_e37b,
-                     run_family)
+from .census import (CensusSummary, ConfigError, CurveConfig, _read_journal,
+                     run_census, run_congruence_sweep, run_e37b, run_family)
 from .dirichlet import galois_orbits
 from .kummer import fiber_search
 from .lvalue import calibrate
@@ -237,9 +236,7 @@ def _cmd_report(args) -> int:
     rows = sorted(done.values(), key=lambda r: r.sort_key)
     bound = args.max_conductor or max(r.conductor for r in rows)
     rows = [r for r in rows if r.conductor <= bound]
-    counts, slope = _growth_counts(rows, bound)
-    summary = CensusSummary(label, ell, bound, tuple(rows), (),
-                            counts, slope, 0, len(rows),
+    summary = CensusSummary(label, ell, bound, tuple(rows), (), 0, len(rows),
                             sum(r.elapsed for r in rows))
     print(summary.text())
     if out:

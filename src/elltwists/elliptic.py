@@ -11,10 +11,12 @@ Computational Algebraic Number Theory, 7.4.3) for a whole batch of primes
 at once: one numpy lane per (prime, point), all lanes stepping together,
 on points of the short model and of its quadratic twists drawn without a
 square root.  A point the search did not use must confirm each a_p.
-an_table counts exactly its new primes in one batch, and ap(p) of an
-uncounted prime alone is a batch of one, so the commands reserve the
-table they need before their first series (lvalue.calibrate).  The table
-is kept once, as one int64 array, and handed out as read-only views.
+The a_n table is the curve's one store of a_p, kept as one int64 array
+and handed out as read-only views.  an_table counts exactly its new
+primes, those the search serves in one batch; ap(p) reads the table, and
+past its end counts p alone and keeps nothing, so the commands reserve
+the table they need before their first series (lvalue.calibrate).  Point
+counts need the declared conductor.
 
 Points are (x, y) pairs whose coordinates live in any field-like type
 supporting +, -, *, / and equality with each other; None is the origin.
@@ -101,7 +103,6 @@ class Curve:
                 if int(self.disc) % p != 0:
                     raise ValueError(
                         f"conductor prime {p} does not divide the discriminant")
-        self._ap_cache: dict[int, int] = {}
         self._an = np.array([0, 1], dtype=np.int64)
         self._period_cache: dict[int, mpmath.mpf] = {}
 
@@ -131,28 +132,38 @@ class Curve:
     def ap(self, p: int) -> int:
         """Trace of Frobenius at p for good p; the standard 0 / +-1 at bad p.
 
-        Bad multiplicative a_p is read off the minimal-model criterion:
-        split (a_p = +1) exactly when -c6 is a square locally.
-        """
-        if p in self._ap_cache:
-            return self._ap_cache[p]
-        if not self.is_integral():
-            raise ValueError("a_p needs an integral model")
-        bad = (int(self.disc) % p == 0) if self.conductor is None \
-            else (self.conductor % p == 0)
-        if bad:
-            if self.conductor is None:
-                raise ValueError(f"bad prime {p} but no conductor to classify it")
+        Read from the a_n table when it reaches p.  Past its end p is
+        counted alone and nothing is kept."""
+        if p < self._an.size:
+            return int(self._an[p])
+        return self._traces([p])[0]
+
+    def _traces(self, primes: list[int]) -> list[int]:
+        """a_p at each prime of the list: one batch for the good primes
+        from _BSGS_MIN_P up that do not divide 6 disc, _ap_one for the
+        rest.  The declared conductor tells the bad primes, and its
+        presence implies an integral model."""
+        if self.conductor is None:
+            raise ValueError("a_p needs the curve's conductor")
+        six_disc = 6 * int(self.disc)
+        batch = [p for p in primes if p >= _BSGS_MIN_P and six_disc % p]
+        counted = self._ap_batch(batch) if batch else {}
+        return [counted[p] if p in counted else self._ap_one(p)
+                for p in primes]
+
+    def _ap_one(self, p: int) -> int:
+        """a_p at one prime the batch does not serve.  Bad multiplicative
+        a_p is read off the minimal-model criterion: split (a_p = +1)
+        exactly when -c6 is a square locally."""
+        if self.conductor % p == 0:
             if self.conductor % (p * p) == 0:
-                a = 0  # additive
-            else:
-                c6 = int(-self.c6)
-                if p == 2:
-                    # odd unit is a 2-adic square exactly when it is 1 mod 8
-                    a = 1 if c6 % 8 == 1 else -1
-                else:
-                    a = 1 if pow(c6 % p, (p - 1) // 2, p) == 1 else -1
-        elif p == 2:
+                return 0  # additive
+            c6 = int(-self.c6)
+            if p == 2:
+                # odd unit is a 2-adic square exactly when it is 1 mod 8
+                return 1 if c6 % 8 == 1 else -1
+            return 1 if pow(c6 % p, (p - 1) // 2, p) == 1 else -1
+        if p == 2:
             count = 1  # origin
             for x in (0, 1):
                 for y in (0, 1):
@@ -160,15 +171,7 @@ class Curve:
                     rhs = x ** 3 + int(self.a2) * x * x + int(self.a4) * x + int(self.a6)
                     if (lhs - rhs) % 2 == 0:
                         count += 1
-            a = 2 + 1 - count
-        else:
-            a = self._ap_odd_good(p)
-        self._ap_cache[p] = a
-        return a
-
-    def _ap_odd_good(self, p: int) -> int:
-        if p >= _BSGS_MIN_P and 6 * int(self.disc) % p:
-            return self._ap_batch([p])[p]
+            return 2 + 1 - count
         a = self._ap_legendre(p)
         if a * a > 4 * p:
             raise PointCountError(f"Hasse bound violated at {p}: a_p = {a}")
@@ -190,36 +193,25 @@ class Curve:
     def _ap_batch(self, primes: list[int]) -> dict[int, int]:
         """a_p at good primes p >= _BSGS_MIN_P not dividing 6 disc, all
         counted in one batch on the short model y^2 = x^3 - 27 c4 x - 54 c6."""
-        if not self.is_integral():
-            raise ValueError("a_p needs an integral model")
         return dict(zip(primes, _frobenius_traces(
             -27 * int(self.c4), -54 * int(self.c6), primes)))
 
-    def count_primes(self, primes) -> None:
-        """Count a_p, in one batch, at every uncached prime of the list that
-        baby-step giant-step serves; ap then reads them from its cache."""
-        six_disc = 6 * int(self.disc)
-        new = [p for p in primes
-               if p >= _BSGS_MIN_P and six_disc % p and p not in self._ap_cache]
-        if new:
-            self._ap_cache.update(self._ap_batch(new))
-
     def an_table(self, limit: int) -> np.ndarray:
         """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve, as a
-        read-only view of the curve's int64 table.
+        read-only view of the curve's int64 table, its one store of a_p.
 
-        A larger limit extends the table from its current end, so each a_p
-        is asked for once, and the new primes that baby-step giant-step
-        serves are counted in one batch.  The extended table is stored only
-        once the sieve is done: a raise leaves the table as it was."""
+        A larger limit extends the table from its current end, and the new
+        primes' a_p come from one _traces call.  The extended table is
+        stored only once the sieve is done: a raise leaves the table as it
+        was."""
         table = self._an
         start = table.size
         if limit >= start:
             a = table.tolist()
             # least prime factor of each new n, 0 for primes
             spf = least_prime_factors(start, limit)
-            self.count_primes([n for n, f in enumerate(spf, start) if not f])
-            level = int(self.disc) if self.conductor is None else self.conductor
+            traces = iter(self._traces(
+                [n for n, f in enumerate(spf, start) if not f]))
             for n in range(start, limit + 1):
                 p = spf[n - start] or n
                 q, m = p, n // p
@@ -228,12 +220,12 @@ class Curve:
                 if m > 1:
                     a.append(a[q] * a[m])
                 elif q == p:
-                    a.append(self.ap(p))
+                    a.append(next(traces))
                 else:
                     # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last
                     # term at good p only
-                    a.append(a[p] * a[q // p]
-                             - (p * a[q // (p * p)] if level % p else 0))
+                    a.append(a[p] * a[q // p] - (p * a[q // (p * p)]
+                                                 if self.conductor % p else 0))
             table = self._an = np.array(a, dtype=np.int64)
         # a table unpickled in a pool worker comes back writeable
         view = table[:limit + 1]

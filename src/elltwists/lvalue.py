@@ -510,12 +510,13 @@ class CalibratedCurve:
 
         Contentful only when the untwisted algebraic part is a unit mod ell:
         then a Hecke factor a_p - 2 that is a unit mod ell forces each
-        twisted part to be a unit too."""
+        twisted part to be a unit too.  The curve's a_n table is reserved
+        to the bound first, so every a_p is read from it."""
         residue = [p for p in primes_up_to(bound) if p % self.ell == 1]
         l0 = self.lalg0 % self.ell
         if l0 == 0:
             return NonvanishingResult(False, 0, bound, (), len(residue))
-        self.curve.count_primes(residue)
+        self.curve.an_table(bound)
         ps = tuple(p for p in residue
                    if self.curve.conductor % p != 0
                    and hecke_factor(self.curve, p, self.ell) % self.ell != 0)

@@ -2,10 +2,11 @@
 
 Integer factorization (trial division, which proves the cofactor prime
 once the divisors pass its square root, then deterministic Miller-Rabin and
-Pollard rho on a larger cofactor, exact for inputs below 2^64),
-least-prime-factor tables, dense polynomials over Q in one variable, the
-float -> integer recognition used when numerically computed quantities are
-known to be integers, the two short power tables from which every
+Pollard rho on a larger cofactor, exact for inputs below 2^64), the one
+prime sieve (least-prime-factor tables, whose zeros primes_up_to lists),
+dense polynomials over Q in one variable, the float -> integer recognition
+used when numerically computed quantities are known to be integers, the
+two short power tables from which every
 z^n = z^(qB) z^s is formed, and the double-double helpers (Dekker products,
 fixed-point anchor tables, exactly summed buckets, roots of unity) that the
 one series kernel (lvalue._dd_buckets) and the one Gauss-sum kernel
@@ -56,15 +57,11 @@ _TRIAL_BOUND = 1000
 
 @lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes <= n, by sieve of Eratosthenes."""
+    """All primes <= n: the zeros past 1 of least_prime_factors(0, n)."""
     if n < 2:
         return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    return tuple(p for p, f in enumerate(least_prime_factors(0, n))
+                 if not f)[2:]
 
 
 def least_prime_factors(lo: int, hi: int) -> array:

@@ -603,6 +603,23 @@ class TestCommandLine:
         assert "vanishing orbits" in capsys.readouterr().out
         assert out.exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["nonvanishing-set", "--curve", "curves/37b.cfg",
+          "--max-conductor", "5000"], "nonvanishing_37b_ell3_5000.txt"),
+        (["twist-value", "--curve", "curves/37b.cfg", "10009"],
+         "twist_value_37b_10009.txt"),
+        (["family", "six-torsion", "--", "1", "-1/2"],
+         "family_six_torsion.txt"),
+        (["kummer-fiber", "2", "--curve", "curves/37b.cfg"],
+         "kummer_fiber_37b_2.txt")],
+        ids=["nonvanishing-set", "twist-value", "family", "kummer-fiber"])
+    def test_stdout_matches_the_pinned_files(self, capsys, argv, name):
+        # the primes from 1000 up of the nonvanishing set and the Hecke
+        # factor at 10009 read the point counts of one batch; the family
+        # and fiber commands run curves that have no conductor
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
     def test_twist_value_prints_decision(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "7"])
         assert code == 0

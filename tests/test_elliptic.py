@@ -144,6 +144,47 @@ class TestTraceOfFrobenius:
         with pytest.raises(ValueError):
             curve.ap(5)
 
+    def test_table_answers_every_prime_it_reaches(self, monkeypatch):
+        # the table is the one store of a_p: once it reaches a prime, ap
+        # reads it and counts nothing, by either count
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        an = curve.an_table(1200)
+
+        def refuse(self, p):
+            raise AssertionError(f"counted {p} again")
+
+        monkeypatch.setattr(Curve, "_ap_legendre", refuse)
+        monkeypatch.setattr(Curve, "_ap_batch", refuse)
+        for p in primes_up_to(1200):
+            assert curve.ap(p) == an[p]
+
+    @pytest.mark.parametrize("p", [101, 10007], ids=["legendre", "batch"])
+    def test_prime_past_the_table_is_counted_and_not_kept(self, p,
+                                                          monkeypatch):
+        # past the table's end ap counts p each time it is asked and leaves
+        # the table as it was
+        curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve.an_table(100).tolist()
+        want = E37B._ap_legendre(p)
+        counted = []
+        legendre, batch = Curve._ap_legendre, Curve._ap_batch
+        monkeypatch.setattr(Curve, "_ap_legendre", lambda self, q:
+                            counted.append(q) or legendre(self, q))
+        monkeypatch.setattr(Curve, "_ap_batch", lambda self, qs:
+                            counted.extend(qs) or batch(self, qs))
+        assert curve.ap(p) == want and curve.ap(p) == want
+        assert counted == [p, p]
+        assert curve._an.tolist() == before
+
+    def test_point_counts_need_the_conductor(self):
+        # the conductor tells the bad primes; without it nothing is counted
+        curve = Curve((0, 1, 1, -3, 1))
+        for ask in (lambda: curve.ap(5), lambda: curve.ap(37),
+                    lambda: curve.ap(10007), lambda: curve.an_table(10)):
+            with pytest.raises(ValueError, match="conductor"):
+                ask()
+        assert curve._an.tolist() == [0, 1]
+
 
 def _fp_add(P, Q, a: int, p: int):
     """The affine group law on y^2 = x^3 + a x + b over F_p, None the
@@ -293,9 +334,10 @@ class TestBabyStepGiantStep:
         monkeypatch.setattr(elliptic, "_search",
                             lambda *args: (lambda ap, x: (ap + 1, x))(*search(*args)))
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve._an.tolist()
         with pytest.raises(PointCountError, match=f"at {self.P}"):
             curve.ap(self.P)
-        assert self.P not in curve._ap_cache
+        assert curve._an.tolist() == before
 
     def test_check_point_off_the_curve_is_refused(self, monkeypatch):
         # the search runs on true points; the point drawn after it is moved
@@ -311,12 +353,14 @@ class TestBabyStepGiantStep:
 
         monkeypatch.setattr(elliptic, "_points", shifted)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve._an.tolist()
         with pytest.raises(PointCountError, match="check point"):
             curve.ap(self.P)
-        assert searched and self.P not in curve._ap_cache
+        assert searched and curve._an.tolist() == before
 
     def test_failed_batch_caches_nothing(self, monkeypatch):
-        # one prime's check point fails: no a_p of the batch is kept
+        # one prime's check point fails: no a_p of the batch is kept, and
+        # the table stays as it was
         points = elliptic._points
         searched = []
         search = elliptic._search
@@ -330,9 +374,10 @@ class TestBabyStepGiantStep:
 
         monkeypatch.setattr(elliptic, "_points", shifted)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve.an_table(500).tolist()
         with pytest.raises(PointCountError, match=f"at {self.P}"):
             curve.an_table(self.P + 10)
-        assert all(p < _BSGS_MIN_P for p in curve._ap_cache)
+        assert curve._an.tolist() == before
 
     def test_legendre_count_outside_hasse_is_refused(self, monkeypatch):
         # 21^2 > 4 * 101: an explicit raise, not an assert python -O strips
@@ -353,15 +398,17 @@ class TestBabyStepGiantStep:
 
         monkeypatch.setattr(elliptic, "_annihilators", every)
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve._an.tolist()
         with pytest.raises(PointCountError):
             curve.ap(self.P)
-        assert self.P not in curve._ap_cache
+        assert curve._an.tolist() == before
 
     def test_prime_past_int64_products_is_refused(self):
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
+        before = curve._an.tolist()
         with pytest.raises(ValueError, match="p < 2147483648"):
             curve.ap(2 ** 31 + 11)
-        assert not curve._ap_cache
+        assert curve._an.tolist() == before
 
 
 class TestRealPeriod:

@@ -37,6 +37,7 @@ from elltwists.kummer import (
     gamma1,
     good_fiber,
     jacobian_curve,
+    torsion_base_curve,
     torsion_family,
 )
 from elltwists.numcore import PolyQ, factor, primes_up_to
@@ -479,6 +480,28 @@ class TestTorsionPencils:
                                         * (lam - 1) ** 2 * (lam + 1) ** 2
                                         * (3 * lam ** 4 - 14 * lam ** 2
                                            + 27) ** 3)
+
+    @pytest.mark.parametrize("kind", ["six-torsion", "four-two-torsion"])
+    def test_every_accepted_parameter_has_a_base_curve(self, kind):
+        # the base discriminants vanish only at parameters the pencil
+        # excludes, so run_family builds a base curve for every fiber
+        disc = {"six-torsion":
+                lambda lam: lam ** 6 * (lam + 1) ** 3 * (9 * lam + 1),
+                "four-two-torsion":
+                lambda lam: 16 * lam ** 4 * (lam - 1) ** 2 * (lam + 1) ** 2}
+        accepted = 0
+        for a in range(-12, 13):
+            for b in range(1, 13):
+                if gcd(a, b) != 1:
+                    continue
+                try:
+                    torsion_family(kind, F(a, b))
+                except ValueError:
+                    continue
+                assert torsion_base_curve(kind, F(a, b)).disc == \
+                    disc[kind](F(a, b))
+                accepted += 1
+        assert accepted > 150
 
     def test_four_two_exclusions(self):
         for lam in (0, 1, -1):

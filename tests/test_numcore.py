@@ -137,6 +137,14 @@ def test_factor_rejects_nonpositive():
         factor(-6)
 
 
+@pytest.mark.parametrize("n,primes", [(0, ()), (1, ()), (2, (2,)),
+                                      (3, (2, 3)), (4, (2, 3))])
+def test_primes_up_to_small_bounds(n, primes):
+    # the bounds below the sieve's first composite, uncached and cached
+    assert primes_up_to.__wrapped__(n) == primes
+    assert primes_up_to(n) == primes
+
+
 def test_is_prime_agrees_with_sieve():
     sieve = set(primes_up_to(10000))
     for n in range(10000):
