@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from typing import ClassVar
 
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar
 from .elliptic import Curve
 from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
                      torsion_base_curve, torsion_family)
-from .lvalue import (CalibratedCurve, CongruenceResult, calibrate,
-                     served_orbits)
+from .lvalue import (WORKING_DPS, CalibratedCurve, CongruenceResult,
+                     calibrate, served_orbits)
 from .modsym import MAX_LEVEL
 from .numcore import TheoryViolation
 
@@ -37,8 +38,7 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # curve configuration files
 
-_CONFIG_KEYS = ("label", "a_invariants", "conductor", "root_number",
-                "precision_digits")
+_CONFIG_KEYS = ("label", "a_invariants", "conductor", "root_number")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class CurveConfig:
     a_invariants: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
     conductor: int
     root_number: int
-    precision_digits: int = 50
+    # no key sets it; the benchmark's set-up call reads it
+    precision_digits: ClassVar[int] = WORKING_DPS
 
     def __post_init__(self):
         if self.conductor > MAX_LEVEL:
@@ -65,8 +66,6 @@ class CurveConfig:
             self.curve()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.precision_digits < 15:
-            raise ConfigError("precision_digits must be at least 15")
 
     def curve(self) -> Curve:
         return Curve(self.a_invariants, label=self.label,
@@ -105,7 +104,7 @@ class CurveConfig:
             if key in seen:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             seen[key] = value
-        missing = [k for k in _CONFIG_KEYS[:4] if k not in seen]
+        missing = [k for k in _CONFIG_KEYS if k not in seen]
         if missing:
             raise ConfigError(f"missing keys: {', '.join(missing)}")
         try:
@@ -113,12 +112,11 @@ class CurveConfig:
                        for part in seen["a_invariants"].split(","))
             conductor = int(seen["conductor"])
             root_number = int(seen["root_number"])
-            dps = int(seen.get("precision_digits", "50"))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value: {exc}") from exc
         if len(ai) != 5:
             raise ConfigError("a_invariants needs exactly 5 entries")
-        return cls(seen["label"], ai, conductor, root_number, dps)
+        return cls(seen["label"], ai, conductor, root_number)
 
     @classmethod
     def from_file(cls, path) -> "CurveConfig":
@@ -395,7 +393,7 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
 
     # fail fast before any journal is touched: the calibration, and every
     # point count that the pending orbits' series need, come first
-    cal = calibrate(curve, ell, dps=config.precision_digits,
+    cal = calibrate(curve, ell,
                     reach=max((chi.conductor for chi in pending), default=1))
     if run not in (None, (cal.label, ell)):
         raise ConfigError(f"journal {journal} holds the rows of curve "
@@ -490,8 +488,7 @@ def run_congruence_sweep(config: CurveConfig, ell: int,
             if fc * psi.conductor <= bound and gcd(fc, psi.conductor) == 1:
                 pairs.append((chi, psi))
                 reach = max(reach, fc * psi.conductor)
-    cal = calibrate(config.validated_curve(), ell,
-                    dps=config.precision_digits, reach=reach)
+    cal = calibrate(config.validated_curve(), ell, reach=reach)
     results = [cal.congruence_check(chi, psi) for chi, psi in pairs]
     return CongruenceReport(config.label, ell, bound, tuple(results))
 
@@ -576,7 +573,6 @@ def run_e37b(max_conductor: int,
     sampled = sorted({r.conductor for r in census.rows
                       if r.conductor <= _SAMPLE_CAP})[:_SAMPLE_SIZE]
     cal = calibrate(E37B_CONFIG.validated_curve(), 3,
-                    dps=E37B_CONFIG.precision_digits,
                     reach=max(sampled, default=1))
     samples: list[E37bSample] = []
     for f in sampled:

@@ -159,8 +159,7 @@ def _cmd_twist_value(args) -> int:
         raise ConfigError(f"conductor {args.conductor} has "
                           f"{len(orbits)} orbits; index {args.orbit} is out "
                           f"of range")
-    cal = calibrate(config.validated_curve(), args.ell,
-                    dps=config.precision_digits, reach=args.conductor)
+    cal = calibrate(config.validated_curve(), args.ell, reach=args.conductor)
     record = cal.coset_sums(orbits[args.orbit])
     for key, value in record.as_dict().items():
         print(f"{key}: {value}")
@@ -185,8 +184,7 @@ def _cmd_congruence(args) -> int:
 
 def _cmd_nonvanishing(args) -> int:
     config = _load_config(args)
-    cal = calibrate(config.validated_curve(), args.ell,
-                    dps=config.precision_digits)
+    cal = calibrate(config.validated_curve(), args.ell)
     result = cal.nonvanishing_prime_set(args.max_conductor)
     for key, value in result.as_dict().items():
         print(f"{key}: {value}")

@@ -30,8 +30,9 @@ orbit's real Gaussian periods, DirichletChar.gauss_sums (dirichlet), the one
 Gauss-sum kernel.
 
 _dd_buckets is the one bucket kernel.  It fills the buckets in vectorised
-double-double at every working precision (the config's floor of 15 digits
-and up), with the helpers it shares with the Gauss-sum kernel in numcore.
+double-double at any working precision, with the helpers it shares with
+the Gauss-sum kernel in numcore; only the calibration sets the mpmath
+precision (WORKING_DPS for every command).
 The terms go in fixed-size chunks: in each, a_n / n is a (hi, lo) pair with
 an exact TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
 anchors from fixed-point integer powers of r, and each term is one more
@@ -98,6 +99,7 @@ above ell is just summing the coset sums mod ell.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,6 +138,9 @@ _SCALE_FLOOR = min(SCALES)
 _PROBE_ORBITS = 10
 _PROBE_BOUND = 400
 _DD_CHUNK = 8192       # terms per vectorised step of the kernel
+# the mpmath precision of every command: the kernels carry about 31 digits,
+# and 30, 80 or 200 digits write the census bytes of 50 (15 and 16 do not)
+WORKING_DPS = 50
 
 
 def _terms_needed(c, eps) -> int:
@@ -159,15 +164,14 @@ def _rows_err(curve: Curve, f: int) -> float:
             / (2 * math.sqrt(f)))
 
 
-def series_terms(curve: Curve, f: int, dps: int, err=None) -> int:
+def series_terms(curve: Curve, f: int, err=None) -> int:
     """M, the number of a_n that the series at twist conductor f sums at
-    precision dps for absolute error err; err defaults to the _twist_rows
-    budget, so series_terms(curve, f, dps) is the a_n length that the
-    orbits of conductor f need.  central_values takes its M from here."""
-    with mpmath.workdps(dps):
-        if err is None:
-            err = _rows_err(curve, f)
-        return _terms_needed(_decay(curve, f), err / 2)
+    the current precision for absolute error err; err defaults to the
+    _twist_rows budget, so series_terms(curve, f) is the a_n length that
+    the orbits of conductor f need.  central_values takes its M from here."""
+    if err is None:
+        err = _rows_err(curve, f)
+    return _terms_needed(_decay(curve, f), err / 2)
 
 
 def _dd_quotient(a, n):
@@ -237,7 +241,7 @@ def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
     f = 1 if chi is None else chi.conductor
     if gcd(f, N) != 1:
         raise ValueError(f"twist conductor {f} shares a factor with the level {N}")
-    M = series_terms(curve, f, mpmath.mp.dps, err)
+    M = series_terms(curve, f, err)
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
     B, size = _dd_buckets(curve, chi, mpmath.exp(-_decay(curve, f)), M)
     # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the second
@@ -305,31 +309,29 @@ class TwistRows:
     l_err: float
 
 
-def _twist_rows(curve: Curve, chi: DirichletChar, dps: int) -> TwistRows:
-    """Rows of every conjugate twist at working precision dps, from one
+def _twist_rows(curve: Curve, chi: DirichletChar) -> TwistRows:
+    """Rows of every conjugate twist at the current precision, from one
     double-double series pass and one DirichletChar.gauss_sums pass."""
     f = chi.conductor
-    with mpmath.workdps(dps):
-        omega = curve.real_period()
-        err_l = _rows_err(curve, f)
-        taus, tau_err = chi.gauss_sums()
-        values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
-        rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
+    omega = curve.real_period()
+    err_l = _rows_err(curve, f)
+    taus, tau_err = chi.gauss_sums()
+    values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
+    rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
     return TwistRows(rows, complex(values[1]), err_l)
 
 
-def _series_residual(rows: dict, sums: tuple[int, ...], scale: Fraction,
-                     dps: int) -> float:
+def _series_residual(rows: dict, sums: tuple[int, ...],
+                     scale: Fraction) -> float:
     """max_t |S^num_t - S_t|, S^num_t the inverse finite Fourier transform
-    of the rows at scale, seeded at j = 0 by the exact total sum(sums)."""
+    of the rows at scale, seeded at j = 0 by the exact total sum(sums).
+    Only its comparison with _S_TOL is read, so complex floats serve."""
     ell = len(sums)
-    with mpmath.workdps(dps):
-        inv_scale = mpmath.mpf(scale.denominator) / scale.numerator
-        zeta = _roots_of_unity(ell, mpmath.mp.prec)
-        return max(float(abs(
-            (sum(sums) + inv_scale * mpmath.fsum(
-                zeta[j * t % ell] * rows[j] for j in range(1, ell))) / ell - s))
-            for t, s in enumerate(sums))
+    inv_scale = scale.denominator / scale.numerator
+    zeta = [cmath.exp(2j * cmath.pi * k / ell) for k in range(ell)]
+    return max(abs((sum(sums) + inv_scale * sum(
+        zeta[j * t % ell] * complex(rows[j]) for j in range(1, ell))) / ell - s)
+        for t, s in enumerate(sums))
 
 
 def vanishing_decision(chi: DirichletChar, sums: tuple[int, ...],
@@ -428,7 +430,7 @@ class CalibratedCurve:
     be pinned down exactly."""
 
     def __init__(self, curve: Curve, ell: int, scale: Fraction, lalg0: int,
-                 r: Fraction, base_dps: int = 50):
+                 r: Fraction, base_dps: int = WORKING_DPS):
         self.curve = curve
         self.ell = ell
         self.scale = scale
@@ -468,8 +470,9 @@ class CalibratedCurve:
                 f"recursion gives {a0}")
         sums = tuple(int(s) for s in exact)
         if rows is None:
-            rows = _twist_rows(self.curve, chi, self.base_dps)
-        worst = _series_residual(rows.rows, sums, self.scale, self.base_dps)
+            with mpmath.workdps(self.base_dps):
+                rows = _twist_rows(self.curve, chi)
+        worst = _series_residual(rows.rows, sums, self.scale)
         if worst > _S_TOL:
             raise ConsistencyError(
                 f"series coset sums of {chi.label()} differ from {shown} "
@@ -523,7 +526,7 @@ class CalibratedCurve:
         return NonvanishingResult(True, l0, bound, ps, len(residue))
 
 
-def calibrate(curve: Curve, ell: int, dps: int = 50,
+def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
               reach: int = 1) -> CalibratedCurve:
     """Freeze the period scale c and the symbol ratio r for (curve, ell).
 
@@ -539,29 +542,30 @@ def calibrate(curve: Curve, ell: int, dps: int = 50,
     reach is the largest twist conductor the caller will decide.  The
     curve's a_n table is reserved up front for it and for every probe, so
     that all its point counts come in one batch.  The calibration owns the
-    curve and its symbols: dropping it frees both and the table.
+    curve and its symbols: dropping it frees both and the table.  dps is
+    the mpmath precision of the calibration and of each orbit it decides.
     """
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
         reps = served_orbits(curve.conductor, ell, bound)[0][:_PROBE_ORBITS]
         bound *= 2
-    curve.an_table(series_terms(
-        curve, max(reach, *(rep.conductor for rep in reps)), dps))
     with mpmath.workdps(dps):
+        curve.an_table(series_terms(
+            curve, max(reach, *(rep.conductor for rep in reps))))
         omega = curve.real_period()
         l1 = central_value(curve, None, err=1e-10 * float(omega))
         base0 = 2 * l1.real / omega
-    try:
-        symbols = curve.symbols
-    except ArithmeticError as exc:
-        raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
-    try:
-        probes = {rep: _twist_rows(curve, rep, dps) for rep in reps}
-    except ConsistencyError as exc:
-        raise CalibrationError(f"probe series fail their check: {exc}") from exc
-    sums = {rep: symbols.orbit_sums(rep) for rep in reps}
-    g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
-    with mpmath.workdps(dps):
+        try:
+            symbols = curve.symbols
+        except ArithmeticError as exc:
+            raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
+        try:
+            probes = {rep: _twist_rows(curve, rep) for rep in reps}
+        except ConsistencyError as exc:
+            raise CalibrationError(
+                f"probe series fail their check: {exc}") from exc
+        sums = {rep: symbols.orbit_sums(rep) for rep in reps}
+        g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
         zeta = _roots_of_unity(ell, mpmath.mp.prec)
         T, row = max(((mpmath.fsum(zeta[-j * t % ell] * m
                                    for t, m in enumerate(M)),

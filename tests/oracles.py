@@ -14,6 +14,9 @@ the program imports this one.
   Python list; the oracle of the binned numcore._bucket_sums.
 - oracle_value: L(E, 1, chi) from the per-character series, one complex term
   at a time, with chi and its Gauss sum evaluated pointwise.
+- series_residual: the worst miss of an orbit's series coset sums against
+  its exact ones, summed in mpmath at a given precision; the oracle of the
+  complex-float lvalue._series_residual.
 - characters_of_conductor: every character of conductor f, one per exponent
   vector; the oracle of dirichlet.galois_orbits.
 - genus3_curve: the genus-3 slice fiber as a sympy plane quartic, smooth or
@@ -66,6 +69,21 @@ def periods_gauss_sums(chi) -> dict:
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
     return {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
             for j in range(1, ell)}
+
+
+def series_residual(rows: dict, sums: tuple, scale: Fraction,
+                    dps: int) -> float:
+    """max_t |S^num_t - S_t|, S^num_t the inverse finite Fourier transform
+    of the rows at scale, seeded at j = 0 by the exact total sum(sums), in
+    mpmath at dps digits."""
+    ell = len(sums)
+    with mpmath.workdps(dps):
+        inv_scale = mpmath.mpf(scale.denominator) / scale.numerator
+        zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
+        return max(float(abs(
+            (sum(sums) + inv_scale * mpmath.fsum(
+                zeta[j * t % ell] * rows[j] for j in range(1, ell))) / ell - s))
+            for t, s in enumerate(sums))
 
 
 def bucket_sums(k: np.ndarray, ell: int, *parts) -> list:

@@ -15,6 +15,7 @@ from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,8 +32,8 @@ from elltwists.cubicfield import FieldConsistencyError
 from elltwists.dirichlet import galois_orbits
 from elltwists.elliptic import Curve, PointCountError
 from elltwists.kummer import SurfaceError
-from elltwists.lvalue import (CalibrationError, ConsistencyError, calibrate,
-                              series_terms)
+from elltwists.lvalue import (WORKING_DPS, CalibrationError, ConsistencyError,
+                              calibrate, series_terms)
 from elltwists.numcore import primes_up_to
 from test_lvalue import dead_value_rows, skewed_twist_rows
 
@@ -62,7 +63,7 @@ def shared_cal_37b(monkeypatch, cal_37b):
     def key(curve):
         return curve.a_invariants, curve.conductor, curve.root_number
 
-    def calibrate_37b(curve, ell, dps=50, reach=1):
+    def calibrate_37b(curve, ell, dps=WORKING_DPS, reach=1):
         if (key(curve), ell, dps) == (key(cal_37b.curve), 3, cal_37b.base_dps):
             return cal_37b
         return real(curve, ell, dps=dps, reach=reach)
@@ -75,7 +76,6 @@ label = 37b
 a_invariants = 0, 1, 1, -3, 1
 conductor = 37
 root_number = 1
-precision_digits = 50
 """
 
 
@@ -101,6 +101,7 @@ class TestCurveConfig:
 
     @pytest.mark.parametrize("mutate,reason", [
         (lambda t: t + "label = again\n", "duplicate key"),
+        (lambda t: t + "precision_digits = 50\n", "precision key"),
         (lambda t: t.replace("conductor", "conduktor"), "unknown key"),
         (lambda t: t.replace("root_number = 1\n", ""), "missing key"),
         (lambda t: t.replace("0, 1, 1, -3, 1", "0, 1, 1"), "wrong arity"),
@@ -356,19 +357,6 @@ class TestRunCensus:
         first = [part.strip() for part in lines[1].split(",", 3)]
         assert first[0] == "7" and first[1].startswith("(7")
 
-    def test_csv_bytes_do_not_depend_on_the_precision(self, tmp_path):
-        # every precision sums its series with the same double-double
-        # kernels, so 80 digits write the bytes of the default 50
-        csvs = []
-        for digits in (50, 80):
-            config = CurveConfig.from_text(GOOD_37B.replace(
-                "precision_digits = 50", f"precision_digits = {digits}"))
-            assert config.precision_digits == digits
-            out = tmp_path / f"p{digits}.csv"
-            run_census(config, 3, 63, out=out)
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
-
     @pytest.mark.usefixtures("shared_cal_37b")
     def test_pool_never_outnumbers_orbits_or_cores(self, tmp_path,
                                                    monkeypatch):
@@ -475,11 +463,13 @@ class TestOneBatchPerCommand:
     @staticmethod
     def _check(batches, calibrations, solves):
         (cal,) = calibrations
+        assert cal.base_dps == WORKING_DPS
         curve = cal.curve
         assert solves == [curve.symbols]
         reserved = curve._an.size - 1
         reach = max(chi.conductor for chi in cal._records)
-        assert reserved == series_terms(curve, reach, cal.base_dps)
+        with mpmath.workdps(cal.base_dps):
+            assert reserved == series_terms(curve, reach)
         six_disc = 6 * int(curve.disc)
         assert batches == [[p for p in primes_up_to(reserved)
                             if p >= 1000 and six_disc % p]]
@@ -611,12 +601,15 @@ class TestCommandLine:
         (["family", "six-torsion", "--", "1", "-1/2"],
          "family_six_torsion.txt"),
         (["kummer-fiber", "2", "--curve", "curves/37b.cfg"],
-         "kummer_fiber_37b_2.txt")],
-        ids=["nonvanishing-set", "twist-value", "family", "kummer-fiber"])
+         "kummer_fiber_37b_2.txt"),
+        (["e37b", "--max-conductor", "2000"], "e37b_2000.txt")],
+        ids=["nonvanishing-set", "twist-value", "family", "kummer-fiber",
+             "e37b"])
     def test_stdout_matches_the_pinned_files(self, capsys, argv, name):
         # the primes from 1000 up of the nonvanishing set and the Hecke
         # factor at 10009 read the point counts of one batch; the family
-        # and fiber commands run curves that have no conductor
+        # and fiber commands run curves that have no conductor; the slice
+        # survey prints its counts and ten sampled decisions
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
 
@@ -661,15 +654,20 @@ class TestCommandLine:
         assert err.startswith("error: no plus modular symbols for 14a1 at "
                               f"conductor {conductor}: ")
 
-    def test_usage_error_exits_one(self, capsys):
+    def test_usage_error_exits_one(self, tmp_path, capsys):
         assert main(["census", "--curve", "curves/37b.cfg"]) == 1
         assert main(["no-such-command"]) == 1
-        # the working precision comes from the config file alone
+        # the working precision is lvalue.WORKING_DPS: no flag and no
+        # config key sets it
         capsys.readouterr()
         assert main(["twist-value", "--curve", "curves/37b.cfg",
                      "--precision", "80", "7"]) == 1
         assert "unrecognized arguments: --precision" in \
             capsys.readouterr().err
+        digits = tmp_path / "digits.cfg"
+        digits.write_text(GOOD_37B + "precision_digits = 80\n")
+        assert main(["twist-value", "--curve", str(digits), "7"]) == 1
+        assert "unknown key 'precision_digits'" in capsys.readouterr().err
         # a twist conductor sharing a factor with the level 37 ended in a
         # ValueError traceback from the series
         for conductor in ("37", "259"):
@@ -775,18 +773,6 @@ class TestCommandLine:
         assert main(["report", str(journal)]) == 1
         assert "error:" in capsys.readouterr().err
         assert journal.is_dir() and not any(journal.iterdir())
-
-    @pytest.mark.parametrize("digits", ("0", "14"))
-    def test_precision_floor_exits_one(self, tmp_path, capsys, digits):
-        low = tmp_path / "low.cfg"
-        low.write_text(GOOD_37B.replace("precision_digits = 50",
-                                        f"precision_digits = {digits}"))
-        for argv in (["twist-value", "--curve", str(low), "7"],
-                     ["census", "--curve", str(low), "--max-conductor", "7"]):
-            capsys.readouterr()
-            assert main(argv) == 1
-            assert "precision_digits must be at least 15" in \
-                capsys.readouterr().err
 
     def test_inadmissible_orbit_request_exits_one(self, capsys):
         code = main(["twist-value", "--curve", "curves/37b.cfg", "8"])

@@ -29,7 +29,8 @@ from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
                               calibrate, central_value, central_values,
                               hecke_factor, served_orbits, vanishing_decision)
 from elltwists.numcore import RecognitionError, primes_up_to, recognize_integer
-from oracles import buckets, oracle_value, periods_gauss_sums
+from oracles import (buckets, oracle_value, periods_gauss_sums,
+                     series_residual)
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -39,18 +40,18 @@ CHI9 = galois_orbits(9, 3)[0]
 CHI13 = galois_orbits(13, 3)[0]
 
 
-def skewed_twist_rows(curve, chi, dps):
+def skewed_twist_rows(curve, chi):
     """The twist rows with the first conjugate turned by 1e-3 radians, so
     that the rows of the orbit no longer agree with one another."""
-    out = REAL_TWIST_ROWS(curve, chi, dps)
+    out = REAL_TWIST_ROWS(curve, chi)
     out.rows[1] *= 1 + 1e-3j
     return out
 
 
-def dead_value_rows(curve, chi, dps):
+def dead_value_rows(curve, chi):
     """The twist rows with the representative's central value set to 0: its
     series sums still match r M_t, but |L| no longer clears its bound."""
-    out = REAL_TWIST_ROWS(curve, chi, dps)
+    out = REAL_TWIST_ROWS(curve, chi)
     return TwistRows(out.rows, 0j, out.l_err)
 
 
@@ -226,7 +227,8 @@ class TestTDriftAlarm:
 
         for name in calls:
             monkeypatch.setattr(DirichletChar, name, counted(name))
-        lvalue._twist_rows(E37B, chi, 50)
+        with mpmath.workdps(50):
+            lvalue._twist_rows(E37B, chi)
         assert calls["gauss_sums"] == 1
         assert calls["power"] == 0
         assert calls["value_exponent"] == 1
@@ -297,7 +299,8 @@ class TestDoubleDoubleRung:
                             lambda *args: calls.append(args) or kernel(*args))
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
-            rows.append(lvalue._twist_rows(E37B, CHI13, dps))
+            with mpmath.workdps(dps):
+                rows.append(lvalue._twist_rows(E37B, CHI13))
             assert len(calls) == n, dps
         for a in rows:
             for b in rows:
@@ -387,7 +390,8 @@ class TestDoubleDoubleGaussSums:
                             lambda chi: calls.append(chi) or kernel(chi))
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
-            rows.append(lvalue._twist_rows(E37B, CHI13, dps))
+            with mpmath.workdps(dps):
+                rows.append(lvalue._twist_rows(E37B, CHI13))
             assert calls == [CHI13] * n, dps
         for a in rows:
             for b in rows:
@@ -402,16 +406,18 @@ class TestDoubleDoubleGaussSums:
         with mpmath.workdps(50):
             assert CHI13.gauss_sum() == kernel(CHI13)[0][1]
         assert calls == [CHI13]
-        lvalue._twist_rows(E37B, CHI13, 50)
+        with mpmath.workdps(50):
+            lvalue._twist_rows(E37B, CHI13)
         assert calls == [CHI13] * 2
 
     def test_roundoff_bound_over_budget_raises(self, monkeypatch):
         # the Gauss-sum kernel's bound, carried into L through eps, is
         # checked against err / 100 like the series' own bound
-        lvalue._twist_rows(E37B, CHI13, 50)
-        monkeypatch.setattr(dirichlet, "_DD_ROUNDOFF", 1e-6)
-        with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
-            lvalue._twist_rows(E37B, CHI13, 50)
+        with mpmath.workdps(50):
+            lvalue._twist_rows(E37B, CHI13)
+            monkeypatch.setattr(dirichlet, "_DD_ROUNDOFF", 1e-6)
+            with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
+                lvalue._twist_rows(E37B, CHI13)
 
     def test_gauss_bound_alone_is_checked(self, monkeypatch):
         # with the series' roundoff in budget, an inflated Gauss-sum bound
@@ -419,8 +425,9 @@ class TestDoubleDoubleGaussSums:
         kernel = DirichletChar.gauss_sums
         monkeypatch.setattr(DirichletChar, "gauss_sums",
                             lambda chi: (kernel(chi)[0], 1e-6))
-        with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
-            lvalue._twist_rows(E37B, CHI13, 50)
+        with mpmath.workdps(50), \
+                pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
+            lvalue._twist_rows(E37B, CHI13)
 
 
 class TestCalibration:
@@ -471,8 +478,8 @@ class TestCalibration:
         # rows shrunk a millionfold round to r = 0 at the largest scale;
         # on 37a (L0 = 0) that r would pass every probe and make every
         # orbit vanish, so the symbols' nonzero transform refuses it
-        def tiny(curve, chi, dps):
-            out = REAL_TWIST_ROWS(curve, chi, dps)
+        def tiny(curve, chi):
+            out = REAL_TWIST_ROWS(curve, chi)
             return TwistRows({j: 1e-6 * row for j, row in out.rows.items()},
                              out.l_value, out.l_err)
         monkeypatch.setattr(lvalue, "_twist_rows", tiny)
@@ -598,7 +605,10 @@ class TestTwistDecisions:
         orbits = [chi for chi in served_orbits(1, ell, 200)[0]
                   if chi.conductor % 37][:2]
         for chi in orbits:
-            dd, mp = (lvalue._twist_rows(curve, chi, dps) for dps in (50, 80))
+            with mpmath.workdps(50):
+                dd = lvalue._twist_rows(curve, chi)
+            with mpmath.workdps(80):
+                mp = lvalue._twist_rows(curve, chi)
             assert dd.l_err == mp.l_err
             for j, row in dd.rows.items():
                 assert abs(row - mp.rows[j]) <= 1e-25, (chi.label(), j)
@@ -607,6 +617,26 @@ class TestTwistDecisions:
             assert low.sums == high.sums
             assert low.max_residual < 1e-4
             assert abs(low.max_residual - high.max_residual) <= 1e-20
+
+    @pytest.mark.parametrize("curve", (E37A, E37B), ids=("37a", "37b"))
+    @pytest.mark.parametrize("ell", (3, 5))
+    def test_residual_matches_the_mpmath_oracle(self, curve, ell):
+        # the complex-float residual of every probe orbit agrees with the
+        # mpmath one at the working precision, on the true rows and on rows
+        # whose first conjugate is moved by 0.01, whose residual fails the
+        # tolerance
+        cal = calibrate(curve, ell)
+        for chi in probe_orbits(ell):
+            sums = cal._records[chi].sums
+            with mpmath.workdps(lvalue.WORKING_DPS):
+                rows = lvalue._twist_rows(curve, chi).rows
+            skewed = {j: row + 0.01 if j == 1 else row
+                      for j, row in rows.items()}
+            for r in (rows, skewed):
+                fast = lvalue._series_residual(r, sums, cal.scale)
+                slow = series_residual(r, sums, cal.scale, lvalue.WORKING_DPS)
+                assert abs(fast - slow) <= 1e-9, chi.label()
+            assert fast > lvalue._S_TOL
 
     def test_decided_orbits_keep_under_a_kilobyte(self, cal_b):
         # a decided orbit keeps its frozen record and none of its series
@@ -636,9 +666,9 @@ class TestTwistDecisions:
         real = lvalue._twist_rows
         tried = []
 
-        def rows(curve, chi, dps):
-            tried.append(dps)
-            return real(curve, chi, dps)
+        def rows(curve, chi):
+            tried.append(mpmath.mp.dps)
+            return real(curve, chi)
 
         monkeypatch.setattr(lvalue, "_twist_rows", rows)
         monkeypatch.setattr(lvalue, "_S_TOL", 0.0)

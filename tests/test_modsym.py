@@ -230,7 +230,7 @@ class TestSymbolRatio:
     @pytest.mark.parametrize("dps", (15, 50, 80))
     def test_calibration_does_not_depend_on_the_precision(self, curve, ell,
                                                           r, dps):
-        # the floor of 15 digits, the default 50 and 80 freeze the same
+        # 15 digits, the working 50 and 80 digits freeze the same
         # scale, r and L0
         scale, l0 = SCALE_AND_L0[curve.label]
         cal = calibrate(curve, ell, dps=dps)
