@@ -23,8 +23,8 @@ from typing import ClassVar
 from .cubicfield import CubicField
 from .dirichlet import DirichletChar
 from .elliptic import Curve
-from .kummer import (FamilyFiber, _e37b_pair, census_37b, fiber_search,
-                     torsion_base_curve, torsion_family)
+from .kummer import (CensusFieldRow, FamilyFiber, _e37b_pair, census_37b,
+                     fiber_search, torsion_base_curve, torsion_family)
 from .lvalue import (WORKING_DPS, CalibratedCurve, CongruenceResult,
                      calibrate, served_orbits)
 from .modsym import MAX_LEVEL
@@ -570,13 +570,17 @@ def run_e37b(max_conductor: int,
               for c in cutoffs]
     slope = _loglog_slope(counts, 2)
 
-    sampled = sorted({r.conductor for r in census.rows
-                      if r.conductor <= _SAMPLE_CAP})[:_SAMPLE_SIZE]
+    # each conductor up to _SAMPLE_CAP -> its first row
+    first_rows: dict[int, CensusFieldRow] = {}
+    for r in census.rows:
+        if r.conductor <= _SAMPLE_CAP:
+            first_rows.setdefault(r.conductor, r)
+    sampled = sorted(first_rows)[:_SAMPLE_SIZE]
     cal = calibrate(E37B_CONFIG.validated_curve(), 3,
                     reach=max(sampled, default=1))
     samples: list[E37bSample] = []
     for f in sampled:
-        row = next(r for r in census.rows if r.conductor == f)
+        row = first_rows[f]
         fiber = _e37b_pair(row.a, row.b)
         chi = fiber.field.matching_character()
         record = cal.coset_sums(chi)

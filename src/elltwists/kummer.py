@@ -474,7 +474,8 @@ class E37bFiber:
 
 
 class E37bRow(NamedTuple):
-    """The integer data of one slice-family pair that the survey reads."""
+    """The integer data of one slice-family pair, from which _e37b_pair
+    builds its exact fiber."""
     h1: int
     h2: int
     g: int
@@ -516,16 +517,12 @@ def _add_exponents(n: int, lpf: Sequence[int], exps: dict[int, int]) -> None:
         n //= p
 
 
-def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
-    """The survey row of the coprime parameter pair (a, b), in Python ints;
-    b = 0 is the point at infinity of the parameter line.  The integral
-    model x^3 - 4 h1 h2 x - 16 (a^2 + b^2) h1 h2 has h2 times the slice
-    cubic's roots; it must have no rational root and the discriminant
-    2^10 (h1 h2 g)^2 = delta^2 h2^6, which is then factored from h1, h2
-    and g, each read off lpf, the _e37b_sieve table of the pair's height or
-    of a larger one.  The conductor comes from the ramification rule of
-    cubicfield.field_invariants.  A failed identity raises SurfaceError,
-    a failed field invariant FieldConsistencyError."""
+def _e37b_forms(a: int, b: int) -> tuple[int, int, int, tuple[int, int, int]]:
+    """The pair part of the survey row of the coprime parameter pair (a, b):
+    the forms h1, h2 and g and the integral model
+    x^3 - 4 h1 h2 x - 16 (a^2 + b^2) h1 h2, whose roots are h2 times the
+    slice cubic's.  The model-scale identity reads h1 and h2 separately, so
+    it is checked here, once for every pair."""
     if gcd(a, b) != 1:
         raise ValueError("parameter pair must be coprime")
     h1 = 7 * a * a + 12 * a * b + 9 * b * b
@@ -533,6 +530,22 @@ def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
     g = 3 * a * a + a * b - 3 * b * b
     model = (-16 * (a * a + b * b) * h1 * h2, -4 * h1 * h2, 0)
     _check_model_scale(E37B_SLICE, h1, h2, model)
+    return h1, h2, g, model
+
+
+def _e37b_model(a: int, b: int, h1: int, h2: int, g: int, model,
+                lpf: Sequence[int]
+                ) -> tuple[Factorization, Factorization, int]:
+    """The model part of the survey row of (a, b), from its _e37b_forms:
+    the factorizations of h1 h2 and of the discriminant, and the conductor.
+    The model must have no rational root and the discriminant
+    2^10 (h1 h2 g)^2 = delta^2 h2^6, which is then factored from h1, h2
+    and g, each read off lpf, the _e37b_sieve table of the pair's height or
+    of a larger one.  The conductor comes from the ramification rule of
+    cubicfield.field_invariants.  Every value here depends on the model
+    alone, so the partner pair (-b, a) gets the same one.  A failed
+    identity raises SurfaceError, a failed field invariant
+    FieldConsistencyError."""
     c0, c1, c2 = model
     if _monic_cubic_integer_roots(c0, c1, c2):
         raise SurfaceError(f"parameter pair ({a}, {b}): the integral model "
@@ -554,6 +567,19 @@ def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
         raise SurfaceError(f"parameter pair ({a}, {b}): the factored "
                            f"discriminant does not match the model's")
     _, conductor, _ = field_invariants(c0, c1, c2, disc, hint)
+    return hh, hint, conductor
+
+
+def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
+    """The survey row of the coprime parameter pair (a, b), in Python ints;
+    b = 0 is the point at infinity of the parameter line.  It joins the
+    pair part, _e37b_forms, to the model part, _e37b_model.  The rotation
+    (a, b) -> (-b, a) swaps h1 and h2, negates g and fixes a^2 + b^2, so
+    a pair and its rotation share the integral model and the model part;
+    census_37b classifies each model once for the two of them, while
+    coprimality and the model-scale identity run for every pair."""
+    h1, h2, g, model = _e37b_forms(a, b)
+    hh, hint, conductor = _e37b_model(a, b, h1, h2, g, model, lpf)
     return E37bRow(h1, h2, g, hh, hint, model, conductor)
 
 
@@ -606,14 +632,36 @@ class E37bCensus:
         return "\n".join(lines) + "\n"
 
 
+def _e37b_parameters(height: int) -> list[tuple[int, int]]:
+    """The coprime parameter pairs of height up to height, each up to sign
+    once: (1, 0), then (a, b) with 1 <= b <= height, |a| <= height, b by
+    b.  Up to sign, the rotation (a, b) -> (-b, a) maps this list to itself
+    and fixes no pair; (1, 0) goes with (0, 1)."""
+    return [(1, 0)] + [(a, b) for b in range(1, height + 1)
+                       for a in range(-height, height + 1) if gcd(a, b) == 1]
+
+
 def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     """Sweep the coprime parameter pairs of height up to height_bound,
     build the integer row of every slice field, and collect the distinct
     conductors up to max_conductor.  One least-prime-factor table of the
     height bound factors every row.
 
+    The rotation (a, b) -> (-b, a) swaps h1 and h2, negates g and fixes
+    a^2 + b^2, so each integral model comes up exactly twice, for a pair
+    and its partner.  Every pair runs its own pair part, _e37b_forms:
+    coprimality and the model-scale identity.  The model part,
+    _e37b_model, with the rational-root certificate, the discriminant and
+    quartic identities, the factored hint and the conductor, runs once per
+    model, for the first of its pairs, whose row waits in a table until
+    the partner pops it.  The partner copies the row's conductor and
+    squarefree flag; its conductor is already seen, so it is never a new
+    field, and its h1 h2 is the first pair's, so the distinctness check has
+    nothing to add.  A model left in the table was met only once, which
+    the rotation rules out: SurfaceError.
+
     Both squarefree rules read the one factorization of h1 h2 that each
-    row carries.  The squarefree flag records whether h1 h2 is squarefree
+    model carries.  The squarefree flag records whether h1 h2 is squarefree
     away from 2, 3 and 37; only flagged pairs feed the conductor count and
     the new-field marks, though every pair is kept as a row.  Pairs whose
     h1 h2 is squarefree outright must build distinct fields: two different
@@ -623,25 +671,37 @@ def census_37b(max_conductor: int, height_bound: int) -> E37bCensus:
     seen: set[int] = set()
     # conductor -> the strictly squarefree h1 h2 that built it
     products: dict[int, int] = {}
-    params = [(1, 0)] + [(a, b) for b in range(1, height_bound + 1)
-                         for a in range(-height_bound, height_bound + 1)
-                         if gcd(a, b) == 1]
+    # model -> the row of the first of its two pairs, popped by the second
+    firsts: dict[tuple[int, int, int], CensusFieldRow] = {}
     lpf = _e37b_sieve(max(height_bound, 1))
-    for a, b in params:
-        row = _e37b_row(a, b, lpf)
-        fac, conductor = row.h_factorization, row.conductor
+    for a, b in _e37b_parameters(height_bound):
+        h1, h2, g, model = _e37b_forms(a, b)
+        first = firsts.pop(model, None)
+        if first is not None:
+            # the first pair saw the conductor and checked the product
+            rows.append(CensusFieldRow(a, b, h1, h2, first.squarefree,
+                                       first.conductor, False))
+            continue
+        fac, _, conductor = _e37b_model(a, b, h1, h2, g, model, lpf)
         squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
         new = squarefree and conductor not in seen
-        rows.append(CensusFieldRow(a, b, row.h1, row.h2, squarefree,
-                                   conductor, new))
+        firsts[model] = row = CensusFieldRow(a, b, h1, h2, squarefree,
+                                             conductor, new)
+        rows.append(row)
         if squarefree:
             seen.add(conductor)
         if fac.is_squarefree():
-            value = row.h1 * row.h2
+            value = h1 * h2
             prev = products.setdefault(conductor, value)
             if prev != value:
                 raise SurfaceError(
                     f"distinct squarefree parameters {prev} and {value} "
                     f"constructed the same conductor {conductor}")
+    if firsts:
+        first = next(iter(firsts.values()))
+        raise SurfaceError(
+            f"{len(firsts)} integral model(s) met once, the first by "
+            f"parameter pair ({first.a}, {first.b}): the rotation "
+            f"(a, b) -> (-b, a) gives every model to two parameter pairs")
     conductors = tuple(sorted(c for c in seen if c <= max_conductor))
     return E37bCensus(height_bound, max_conductor, tuple(rows), conductors)

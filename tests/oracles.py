@@ -30,17 +30,22 @@ the program imports this one.
 - integer_roots_by_divisors: the integer roots of a monic cubic, by trying
   every divisor of its lowest nonzero coefficient; the oracle of
   numcore._monic_cubic_integer_roots.
+- census_37b_by_pairs: the slice-family survey with one full kummer._e37b_row
+  per parameter pair; the oracle of kummer.census_37b, which classifies
+  each integral model once for a pair and its rotation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, isqrt
+from math import fsum, gcd, isqrt
 
 import mpmath
 import numpy as np
 
 from elltwists.dirichlet import DirichletChar, conductor_primes
+from elltwists.kummer import (CensusFieldRow, E37bCensus, SurfaceError,
+                              _e37b_row, _e37b_sieve)
 from elltwists.numcore import primes_up_to
 
 
@@ -228,3 +233,34 @@ def integer_roots_by_divisors(c0: int, c1: int, c2: int) -> list[int]:
                 if sum(c * x ** i for i, c in enumerate(coeffs)) == 0:
                     roots.add(x)
     return sorted(roots)
+
+
+def census_37b_by_pairs(max_conductor: int, height_bound: int) -> E37bCensus:
+    """The slice-family survey built one full row per coprime parameter
+    pair, with the same squarefree flags, new-field marks and distinctness
+    check as kummer.census_37b."""
+    rows = []
+    seen: set[int] = set()
+    products: dict[int, int] = {}
+    params = [(1, 0)] + [(a, b) for b in range(1, height_bound + 1)
+                         for a in range(-height_bound, height_bound + 1)
+                         if gcd(a, b) == 1]
+    lpf = _e37b_sieve(max(height_bound, 1))
+    for a, b in params:
+        row = _e37b_row(a, b, lpf)
+        fac, conductor = row.h_factorization, row.conductor
+        squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
+        new = squarefree and conductor not in seen
+        rows.append(CensusFieldRow(a, b, row.h1, row.h2, squarefree,
+                                   conductor, new))
+        if squarefree:
+            seen.add(conductor)
+        if fac.is_squarefree():
+            value = row.h1 * row.h2
+            prev = products.setdefault(conductor, value)
+            if prev != value:
+                raise SurfaceError(
+                    f"distinct squarefree parameters {prev} and {value} "
+                    f"constructed the same conductor {conductor}")
+    conductors = tuple(sorted(c for c in seen if c <= max_conductor))
+    return E37bCensus(height_bound, max_conductor, tuple(rows), conductors)

@@ -602,9 +602,10 @@ class TestCommandLine:
          "family_six_torsion.txt"),
         (["kummer-fiber", "2", "--curve", "curves/37b.cfg"],
          "kummer_fiber_37b_2.txt"),
-        (["e37b", "--max-conductor", "2000"], "e37b_2000.txt")],
+        (["e37b", "--max-conductor", "2000"], "e37b_2000.txt"),
+        (["e37b", "--max-conductor", "30000000"], "e37b_30000000.txt")],
         ids=["nonvanishing-set", "twist-value", "family", "kummer-fiber",
-             "e37b"])
+             "e37b", "e37b-30000000"])
     def test_stdout_matches_the_pinned_files(self, capsys, argv, name):
         # the primes from 1000 up of the nonvanishing set and the Hecke
         # factor at 10009 read the point counts of one batch; the family

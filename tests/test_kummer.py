@@ -25,7 +25,9 @@ from elltwists.kummer import (
     SurfaceError,
     _check_model_scale,
     _cornacchia_3,
+    _e37b_forms,
     _e37b_pair,
+    _e37b_parameters,
     _e37b_row,
     _e37b_sieve,
     _nodal_infinite_order,
@@ -41,7 +43,7 @@ from elltwists.kummer import (
     torsion_family,
 )
 from elltwists.numcore import PolyQ, factor, primes_up_to
-from oracles import genus3_curve
+from oracles import census_37b_by_pairs, genus3_curve
 
 F = Fraction
 
@@ -584,13 +586,14 @@ class TestCensus37b:
 
     def test_each_pair_built_once(self, monkeypatch):
         # per pair: one integer row, with no field object, no resultant and
-        # no PolyQ root search, one integer root search on the integral
-        # model, and h1, h2 and g factored by lookup in the one
-        # least-prime-factor sieve of the census, with no factor() call
+        # no PolyQ root search, and one model-scale check; per integral
+        # model, shared by a pair and its rotation, one integer root search,
+        # and h1, h2 and g factored by lookup in the one least-prime-factor
+        # sieve of the census, with no factor() call
         import elltwists.kummer as kummer
         import elltwists.numcore as numcore
         calls = {"discriminant": 0, "roots": 0, "from_cubic": 0, "factor": 0,
-                 "integer_roots": 0, "sieve": 0}
+                 "integer_roots": 0, "sieve": 0, "model_scale": 0}
         real_sieve = kummer.least_prime_factors
         real_disc, real_factor = PolyQ.discriminant, numcore.factor
         real_roots = PolyQ.rational_roots
@@ -621,11 +624,18 @@ class TestCensus37b:
             calls["sieve"] += 1
             return real_sieve(lo, hi)
 
+        real_model_scale = kummer._check_model_scale
+
+        def model_scale(ai, h1, h2, model):
+            calls["model_scale"] += 1
+            return real_model_scale(ai, h1, h2, model)
+
         monkeypatch.setattr(PolyQ, "discriminant", disc)
         monkeypatch.setattr(PolyQ, "rational_roots", roots)
         monkeypatch.setattr(CubicField, "from_cubic", from_cubic)
         monkeypatch.setattr(kummer, "_monic_cubic_integer_roots", integer_roots)
         monkeypatch.setattr(kummer, "least_prime_factors", sieve)
+        monkeypatch.setattr(kummer, "_check_model_scale", model_scale)
         for name, module in list(sys.modules.items()):
             if name.startswith("elltwists") and \
                     getattr(module, "factor", None) is real_factor:
@@ -635,7 +645,8 @@ class TestCensus37b:
         assert calls["discriminant"] == 0
         assert calls["roots"] == 0
         assert calls["from_cubic"] == 0
-        assert calls["integer_roots"] == 88
+        assert calls["integer_roots"] == 44
+        assert calls["model_scale"] == 88
         assert calls["factor"] == 0
         assert calls["sieve"] == 1
         census_37b(100, 2)
@@ -735,6 +746,70 @@ class TestCensus37b:
         assert hashlib.sha256(csv.encode()).hexdigest() == \
             "b729024bb0ad7f34b379c180df9d151d0c620429858b9247ebf3d3262deac945"
 
+    def test_survey_csv_is_pinned_at_height_120(self):
+        # sha256 of census_37b(10**6, 120).csv() from the survey that built
+        # one full row per pair; at this height a pair and its rotation lie
+        # far apart in the parameter list, so the table of first rows fills and
+        # drains
+        csv = census_37b(10 ** 6, 120).csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "e4b1a054ce9101a68f148f143d7b1af25a334882ed27609600115bef09a0dd9c"
+
+    @pytest.mark.parametrize("max_conductor,height",
+                             [(2000, 8), (10 ** 7, 40), (10 ** 6, 120)])
+    def test_survey_matches_the_per_pair_oracle(self, max_conductor, height):
+        assert census_37b(max_conductor, height).csv() == \
+            census_37b_by_pairs(max_conductor, height).csv()
+
+    def test_each_model_comes_from_a_pair_and_its_rotation(self):
+        # the rotation (a, b) -> (-b, a), up to sign, maps the parameter
+        # list of each height to itself, fixes no pair and keeps the
+        # integral model, so the 3760 pairs of height 55 give 1880 models
+        model = {(a, b): _e37b_forms(a, b)[3] for a, b in _e37b_parameters(55)}
+        assert len(model) == 3760
+        for (a, b), m in model.items():
+            partner = (-b, a) if a > 0 else (b, -a)
+            assert partner != (a, b) and partner in model
+            assert model[partner] == m
+        assert len(set(model.values())) == 1880
+
+    def test_model_scale_checked_on_the_second_pair(self, monkeypatch,
+                                                    capsys):
+        # at height 1 the model of (1, 0) is classified there and reused by
+        # (0, 1), the third pair; a model-scale identity broken only at
+        # (0, 1), where h1 = 9 and h2 = 7, still raises
+        import elltwists.kummer as kummer
+        real = kummer._check_model_scale
+        checked = []
+
+        def broken_at_zero_one(ai, h1, h2, model):
+            checked.append((h1, h2))
+            if (h1, h2) == (9, 7):
+                ai = (4, 0, 1, 1, 0)
+            real(ai, h1, h2, model)
+
+        monkeypatch.setattr(kummer, "_check_model_scale", broken_at_zero_one)
+        with pytest.raises(SurfaceError, match="integral model"):
+            census_37b(100, 1)
+        assert checked == [(7, 9), (4, 28), (9, 7)]
+        assert main(["e37b", "--max-conductor", "100",
+                     "--height-bound", "1"]) == 2
+        assert "integral model" in capsys.readouterr().err
+
+    def test_model_met_once_exits_two(self, monkeypatch, capsys):
+        # a parameter list without (1, 1), the partner of (-1, 1), leaves
+        # one model in the table of first rows
+        import elltwists.kummer as kummer
+        real = kummer._e37b_parameters
+        monkeypatch.setattr(kummer, "_e37b_parameters",
+                            lambda height: real(height)[:-1])
+        assert real(1)[-1] == (1, 1)
+        with pytest.raises(SurfaceError, match="met once"):
+            census_37b(100, 1)
+        assert main(["e37b", "--max-conductor", "100",
+                     "--height-bound", "1"]) == 2
+        assert "met once" in capsys.readouterr().err
+
     def test_integral_model_root_oracle(self):
         # the field-arithmetic evaluation that the integer identity
         # replaced, kept as an independent check on every pair
@@ -767,20 +842,20 @@ class TestCensus37b:
                     _check_model_scale(ai, h1, h2, model)
 
     def test_squarefree_collision_raises(self, monkeypatch):
-        # hand every strictly squarefree pair the conductor of the first
+        # hand every strictly squarefree model the conductor of the first
         # one: distinct squarefree products then share a conductor
         import elltwists.kummer as kummer
-        real = kummer._e37b_row
+        real = kummer._e37b_model
         conductors = []
 
-        def colliding(a, b, lpf):
-            row = real(a, b, lpf)
-            if row.h_factorization.is_squarefree():
-                conductors.append(row.conductor)
-                row = row._replace(conductor=conductors[0])
-            return row
+        def colliding(*args):
+            hh, hint, conductor = real(*args)
+            if hh.is_squarefree():
+                conductors.append(conductor)
+                conductor = conductors[0]
+            return hh, hint, conductor
 
-        monkeypatch.setattr(kummer, "_e37b_row", colliding)
+        monkeypatch.setattr(kummer, "_e37b_model", colliding)
         with pytest.raises(SurfaceError, match="same conductor"):
             census_37b(2000, 8)
         assert len(conductors) >= 2
