@@ -147,6 +147,7 @@ class CensusRow:
     alarm: bool = False
     curve: str | None = None         # curve label
     ell: int | None = None           # character order
+    fingerprint: str | None = None   # what decided it: _fingerprint
 
     @property
     def sort_key(self) -> tuple:
@@ -178,6 +179,7 @@ class CensusRow:
             "alarm": self.alarm,
             "curve": self.curve,
             "ell": self.ell,
+            "fingerprint": self.fingerprint,
         }
 
     @classmethod
@@ -192,6 +194,7 @@ class CensusRow:
         bound, sums = d.get("error_bound"), d.get("coset_sums")
         elapsed, error = d.get("elapsed", 0.0), d.get("error")
         alarm, curve, ell = d.get("alarm", False), d.get("curve"), d.get("ell")
+        fingerprint = d.get("fingerprint")
         # both keys came into the journal together: a row names both or neither
         paired = (curve is None) == (ell is None)
         bad = [name for name, ok in (
@@ -206,13 +209,15 @@ class CensusRow:
             ("error", error is None or isinstance(error, str)),
             ("alarm", isinstance(alarm, bool)),
             ("curve", paired and (curve is None or isinstance(curve, str))),
-            ("ell", paired and (ell is None or _numbers([ell], int)))) if not ok]
+            ("ell", paired and (ell is None or _numbers([ell], int))),
+            ("fingerprint", fingerprint is None
+             or isinstance(fingerprint, str))) if not ok]
         if bad:
             raise ValueError(f"{', '.join(bad)} has the wrong shape")
         return cls(conductor, character, decision,
                    None if value is None else complex(value[0], value[1]),
                    bound, None if sums is None else tuple(sums),
-                   elapsed, error, alarm, curve, ell)
+                   elapsed, error, alarm, curve, ell, fingerprint)
 
 
 def _numbers(v, kind=(int, float)) -> bool:
@@ -290,23 +295,31 @@ class CensusSummary:
         return "\n".join(lines)
 
 
+def _fingerprint(cal: CalibratedCurve) -> str:
+    """What decides every orbit of a calibration: the model's a-invariants,
+    its declared conductor and root number, and the calibrated scale c and
+    ratio r.  Two models may share a label; they never share this."""
+    curve = cal.curve
+    return (f"{','.join(map(str, curve.a_invariants))}; N={curve.conductor}; "
+            f"w={curve.root_number}; c={cal.scale}; r={cal.r}")
+
+
 def _census_task(cal: CalibratedCurve, chi: DirichletChar) -> CensusRow:
     """Decide one orbit.  Pure function of its arguments, safe to run in any
     process; failures become undecided rows, never exceptions, so a single
     bad orbit cannot abort a sweep."""
     start = time.perf_counter()
+    run = {"curve": cal.label, "ell": cal.ell, "fingerprint": _fingerprint(cal)}
     try:
         record = cal.coset_sums(chi)
         row = CensusRow(chi.conductor, chi.label(), record.decision,
                         record.L_value, record.error_bound, record.sums,
-                        time.perf_counter() - start, curve=cal.label,
-                        ell=cal.ell)
+                        time.perf_counter() - start, **run)
     except Exception as exc:                      # noqa: BLE001 - journal it
         row = CensusRow(chi.conductor, chi.label(), "undecided", None, None,
                         None, time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",
-                        alarm=isinstance(exc, TheoryViolation),
-                        curve=cal.label, ell=cal.ell)
+                        alarm=isinstance(exc, TheoryViolation), **run)
     return row
 
 
@@ -326,14 +339,17 @@ def _worker_task(chi: DirichletChar) -> CensusRow:
     return _census_task(_worker_cal, chi)
 
 
-def _read_journal(path: Path) -> tuple[dict[str, CensusRow], tuple | None]:
-    """Rows already decided in an append-only journal, and the one (curve,
-    order) they name, None in journals that predate both keys.  A torn last
+def _read_journal(path: Path
+                  ) -> tuple[dict[str, CensusRow], tuple | None, str | None]:
+    """Rows already decided in an append-only journal, the one (curve,
+    order) they name, None in journals that predate both keys, and the one
+    fingerprint they carry, None in journals that predate it.  A torn last
     line is ignored; any other line that is not a well-formed row raises
-    ConfigError naming it, and so do rows of two runs."""
+    ConfigError naming it, and so do rows of two runs or of two
+    fingerprints."""
     done: dict[str, CensusRow] = {}
     if not path.exists():
-        return done, None
+        return done, None, None
     for lineno, line in enumerate(path.read_bytes().split(b"\n")[:-1], 1):
         if not line.strip():
             continue
@@ -347,7 +363,12 @@ def _read_journal(path: Path) -> tuple[dict[str, CensusRow], tuple | None]:
     if len(runs) > 1:
         named = "; ".join(f"curve {c}, order {e}" for c, e in sorted(runs, key=str))
         raise ConfigError(f"journal {path} mixes the rows of {named}")
-    return done, (runs.pop() if runs else None)
+    prints = {r.fingerprint for r in done.values()} - {None}
+    if len(prints) > 1:
+        named = "; ".join(f"[{p}]" for p in sorted(prints))
+        raise ConfigError(f"journal {path} mixes the rows of {named}")
+    return done, (runs.pop() if runs else None), \
+        (prints.pop() if prints else None)
 
 
 def _loglog_slope(counts, min_points: int) -> float | None:
@@ -372,8 +393,10 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     each orbit as it finishes and the final CSV is regenerated, sorted, so
     the emitted bytes are independent of worker count and of how many times
     the run was interrupted and resumed.  A resumed run reuses only its own
-    orbits' journal rows and refuses rows of another curve or order.  At
-    most one worker process is started per pending orbit and per core."""
+    orbits' journal rows and refuses rows of another curve or order, or of
+    another model or calibration (_fingerprint); rows that predate the
+    fingerprint resume on their label.  At most one worker process is
+    started per pending orbit and per core."""
     if resume and out is None:
         raise ConfigError("resume needs an output path to find the journal")
     out_path = None if out is None else Path(out)
@@ -384,9 +407,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     curve = config.validated_curve()
     orbits, skipped = served_orbits(config.conductor, ell, max_conductor)
     done: dict[str, CensusRow] = {}
-    run = None
+    run = fingerprint = None
     if resume:
-        done, run = _read_journal(journal)
+        done, run, fingerprint = _read_journal(journal)
         labels = {chi.label() for chi in orbits}
         done = {k: row for k, row in done.items() if k in labels}
     pending = [chi for chi in orbits if chi.label() not in done]
@@ -398,6 +421,9 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
     if run not in (None, (cal.label, ell)):
         raise ConfigError(f"journal {journal} holds the rows of curve "
                           f"{run[0]}, order {run[1]}")
+    if fingerprint not in (None, _fingerprint(cal)):
+        raise ConfigError(f"journal {journal} holds the rows of "
+                          f"[{fingerprint}], not of [{_fingerprint(cal)}]")
     if resume and journal.exists():
         # cut a torn last line, so appended rows start a line of their own
         # instead of extending it

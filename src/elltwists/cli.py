@@ -227,7 +227,7 @@ def _cmd_report(args) -> int:
     out = Path(args.out) if args.out else None
     if out and out.exists() and out.samefile(journal):
         raise ConfigError(f"--out {out} is the journal being read")
-    done, run = _read_journal(journal)
+    done, run, _ = _read_journal(journal)
     if not done:
         raise ConfigError(f"journal {journal} holds no complete rows")
     label, ell = run or ("(journal)", 0)

@@ -10,10 +10,15 @@ the group order in O(p^(1/4)) group operations (Cohen, A Course in
 Computational Algebraic Number Theory, 7.4.3) for a whole batch of primes
 at once: one numpy lane per (prime, point), all lanes stepping together,
 on points of the short model and of its quadratic twists drawn without a
-square root.  A point the search did not use must confirm each a_p.
-The a_n table is the curve's one store of a_p, kept as one int64 array
-and handed out as read-only views.  an_table counts exactly its new
-primes, those the search serves in one batch; ap(p) reads the table, and
+square root.  Baby and giant steps are normalized together and meet on
+the affine x.  A prime whose first point has one annihilator in the
+Hasse interval settles on it; only the others keep their few candidate
+orders for the later rounds.  A point the search did not use must
+confirm each a_p.  The a_n table is the curve's one store of a_p, kept as
+one int64 array and handed out as read-only views.  an_table counts
+exactly its new primes, those the search serves in one batch, and fills
+the rest in numpy: prime powers by the Hecke recursion, any other n as
+the product of two entries at most n / 2.  ap(p) reads the table, and
 past its end counts p alone and keeps nothing, so the commands reserve
 the table they need before their first series (lvalue.calibrate).  Point
 counts need the declared conductor.
@@ -31,32 +36,46 @@ import mpmath
 import numpy as np
 
 from .modsym import PlusSymbols
-from .numcore import TheoryViolation, factor, least_prime_factors
+from .numcore import (TheoryViolation, factor, least_prime_factors,
+                      primes_up_to)
 
 # primes from here on are counted by the batched search.  On 2 vCPUs the
-# Legendre count costs 50, 77, 153 and 290 us a prime at p = 1000, 2000,
-# 5000 and 10^4, and one batch of a command's reserved table 13 us a prime
-# (27 us for calibration's 95, where fixed costs weigh).  Counting 37b's
-# primes from 1000 up to the tables that calibration at ell 3, the census
-# to 415, the congruence sweep at ell 5 to 590 and the slice samples
-# reserve (1,669, 10,369, 14,752 and 31,134), the Legendre sum below a
-# threshold of 1000, 2000 or 3000 and one batch above it take 2.6, 2.5 and
-# 2.5 ms; 14.1, 15.7 and 20.1 ms; 19.6, 21.4 and 25.8 ms; 40.0, 41.9 and
-# 46.1 ms (medians of 9).  Mestre's theorem, on which the search relies to
-# single out the order, needs p > 229.
+# Legendre count costs 53, 78, 153 and 271 us a prime at p = 1000, 2000,
+# 5000 and 10^4, and one batch of a command's reserved table 16 us a prime
+# (43 us for calibration's 95, where fixed costs weigh; 44 us at
+# p = 3.2 * 10^6).  Counting 37b's primes from 1000 up to the tables that
+# calibration at ell 3, the census to 415, the congruence sweep at ell 5
+# to 590 and the slice samples reserve (1,669, 10,369, 14,752 and 31,134),
+# the Legendre sum below a threshold of 1000, 2000 or 3000 and one batch
+# above it take 4.1, 6.4 and 14.8 ms; 19.3, 22.3 and 30.2 ms; 26.8, 29.9
+# and 39.3 ms; 52.0, 55.7 and 63.4 ms (medians of 9).  Mestre's theorem,
+# on which the search relies to single out the order, needs p > 229.
 _BSGS_MIN_P = 1000
 # points of E and its twists a prime may draw before the search gives up
 _BSGS_MAX_POINTS = 64
 # points each unsettled prime draws per round after its first.  Every prime
 # draws x = 1, 2, ... in the same order under the same cap whatever this
 # is, so the same primes settle or raise; smaller rounds waste fewer draws.
-# One batch of the last three tables above takes 14.0, 19.6 and 39.5 ms at
-# 2 against 15.9, 23.1 and 44.4 ms at 8 (best of 7).
+# One batch of the last three tables above takes 19.1, 26.1 and 50.9 ms at
+# 2 against 21.7, 31.4 and 58.2 ms at 8 (best of 7).
 _BSGS_REDRAW = 2
-# lanes, and primes, walked together: bounds the search's memory
+# lanes, and primes, walked together: bounds the search's memory.  Every
+# prime draws the same points whatever this is.  The 3,184 search primes
+# of the 31,134-term table take 53, 48 and 46 ms in blocks of 512, 1024
+# and 2048 (best of 15); the larger blocks' arrays cost peak RSS.
 _BSGS_LANES = 512
+# giant steps tested against all baby steps at once: the test's booleans
+# take _BSGS_MATCH / 8 times the memory of an int64 row of baby steps
+_BSGS_MATCH = 16
+# primes whose check points walk together: bounds the group law's
+# temporaries on a large batch (3.3 * 10^6 terms reserve 236,732 primes)
+_BSGS_CHECK = 8192
 # residues below this multiply inside int64
 _BSGS_MAX_P = 2 ** 31
+# entries of the a_n table filled together: bounds the sieve's
+# temporaries, which are int64, since int32 loops would fault in numpy code
+# that nothing else runs
+_AN_BLOCK = 8192
 
 
 class PointCountError(TheoryViolation):
@@ -207,26 +226,45 @@ class Curve:
         table = self._an
         start = table.size
         if limit >= start:
-            a = table.tolist()
+            an = np.empty(limit + 1, dtype=np.int64)
+            an[:start] = table
             # least prime factor of each new n, 0 for primes
-            spf = least_prime_factors(start, limit)
-            traces = iter(self._traces(
-                [n for n, f in enumerate(spf, start) if not f]))
-            for n in range(start, limit + 1):
-                p = spf[n - start] or n
-                q, m = p, n // p
-                while m % p == 0:
-                    q, m = q * p, m // p
-                if m > 1:
-                    a.append(a[q] * a[m])
-                elif q == p:
-                    a.append(next(traces))
-                else:
-                    # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last
-                    # term at good p only
-                    a.append(a[p] * a[q // p] - (p * a[q // (p * p)]
-                                                 if self.conductor % p else 0))
-            table = self._an = np.array(a, dtype=np.int64)
+            spf = np.frombuffer(least_prime_factors(start, limit),
+                                dtype=np.uint32)
+            primes = np.flatnonzero(spf == 0) + start
+            an[primes] = self._traces(primes.tolist())
+            # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last term at
+            # good p only
+            for p in primes_up_to(isqrt(limit)):
+                good = self.conductor % p != 0
+                q = p * p
+                while q <= limit:
+                    if q >= start:
+                        an[q] = an[p] * an[q // p] - (p * an[q // (p * p)]
+                                                      if good else 0)
+                    q *= p
+            # a composite n = q m, q the full power of its least prime p and
+            # m > 1 prime to p, has a_n = a_q a_m with q, m <= n / 2: each
+            # range [lo, 2 lo) reads only entries below it, and is filled
+            # in blocks
+            lo = start
+            while lo <= limit:
+                hi = min(2 * lo, limit + 1)
+                for b in range(lo, hi, _AN_BLOCK):
+                    f = spf[b - start:min(b + _AN_BLOCK, hi) - start]
+                    n = np.flatnonzero(f)
+                    f = f[n].astype(np.int64)
+                    n += b
+                    q, m = f.copy(), n // f
+                    r = np.flatnonzero(m % f == 0)
+                    while r.size:
+                        q[r] *= f[r]
+                        m[r] //= f[r]
+                        r = r[m[r] % f[r] == 0]
+                    n, q, m = n[m > 1], q[m > 1], m[m > 1]
+                    an[n] = an[q] * an[m]
+                lo = hi
+            table = self._an = an
         # a table unpickled in a pool worker comes back writeable
         view = table[:limit + 1]
         view.flags.writeable = False
@@ -310,10 +348,10 @@ def _add(P, Q, A, p):
     if v.all():
         return R
     # Q = P doubles, and an origin on either side gives the other point
-    o1, o2 = Z1 == 0, Z2 == 0
-    same = np.flatnonzero((u == 0) & (v == 0) & ~o1 & ~o2)
-    for lanes, S in ((same, None), (np.flatnonzero(o2), P),
-                     (np.flatnonzero(o1), Q)):
+    bad = np.flatnonzero(v == 0)
+    o1, o2 = Z1[bad] == 0, Z2[bad] == 0
+    for lanes, S in ((bad[(u[bad] == 0) & ~o1 & ~o2], None), (bad[o2], P),
+                     (bad[o1], Q)):
         if lanes.size:
             part = (_double(tuple(c[lanes] for c in P), A[lanes], p[lanes])
                     if S is None else (c[lanes] for c in S))
@@ -346,57 +384,64 @@ def _points(a, b, p, x):
 
 def _annihilators(p, A, P, lo, width):
     """Every N in [lo, lo + width) with N P = O, lane by lane, as two
-    arrays: the lanes and their N.  Baby steps j P for j <= m are
-    normalized with one Fermat inverse (of their product); giant steps
-    c P, c = lo + m + i (2m + 1), meet them on x.  c P = +-j P gives
+    arrays: the lanes and their N.  Baby steps j P for j <= m and giant
+    steps c P, c = lo + m + g (2m + 1), are normalized together with one
+    Fermat inverse (of their product) and meet on the affine x, the origin
+    keyed as x = p, which no residue equals.  c P = +-j P gives
     (c -+ j) P = O, both when y(j P) = 0, and a baby step at O matches a
-    giant step at O."""
+    giant step at O.  Each N comes from one (c, j), so no lane repeats
+    one."""
     wide = int(width.max())
     m = isqrt(wide // 2) + 1
-    baby = [(np.zeros_like(p), np.ones_like(p), np.zeros_like(p)), P]
-    for _ in range(m - 1):
-        baby.append(_add(baby[-1], P, A, p))
-    step = _add(_double(baby[m], A, p), P, A, p)
-    X, Y, Z = (np.stack(c, axis=1) for c in zip(*baby))
+    # the X, Y and Z rows of the baby steps 0..m, then of the giant steps
+    E = np.empty((3, m + 1 + len(range(m, wide + m, 2 * m + 1)), p.size),
+                 dtype=np.int64)
+    E[:, 0] = [[0], [1], [0]]
+    E[:, 1] = P
+    for j in range(2, m + 1):
+        E[:, j] = _add(E[:, j - 1], P, A, p)
+    step = _add(_double(E[:, m], A, p), P, A, p)
+    # (lo + m) P in base 2^w, the digits read off the baby steps
     lane = np.arange(p.size)
-    # (lo + m) P in base 2^w, the digits read off the baby table
     w = (m + 1).bit_length() - 1
     c0 = lo + m
     shift = (int(c0.max()).bit_length() - 1) // w * w
-    T = tuple(c[lane, c0 >> shift] for c in (X, Y, Z))
+    T = E[:, c0 >> shift, lane]
     for shift in range(shift - w, -1, -w):
         for _ in range(w):
             T = _double(T, A, p)
-        d = (c0 >> shift) & ((1 << w) - 1)
-        T = _add(T, tuple(c[lane, d] for c in (X, Y, Z)), A, p)
+        T = _add(T, E[:, (c0 >> shift) & ((1 << w) - 1), lane], A, p)
+    E[:, m + 1] = T
+    for g in range(m + 2, E.shape[1]):
+        E[:, g] = _add(E[:, g - 1], step, A, p)
     # Montgomery's trick: one inverse of the product of the nonzero Z
+    X, Y, Z = E
     origin = Z == 0
-    Z = np.where(origin, 1, Z)
+    Z[origin] = 1
     below = np.empty_like(Z)
     acc = np.ones_like(p)
-    for j in range(m + 1):
-        below[:, j], acc = acc, acc * Z[:, j] % p
+    for j in range(Z.shape[0]):
+        below[j], acc = acc, acc * Z[j] % p
     acc = _pow_mod(acc, p - 2, p)
-    for j in range(m, -1, -1):
-        below[:, j], acc = below[:, j] * acc % p, acc * Z[:, j] % p
-    col = p[:, None]
-    x, y = X * below % col, Y * below % col
-    lanes, found = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for c in range(m, wide + m, 2 * m + 1):
-        X, Y, Z = T
-        at_o = Z == 0
-        hit = np.where(at_o[:, None], origin,
-                       (x * Z[:, None] % col == X[:, None]) & ~origin)
-        i, j = np.nonzero(hit)
-        if i.size:
-            yz = y[i, j] * Z[i] % p[i]
-            down = at_o[i] | (yz == Y[i])
-            up = (at_o[i] & (j > 0)) | ((yz + Y[i]) % p[i] == 0)
-            lanes += [i[down], i[up]]
-            found += [lo[i[down]] + c - j[down], lo[i[up]] + c + j[up]]
-        if c + m + 1 < wide:
-            T = _add(T, step, A, p)
-    i, n = np.concatenate(lanes), np.concatenate(found)
+    for j in range(Z.shape[0] - 1, -1, -1):
+        below[j], acc = below[j] * acc % p, acc * Z[j] % p
+    for c in (X, Y):
+        c *= below
+        c %= p
+    np.copyto(X, p, where=origin)
+    # the giant steps meet the baby steps on x in chunks of _BSGS_MATCH
+    hits = [np.nonzero(X[g:g + _BSGS_MATCH, None] == X[None, :m + 1])
+            for g in range(m + 1, X.shape[0], _BSGS_MATCH)]
+    g, j, i = (np.concatenate(c) for c in zip(*hits))
+    g += np.repeat(np.arange(m + 1, X.shape[0], _BSGS_MATCH),
+                   [h[0].size for h in hits])
+    yb, yg = Y[j, i], Y[g, i]
+    at_o = origin[g, i]
+    down = at_o | (yb == yg)
+    up = np.where(at_o, j > 0, (yb + yg) % p[i] == 0)
+    c = m + (g - m - 1) * (2 * m + 1)
+    i = np.concatenate([i[down], i[up]])
+    n = lo[i] + np.concatenate([(c - j)[down], (c + j)[up]])
     keep = n < lo[i] + width[i]
     return i[keep], n[keep]
 
@@ -414,43 +459,64 @@ def _search(a, b, p):
     top = int(s.max())
     traces = np.arange(-top, top + 1)
     ap, x = np.zeros_like(p), np.ones_like(p)
-    # the unsettled primes and, after the first round, their candidates
-    todo, rows = np.arange(p.size), None
+    # the unsettled primes and, after the first round, the number of each
+    # one's candidate traces and their columns, prime after prime
+    todo, held = np.arange(p.size), None
     k, drawn = 1, 0
     while todo.size:
         k = min(k, _BSGS_MAX_POINTS - drawn)
         drawn += k
         per = _BSGS_LANES // k
+        if held is not None:
+            ends = np.concatenate([[0], np.cumsum(held[0])])
         left, kept = [], []
         for at in range(0, todo.size, per):
             ids = todo[at:at + per]
-            alive = (np.abs(traces) <= s[ids, None] if rows is None
-                     else rows[at:at + per])
             who = np.repeat(ids, k)
             draw = np.tile(np.arange(k), ids.size)
             P, A, _, chi, ok = _points(a[who], b[who], p[who], x[who] + draw)
             i, n = _annihilators(p[who], A, P, p[who] + 1 - s[who],
                                  2 * s[who] + 1)
             col = chi[i] * (p[who[i]] + 1 - n) + top
-            for d in range(k):
-                seen = np.zeros_like(alive)
-                sel = draw[i] == d
-                seen[i[sel] // k, col[sel]] = True
-                seen[~ok[d::k]] = True      # v = 0: the lane has no point
-                alive &= seen
-            count = alive.sum(axis=1)
+            if held is None:
+                # one point a prime, whose annihilators are distinct: a
+                # prime settles when its point has exactly one, and only
+                # the others get a row of candidates, every trace of the
+                # Hasse interval when v = 0 leaves the prime without a point
+                count = np.where(ok, np.bincount(i, minlength=ids.size),
+                                 2 * s[ids] + 1)
+                one = count == 1
+                sel = one[i]
+                ap[ids[i[sel]]] = col[sel] - top
+                alive = ((np.abs(traces) <= s[ids[~one], None])
+                         & ~ok[~one, None])
+                alive[(np.cumsum(~one) - 1)[i[~sel]], col[~sel]] = True
+            else:
+                # the block's rows of candidates, from the held columns
+                alive = np.zeros((ids.size, traces.size), dtype=bool)
+                alive[np.repeat(np.arange(ids.size), held[0][at:at + per]),
+                      held[1][ends[at]:ends[at + ids.size]]] = True
+                for d in range(k):
+                    seen = np.zeros_like(alive)
+                    sel = draw[i] == d
+                    seen[i[sel] // k, col[sel]] = True
+                    seen[~ok[d::k]] = True      # v = 0: the lane has no point
+                    alive &= seen
+                count = alive.sum(axis=1)
+                one = count == 1
+                ap[ids[one]] = traces[alive[one].argmax(axis=1)]
+                alive = alive[~one]
             if not count.all():
                 raise PointCountError("no group order in the Hasse interval "
                                       f"at {p[ids[count == 0][0]]}")
-            one = count == 1
-            ap[ids[one]] = traces[alive[one].argmax(axis=1)]
             left.append(ids[~one])
-            kept.append(alive[~one])
+            kept.append((alive.sum(axis=1), np.nonzero(alive)[1]))
         x[todo] += k
-        todo, rows = np.concatenate(left), np.concatenate(kept)
+        todo = np.concatenate(left)
+        held = tuple(np.concatenate(c) for c in zip(*kept))
         if todo.size and drawn >= _BSGS_MAX_POINTS:
             raise PointCountError(f"{_BSGS_MAX_POINTS} points left "
-                                  f"{rows[0].sum()} orders at {p[todo[0]]}")
+                                  f"{held[0][0]} orders at {p[todo[0]]}")
         k = _BSGS_REDRAW
     return ap, x
 
@@ -464,20 +530,24 @@ def _frobenius_traces(a: int, b: int, primes) -> list[int]:
     if any(q >= _BSGS_MAX_P for q in primes):
         raise ValueError(f"baby-step giant-step needs p < {_BSGS_MAX_P}")
     p = np.array(primes, dtype=np.int64)
-    a = np.array([a % q for q in primes], dtype=np.int64)
-    b = np.array([b % q for q in primes], dtype=np.int64)
+    a = np.fromiter((a % q for q in primes), np.int64, p.size)
+    b = np.fromiter((b % q for q in primes), np.int64, p.size)
     ap, x = _search(a, b, p)
     for _ in range(3):                  # the cubic has at most three roots
         x += ((x * x % p + a) % p * x + b) % p == 0
-    P, A, B, chi, _ = _points(a, b, p, x)
-    X, Y, _ = P
-    off = (Y * Y - ((X * X % p + A) % p * X + B)) % p != 0
-    off |= _mul(p + 1 - chi * ap, P, A, p)[2] != 0
-    if off.any():
-        i = np.flatnonzero(off)[0]
-        raise PointCountError(
-            f"a_p = {ap[i]} at {p[i]} fails the check point "
-            f"({X[i]}, {Y[i]}) of the twist by {chi[i]}")
+    # the check points, in blocks that bound the group law's temporaries
+    for at in range(0, p.size, _BSGS_CHECK):
+        lanes = slice(at, at + _BSGS_CHECK)
+        q = p[lanes]
+        P, A, B, chi, _ = _points(a[lanes], b[lanes], q, x[lanes])
+        X, Y, _ = P
+        off = (Y * Y - ((X * X % q + A) % q * X + B)) % q != 0
+        off |= _mul(q + 1 - chi * ap[lanes], P, A, q)[2] != 0
+        if off.any():
+            i = np.flatnonzero(off)[0]
+            raise PointCountError(
+                f"a_p = {ap[at + i]} at {q[i]} fails the check point "
+                f"({X[i]}, {Y[i]}) of the twist by {chi[i]}")
     return ap.tolist()
 
 

@@ -489,17 +489,17 @@ def _check_model_scale(ai, h1: int, h2: int, model) -> None:
     """Check that xi / h2 is a root of the slice cubic at t = 0, u = h1 / h2
     of the curve with a-invariants ai, for the root xi of the integral
     model x^3 + m2 x^2 + m1 x + m0, by the identity h2^(3-i) c_i == m_i on
-    the slice coefficients c_i.  It is checked in ints: the curve rescaled
-    by weight h2 (a_i -> h2^i a_i) meets the line y = h1 h2^2 in the slice
-    cubic with x scaled by h2^2, whose coefficients are h2^(2(3-i)) c_i.
-    Both sides of the identity are monic cubics and the left one vanishes
-    at xi exactly when the slice cubic vanishes at xi / h2; their difference
-    has degree at most 2, so it vanishes at a root of the irreducible model
-    only when it is 0."""
-    weighted = [c * h2 ** w for c, w in zip(ai, (1, 2, 3, 4, 6))]
-    scaled = _slice_coefficients(weighted, 0, h1 * h2 * h2)
-    if any(s != h2 ** (3 - i) * m
-           for i, (s, m) in enumerate(zip(scaled, model))):
+    the slice coefficients c_i.  At t = 0 they are c0 = a6 - u^2 - a3 u,
+    c1 = a4 - a1 u and c2 = a2 (_slice_coefficients), so the identity reads,
+    in ints, m0 = (a6 h2^2 - h1^2 - a3 h1 h2) h2, m1 = (a4 h2 - a1 h1) h2
+    and m2 = a2 h2.  Both sides of the identity are monic cubics and the
+    left one vanishes at xi exactly when the slice cubic vanishes at
+    xi / h2; their difference has degree at most 2, so it vanishes at a
+    root of the irreducible model only when it is 0."""
+    a1, a2, a3, a4, a6 = ai
+    m0, m1, m2 = model
+    if (m0 != (a6 * h2 * h2 - h1 * h1 - a3 * h1 * h2) * h2
+            or m1 != (a4 * h2 - a1 * h1) * h2 or m2 != a2 * h2):
         raise SurfaceError("integral model root does not satisfy the slice cubic")
 
 

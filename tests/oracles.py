@@ -33,6 +33,12 @@ the program imports this one.
 - census_37b_by_pairs: the slice-family survey with one full kummer._e37b_row
   per parameter pair; the oracle of kummer.census_37b, which classifies
   each integral model once for a pair and its rotation.
+- an_table_by_loop: a_n by the multiplicative sieve, one n at a time in
+  Python ints over the least_prime_factors above; the oracle of the
+  numpy-filled elliptic.Curve.an_table.
+- model_scale_holds: the model-scale identity on the slice coefficients of
+  the curve rescaled by weight h2; the oracle of the closed-form
+  kummer._check_model_scale.
 """
 
 from dataclasses import dataclass
@@ -45,7 +51,7 @@ import numpy as np
 
 from elltwists.dirichlet import DirichletChar, conductor_primes
 from elltwists.kummer import (CensusFieldRow, E37bCensus, SurfaceError,
-                              _e37b_row, _e37b_sieve)
+                              _e37b_row, _e37b_sieve, _slice_coefficients)
 from elltwists.numcore import primes_up_to
 
 
@@ -264,3 +270,38 @@ def census_37b_by_pairs(max_conductor: int, height_bound: int) -> E37bCensus:
                     f"constructed the same conductor {conductor}")
     conductors = tuple(sorted(c for c in seen if c <= max_conductor))
     return E37bCensus(height_bound, max_conductor, tuple(rows), conductors)
+
+
+def an_table_by_loop(curve, limit: int) -> list:
+    """a_n for n = 0..limit (a_0 = 0) as Python ints, one n at a time: a
+    prime takes the a_p of curve._traces, a prime power p^e the Hecke
+    recursion (its p a_{p^(e-2)} term at good p only), and any other n
+    = q m, q the full power of its least prime, a_q a_m."""
+    spf = [0, 0] + least_prime_factors(2, limit)
+    traces = iter(curve._traces([n for n in range(2, limit + 1)
+                                 if not spf[n]]))
+    a = [0, 1]
+    for n in range(2, limit + 1):
+        p = spf[n] or n
+        q, m = p, n // p
+        while m % p == 0:
+            q, m = q * p, m // p
+        if m > 1:
+            a.append(a[q] * a[m])
+        elif q == p:
+            a.append(next(traces))
+        else:
+            a.append(a[p] * a[q // p] - (p * a[q // (p * p)]
+                                         if curve.conductor % p else 0))
+    return a
+
+
+def model_scale_holds(ai, h1: int, h2: int, model) -> bool:
+    """h2^(3-i) c_i == m_i on the slice coefficients c_i at t = 0,
+    u = h1 / h2, checked in ints on the curve rescaled by weight h2
+    (a_i -> h2^i a_i), whose slice at u = h1 h2^2 has the coefficients
+    h2^(2(3-i)) c_i."""
+    weighted = [c * h2 ** w for c, w in zip(ai, (1, 2, 3, 4, 6))]
+    scaled = _slice_coefficients(weighted, 0, h1 * h2 * h2)
+    return all(s == h2 ** (3 - i) * m
+               for i, (s, m) in enumerate(zip(scaled, model)))

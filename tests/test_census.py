@@ -235,7 +235,9 @@ class TestRunCensus:
         assert not any("rung" in json.loads(row) for row in rows.splitlines())
         # a None drops that key, as in rows that predate it
         for old, curve in (({"rung": "dd"}, "37b"), ({"rung": "mpmath"}, "37b"),
-                           ({"curve": None, "ell": None}, None)):
+                           ({"fingerprint": None}, "37b"),
+                           ({"curve": None, "ell": None, "fingerprint": None},
+                            None)):
             journal.write_text(rows)
             _rewrite_journal(journal, lambda row: {
                 k: v for k, v in {**row, **old}.items() if v is not None})
@@ -289,6 +291,52 @@ class TestRunCensus:
         assert journal.read_bytes() == before
 
     @pytest.mark.usefixtures("shared_cal_37b")
+    def test_resume_rejects_rows_of_another_model_of_the_same_label(
+            self, tmp_path, capsys):
+        # [0, 4, 8, -48, 64] is 37b scaled by u = 2, under the same label:
+        # its coset sums are doubled, so its rows must not join the 44
+        # journaled ones of 37b.  The resume exits 1 before it touches the
+        # journal or the CSV; the shipped config resumes to the bytes of a
+        # clean census to 400
+        out = tmp_path / "f.csv"
+        assert main(["census", "--curve", "curves/37b.cfg", "--max-conductor",
+                     "300", "--out", str(out)]) == 0
+        journal = tmp_path / "f.csv.log"
+        before = out.read_bytes(), journal.read_bytes()
+        other = tmp_path / "scaled.cfg"
+        other.write_text(GOOD_37B.replace("0, 1, 1, -3, 1", "0, 4, 8, -48, 64"))
+        capsys.readouterr()
+        assert main(["census", "--curve", str(other), "--max-conductor", "400",
+                     "--out", str(out), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "0,4,8,-48,64" in err
+        assert (out.read_bytes(), journal.read_bytes()) == before
+        assert main(["census", "--curve", "curves/37b.cfg", "--max-conductor",
+                     "400", "--out", str(out), "--resume"]) == 0
+        assert "(13 computed, 44 resumed)" in capsys.readouterr().out
+        clean = (DATA / "census_37b_ell3_3000.csv").read_text().splitlines()
+        assert out.read_text() == "".join(
+            line + "\n" for line in clean
+            if line.startswith("conductor") or int(line.split(",")[0]) <= 400)
+
+    def test_report_refuses_rows_of_two_fingerprints(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run_census(E37B_CONFIG, 3, 13, out=out)
+        journal = tmp_path / "g.csv.log"
+        _rewrite_journal(journal, lambda row: {
+            **row, "fingerprint": row["fingerprint"] + "?"
+            if row["conductor"] == 9 else row["fingerprint"]})
+        before = journal.read_bytes()
+        capsys.readouterr()
+        for argv in (["report", str(journal)],
+                     ["census", "--curve", "curves/37b.cfg", "--max-conductor",
+                      "13", "--out", str(out), "--resume"]):
+            assert main(argv) == 1
+            assert "mixes the rows of [0,1,1,-3,1; N=37; w=1" in \
+                capsys.readouterr().err
+            assert journal.read_bytes() == before
+
+    @pytest.mark.usefixtures("shared_cal_37b")
     def test_torn_journal_line_ignored(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         run_census(E37B_CONFIG, 3, 13, out=out)
@@ -309,10 +357,11 @@ class TestRunCensus:
         {"decision": 5}, {"decision": "maybe"}, {"elapsed": "x"},
         {"alarm": 1}, {"error": 3}, {"curve": 37}, {"ell": "x"},
         {"ell": True}, {"conductor": 13}, {"curve": None},
-        {"ell": None}], ids=[
+        {"ell": None}, {"fingerprint": 5}], ids=[
         "garbage", "L_value", "conductor", "coset_sums", "decision",
         "decision-word", "elapsed", "alarm", "error", "curve", "ell",
-        "ell-bool", "conductor-label", "no-curve", "no-order"])
+        "ell-bool", "conductor-label", "no-curve", "no-order",
+        "fingerprint"])
     @pytest.mark.usefixtures("shared_cal_37b")
     def test_bad_journal_line_refused(self, tmp_path, capsys, edit):
         # a bad row anywhere but a torn last line fails the command and

@@ -2,7 +2,8 @@
 point enumeration that sweeps the plane in the opposite order from the
 production path, the batched baby-step giant-step count is held to the
 Legendre count on every prime from 230 to 2 * 10^4 and its annihilator sets
-to a scalar affine group law, the real period is recomputed by direct
+to a scalar affine group law, the numpy a_n sieve is held to the Python loop
+of tests/oracles.py, the real period is recomputed by direct
 numerical integration, and the group law is exercised on the two
 conductor-37 curves."""
 
@@ -23,6 +24,7 @@ from elltwists.elliptic import (_BSGS_MIN_P, Curve, PointCountError,
                                 is_nontorsion, on_curve, point_order,
                                 trace_point)
 from elltwists.numcore import factor, primes_up_to
+from oracles import an_table_by_loop
 
 E37A = Curve((0, 0, 1, -1, 0), label="37a", conductor=37, root_number=-1)
 E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
@@ -115,6 +117,19 @@ class TestTraceOfFrobenius:
         assert batches == [[p for p in primes_up_to(1600) if p >= 1000]]
         assert sorted(summed) == [p for p in primes_up_to(999)
                                   if p not in (2, 37)]
+
+    @pytest.mark.parametrize("curve", [E37A, E37B, E27A, E32A],
+                             ids=["37a", "37b", "27a", "32a"])
+    def test_table_matches_the_loop_oracle(self, curve):
+        # the numpy sieve against the Python loop, additive reduction at 3
+        # (27a) and at 2 (32a) among them, built in one call and grown
+        # through the tables the commands reserve
+        want = an_table_by_loop(curve, 31134)
+        fresh = Curve(curve.a_invariants, conductor=curve.conductor)
+        assert fresh.an_table(31134).tolist() == want
+        grown = Curve(curve.a_invariants, conductor=curve.conductor)
+        for limit in (137, 1524, 10530, 31134):
+            assert grown.an_table(limit).tolist() == want[:limit + 1]
 
     def test_table_is_read_only_and_survives_a_failed_extension(
             self, monkeypatch):
@@ -246,6 +261,43 @@ class TestBabyStepGiantStep:
                 *_short(curve), primes[len(got):len(got) + rng.randint(1, 40)])
         assert got == want
 
+    def test_matches_legendre_count_past_a_million(self):
+        # m = 45 baby steps, where matching them weighs most: eight primes
+        # just above 10^6 in one batch
+        primes = [p for p in primes_up_to(1000200) if p > 10 ** 6][:8]
+        assert len(primes) == 8
+        assert elliptic._frobenius_traces(*_short(E37B), primes) == \
+            [E37B._ap_legendre(p) for p in primes]
+
+    def test_unsettled_primes_settle_the_same_in_any_blocks(self,
+                                                            monkeypatch):
+        # one first-round block: some primes settle on their first point,
+        # the rest go on to later rounds, and all of them match the
+        # Legendre count.  Blocks of 8 lanes (4 primes a later block) carry
+        # the candidates of many blocks from round to round, to the same
+        # a_p and the same next x
+        primes = [p for p in primes_up_to(4000) if p > 229
+                  and 6 * int(E37B.disc) % p][:elliptic._BSGS_LANES]
+        a, b = _short(E37B)
+        p = np.array(primes)
+        drawn = []
+        points = elliptic._points
+
+        def recorded(a, b, p, x):
+            drawn.append(p.tolist())
+            return points(a, b, p, x)
+
+        monkeypatch.setattr(elliptic, "_points", recorded)
+        ap, x = elliptic._search(a % p, b % p, p)
+        assert drawn[0] == primes
+        later = set().union(*drawn[1:])
+        assert 0 < len(later) < len(primes)
+        assert ap.tolist() == [E37B._ap_legendre(q) for q in primes]
+        monkeypatch.setattr(elliptic, "_BSGS_LANES", 8)
+        small_ap, small_x = elliptic._search(a % p, b % p, p)
+        assert small_ap.tolist() == ap.tolist()
+        assert small_x.tolist() == x.tolist()
+
     def test_annihilators_match_the_scalar_group_law(self):
         # each lane's N in the Hasse interval with N P = O, against the
         # multiples of its order found by the scalar group law: the points
@@ -287,8 +339,9 @@ class TestBabyStepGiantStep:
                 p + 1 - s, 2 * s + 1)
             for k, (q, _, _, d) in enumerate(lanes):
                 lo, hi = q + 1 - s[k], q + 1 + s[k]
-                assert set(N[i == k].tolist()) == \
-                    set(range(-(-lo // d) * d, hi + 1, d)), (q, d)
+                # each N once: the search's first round counts them
+                assert sorted(N[i == k].tolist()) == \
+                    list(range(-(-lo // d) * d, hi + 1, d)), (q, d)
         assert small and double
 
     def test_single_prime_matches_legendre_count(self):

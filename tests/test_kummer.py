@@ -43,7 +43,7 @@ from elltwists.kummer import (
     torsion_family,
 )
 from elltwists.numcore import PolyQ, factor, primes_up_to
-from oracles import census_37b_by_pairs, genus3_curve
+from oracles import census_37b_by_pairs, genus3_curve, model_scale_holds
 
 F = Fraction
 
@@ -817,6 +817,33 @@ class TestCensus37b:
             fiber = _e37b_pair(row.a, row.b)
             assert fiber.cubic(fiber.field.gen() / fiber.h2) == fiber.field.zero()
             assert fiber.point[0] == fiber.field.gen() / fiber.h2
+
+    def test_model_scale_matches_the_weighted_slice_oracle(self):
+        # the closed form against the slice coefficients of the curve
+        # rescaled by weight h2, on every pair to height 8, each also with
+        # one a-invariant, one height or one model coefficient moved by one
+        for a, b in _e37b_parameters(8):
+            h1, h2, _, model = _e37b_forms(a, b)
+            cases = [(E37B_SLICE, h1, h2, model)]
+            for k in range(5):
+                for d in (-1, 1):
+                    ai = list(E37B_SLICE)
+                    ai[k] += d
+                    cases.append((ai, h1, h2, model))
+            for d in (-1, 1):
+                cases += [(E37B_SLICE, h1 + d, h2, model),
+                          (E37B_SLICE, h1, h2 + d, model)]
+                for k in range(3):
+                    moved = list(model)
+                    moved[k] += d
+                    cases.append((E37B_SLICE, h1, h2, moved))
+            for i, case in enumerate(cases):
+                assert model_scale_holds(*case) == (i == 0), (a, b, i)
+                if i == 0:
+                    _check_model_scale(*case)
+                else:
+                    with pytest.raises(SurfaceError, match="integral model"):
+                        _check_model_scale(*case)
 
     def test_wrongly_scaled_model_raises(self):
         for a, b in ((1, 0), (1, 1), (-1, 6), (5, 3)):
