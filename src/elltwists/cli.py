@@ -272,8 +272,9 @@ def main(argv=None) -> int:
         # null device, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        # a MemoryError is a size the host cannot hold; numpy names it
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except TheoryViolation as exc:
         print(f"theory violation: {type(exc).__name__}: {exc}",

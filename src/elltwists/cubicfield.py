@@ -445,8 +445,8 @@ class CubicField(NumberField):
                  for p in primes_up_to(_MATCH_BOUND) if f % p]
         survivors = []
         for chi in galois_orbits(f, 3):
-            table = chi.exponent_table(_MATCH_BOUND)
-            if all((table[p] == 0) == s for p, s in split):
+            table = chi.exponent_table()
+            if all((table[p % f] == 0) == s for p, s in split):
                 survivors.append(chi)
         if len(survivors) != 1:
             raise FieldConsistencyError(

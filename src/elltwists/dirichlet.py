@@ -11,8 +11,8 @@ sorted by prime, with e in {1, ..., ell-1} the exponent, and
 with chi(a) = 0 whenever gcd(a, f) > 1.  The prime-power modulus m (q, or
 ell^2 when q = ell) and the generator g = primitive_root(m) of (Z/m)^* are
 derived from q, never stored, and nothing else is kept per modulus:
-exponent_table and value_exponent compute exponents per call, by two
-independent routes.  Characters of odd order are
+exponent_table, one period n < f read at n % f, and value_exponent compute
+exponents per call, by two independent routes.  Characters of odd order are
 automatically even, and f is odd, so c and f - c share an exponent: one pass
 over the real Gaussian periods
 
@@ -127,16 +127,15 @@ class DirichletChar:
             total += e * powers.index(pow(a, h, m))
         return total % self.ell
 
-    def exponent_table(self, limit: int) -> np.ndarray:
-        """value_exponent(n) for n in 0..limit as an int64 array, with -1 for
-        chi(n) = 0.
+    def exponent_table(self) -> np.ndarray:
+        """value_exponent(n) for n in 0..f-1, one period, as an int64 array,
+        with -1 for chi(n) = 0; callers read n as table[n % f].
 
         The series' hot path: each component walks g^i = g^(jB) g^s for i
         from 0 past m and scatters i mod ell, which ell | phi(m) makes one
         value per unit, over the residues mod m (-1 off the units).  That
-        array is read for a whole period n < f at once and then dropped; the
-        period is repeated out to the limit."""
-        n = np.arange(min(self.conductor, limit + 1), dtype=np.int64)
+        array is read for the whole period at once and then dropped."""
+        n = np.arange(self.conductor, dtype=np.int64)
         total = np.zeros(len(n), dtype=np.int64)
         for q, e in self.components:
             m, g = _unit_group(q, self.ell)
@@ -146,7 +145,7 @@ class DirichletChar:
             ind[units] = np.arange(units.size) % self.ell
             v = ind[n % m]
             total = np.where((total < 0) | (v < 0), -1, total + e * v)
-        return np.resize(np.where(total >= 0, total % self.ell, -1), limit + 1)
+        return np.where(total >= 0, total % self.ell, -1)
 
     def __call__(self, a: int) -> complex:
         k = self.value_exponent(a)
@@ -248,7 +247,7 @@ class DirichletChar:
         (ch, cl), (sh, sl), (Ch, Cl), (Sh, Sl) = (
             _dd_table([v[i] for v in table], K)
             for table in (small, big) for i in (0, 1))
-        exps = self.exponent_table(half)
+        exps = self.exponent_table()[:half + 1]
         c = np.flatnonzero(exps >= 0)
         exps = exps[c]
         q, s = np.divmod(c, B)

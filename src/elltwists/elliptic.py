@@ -16,12 +16,13 @@ Hasse interval settles on it; only the others keep their few candidate
 orders for the later rounds.  A point the search did not use must
 confirm each a_p.  The a_n table is the curve's one store of a_p, kept as
 one int64 array and handed out as read-only views.  an_table counts
-exactly its new primes, those the search serves in one batch, and fills
-the rest in numpy: prime powers by the Hecke recursion, any other n as
-the product of two entries at most n / 2.  ap(p) reads the table, and
-past its end counts p alone and keeps nothing, so the commands reserve
-the table they need before their first series (lvalue.calibrate).  Point
-counts need the declared conductor.
+exactly its new primes, those the search serves in one batch, passing the
+sieve's int64 array of them and writing the int64 a_p straight into the
+table, and fills the rest in numpy: prime powers by the Hecke recursion,
+any other n as the product of two entries at most n / 2.  ap(p) reads the
+table, and past its end counts [p] alone and keeps nothing, so the
+commands reserve the table they need before their first series
+(lvalue.calibrate).  Point counts need the declared conductor.
 
 Points are (x, y) pairs whose coordinates live in any field-like type
 supporting +, -, *, / and equality with each other; None is the origin.
@@ -155,20 +156,25 @@ class Curve:
         counted alone and nothing is kept."""
         if p < self._an.size:
             return int(self._an[p])
-        return self._traces([p])[0]
+        return int(self._traces(np.array([p], dtype=np.int64))[0])
 
-    def _traces(self, primes: list[int]) -> list[int]:
-        """a_p at each prime of the list: one batch for the good primes
-        from _BSGS_MIN_P up that do not divide 6 disc, _ap_one for the
-        rest.  The declared conductor tells the bad primes, and its
-        presence implies an integral model."""
+    def _traces(self, primes: np.ndarray) -> np.ndarray:
+        """a_p at each prime of the int64 array, as an int64 array: one
+        batch on the short model for the good primes from _BSGS_MIN_P up
+        that do not divide 6 disc, _ap_one for the rest.  The declared
+        conductor tells the bad primes, and its presence implies an
+        integral model."""
         if self.conductor is None:
             raise ValueError("a_p needs the curve's conductor")
         six_disc = 6 * int(self.disc)
-        batch = [p for p in primes if p >= _BSGS_MIN_P and six_disc % p]
-        counted = self._ap_batch(batch) if batch else {}
-        return [counted[p] if p in counted else self._ap_one(p)
-                for p in primes]
+        batch = np.fromiter((p >= _BSGS_MIN_P and six_disc % p != 0
+                             for p in map(int, primes)), bool, primes.size)
+        ap = np.empty_like(primes)
+        if batch.any():
+            ap[batch] = _frobenius_traces(-27 * int(self.c4),
+                                          -54 * int(self.c6), primes[batch])
+        ap[~batch] = [self._ap_one(p) for p in map(int, primes[~batch])]
+        return ap
 
     def _ap_one(self, p: int) -> int:
         """a_p at one prime the batch does not serve.  Bad multiplicative
@@ -209,12 +215,6 @@ class Curve:
         v = (4 * (x2 * x % p) + b2 * x2 + 2 * b4 * x + b6) % p
         return -int(legendre[v].sum())
 
-    def _ap_batch(self, primes: list[int]) -> dict[int, int]:
-        """a_p at good primes p >= _BSGS_MIN_P not dividing 6 disc, all
-        counted in one batch on the short model y^2 = x^3 - 27 c4 x - 54 c6."""
-        return dict(zip(primes, _frobenius_traces(
-            -27 * int(self.c4), -54 * int(self.c6), primes)))
-
     def an_table(self, limit: int) -> np.ndarray:
         """a_n for n = 0..limit (a_0 = 0), by the multiplicative sieve, as a
         read-only view of the curve's int64 table, its one store of a_p.
@@ -232,7 +232,7 @@ class Curve:
             spf = np.frombuffer(least_prime_factors(start, limit),
                                 dtype=np.uint32)
             primes = np.flatnonzero(spf == 0) + start
-            an[primes] = self._traces(primes.tolist())
+            an[primes] = self._traces(primes)
             # a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)}, the last term at
             # good p only
             for p in primes_up_to(isqrt(limit)):
@@ -455,7 +455,7 @@ def _search(a, b, p):
     its twist gives.  The first round draws one point per prime, the later
     ones _BSGS_REDRAW per unsettled prime, pooled over the whole batch.
     Raises rather than guess.  Returns a_p and each prime's next unused x."""
-    s = np.array([isqrt(4 * int(q)) for q in p])
+    s = np.fromiter((isqrt(4 * q) for q in map(int, p)), np.int64, p.size)
     top = int(s.max())
     traces = np.arange(-top, top + 1)
     ap, x = np.zeros_like(p), np.ones_like(p)
@@ -521,17 +521,16 @@ def _search(a, b, p):
     return ap, x
 
 
-def _frobenius_traces(a: int, b: int, primes) -> list[int]:
-    """a_p of the short model y^2 = x^3 + a x + b at each prime p > 229 in
-    the list, good and prime to 6, all counted in one batch.  A point drawn
-    after the search, one it never used, must lie on its curve and be
-    annihilated by p + 1 - chi(v) a_p, or the whole call raises
-    PointCountError."""
-    if any(q >= _BSGS_MAX_P for q in primes):
+def _frobenius_traces(a: int, b: int, p: np.ndarray) -> np.ndarray:
+    """a_p of the short model y^2 = x^3 + a x + b at each prime p > 229 of
+    the int64 array, good and prime to 6, all counted in one batch, as an
+    int64 array.  A point drawn after the search, one it never used, must
+    lie on its curve and be annihilated by p + 1 - chi(v) a_p, or the whole
+    call raises PointCountError."""
+    if (p >= _BSGS_MAX_P).any():
         raise ValueError(f"baby-step giant-step needs p < {_BSGS_MAX_P}")
-    p = np.array(primes, dtype=np.int64)
-    a = np.fromiter((a % q for q in primes), np.int64, p.size)
-    b = np.fromiter((b % q for q in primes), np.int64, p.size)
+    a = np.fromiter((a % q for q in map(int, p)), np.int64, p.size)
+    b = np.fromiter((b % q for q in map(int, p)), np.int64, p.size)
     ap, x = _search(a, b, p)
     for _ in range(3):                  # the cubic has at most three roots
         x += ((x * x % p + a) % p * x + b) % p == 0
@@ -548,7 +547,7 @@ def _frobenius_traces(a: int, b: int, primes) -> list[int]:
             raise PointCountError(
                 f"a_p = {ap[at + i]} at {q[i]} fails the check point "
                 f"({X[i]}, {Y[i]}) of the twist by {chi[i]}")
-    return ap.tolist()
+    return ap
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,19 @@ Gauss-sum kernel.
 _dd_buckets is the one bucket kernel.  It fills the buckets in vectorised
 double-double at any working precision, with the helpers it shares with
 the Gauss-sum kernel in numcore; only the calibration sets the mpmath
-precision (WORKING_DPS for every command).
-The terms go in fixed-size chunks: in each, a_n / n is a (hi, lo) pair with
-an exact TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
+precision (WORKING_DPS for every command).  Of full length it keeps only
+the indices n of the nonzero terms.  They go in fixed-size chunks, each
+reading ind(n) off the one period of chi's exponent table at n mod f and
+a_n off the curve's table: a_n / n is a (hi, lo) pair with an exact
+TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
 anchors from fixed-point integer powers of r, and each term is one more
-Dekker product.  numcore._bucket_sums sums each bucket's share of a chunk
-exactly, in float64 bins keyed by bucket and exponent window that take up
-to 2^20 split halves without rounding, and rounds it to (hi, lo) by
-math.fsum of the bin totals; the chunk pairs are summed exactly and rounded
-once more.  Every term is within about 20 * 2^-106 of its exact value,
-relatively, and each rounding of a pair costs at most 2^-106 of its
-sum, so
+Dekker product.  numcore._bucket_sums sums each
+bucket's share of a chunk exactly, in float64 bins keyed by bucket and
+exponent window that take up to 2^20 split halves without rounding, and
+rounds it to (hi, lo) by math.fsum of the bin totals; the chunk pairs are
+summed exactly and rounded once more.  Every term is within about
+20 * 2^-106 of its exact value, relatively, and each rounding of a pair
+costs at most 2^-106 of its sum, so
 
     |B_k^dd - B_k| <= _DD_ROUNDOFF * sum_{ind(n) = k} |(a_n / n) r^n|,
     _DD_ROUNDOFF = 2^-100,
@@ -206,22 +208,20 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     chunk's share of a bucket is summed exactly and rounded once to a
     (hi, lo) pair, and the pairs once more."""
     ell = 1 if chi is None else chi.ell
-    exps = (np.zeros(M + 1, dtype=np.int64) if chi is None
-            else chi.exponent_table(M))
+    period = np.zeros(1, np.int64) if chi is None else chi.exponent_table()
     an = curve.an_table(M)
-    n = np.flatnonzero((an != 0) & (exps >= 0))
-    k, a = exps[n], an[n].astype(np.float64)
-    del exps, an            # the full-length tables, before the chunk loop
+    n = np.flatnonzero(np.resize(period >= 0, M + 1) & (an != 0))
     B, (sh, sl), (bh, bl) = _dd_anchors(r, M)
     pairs = [[] for _ in range(ell)]
     size = 0.0
     for start in range(0, len(n), _DD_CHUNK):
-        part = slice(start, start + _DD_CHUNK)
-        q, s = np.divmod(n[part], B)
+        m = n[start:start + _DD_CHUNK]
+        q, s = np.divmod(m, B)
         ph, pl = _dd_mul(bh[q], bl[q], sh[s], sl[s])
-        th, tl = _dd_mul(*_dd_quotient(a[part], n[part]), ph, pl)
+        th, tl = _dd_mul(*_dd_quotient(an[m].astype(np.float64), m), ph, pl)
         size += float(np.abs(th).sum())
-        for pair, sums in zip(pairs, _bucket_sums(k[part], ell, th, tl)):
+        for pair, sums in zip(pairs, _bucket_sums(period[m % period.size],
+                                                  ell, th, tl)):
             pair.extend(sums)
     return [mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)], size
 

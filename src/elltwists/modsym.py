@@ -183,7 +183,7 @@ class PlusSymbols:
         phi({oo, x}), so a and f - a add the same term: the a < f/2 are
         summed and doubled."""
         f = chi.conductor
-        exps = chi.exponent_table(f // 2)
+        exps = chi.exponent_table()[:f // 2 + 1]
         a = np.flatnonzero(exps >= 0)
         sums = np.zeros(chi.ell, dtype=np.int64)
         np.add.at(sums, exps[a], self._oo_to(a, np.full(len(a), f)))

@@ -74,7 +74,9 @@ def periods_gauss_sums(chi) -> dict:
     e^(2 pi i c / f), at the current mpmath precision, from one pass."""
     f, ell = chi.conductor, chi.ell
     eta = [mpmath.mpf(0)] * ell
-    for c, k in enumerate(chi.exponent_table(f // 2).tolist()):
+    period = chi.exponent_table()
+    for c in range(f // 2 + 1):
+        k = int(period[c % f])
         if k >= 0:
             eta[k] += mpmath.cospi(mpmath.mpf(2 * c) / f)
     zeta = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(ell)]
@@ -110,14 +112,15 @@ def bucket_sums(k: np.ndarray, ell: int, *parts) -> list:
     return out
 
 
-def buckets(an: list[int], exps: np.ndarray, ell: int, r, M: int) -> list:
+def buckets(an: list[int], period: np.ndarray, ell: int, r, M: int) -> list:
     """B_k(r) = sum_{n <= M, ind(n) = k} (a_n / n) r^n for k = 0..ell-1,
-    one mpf term at a time: the double-double kernel's oracle."""
+    one mpf term at a time, ind(n) read off the exponent table's period at
+    n mod f: the double-double kernel's oracle."""
     out = [mpmath.mpf(0)] * ell
     p = mpmath.mpf(1)
     for n in range(1, M + 1):
         p *= r
-        k = exps[n]
+        k = period[n % len(period)]
         if an[n] and k >= 0:
             out[k] += an[n] * p / n
     return out
@@ -278,8 +281,8 @@ def an_table_by_loop(curve, limit: int) -> list:
     recursion (its p a_{p^(e-2)} term at good p only), and any other n
     = q m, q the full power of its least prime, a_q a_m."""
     spf = [0, 0] + least_prime_factors(2, limit)
-    traces = iter(curve._traces([n for n in range(2, limit + 1)
-                                 if not spf[n]]))
+    traces = iter(curve._traces(np.array([n for n in range(2, limit + 1)
+                                          if not spf[n]])).tolist())
     a = [0, 1]
     for n in range(2, limit + 1):
         p = spf[n] or n

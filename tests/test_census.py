@@ -483,9 +483,9 @@ class TestOneBatchPerCommand:
     @pytest.fixture
     def batches(self, monkeypatch):
         seen = []
-        batch = Curve._ap_batch
-        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
-                            seen.append(ps) or batch(self, ps))
+        batch = elliptic._frobenius_traces
+        monkeypatch.setattr(elliptic, "_frobenius_traces", lambda a, b, ps:
+                            seen.append(ps.tolist()) or batch(a, b, ps))
         return seen
 
     @pytest.fixture
@@ -1180,3 +1180,22 @@ class TestCommandLine:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"theory violation: {error.__name__}: ")
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 356. GiB for an array with shape "
+        "(47746482188,) and data type int64", ""], ids=["numpy", "bare"])
+    def test_memory_error_exits_one_without_a_traceback(self, message,
+                                                        monkeypatch, capsys):
+        # a size the host cannot hold ends in one stderr line, exit 1; the
+        # command raises it here, nothing is allocated
+        import elltwists.cli as cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "run_census", boom)
+        code = main(["census", "--curve", "curves/37b.cfg",
+                     "--max-conductor", "13"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message or 'out of memory'}"]

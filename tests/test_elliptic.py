@@ -94,11 +94,11 @@ class TestTraceOfFrobenius:
         fresh = Curve((0, 1, 1, -3, 1), conductor=37).an_table(1600).tolist()
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
         summed, batches = [], []
-        legendre, batch = Curve._ap_legendre, Curve._ap_batch
+        legendre, batch = Curve._ap_legendre, elliptic._frobenius_traces
         monkeypatch.setattr(Curve, "_ap_legendre", lambda self, p:
                             summed.append(p) or legendre(self, p))
-        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
-                            batches.append(ps) or batch(self, ps))
+        monkeypatch.setattr(elliptic, "_frobenius_traces", lambda a, b, ps:
+                            batches.append(ps.tolist()) or batch(a, b, ps))
         for limit in range(1000, 1601):
             an = curve.an_table(limit)
             assert len(an) == limit + 1
@@ -169,7 +169,8 @@ class TestTraceOfFrobenius:
             raise AssertionError(f"counted {p} again")
 
         monkeypatch.setattr(Curve, "_ap_legendre", refuse)
-        monkeypatch.setattr(Curve, "_ap_batch", refuse)
+        monkeypatch.setattr(elliptic, "_frobenius_traces",
+                            lambda a, b, ps: refuse(None, ps))
         for p in primes_up_to(1200):
             assert curve.ap(p) == an[p]
 
@@ -182,11 +183,11 @@ class TestTraceOfFrobenius:
         before = curve.an_table(100).tolist()
         want = E37B._ap_legendre(p)
         counted = []
-        legendre, batch = Curve._ap_legendre, Curve._ap_batch
+        legendre, batch = Curve._ap_legendre, elliptic._frobenius_traces
         monkeypatch.setattr(Curve, "_ap_legendre", lambda self, q:
                             counted.append(q) or legendre(self, q))
-        monkeypatch.setattr(Curve, "_ap_batch", lambda self, qs:
-                            counted.extend(qs) or batch(self, qs))
+        monkeypatch.setattr(elliptic, "_frobenius_traces", lambda a, b, qs:
+                            counted.extend(qs.tolist()) or batch(a, b, qs))
         assert curve.ap(p) == want and curve.ap(p) == want
         assert counted == [p, p]
         assert curve._an.tolist() == before
@@ -251,22 +252,36 @@ class TestBabyStepGiantStep:
     def test_matches_legendre_count(self, curve):
         # every good prime from 230 to 2 * 10^4 against the O(p) count, in
         # one batch and again in random batches of 1 to 40 primes
-        primes = [p for p in primes_up_to(20000)
-                  if p > 229 and 6 * int(curve.disc) % p]
-        want = [curve._ap_legendre(p) for p in primes]
-        assert elliptic._frobenius_traces(*_short(curve), primes) == want
+        primes = np.array([p for p in primes_up_to(20000)
+                           if p > 229 and 6 * int(curve.disc) % p])
+        want = [curve._ap_legendre(p) for p in primes.tolist()]
+        assert elliptic._frobenius_traces(*_short(curve),
+                                          primes).tolist() == want
         rng, got = random.Random(len(primes)), []
         while len(got) < len(primes):
             got += elliptic._frobenius_traces(
-                *_short(curve), primes[len(got):len(got) + rng.randint(1, 40)])
+                *_short(curve),
+                primes[len(got):len(got) + rng.randint(1, 40)]).tolist()
         assert got == want
+
+    def test_batch_takes_and_returns_int64_arrays(self):
+        # the table's primes reach the count and its a_p come back as int64
+        # arrays, bad and small primes answered in place among them
+        primes = np.array([2, 3, 37, 997, 1009, self.P, 20011])
+        want = [E37B._ap_one(p) for p in primes.tolist()]
+        traces = E37B._traces(primes)
+        batch = elliptic._frobenius_traces(*_short(E37B), primes[3:])
+        for got in (traces, batch, E37B._traces(primes[:0])):
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert traces.tolist() == want and batch.tolist() == want[3:]
 
     def test_matches_legendre_count_past_a_million(self):
         # m = 45 baby steps, where matching them weighs most: eight primes
         # just above 10^6 in one batch
         primes = [p for p in primes_up_to(1000200) if p > 10 ** 6][:8]
         assert len(primes) == 8
-        assert elliptic._frobenius_traces(*_short(E37B), primes) == \
+        assert elliptic._frobenius_traces(
+            *_short(E37B), np.array(primes)).tolist() == \
             [E37B._ap_legendre(p) for p in primes]
 
     def test_unsettled_primes_settle_the_same_in_any_blocks(self,
@@ -364,7 +379,7 @@ class TestBabyStepGiantStep:
         monkeypatch.setattr(elliptic, "_points", recorded)
         primes = [p for p in primes_up_to(3500) if p > 229]
         assert len(primes) <= elliptic._BSGS_LANES
-        elliptic._frobenius_traces(*_short(E37B), primes)
+        elliptic._frobenius_traces(*_short(E37B), np.array(primes))
         first, later = rounds[0], set().union(*rounds[1:-1])
         assert later and len(rounds) > 2
         assert any(chi == -1 and p not in later for p, chi in first.items())
@@ -373,13 +388,15 @@ class TestBabyStepGiantStep:
         used = []
         monkeypatch.setattr(Curve, "_ap_legendre", lambda self, p:
                             used.append(("_ap_legendre", p)) or 0)
-        monkeypatch.setattr(Curve, "_ap_batch", lambda self, ps:
-                            used.append(("_ap_batch", ps)) or dict.fromkeys(ps, 0))
+        monkeypatch.setattr(elliptic, "_frobenius_traces", lambda a, b, ps:
+                            used.append(("_frobenius_traces", ps.tolist()))
+                            or np.zeros_like(ps))
         below = max(primes_up_to(_BSGS_MIN_P - 1))
         curve = Curve((0, 1, 1, -3, 1), conductor=37)
         curve.ap(below)
         curve.ap(self.P)
-        assert used == [("_ap_legendre", below), ("_ap_batch", [self.P])]
+        assert used == [("_ap_legendre", below),
+                        ("_frobenius_traces", [self.P])]
 
     def test_wrong_order_is_refused(self, monkeypatch):
         # the settled a_p shifted by one: the check point refuses it

@@ -183,8 +183,8 @@ class TestTDriftAlarm:
                   if chi.conductor != 37]
         truth = {chi: cal_b.coset_sums(chi) for chi in orbits}
         table = DirichletChar.exponent_table
-        monkeypatch.setattr(DirichletChar, "exponent_table", lambda chi, n: (
-            np.where(table(chi, n) >= 0, (table(chi, n) + 1) % chi.ell, -1)))
+        monkeypatch.setattr(DirichletChar, "exponent_table", lambda chi: (
+            np.where(table(chi) >= 0, (table(chi) + 1) % chi.ell, -1)))
         cal = fresh_calibration(cal_b)
         alarms = 0
         for chi in orbits:
@@ -250,10 +250,11 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
         radii = [(mpmath.exp(-c), lvalue._terms_needed(c, err / 2))
                  for c in (base * t, base / t)]
         top = max(M for _, M in radii)
-        an, exps = curve.an_table(top), chi.exponent_table(top)
+        an, period = curve.an_table(top), chi.exponent_table()
+        exps = period[np.arange(top + 1) % chi.conductor]
         for r, M in radii:
             dd, _ = lvalue._dd_buckets(curve, chi, r, M)
-            mp = buckets(an.tolist(), exps, chi.ell, r, M)
+            mp = buckets(an.tolist(), period, chi.ell, r, M)
             n = np.arange(M + 1)
             size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
                 float(r) ** n.astype(float)
@@ -321,6 +322,25 @@ class TestDoubleDoubleRung:
         assert cal.congruence_check(CHI7, chi73) == \
             cal_b.congruence_check(CHI7, chi73)
         assert cal.congruence_check(None, chi79).holds
+
+    def test_one_pass_holds_under_12_bytes_a_term(self):
+        # beyond the reserved a_n table, a pass keeps the 8-byte indices of
+        # its contributing terms and chunk-sized work: no full-length
+        # exponent, a_n or float array
+        curve = Curve(E37B.a_invariants, conductor=37, root_number=1)
+        chi = galois_orbits(10009, 3)[0]
+        with mpmath.workdps(lvalue.WORKING_DPS):
+            M = lvalue.series_terms(curve, chi.conductor)
+            curve.an_table(M)
+            r = mpmath.exp(-lvalue._decay(curve, chi.conductor))
+            tracemalloc.start()
+            try:
+                lvalue._dd_buckets(curve, chi, r, M)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 2.5e5 < M < 3.5e5
+        assert peak < 12 * M
 
     def test_roundoff_bound_over_budget_raises(self, monkeypatch):
         # the kernel's stated roundoff bound is checked against err / 100
