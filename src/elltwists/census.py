@@ -450,16 +450,25 @@ def run_census(config: CurveConfig, ell: int, max_conductor: int,
             _log(_census_task(cal, chi))
     else:
         # imported here, so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
         # orbit list is conductor-sorted, so the pool's queue hands
-        # conductors out round-robin across the worker processes
+        # conductors out round-robin across the worker processes; each row
+        # is journaled as it completes, and a lost worker fails the rest
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(cal,)) as pool:
-            futures = [pool.submit(_worker_task, chi) for chi in pending]
-            for fut in futures:
-                _log(fut.result())
+            futures = {pool.submit(_worker_task, chi): chi for chi in pending}
+            for fut in as_completed(futures):
+                if not isinstance(fut.exception(), BrokenProcessPool):
+                    _log(fut.result())
+        left = [chi.label() for fut, chi in futures.items() if fut.exception()]
+        if left:
+            more = "" if len(left) <= 8 else ", ..."
+            raise ConfigError(f"a census worker was lost with {len(left)} "
+                              f"orbits left ({', '.join(left[:8])}{more}); "
+                              f"rerun with --resume to finish them")
 
     rows = sorted(list(done.values()) + fresh, key=lambda r: r.sort_key)
     summary = CensusSummary(config.label, ell, max_conductor, tuple(rows),

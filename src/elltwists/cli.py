@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes separate the three ways a run can end: 0 when the requested
-computation completed, 1 when the configuration or arguments were unusable,
-and 2 when a result contradicted something the theory proves (a consistency
-alarm, a failed point count, a failed congruence, a sampled twist that
-refused to vanish).
+computation completed, 1 when the configuration or arguments were unusable
+or a census worker was lost (the journal resumes), and 2 when a result
+contradicted something the theory proves (a consistency alarm, a failed
+point count, a failed congruence, a sampled twist that refused to vanish).
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ over the real Gaussian periods
 
 gives every Gauss sum of a Galois orbit as tau(chi^j) = sum_k zeta^(jk) eta_k.
 
-DirichletChar.gauss_sums is the one Gauss-sum kernel: it sums the periods in
-double-double with the helpers of numcore and bounds every |d tau| by about
-2^-100 f.  gauss_sum and the L-value series (lvalue) read it at every working
-precision; its mpmath oracles live in the tests.
+gauss_sums(period, ell) is the one Gauss-sum kernel, a function of the
+exponent period alone: it sums the periods in double-double with the helpers
+of numcore and bounds every |d tau| by about 2^-100 f.  gauss_sum and the
+L-value series (lvalue) read it at every working precision; its mpmath
+oracles live in the tests.
 
 galois_orbits is the one enumeration: the canonical member of each orbit of
 conductor f, read straight off the exponent vectors with the first exponent
@@ -80,6 +81,58 @@ def _unit_group(q: int, ell: int) -> tuple[int, int]:
     return m, primitive_root(m)
 
 
+def gauss_sums(period: np.ndarray, ell: int) -> tuple[dict, float]:
+    """{j: tau(chi^j)} for j = 1..ell-1 from the real Gaussian periods
+    eta_k = sum_{c < f/2, period[c] = k} cos(2 pi c / f), f = period.size,
+    summed in double-double, tau(chi^j) = 2 sum_k zeta^(jk) eta_k at the
+    current mpmath precision, and a bound on every |tau^dd - tau|, where
+    period = chi.exponent_table() is the exponent table of the orbit of chi.
+
+    e(c/f) = e(qB/f) e(s/f) with c = qB + s and B = isqrt(f // 2) + 1, so
+    cos(2 pi c / f) is the difference of two Dekker products of anchors.
+    The anchors are powers of the one Gaussian integer floor(e(1/f) 2^K)
+    in K-bit fixed point, each within trunc = 4 (f + 2B) 2^-K of its
+    power of e(1/f), so a residue's two products are within 5 trunc of
+    theirs.  The (hi, lo) parts of both products, at most 2f entries,
+    go to numcore._bucket_sums unchunked (it bins each in passes of
+    2^20 entries once f passes 2^21), and each bucket is summed exactly
+    and rounded once to (hi, lo), so
+
+        |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
+                              + 5 trunc #{c : ind(c) = k},
+
+    and |tau^dd - tau| <= 2 sum_k |eta_k^dd - eta_k|."""
+    f = period.size
+    half = f // 2
+    K = 160 + f.bit_length()
+    with mpmath.workprec(K + 8):
+        e1 = mpmath.expjpi(mpmath.mpf(2) / f)
+        z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
+    # Gaussian integers (x, y) = x + iy, each coordinate truncated
+    B, small, big = power_tables(
+        z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
+                                      (a[0] * b[1] + a[1] * b[0]) >> K),
+        half)
+    (ch, cl), (sh, sl), (Ch, Cl), (Sh, Sl) = (
+        _dd_table([v[i] for v in table], K)
+        for table in (small, big) for i in (0, 1))
+    exps = period[:half + 1]
+    c = np.flatnonzero(exps >= 0)
+    exps = exps[c]
+    q, s = np.divmod(c, B)
+    # cos(2 pi c / f) = cos_q cos_s - sin_q sin_s, both exact as (hi, lo)
+    ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
+    mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
+    size = float(np.abs(ph).sum() + np.abs(mh).sum())
+    eta = [mpmath.mpf(hi) + lo
+           for hi, lo in _bucket_sums(exps, ell, ph, pl, -mh, -ml)]
+    zeta = _roots_of_unity(ell, mpmath.mp.prec)
+    taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
+            for j in range(1, ell)}
+    trunc = math.ldexp(4 * (f + 2 * B), -K)
+    return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
+
+
 @dataclass(frozen=True)
 class DirichletChar:
     """Primitive Dirichlet character of order exactly ell (odd prime)."""
@@ -103,10 +156,6 @@ class DirichletChar:
                 raise ValueError("component exponents lie in 1..ell-1")
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_exponents(cls, ell: int, primes_exps: dict[int, int]) -> "DirichletChar":
-        return cls(ell, tuple((q, primes_exps[q] % ell) for q in sorted(primes_exps)))
 
     @property
     def conductor(self) -> int:
@@ -153,6 +202,11 @@ class DirichletChar:
             return 0j
         return cmath.exp(2j * cmath.pi * k / self.ell)
 
+    def gauss_sum(self):
+        """tau(chi) from gauss_sums, at the current mpmath precision and
+        within that kernel's bound of about 2^-100 f."""
+        return gauss_sums(self.exponent_table(), self.ell)[0][1]
+
     # -- structure ---------------------------------------------------------
 
     def power(self, j: int) -> "DirichletChar":
@@ -162,9 +216,6 @@ class DirichletChar:
             raise ValueError("chi^0 is the trivial character")
         return DirichletChar(
             self.ell, tuple((q, e * j % self.ell) for q, e in self.components))
-
-    def conjugate(self) -> "DirichletChar":
-        return self.power(self.ell - 1)
 
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":
         """Product of characters of coprime conductors (stays primitive)."""
@@ -196,77 +247,12 @@ class DirichletChar:
         if not (body.startswith("(") and body.endswith(")")):
             raise ValueError(f"bad character label {label!r}")
         cond_part, _, exps_part = body[1:-1].partition(";")
-        exps: dict[int, int] = {}
-        for piece in exps_part.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            qs, _, es = piece.partition(":")
-            exps[int(qs)] = int(es)
-        chi = cls.from_exponents(ell, exps)
+        exps = dict(map(int, piece.split(":"))
+                    for piece in exps_part.split(",") if piece.strip())
+        chi = cls(ell, tuple((q, exps[q] % ell) for q in sorted(exps)))
         if chi.conductor != int(cond_part.strip()):
             raise ValueError(f"label conductor mismatch in {label!r}")
         return chi
-
-    def is_even(self) -> bool:
-        return self.value_exponent(-1) == 0
-
-    # -- analytic ----------------------------------------------------------
-
-    def gauss_sums(self) -> tuple[dict, float]:
-        """{j: tau(chi^j)} for j = 1..ell-1 from the real Gaussian periods
-        eta_k = sum_{c < f/2, ind(c) = k} cos(2 pi c / f) summed in
-        double-double, tau(chi^j) = 2 sum_k zeta^(jk) eta_k at the current
-        mpmath precision, and a bound on every |tau^dd(chi^j) - tau(chi^j)|.
-
-        e(c/f) = e(qB/f) e(s/f) with c = qB + s and B = isqrt(f // 2) + 1, so
-        cos(2 pi c / f) is the difference of two Dekker products of anchors.
-        The anchors are powers of the one Gaussian integer floor(e(1/f) 2^K)
-        in K-bit fixed point, each within trunc = 4 (f + 2B) 2^-K of its
-        power of e(1/f), so a residue's two products are within 5 trunc of
-        theirs.  The (hi, lo) parts of both products, at most 2f entries,
-        go to numcore._bucket_sums unchunked (it bins each in passes of
-        2^20 entries once f passes 2^21), and each bucket is summed exactly
-        and rounded once to (hi, lo), so
-
-            |eta_k^dd - eta_k| <= _DD_ROUNDOFF sum_{ind(c) = k} |terms|
-                                  + 5 trunc #{c : ind(c) = k},
-
-        and |tau^dd - tau| <= 2 sum_k |eta_k^dd - eta_k|."""
-        f, ell = self.conductor, self.ell
-        half = f // 2
-        K = 160 + f.bit_length()
-        with mpmath.workprec(K + 8):
-            e1 = mpmath.expjpi(mpmath.mpf(2) / f)
-            z = (int(mpmath.ldexp(e1.real, K)), int(mpmath.ldexp(e1.imag, K)))
-        # Gaussian integers (x, y) = x + iy, each coordinate truncated
-        B, small, big = power_tables(
-            z, (1 << K, 0), lambda a, b: ((a[0] * b[0] - a[1] * b[1]) >> K,
-                                          (a[0] * b[1] + a[1] * b[0]) >> K),
-            half)
-        (ch, cl), (sh, sl), (Ch, Cl), (Sh, Sl) = (
-            _dd_table([v[i] for v in table], K)
-            for table in (small, big) for i in (0, 1))
-        exps = self.exponent_table()[:half + 1]
-        c = np.flatnonzero(exps >= 0)
-        exps = exps[c]
-        q, s = np.divmod(c, B)
-        # cos(2 pi c / f) = cos_q cos_s - sin_q sin_s, both exact as (hi, lo)
-        ph, pl = _dd_mul(Ch[q], Cl[q], ch[s], cl[s])
-        mh, ml = _dd_mul(Sh[q], Sl[q], sh[s], sl[s])
-        size = float(np.abs(ph).sum() + np.abs(mh).sum())
-        eta = [mpmath.mpf(hi) + lo
-               for hi, lo in _bucket_sums(exps, ell, ph, pl, -mh, -ml)]
-        zeta = _roots_of_unity(ell, mpmath.mp.prec)
-        taus = {j: 2 * mpmath.fsum(zeta[j * k % ell] * e for k, e in enumerate(eta))
-                for j in range(1, ell)}
-        trunc = math.ldexp(4 * (f + 2 * B), -K)
-        return taus, 2 * (_DD_ROUNDOFF * size + 5 * trunc * len(c))
-
-    def gauss_sum(self):
-        """tau(chi) from gauss_sums, at the current mpmath precision and
-        within that kernel's bound of about 2^-100 f."""
-        return self.gauss_sums()[0][1]
 
 
 # ---------------------------------------------------------------------------

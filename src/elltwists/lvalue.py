@@ -26,23 +26,23 @@ without another pass:
     L(E, 1, chi^j) = sum_k zeta^(jk) B_k + eps_j sum_k zeta^(-jk) B_k,
 
 with eps_j the eps of chi^j; all tau(chi^j) come from one pass over the
-orbit's real Gaussian periods, DirichletChar.gauss_sums (dirichlet), the one
-Gauss-sum kernel.
+orbit's real Gaussian periods, dirichlet.gauss_sums, the one Gauss-sum
+kernel.
 
 _dd_buckets is the one bucket kernel.  It fills the buckets in vectorised
 double-double at any working precision, with the helpers it shares with
 the Gauss-sum kernel in numcore; only the calibration sets the mpmath
 precision (WORKING_DPS for every command).  Of full length it keeps only
 the indices n of the nonzero terms.  They go in fixed-size chunks, each
-reading ind(n) off the one period of chi's exponent table at n mod f and
+reading ind(n) off the period of chi's exponent table at n mod f and
 a_n off the curve's table: a_n / n is a (hi, lo) pair with an exact
 TwoProduct remainder, r^n = r^(qB) r^s is one Dekker product of two
 anchors from fixed-point integer powers of r, and each term is one more
-Dekker product.  numcore._bucket_sums sums each
-bucket's share of a chunk exactly, in float64 bins keyed by bucket and
-exponent window that take up to 2^20 split halves without rounding, and
-rounds it to (hi, lo) by math.fsum of the bin totals; the chunk pairs are
-summed exactly and rounded once more.  Every term is within about
+Dekker product.  numcore._bucket_sums sums each bucket's share of a chunk
+exactly, in float64 bins keyed by bucket and exponent window that take up
+to 2^20 split halves without rounding, and rounds it to (hi, lo) by
+math.fsum of the bin totals; the chunk pairs are summed exactly and
+rounded once more.  Every term is within about
 20 * 2^-106 of its exact value, relatively, and each rounding of a pair
 costs at most 2^-106 of its sum, so
 
@@ -82,10 +82,11 @@ _S_TOL of every S_t.  A miss is a consistency alarm.  A wrong root number,
 chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
 and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
-so each orbit takes one series pass.  CalibratedCurve._record
-is the one place an orbit is checked and decided: it makes these checks,
-exact ones first, then asks vanishing_decision, whose noise alarm every
-caller of coset_sums (census, congruence, calibration probes) inherits.
+so each orbit takes one series pass.  CalibratedCurve._record is the one
+place an orbit is checked and decided: it makes these checks, exact ones
+first, then asks vanishing_decision, whose noise alarm every caller of
+coset_sums (census, congruence, calibration probes) inherits.  The symbol
+sums, the Gauss sums and the buckets all read one exponent period per orbit.
 
 The scale c and the ratio r are calibrated once per curve from the first
 several character orbits.  Their rows give the product c r, read off the
@@ -111,7 +112,7 @@ import mpmath
 import numpy as np
 
 from .dirichlet import (DirichletChar, admissible_conductors,
-                        conductor_primes, galois_orbits)
+                        conductor_primes, galois_orbits, gauss_sums)
 from .elliptic import Curve
 from .numcore import (_DD_ROUNDOFF, RecognitionError, TheoryViolation,
                       _bucket_sums, _dd_mul, _dd_sum, _dd_table,
@@ -196,10 +197,10 @@ def _dd_anchors(r, M: int):
     return B, _dd_table(small, K), _dd_table(big, K)
 
 
-def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
+def _dd_buckets(curve: Curve, period: np.ndarray, ell: int, r,
                 M: int) -> tuple[list, float]:
-    """B_k(r) for k = 0..ell-1 (ell = 1 for chi = None) in double-double
-    arithmetic, over the n <= M with a_n chi(n) != 0, and the size
+    """B_k(r) for k = 0..ell-1 in double-double arithmetic, over the n <= M
+    with a_n chi(n) != 0, ind(n) = period[n % f], and the size
     sum_{n <= M} |(a_n / n) r^n| of their terms: _DD_ROUNDOFF times it
     bounds their total roundoff.
 
@@ -207,8 +208,6 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     of two anchors.  The products go in chunks of _DD_CHUNK terms; each
     chunk's share of a bucket is summed exactly and rounded once to a
     (hi, lo) pair, and the pairs once more."""
-    ell = 1 if chi is None else chi.ell
-    period = np.zeros(1, np.int64) if chi is None else chi.exponent_table()
     an = curve.an_table(M)
     n = np.flatnonzero(np.resize(period >= 0, M + 1) & (an != 0))
     B, (sh, sl), (bh, bl) = _dd_anchors(r, M)
@@ -226,24 +225,25 @@ def _dd_buckets(curve: Curve, chi: DirichletChar | None, r,
     return [mpmath.mpf(hi) + lo for hi, lo in map(_dd_sum, pairs)], size
 
 
-def central_values(curve: Curve, chi: DirichletChar | None, taus: dict,
-                   err=1e-15, tau_err: float = 0.0) -> dict:
+def central_values(curve: Curve, chi: DirichletChar | None,
+                   period: np.ndarray, taus: dict, err=1e-15,
+                   tau_err: float = 0.0) -> dict:
     """L(E, 1, chi^j) for every j in taus, which maps j to the Gauss sum
-    tau(chi^j), all from the buckets of one _dd_buckets pass; absolute error
-    <= err plus roundoff.  chi = None is the trivial character, asked for as
-    taus = {0: 1}.  tau_err bounds |d tau|, as DirichletChar.gauss_sums
-    states it.  The pass's roundoff bound, and the Gauss sums' carried into
-    L through eps, must stay under err / 100 or ConsistencyError is
-    raised."""
+    tau(chi^j), all from one _dd_buckets pass over period, the exponent
+    table of chi, f = period.size; absolute error <= err plus roundoff.
+    chi = None with period np.zeros(1) is the trivial character, asked for
+    as taus = {0: 1}.  tau_err bounds |d tau|, as gauss_sums states it.
+    The pass's roundoff bound, and the Gauss sums' carried into L through
+    eps, must stay under err / 100 or ConsistencyError is raised."""
     if curve.conductor is None or curve.root_number is None:
         raise ValueError("curve needs conductor and root number attached")
     N, w = curve.conductor, curve.root_number
-    f = 1 if chi is None else chi.conductor
+    f = period.size
     if gcd(f, N) != 1:
         raise ValueError(f"twist conductor {f} shares a factor with the level {N}")
     M = series_terms(curve, f, err)
     ell, k_n = (1, 0) if chi is None else (chi.ell, chi.value_exponent(N))
-    B, size = _dd_buckets(curve, chi, mpmath.exp(-_decay(curve, f)), M)
+    B, size = _dd_buckets(curve, period, ell, mpmath.exp(-_decay(curve, f)), M)
     # |tau| = sqrt(f), so |d eps| <= 2 |d tau| / sqrt(f) scales the second
     # series; |zeta| = |eps| = 1, so the buckets' roundoff moves each series
     # by at most _DD_ROUNDOFF * size
@@ -268,9 +268,11 @@ def central_value(curve: Curve, chi: DirichletChar | None = None, err=1e-15):
     """L(E, 1, chi) at the current mpmath precision, absolute error <= err
     plus roundoff.  chi = None gives the untwisted central value."""
     if chi is None:
-        return central_values(curve, None, {0: 1}, err)[0]
-    taus, tau_err = chi.gauss_sums()
-    return central_values(curve, chi, {1: taus[1]}, err, tau_err)[1]
+        return central_values(curve, None, np.zeros(1, np.int64), {0: 1},
+                              err)[0]
+    period = chi.exponent_table()
+    taus, tau_err = gauss_sums(period, chi.ell)
+    return central_values(curve, chi, period, {1: taus[1]}, err, tau_err)[1]
 
 
 def served_orbits(level: int, ell: int,
@@ -309,14 +311,15 @@ class TwistRows:
     l_err: float
 
 
-def _twist_rows(curve: Curve, chi: DirichletChar) -> TwistRows:
+def _twist_rows(curve: Curve, chi: DirichletChar,
+                period: np.ndarray) -> TwistRows:
     """Rows of every conjugate twist at the current precision, from one
-    double-double series pass and one DirichletChar.gauss_sums pass."""
-    f = chi.conductor
+    double-double series pass and one gauss_sums pass over chi's period."""
+    f = period.size
     omega = curve.real_period()
     err_l = _rows_err(curve, f)
-    taus, tau_err = chi.gauss_sums()
-    values = central_values(curve, chi, taus, err=err_l, tau_err=tau_err)
+    taus, tau_err = gauss_sums(period, chi.ell)
+    values = central_values(curve, chi, period, taus, err_l, tau_err)
     rows = {j: 2 * f * values[j] / (omega * taus[j]) for j in taus}
     return TwistRows(rows, complex(values[1]), err_l)
 
@@ -453,14 +456,15 @@ class CalibratedCurve:
         """A_0(f), exactly, by the multiplicative recursion."""
         return self.lalg0 * hecke_factor(self.curve, f, self.ell)
 
-    def _record(self, chi: DirichletChar,
+    def _record(self, chi: DirichletChar, period: np.ndarray,
                 rows: TwistRows | None = None) -> TwistRecord:
         """Check and decide the canonical orbit chi, exact side first:
         S_t = r M_t must be integers that total A_0; only then do its series
         rows (one series pass, or a probe's rows from calibrate) have to
         give each S_t within _S_TOL, and vanishing_decision its decision."""
         a0 = self.trivial_coset_sum(chi.conductor)
-        exact = [self.r * m for m in self.curve.symbols.orbit_sums(chi)]
+        exact = [self.r * m
+                 for m in self.curve.symbols.orbit_sums(period, self.ell)]
         shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
         if any(s.denominator != 1 for s in exact):
             raise ConsistencyError(f"coset sums {shown} are not integers")
@@ -471,7 +475,7 @@ class CalibratedCurve:
         sums = tuple(int(s) for s in exact)
         if rows is None:
             with mpmath.workdps(self.base_dps):
-                rows = _twist_rows(self.curve, chi)
+                rows = _twist_rows(self.curve, chi, period)
         worst = _series_residual(rows.rows, sums, self.scale)
         if worst > _S_TOL:
             raise ConsistencyError(
@@ -485,7 +489,7 @@ class CalibratedCurve:
         """The decided record of the orbit of chi, built once by _record."""
         chi = chi.canonical()
         if chi not in self._records:
-            self._records[chi] = self._record(chi)
+            self._records[chi] = self._record(chi, chi.exponent_table())
         return self._records[chi]
 
     def congruence_check(self, chi: DirichletChar | None,
@@ -559,12 +563,13 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
             symbols = curve.symbols
         except ArithmeticError as exc:
             raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
+        tables = {rep: rep.exponent_table() for rep in reps}
         try:
-            probes = {rep: _twist_rows(curve, rep) for rep in reps}
+            probes = {rep: _twist_rows(curve, rep, tables[rep]) for rep in reps}
         except ConsistencyError as exc:
             raise CalibrationError(
                 f"probe series fail their check: {exc}") from exc
-        sums = {rep: symbols.orbit_sums(rep) for rep in reps}
+        sums = {rep: symbols.orbit_sums(tables[rep], ell) for rep in reps}
         g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
         zeta = _roots_of_unity(ell, mpmath.mp.prec)
         T, row = max(((mpmath.fsum(zeta[-j * t % ell] * m
@@ -603,7 +608,7 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
     cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
     for rep in reps:
         try:
-            cal._records[rep] = cal._record(rep, probes[rep])
+            cal._records[rep] = cal._record(rep, tables[rep], probes[rep])
         except ConsistencyError as exc:
             raise CalibrationError(f"probe {rep.label()} fails its check "
                                    f"against the plus modular symbols: "

@@ -178,14 +178,14 @@ class PlusSymbols:
             idx, x, y, q0, q1 = idx[live], y[live], rem[live], q0[live], q1[live]
         return total
 
-    def orbit_sums(self, chi) -> tuple[int, ...]:
-        """M_t for t = 0..ell-1.  chi is even and phi({oo, 1 - x}) =
-        phi({oo, x}), so a and f - a add the same term: the a < f/2 are
-        summed and doubled."""
-        f = chi.conductor
-        exps = chi.exponent_table()[:f // 2 + 1]
+    def orbit_sums(self, period: np.ndarray, ell: int) -> tuple[int, ...]:
+        """M_t for t = 0..ell-1, period the exponent table of chi and f its
+        size.  chi is even and phi({oo, 1 - x}) = phi({oo, x}), so a and
+        f - a add the same term: the a < f/2 are summed and doubled."""
+        f = period.size
+        exps = period[:f // 2 + 1]
         a = np.flatnonzero(exps >= 0)
-        sums = np.zeros(chi.ell, dtype=np.int64)
+        sums = np.zeros(ell, dtype=np.int64)
         np.add.at(sums, exps[a], self._oo_to(a, np.full(len(a), f)))
         return tuple(2 * int(s) for s in sums)
 

@@ -6,16 +6,16 @@ Pollard rho on a larger cofactor, exact for inputs below 2^64), the one
 prime sieve (least-prime-factor tables, whose zeros primes_up_to lists),
 dense polynomials over Q in one variable, the float -> integer recognition
 used when numerically computed quantities are known to be integers, the
-two short power tables from which every
-z^n = z^(qB) z^s is formed, and the double-double helpers (Dekker products,
-fixed-point anchor tables, exactly summed buckets, roots of unity) that the
-one series kernel (lvalue._dd_buckets) and the one Gauss-sum kernel
-(dirichlet.DirichletChar.gauss_sums) share.  The buckets are summed in
-float64 bins keyed by bucket and exponent window, where up to 2^20 split
-halves add without rounding, and rounded once by math.fsum of the bin
-totals; a longer input is binned in passes.  TheoryViolation, the base of
-every error that means a proved statement failed, lives here too, so that
-each module can subclass it and the command line can catch it once.
+two short power tables from which every z^n = z^(qB) z^s is formed, and
+the double-double helpers (Dekker products, fixed-point anchor tables,
+exactly summed buckets, roots of unity) that the one series kernel
+(lvalue._dd_buckets) and the one Gauss-sum kernel (dirichlet.gauss_sums)
+share.  The buckets are summed in float64 bins keyed by bucket and
+exponent window, where up to 2^20 split halves add without rounding, and
+rounded once by math.fsum of the bin totals; a longer input is binned in
+passes.  TheoryViolation, the base of every error that means a proved
+statement failed, lives here too, so that each module can subclass it and
+the command line can catch it once.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ the program imports this one.
   per residue, chi evaluated pointwise.
 - periods_gauss_sums: every tau(chi^j) of an orbit from the real Gaussian
   periods, one mpmath cosine per residue; the oracle of
-  DirichletChar.gauss_sums.
+  dirichlet.gauss_sums.
 - buckets: B_k(r), one mpf term at a time; the oracle of lvalue._dd_buckets.
 - bucket_sums: each bucket's exact sum by math.fsum over its entries as a
   Python list; the oracle of the binned numcore._bucket_sums.

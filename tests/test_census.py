@@ -6,6 +6,7 @@ import ast
 import concurrent.futures
 import gc
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -450,6 +451,50 @@ class TestRunCensus:
                              resume=True)
         assert (sizes, summary.resumed) == ([], 3)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the pool's workers must inherit the patched task")
+    @pytest.mark.usefixtures("shared_cal_37b")
+    def test_lost_worker_exits_one_and_resumes(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a worker that dies on one orbit breaks the pool: the census exits
+        # 1 with one line naming the orbits left and --resume, no traceback,
+        # and every row that came back is journaled; --resume then writes
+        # the clean run's bytes.  The cap allows two workers here, on any
+        # host, and the task is patched before the pool forks them
+        clean, out = tmp_path / "clean.csv", tmp_path / "lost.csv"
+        run_census(E37B_CONFIG, 3, 100, out=clean)
+        lines = clean.read_text().splitlines()[1:]
+        killed = lvalue.served_orbits(37, 3, 100)[0][-1].label()
+        task = census._census_task
+
+        def dies_on_one(cal, chi):
+            if chi.label() == killed:
+                os._exit(1)
+            return task(cal, chi)
+
+        argv = ["census", "--curve", "curves/37b.cfg", "--max-conductor",
+                "100", "--threads", "2", "--out", str(out)]
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_census_task", dies_on_one)
+            capsys.readouterr()
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: a census worker was lost with ")
+        assert killed in err and "--resume" in err
+        rows = [census.CensusRow.from_dict(json.loads(line))
+                for line in Path(f"{out}.log").read_text().splitlines()]
+        journaled = [row.character for row in rows]
+        assert killed not in journaled
+        assert len(set(journaled)) == len(journaled)
+        assert f"with {len(lines) - len(rows)} orbits left" in err
+        assert all(row.csv_line() in lines for row in rows)
+        assert not out.exists()
+        assert main(argv + ["--resume"]) == 0
+        assert out.read_bytes() == clean.read_bytes()
+
     @pytest.mark.parametrize("config,ell,bound,name", [
         (E37B_CONFIG, 5, 1000, "census_37b_ell5.csv"),
         (E37A_CONFIG, 7, 800, "census_37a_ell7.csv"),
@@ -652,9 +697,11 @@ class TestCommandLine:
         (["kummer-fiber", "2", "--curve", "curves/37b.cfg"],
          "kummer_fiber_37b_2.txt"),
         (["e37b", "--max-conductor", "2000"], "e37b_2000.txt"),
-        (["e37b", "--max-conductor", "30000000"], "e37b_30000000.txt")],
+        (["e37b", "--max-conductor", "30000000"], "e37b_30000000.txt"),
+        (["congruence", "--curve", "curves/37b.cfg", "--ell", "5",
+          "--max-conductor", "590"], "congruence_37b_ell5_590.txt")],
         ids=["nonvanishing-set", "twist-value", "family", "kummer-fiber",
-             "e37b", "e37b-30000000"])
+             "e37b", "e37b-30000000", "congruence-ell5"])
     def test_stdout_matches_the_pinned_files(self, capsys, argv, name):
         # the primes from 1000 up of the nonvanishing set and the Hecke
         # factor at 10009 read the point counts of one batch; the family
@@ -1014,7 +1061,8 @@ class TestCommandLine:
         monkeypatch.setattr(
             lvalue.CalibratedCurve, "trivial_coset_sum", lambda cal, f: sum(
                 cal.r * m for m in
-                cal.curve.symbols.orbit_sums(galois_orbits(f, cal.ell)[0])))
+                cal.curve.symbols.orbit_sums(
+                    galois_orbits(f, cal.ell)[0].exponent_table(), cal.ell)))
         text = run_congruence_sweep(E37B_CONFIG, 3, 1300).text()
         assert "pairs checked: 200, failures: 1" in text
         fails = [line for line in text.splitlines() if "FAIL" in line]

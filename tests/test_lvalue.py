@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import elltwists.dirichlet as dirichlet
 import elltwists.lvalue as lvalue
-from elltwists.dirichlet import DirichletChar, galois_orbits
+from elltwists.dirichlet import DirichletChar, galois_orbits, gauss_sums
 from elltwists.elliptic import Curve
 from elltwists.modsym import PlusSymbols
 from elltwists.lvalue import (CalibrationError, ConsistencyError, TwistRows,
@@ -38,20 +38,21 @@ E37B = Curve((0, 1, 1, -3, 1), label="37b", conductor=37, root_number=1)
 CHI7 = galois_orbits(7, 3)[0]
 CHI9 = galois_orbits(9, 3)[0]
 CHI13 = galois_orbits(13, 3)[0]
+TABLE13 = CHI13.exponent_table()
 
 
-def skewed_twist_rows(curve, chi):
+def skewed_twist_rows(curve, chi, period):
     """The twist rows with the first conjugate turned by 1e-3 radians, so
     that the rows of the orbit no longer agree with one another."""
-    out = REAL_TWIST_ROWS(curve, chi)
+    out = REAL_TWIST_ROWS(curve, chi, period)
     out.rows[1] *= 1 + 1e-3j
     return out
 
 
-def dead_value_rows(curve, chi):
+def dead_value_rows(curve, chi, period):
     """The twist rows with the representative's central value set to 0: its
     series sums still match r M_t, but |L| no longer clears its bound."""
-    out = REAL_TWIST_ROWS(curve, chi)
+    out = REAL_TWIST_ROWS(curve, chi, period)
     return TwistRows(out.rows, 0j, out.l_err)
 
 
@@ -96,8 +97,9 @@ class TestCentralValue:
         # series, tame and wild conductors alike
         chi = galois_orbits(f, ell)[0]
         with mpmath.workdps(30):
-            taus, tau_err = chi.gauss_sums()
-            values = central_values(curve, chi, taus, err=1e-12,
+            period = chi.exponent_table()
+            taus, tau_err = gauss_sums(period, ell)
+            values = central_values(curve, chi, period, taus, err=1e-12,
                                     tau_err=tau_err)
             for j in range(1, ell):
                 oracle = oracle_value(curve, chi.power(j), 1e-12)
@@ -142,23 +144,23 @@ class TestTDriftAlarm:
     def test_wrong_gauss_sum_raises(self, cal_b, monkeypatch):
         # conjugated Gauss sums turn eps by a phase on a nonzero twist; at
         # 50 digits they come from the double-double kernel
-        kernel = DirichletChar.gauss_sums
+        kernel = lvalue.gauss_sums
 
-        def conjugated(chi):
-            taus, bound = kernel(chi)
+        def conjugated(period, ell):
+            taus, bound = kernel(period, ell)
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
-        monkeypatch.setattr(DirichletChar, "gauss_sums", conjugated)
+        monkeypatch.setattr(lvalue, "gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b).coset_sums(CHI9)
 
     def test_wrong_gauss_sum_raises_at_80_digits(self, cal_b, monkeypatch):
         # the same fault at 80 digits, where the same kernel serves
-        kernel = DirichletChar.gauss_sums
+        kernel = lvalue.gauss_sums
 
-        def conjugated(chi):
-            taus, bound = kernel(chi)
+        def conjugated(period, ell):
+            taus, bound = kernel(period, ell)
             return {j: mpmath.conj(tau) for j, tau in taus.items()}, bound
-        monkeypatch.setattr(DirichletChar, "gauss_sums", conjugated)
+        monkeypatch.setattr(lvalue, "gauss_sums", conjugated)
         with pytest.raises(ConsistencyError):
             fresh_calibration(cal_b, dps=80).coset_sums(CHI9)
 
@@ -217,18 +219,21 @@ class TestTDriftAlarm:
         chi = galois_orbits(31, 5)[0]
         calls = {"gauss_sums": 0, "power": 0, "value_exponent": 0}
 
-        def counted(name):
-            real = getattr(DirichletChar, name)
+        def counted(name, owner):
+            real = getattr(owner, name)
 
-            def wrapper(self, *args):
+            def wrapper(*args):
                 calls[name] += 1
-                return real(self, *args)
+                return real(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(DirichletChar, name, counted(name))
+        monkeypatch.setattr(lvalue, "gauss_sums",
+                            counted("gauss_sums", lvalue))
+        for name in ("power", "value_exponent"):
+            monkeypatch.setattr(DirichletChar, name,
+                                counted(name, DirichletChar))
         with mpmath.workdps(50):
-            lvalue._twist_rows(E37B, chi)
+            lvalue._twist_rows(E37B, chi, chi.exponent_table())
         assert calls["gauss_sums"] == 1
         assert calls["power"] == 0
         assert calls["value_exponent"] == 1
@@ -253,7 +258,7 @@ def dd_bucket_error(curve, chi, t, err=1e-9):
         an, period = curve.an_table(top), chi.exponent_table()
         exps = period[np.arange(top + 1) % chi.conductor]
         for r, M in radii:
-            dd, _ = lvalue._dd_buckets(curve, chi, r, M)
+            dd, _ = lvalue._dd_buckets(curve, period, chi.ell, r, M)
             mp = buckets(an.tolist(), period, chi.ell, r, M)
             n = np.arange(M + 1)
             size = np.abs(an[:M + 1]) / np.maximum(n, 1) * \
@@ -301,7 +306,7 @@ class TestDoubleDoubleRung:
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
             with mpmath.workdps(dps):
-                rows.append(lvalue._twist_rows(E37B, CHI13))
+                rows.append(lvalue._twist_rows(E37B, CHI13, TABLE13))
             assert len(calls) == n, dps
         for a in rows:
             for b in rows:
@@ -335,7 +340,8 @@ class TestDoubleDoubleRung:
             r = mpmath.exp(-lvalue._decay(curve, chi.conductor))
             tracemalloc.start()
             try:
-                lvalue._dd_buckets(curve, chi, r, M)
+                lvalue._dd_buckets(curve, chi.exponent_table(), chi.ell, r,
+                                   M)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -361,7 +367,7 @@ def dd_gauss_error(chi):
     """Worst |tau^dd(chi^j) - tau(chi^j)| / sqrt(f) against the mpmath
     periods at 50 digits, and the kernel's stated bound over sqrt(f)."""
     with mpmath.workdps(50):
-        taus, bound = chi.gauss_sums()
+        taus, bound = gauss_sums(chi.exponent_table(), chi.ell)
         oracle = periods_gauss_sums(chi)
         assert sorted(taus) == sorted(oracle)
         worst = max(abs(taus[j] - oracle[j]) for j in oracle)
@@ -405,49 +411,55 @@ class TestDoubleDoubleGaussSums:
     def test_rung_follows_working_precision(self, monkeypatch):
         # one kernel call per orbit at 15, 50 and 80 digits alike, and the
         # L values agree within their tail bounds
-        kernel, calls = DirichletChar.gauss_sums, []
-        monkeypatch.setattr(DirichletChar, "gauss_sums",
-                            lambda chi: calls.append(chi) or kernel(chi))
+        kernel, calls = lvalue.gauss_sums, []
+        monkeypatch.setattr(lvalue, "gauss_sums", lambda period, ell: (
+            calls.append(period) or kernel(period, ell)))
         rows = []
         for n, dps in enumerate((15, 50, 80), 1):
             with mpmath.workdps(dps):
-                rows.append(lvalue._twist_rows(E37B, CHI13))
-            assert calls == [CHI13] * n, dps
+                rows.append(lvalue._twist_rows(E37B, CHI13, TABLE13))
+            assert len(calls) == n and all(p is TABLE13 for p in calls), dps
         for a in rows:
             for b in rows:
                 assert abs(a.l_value - b.l_value) <= a.l_err + b.l_err
 
     def test_gauss_sum_and_series_share_the_kernel(self, monkeypatch):
         # gauss_sum, which acceptance criterion 01 calls, and the series
-        # rows both reach the one production kernel
-        kernel, calls = DirichletChar.gauss_sums, []
-        monkeypatch.setattr(DirichletChar, "gauss_sums",
-                            lambda chi: calls.append(chi) or kernel(chi))
+        # rows both reach the one production kernel, on the period of chi
+        kernel, calls = dirichlet.gauss_sums, []
+        assert lvalue.gauss_sums is kernel
+
+        def counted(period, ell):
+            calls.append((period.tolist(), ell))
+            return kernel(period, ell)
+        for module in (dirichlet, lvalue):
+            monkeypatch.setattr(module, "gauss_sums", counted)
+        call = (TABLE13.tolist(), 3)
         with mpmath.workdps(50):
-            assert CHI13.gauss_sum() == kernel(CHI13)[0][1]
-        assert calls == [CHI13]
+            assert CHI13.gauss_sum() == kernel(TABLE13, 3)[0][1]
+        assert calls == [call]
         with mpmath.workdps(50):
-            lvalue._twist_rows(E37B, CHI13)
-        assert calls == [CHI13] * 2
+            lvalue._twist_rows(E37B, CHI13, TABLE13)
+        assert calls == [call] * 2
 
     def test_roundoff_bound_over_budget_raises(self, monkeypatch):
         # the Gauss-sum kernel's bound, carried into L through eps, is
         # checked against err / 100 like the series' own bound
         with mpmath.workdps(50):
-            lvalue._twist_rows(E37B, CHI13)
+            lvalue._twist_rows(E37B, CHI13, TABLE13)
             monkeypatch.setattr(dirichlet, "_DD_ROUNDOFF", 1e-6)
             with pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
-                lvalue._twist_rows(E37B, CHI13)
+                lvalue._twist_rows(E37B, CHI13, TABLE13)
 
     def test_gauss_bound_alone_is_checked(self, monkeypatch):
         # with the series' roundoff in budget, an inflated Gauss-sum bound
         # still raises
-        kernel = DirichletChar.gauss_sums
-        monkeypatch.setattr(DirichletChar, "gauss_sums",
-                            lambda chi: (kernel(chi)[0], 1e-6))
+        kernel = lvalue.gauss_sums
+        monkeypatch.setattr(lvalue, "gauss_sums",
+                            lambda period, ell: (kernel(period, ell)[0], 1e-6))
         with mpmath.workdps(50), \
                 pytest.raises(ConsistencyError, match="Gauss-sum roundoff"):
-            lvalue._twist_rows(E37B, CHI13)
+            lvalue._twist_rows(E37B, CHI13, TABLE13)
 
 
 class TestCalibration:
@@ -498,8 +510,8 @@ class TestCalibration:
         # rows shrunk a millionfold round to r = 0 at the largest scale;
         # on 37a (L0 = 0) that r would pass every probe and make every
         # orbit vanish, so the symbols' nonzero transform refuses it
-        def tiny(curve, chi):
-            out = REAL_TWIST_ROWS(curve, chi)
+        def tiny(curve, chi, period):
+            out = REAL_TWIST_ROWS(curve, chi, period)
             return TwistRows({j: 1e-6 * row for j, row in out.rows.items()},
                              out.l_value, out.l_err)
         monkeypatch.setattr(lvalue, "_twist_rows", tiny)
@@ -509,7 +521,7 @@ class TestCalibration:
     def test_constant_probe_symbols_fail_calibration(self, monkeypatch):
         # constant M_t have a zero transform, so no probe row gives c r
         monkeypatch.setattr(PlusSymbols, "orbit_sums",
-                            lambda sym, chi: (2,) * chi.ell)
+                            lambda sym, period, ell: (2,) * ell)
         with pytest.raises(CalibrationError, match="constant"):
             calibrate(E37B, 3)
 
@@ -546,11 +558,11 @@ class TestCosetSums:
         cal = calibrate(E37B, 3)
         probes = probe_orbits(3)
         real = PlusSymbols.orbit_sums
-        expected = {chi: tuple(cal.r * m for m in real(cal.curve.symbols, chi))
-                    for chi in probes}
+        expected = {chi: tuple(cal.r * m for m in real(
+            cal.curve.symbols, chi.exponent_table(), 3)) for chi in probes}
         asked = []
-        monkeypatch.setattr(PlusSymbols, "orbit_sums",
-                            lambda sym, chi: asked.append(chi) or real(sym, chi))
+        monkeypatch.setattr(PlusSymbols, "orbit_sums", lambda sym, period, ell: (
+            asked.append(period.tolist()) or real(sym, period, ell)))
         for chi in probes:
             cs = cal.coset_sums(chi)
             assert sum(cs.sums) == cal.trivial_coset_sum(chi.conductor)
@@ -559,7 +571,37 @@ class TestCosetSums:
         other = next(chi for chi in served_orbits(1, 3, 200)[0]
                      if chi.conductor % 37 and chi not in probes)
         cal.coset_sums(other)
-        assert asked == [other]
+        assert asked == [other.exponent_table().tolist()]
+
+    def test_one_exponent_table_per_orbit(self, cal_b, monkeypatch):
+        # a fresh orbit builds its exponent table once, and the symbol
+        # sums, the Gauss sums and the series buckets all read that array
+        tables, read = [], {}
+        table = DirichletChar.exponent_table
+
+        def built(chi):
+            tables.append(table(chi))
+            return tables[-1]
+
+        def reading(name, kernel, at):
+            def wrapper(*args):
+                read.setdefault(name, []).append(args[at])
+                return kernel(*args)
+            return wrapper
+
+        monkeypatch.setattr(DirichletChar, "exponent_table", built)
+        monkeypatch.setattr(PlusSymbols, "orbit_sums", reading(
+            "orbit_sums", PlusSymbols.orbit_sums, 1))
+        monkeypatch.setattr(lvalue, "gauss_sums", reading(
+            "gauss_sums", lvalue.gauss_sums, 0))
+        monkeypatch.setattr(lvalue, "_dd_buckets", reading(
+            "_dd_buckets", lvalue._dd_buckets, 1))
+        record = fresh_calibration(cal_b).coset_sums(CHI9)
+        assert record.sums == cal_b.coset_sums(CHI9).sums
+        assert len(tables) == 1
+        assert {name: [arg is tables[0] for arg in args]
+                for name, args in read.items()} == {
+            "orbit_sums": [True], "gauss_sums": [True], "_dd_buckets": [True]}
 
     def test_seed_identity(self, cal_b):
         # the trivial coset component is the untwisted part times the exact
@@ -626,9 +668,9 @@ class TestTwistDecisions:
                   if chi.conductor % 37][:2]
         for chi in orbits:
             with mpmath.workdps(50):
-                dd = lvalue._twist_rows(curve, chi)
+                dd = lvalue._twist_rows(curve, chi, chi.exponent_table())
             with mpmath.workdps(80):
-                mp = lvalue._twist_rows(curve, chi)
+                mp = lvalue._twist_rows(curve, chi, chi.exponent_table())
             assert dd.l_err == mp.l_err
             for j, row in dd.rows.items():
                 assert abs(row - mp.rows[j]) <= 1e-25, (chi.label(), j)
@@ -649,7 +691,8 @@ class TestTwistDecisions:
         for chi in probe_orbits(ell):
             sums = cal._records[chi].sums
             with mpmath.workdps(lvalue.WORKING_DPS):
-                rows = lvalue._twist_rows(curve, chi).rows
+                rows = lvalue._twist_rows(curve, chi,
+                                          chi.exponent_table()).rows
             skewed = {j: row + 0.01 if j == 1 else row
                       for j, row in rows.items()}
             for r in (rows, skewed):
@@ -686,9 +729,9 @@ class TestTwistDecisions:
         real = lvalue._twist_rows
         tried = []
 
-        def rows(curve, chi):
+        def rows(curve, chi, period):
             tried.append(mpmath.mp.dps)
-            return real(curve, chi)
+            return real(curve, chi, period)
 
         monkeypatch.setattr(lvalue, "_twist_rows", rows)
         monkeypatch.setattr(lvalue, "_S_TOL", 0.0)
@@ -701,8 +744,8 @@ class TestTwistDecisions:
         # M_0 + 2 misses A_0 by one; either raises before any series pass
         chi = next(chi for chi in served_orbits(1, 3, 200)[0]
                    if chi.conductor % 37 and chi not in probe_orbits(3))
-        real = PlusSymbols.orbit_sums
-        assert real(cal_a.curve.symbols, chi)[0] % 2 == 0
+        real, table = PlusSymbols.orbit_sums, chi.exponent_table()
+        assert real(cal_a.curve.symbols, table, 3)[0] % 2 == 0
         assert cal_a.r == Fraction(-1, 2)
 
         def no_series(*args):
@@ -710,9 +753,10 @@ class TestTwistDecisions:
         monkeypatch.setattr(lvalue, "_twist_rows", no_series)
         for shift, match in ((1, "are not integers"),
                              (2, "exact recursion gives")):
-            def shifted(sym, psi, shift=shift):
-                sums = real(sym, psi)
-                return (sums[0] + shift,) + sums[1:] if psi == chi else sums
+            def shifted(sym, period, ell, shift=shift):
+                sums = real(sym, period, ell)
+                ours = np.array_equal(period, table)
+                return (sums[0] + shift,) + sums[1:] if ours else sums
             monkeypatch.setattr(PlusSymbols, "orbit_sums", shifted)
             with pytest.raises(ConsistencyError, match=match):
                 fresh_calibration(cal_a, E37A).coset_sums(chi)
