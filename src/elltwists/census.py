@@ -28,11 +28,7 @@ from .kummer import (CensusFieldRow, FamilyFiber, _e37b_pair, census_37b,
 from .lvalue import (WORKING_DPS, CalibratedCurve, CongruenceResult,
                      calibrate, served_orbits)
 from .modsym import MAX_LEVEL
-from .numcore import TheoryViolation
-
-
-class ConfigError(Exception):
-    """A configuration file or parameter set that cannot be run."""
+from .numcore import ConfigError, TheoryViolation
 
 
 # ---------------------------------------------------------------------------

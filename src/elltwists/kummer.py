@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .cubicfield import CubicField, FieldElt, NumberField, field_invariants
 from .elliptic import Curve, is_nontorsion, on_curve
@@ -473,18 +472,6 @@ class E37bFiber:
         return self.field.gen() / self.h2, self.field(self.u)
 
 
-class E37bRow(NamedTuple):
-    """The integer data of one slice-family pair, from which _e37b_pair
-    builds its exact fiber."""
-    h1: int
-    h2: int
-    g: int
-    h_factorization: Factorization      # of h1 h2
-    disc_factorization: Factorization   # of the model's 2^10 (h1 h2 g)^2
-    model: tuple[int, int, int]         # (c0, c1, c2) of the integral model
-    conductor: int
-
-
 def _check_model_scale(ai, h1: int, h2: int, model) -> None:
     """Check that xi / h2 is a root of the slice cubic at t = 0, u = h1 / h2
     of the curve with a-invariants ai, for the root xi of the integral
@@ -570,40 +557,30 @@ def _e37b_model(a: int, b: int, h1: int, h2: int, g: int, model,
     return hh, hint, conductor
 
 
-def _e37b_row(a: int, b: int, lpf: Sequence[int]) -> E37bRow:
-    """The survey row of the coprime parameter pair (a, b), in Python ints;
-    b = 0 is the point at infinity of the parameter line.  It joins the
-    pair part, _e37b_forms, to the model part, _e37b_model.  The rotation
-    (a, b) -> (-b, a) swaps h1 and h2, negates g and fixes a^2 + b^2, so
-    a pair and its rotation share the integral model and the model part;
-    census_37b classifies each model once for the two of them, while
-    coprimality and the model-scale identity run for every pair."""
-    h1, h2, g, model = _e37b_forms(a, b)
-    hh, hint, conductor = _e37b_model(a, b, h1, h2, g, model, lpf)
-    return E37bRow(h1, h2, g, hh, hint, model, conductor)
-
-
 def _e37b_pair(a: int, b: int) -> E37bFiber:
-    """Slice data for the coprime parameter pair (a, b): its survey row,
-    then the exact fiber built from it.  The field is classified by
-    from_cubic on the integral model with the row's factored discriminant,
-    and must report the row's conductor; a failure raises SurfaceError."""
-    row = _e37b_row(a, b, _e37b_sieve(max(abs(a), abs(b))))
-    h1, h2 = row.h1, row.h2
+    """Slice data for the coprime parameter pair (a, b), b = 0 the point at
+    infinity of the parameter line: its survey row, _e37b_forms and
+    _e37b_model, then the exact fiber built from it.  The field is
+    classified by from_cubic on the integral model with the row's factored
+    discriminant, and must report the row's conductor; a failure raises
+    SurfaceError."""
+    h1, h2, g, model = _e37b_forms(a, b)
+    hh, hint, conductor = _e37b_model(a, b, h1, h2, g, model,
+                                      _e37b_sieve(max(abs(a), abs(b))))
     u = Fraction(h1, h2)
     cubic = PolyQ.of(*_slice_coefficients(E37B_SLICE, 0, u), 1)
-    poly = PolyQ.of(*row.model, 1)
+    poly = PolyQ.of(*model, 1)
     try:
-        field = CubicField.from_cubic(poly, row.disc_factorization)
+        field = CubicField.from_cubic(poly, hint)
     except ValueError as exc:
         raise SurfaceError(f"parameter pair ({a}, {b}): {exc}") from exc
-    if field.conductor != row.conductor:
+    if field.conductor != conductor:
         raise SurfaceError(
             f"parameter pair ({a}, {b}): the field has conductor "
-            f"{field.conductor}, the survey row {row.conductor}")
+            f"{field.conductor}, the survey row {conductor}")
     return E37bFiber(Fraction(a, b) if b else None, u,
-                     Fraction(32 * h1 * row.g, h2 * h2), h1, h2,
-                     row.h_factorization, poly, cubic, field, _E37B_CURVE)
+                     Fraction(32 * h1 * g, h2 * h2), h1, h2, hh, poly, cubic,
+                     field, _E37B_CURVE)
 
 
 @dataclass(frozen=True)

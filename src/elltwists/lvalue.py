@@ -82,10 +82,10 @@ _S_TOL of every S_t.  A miss is a consistency alarm.  A wrong root number,
 chi(N), Gauss sum, exponent table or eigenline moves the rows off r M_t,
 and a wrong A_0 misses their total (an exponent table shifted by one moves
 every orbit but those with constant sums, whose decision it leaves right),
-so each orbit takes one series pass.  CalibratedCurve._record is the one
-place an orbit is checked and decided: it makes these checks, exact ones
-first, then asks vanishing_decision, whose noise alarm every caller of
-coset_sums (census, congruence, calibration probes) inherits.  The symbol
+so each orbit takes one series pass.  CalibratedCurve._exact_sums makes
+the exact checks before it, and _record checks its rows against them and
+asks vanishing_decision, whose noise alarm every caller of coset_sums
+(census, congruence) and every calibration probe inherits.  The symbol
 sums, the Gauss sums and the buckets all read one exponent period per orbit.
 
 The scale c and the ratio r are calibrated once per curve from the first
@@ -114,10 +114,10 @@ import numpy as np
 from .dirichlet import (DirichletChar, admissible_conductors,
                         conductor_primes, galois_orbits, gauss_sums)
 from .elliptic import Curve
-from .numcore import (_DD_ROUNDOFF, RecognitionError, TheoryViolation,
-                      _bucket_sums, _dd_mul, _dd_sum, _dd_table,
-                      _roots_of_unity, _two_prod, power_tables, primes_up_to,
-                      recognize_integer)
+from .numcore import (_DD_ROUNDOFF, ConfigError, RecognitionError,
+                      TheoryViolation, _bucket_sums, _dd_mul, _dd_sum,
+                      _dd_table, _roots_of_unity, _two_prod, power_tables,
+                      primes_up_to, recognize_integer)
 
 
 class CalibrationError(TheoryViolation):
@@ -137,9 +137,11 @@ _S_TOL = 1e-4        # tolerance of the series coset sums against r M_t
 _S_ERR = 2e-6        # propagated numeric error budget for coset sums
 _SCALE_FLOOR = min(SCALES)
 # calibrate probes the first 10 orbits prime to the level, in a conductor
-# window that starts at 400 and doubles until it holds them
+# window that starts at 400 and doubles until it holds them, up to 409,600:
+# every ell <= 1009 fits in 204,800 at level 37, and a larger ell is refused
 _PROBE_ORBITS = 10
 _PROBE_BOUND = 400
+_PROBE_LIMIT = 409_600
 _DD_CHUNK = 8192       # terms per vectorised step of the kernel
 # the mpmath precision of every command: the kernels carry about 31 digits,
 # and 30, 80 or 200 digits write the census bytes of 50 (15 and 16 do not)
@@ -456,40 +458,45 @@ class CalibratedCurve:
         """A_0(f), exactly, by the multiplicative recursion."""
         return self.lalg0 * hecke_factor(self.curve, f, self.ell)
 
-    def _record(self, chi: DirichletChar, period: np.ndarray,
-                rows: TwistRows | None = None) -> TwistRecord:
-        """Check and decide the canonical orbit chi, exact side first:
-        S_t = r M_t must be integers that total A_0; only then do its series
-        rows (one series pass, or a probe's rows from calibrate) have to
-        give each S_t within _S_TOL, and vanishing_decision its decision."""
-        a0 = self.trivial_coset_sum(chi.conductor)
-        exact = [self.r * m
-                 for m in self.curve.symbols.orbit_sums(period, self.ell)]
+    def _exact_sums(self, chi: DirichletChar, M) -> tuple[int, ...]:
+        """S_t = r M_t of the canonical orbit chi from its symbol sums M,
+        which must be integers that total A_0."""
+        exact = [self.r * m for m in M]
         shown = f"r M_t = ({', '.join(map(str, exact))}) of {chi.label()}"
         if any(s.denominator != 1 for s in exact):
             raise ConsistencyError(f"coset sums {shown} are not integers")
+        a0 = self.trivial_coset_sum(chi.conductor)
         if sum(exact) != a0:
             raise ConsistencyError(
                 f"coset sums {shown} total {sum(exact)} but the exact "
                 f"recursion gives {a0}")
-        sums = tuple(int(s) for s in exact)
-        if rows is None:
-            with mpmath.workdps(self.base_dps):
-                rows = _twist_rows(self.curve, chi, period)
+        return tuple(int(s) for s in exact)
+
+    def _record(self, chi: DirichletChar, sums: tuple[int, ...],
+                rows: TwistRows) -> TwistRecord:
+        """Check the series rows of chi against its exact sums, each S_t
+        within _S_TOL, and decide it by vanishing_decision."""
         worst = _series_residual(rows.rows, sums, self.scale)
         if worst > _S_TOL:
             raise ConsistencyError(
-                f"series coset sums of {chi.label()} differ from {shown} "
+                f"series coset sums of {chi.label()} differ from r M_t = "
+                f"({', '.join(map(str, sums))}) of {chi.label()} "
                 f"by {worst:.3g}")
         decision = vanishing_decision(chi, sums, rows.l_value, rows.l_err)
         return TwistRecord(self.label, chi, sums, worst, rows.l_value,
                            rows.l_err, self.base_dps, decision)
 
     def coset_sums(self, chi: DirichletChar) -> TwistRecord:
-        """The decided record of the orbit of chi, built once by _record."""
+        """The decided record of the orbit of chi, built once: its exact
+        sums first, then one series pass that _record checks them by."""
         chi = chi.canonical()
         if chi not in self._records:
-            self._records[chi] = self._record(chi, chi.exponent_table())
+            period = chi.exponent_table()
+            sums = self._exact_sums(
+                chi, self.curve.symbols.orbit_sums(period, self.ell))
+            with mpmath.workdps(self.base_dps):
+                rows = _twist_rows(self.curve, chi, period)
+            self._records[chi] = self._record(chi, sums, rows)
         return self._records[chi]
 
     def congruence_check(self, chi: DirichletChar | None,
@@ -539,9 +546,10 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
     is largest.  With g the gcd of phi((1:0)) and every probe M_t, c is the
     first of SCALES (the coarsest usable lattice) for which c r g / c is an
     integer n; then r = n / g and L0 = r phi((1:0)).  The untwisted series
-    must give L0 at scale c within _S_TOL, and every probe must pass the
-    checks of CalibratedCurve._record on the rows computed here.  The
-    probe window starts at _PROBE_BOUND and doubles until it holds them.
+    must give L0 at scale c within _S_TOL, and every probe must pass
+    CalibratedCurve._exact_sums and _record on its sums and rows from here.
+    The probe window starts at _PROBE_BOUND and doubles until it holds
+    them; a window past _PROBE_LIMIT is a ConfigError.
 
     reach is the largest twist conductor the caller will decide.  The
     curve's a_n table is reserved up front for it and for every probe, so
@@ -551,6 +559,9 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
     """
     bound, reps = _PROBE_BOUND, []
     while len(reps) < _PROBE_ORBITS:
+        if bound > _PROBE_LIMIT:
+            raise ConfigError(f"order {ell} has under {_PROBE_ORBITS} probe "
+                              f"orbits up to conductor {_PROBE_LIMIT}")
         reps = served_orbits(curve.conductor, ell, bound)[0][:_PROBE_ORBITS]
         bound *= 2
     with mpmath.workdps(dps):
@@ -563,19 +574,21 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
             symbols = curve.symbols
         except ArithmeticError as exc:
             raise CalibrationError(f"no plus eigen-functional: {exc}") from exc
-        tables = {rep: rep.exponent_table() for rep in reps}
-        try:
-            probes = {rep: _twist_rows(curve, rep, tables[rep]) for rep in reps}
-        except ConsistencyError as exc:
-            raise CalibrationError(
-                f"probe series fail their check: {exc}") from exc
-        sums = {rep: symbols.orbit_sums(tables[rep], ell) for rep in reps}
-        g = gcd(symbols(1, 0), *(m for M in sums.values() for m in M))
+        # each probe's symbol sums M and series rows, from one period
+        probes = {}
+        for rep in reps:
+            period = rep.exponent_table()
+            try:
+                rows = _twist_rows(curve, rep, period)
+            except ConsistencyError as exc:
+                raise CalibrationError(
+                    f"probe series fail their check: {exc}") from exc
+            probes[rep] = (symbols.orbit_sums(period, ell), rows)
+        g = gcd(symbols(1, 0), *(m for M, _ in probes.values() for m in M))
         zeta = _roots_of_unity(ell, mpmath.mp.prec)
         T, row = max(((mpmath.fsum(zeta[-j * t % ell] * m
-                                   for t, m in enumerate(M)),
-                       probes[rep].rows[j])
-                      for rep, M in sums.items() for j in range(1, ell)),
+                                   for t, m in enumerate(M)), rows.rows[j])
+                      for M, rows in probes.values() for j in range(1, ell)),
                      key=lambda pair: abs(pair[0]))
         if abs(T) < 0.5:
             raise CalibrationError("every probe's plus modular symbols are "
@@ -606,9 +619,9 @@ def calibrate(curve: Curve, ell: int, dps: int = WORKING_DPS,
             f"untwisted part {float(untwisted):.6g} at scale {c} is not "
             f"L0 = r phi((1:0)) = {l0} of the plus modular symbols, r = {r}")
     cal = CalibratedCurve(curve, ell, c, l0, r, base_dps=dps)
-    for rep in reps:
+    for rep, (M, rows) in probes.items():
         try:
-            cal._records[rep] = cal._record(rep, tables[rep], probes[rep])
+            cal._records[rep] = cal._record(rep, cal._exact_sums(rep, M), rows)
         except ConsistencyError as exc:
             raise CalibrationError(f"probe {rep.label()} fails its check "
                                    f"against the plus modular symbols: "

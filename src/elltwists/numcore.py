@@ -14,8 +14,9 @@ share.  The buckets are summed in float64 bins keyed by bucket and
 exponent window, where up to 2^20 split halves add without rounding, and
 rounded once by math.fsum of the bin totals; a longer input is binned in
 passes.  TheoryViolation, the base of every error that means a proved
-statement failed, lives here too, so that each module can subclass it and
-the command line can catch it once.
+statement failed (exit 2), and ConfigError, a run that cannot be made
+(exit 1), live here too, so that each module can raise them and the
+command line can catch each once.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ class TheoryViolation(Exception):
     """A computed result that contradicts a proved statement.  Every such
     failure subclasses this one class, so a caller can tell 'the mathematics
     failed' from ordinary errors with a single except clause."""
+
+
+class ConfigError(Exception):
+    """A configuration file or parameter set that cannot be run."""
 
 
 class RecognitionError(ValueError):

@@ -30,9 +30,10 @@ the program imports this one.
 - integer_roots_by_divisors: the integer roots of a monic cubic, by trying
   every divisor of its lowest nonzero coefficient; the oracle of
   numcore._monic_cubic_integer_roots.
-- census_37b_by_pairs: the slice-family survey with one full kummer._e37b_row
-  per parameter pair; the oracle of kummer.census_37b, which classifies
-  each integral model once for a pair and its rotation.
+- census_37b_by_pairs: the slice-family survey with one full row,
+  kummer._e37b_forms then _e37b_model, per parameter pair; the oracle of
+  kummer.census_37b, which classifies each integral model once for a pair
+  and its rotation.
 - an_table_by_loop: a_n by the multiplicative sieve, one n at a time in
   Python ints over the least_prime_factors above; the oracle of the
   numpy-filled elliptic.Curve.an_table.
@@ -51,7 +52,8 @@ import numpy as np
 
 from elltwists.dirichlet import DirichletChar, conductor_primes
 from elltwists.kummer import (CensusFieldRow, E37bCensus, SurfaceError,
-                              _e37b_row, _e37b_sieve, _slice_coefficients)
+                              _e37b_forms, _e37b_model, _e37b_sieve,
+                              _slice_coefficients)
 from elltwists.numcore import primes_up_to
 
 
@@ -256,16 +258,15 @@ def census_37b_by_pairs(max_conductor: int, height_bound: int) -> E37bCensus:
                          if gcd(a, b) == 1]
     lpf = _e37b_sieve(max(height_bound, 1))
     for a, b in params:
-        row = _e37b_row(a, b, lpf)
-        fac, conductor = row.h_factorization, row.conductor
+        h1, h2, g, model = _e37b_forms(a, b)
+        fac, _, conductor = _e37b_model(a, b, h1, h2, g, model, lpf)
         squarefree = all(e == 1 for p, e in fac.pairs if p not in (2, 3, 37))
         new = squarefree and conductor not in seen
-        rows.append(CensusFieldRow(a, b, row.h1, row.h2, squarefree,
-                                   conductor, new))
+        rows.append(CensusFieldRow(a, b, h1, h2, squarefree, conductor, new))
         if squarefree:
             seen.add(conductor)
         if fac.is_squarefree():
-            value = row.h1 * row.h2
+            value = h1 * h2
             prev = products.setdefault(conductor, value)
             if prev != value:
                 raise SurfaceError(

@@ -1229,6 +1229,28 @@ class TestCommandLine:
         assert capsys.readouterr().err.startswith(
             f"theory violation: {error.__name__}: ")
 
+    def test_order_past_the_probe_window_exits_one(self, monkeypatch,
+                                                   capsys):
+        # no orbit of order 1000003 has conductor <= 409,600, so calibrate
+        # widens its probe window up to _PROBE_LIMIT and stops there: one
+        # stderr line naming ell and the bound, exit 1, and no window past it
+        real, windows = lvalue.served_orbits, []
+
+        def served(level, ell, bound):
+            windows.append(bound)
+            return real(level, ell, bound)
+
+        monkeypatch.setattr(lvalue, "served_orbits", served)
+        code = main(["census", "--curve", "curves/37b.cfg", "--ell",
+                     "1000003", "--max-conductor", "10"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: order 1000003 has under 10 probe orbits up to "
+            "conductor 409600"]
+        assert windows == [400 << k for k in range(11)]
+        assert max(windows) == lvalue._PROBE_LIMIT
+
     @pytest.mark.parametrize("message", [
         "Unable to allocate 356. GiB for an array with shape "
         "(47746482188,) and data type int64", ""], ids=["numpy", "bare"])

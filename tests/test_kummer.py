@@ -26,9 +26,9 @@ from elltwists.kummer import (
     _check_model_scale,
     _cornacchia_3,
     _e37b_forms,
+    _e37b_model,
     _e37b_pair,
     _e37b_parameters,
-    _e37b_row,
     _e37b_sieve,
     _nodal_infinite_order,
     bad_locus,
@@ -719,15 +719,15 @@ class TestCensus37b:
                             for a in range(-12, 13) if gcd(a, b) == 1]
         lpf = _e37b_sieve(12)
         for a, b in pairs:
-            row = _e37b_row(a, b, lpf)
+            h1, h2, g, model = _e37b_forms(a, b)
+            hh, hint, conductor = _e37b_model(a, b, h1, h2, g, model, lpf)
             fiber = _e37b_pair(a, b)
-            alone = CubicField.from_cubic(PolyQ.of(*row.model, 1))
-            assert (row.h1, row.h2) == (fiber.h1, fiber.h2)
-            assert F(row.h1, row.h2) == fiber.u
-            assert row.h_factorization == fiber.h_factorization \
-                == factor(row.h1 * row.h2)
-            assert row.disc_factorization == factor(alone.poly_disc)
-            assert row.conductor == fiber.field.conductor == alone.conductor
+            alone = CubicField.from_cubic(PolyQ.of(*model, 1))
+            assert (h1, h2) == (fiber.h1, fiber.h2)
+            assert F(h1, h2) == fiber.u
+            assert hh == fiber.h_factorization == factor(h1 * h2)
+            assert hint == factor(alone.poly_disc)
+            assert conductor == fiber.field.conductor == alone.conductor
             assert alone.poly == fiber.poly
 
     def test_survey_csv_is_pinned(self):

@@ -488,6 +488,17 @@ class TestCalibration:
         assert max(chi.conductor for chi in cal._records) == tenth
         assert (cal.scale, cal.r, cal.lalg0) == (Fraction(1, 9), 1, 2)
 
+    @pytest.mark.parametrize("ell", (3, 5, 7))
+    def test_probe_symbol_sums_are_read_once(self, ell, monkeypatch):
+        # each probe's M_t feed g, the transform and the probe's record
+        # from one orbit_sums pass
+        real, sizes = PlusSymbols.orbit_sums, []
+        monkeypatch.setattr(PlusSymbols, "orbit_sums", lambda sym, period, ell: (
+            sizes.append(period.size) or real(sym, period, ell)))
+        cal = calibrate(E37B, ell)
+        assert sorted(sizes) == sorted(chi.conductor for chi in cal._records)
+        assert len(sizes) == 10
+
     def test_root_number_is_part_of_the_calibration(self, cal_b):
         # the same model with the wrong sign admits no period scale, after
         # the true curve's calibration as before it: each calibration is
